@@ -2,8 +2,8 @@
 second-main-theorem numerics for hypersurface arrangements."""
 
 from .bounds import BoundsResult, ParamSet, m_zero, q_m, truncation_levels
-from .curves import (ComposedTarget, CurveCoordinate, ExpTerm, ProjectiveCurve,
-                     compose_polynomial, parse_coordinate, parse_curve)
+from .curves import (CurveCoordinate, ExpTerm, ProjectiveCurve, compose, parse_coordinate,
+                     parse_curve)
 from .errors import ParseError, QuadratureError, ResourceBudgetError, VerificationError
 from .geometry import (Arrangement, HilbertData, HilbertSlackReport, HilbertWeightResult,
                        PositionReport, check_subgeneral_position, codim_oracle,

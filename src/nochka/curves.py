@@ -1,23 +1,38 @@
 """Curve coordinates and their evaluation.
 
-A coordinate is either an exact polynomial in z or a finite sum of terms
-c * z^k * exp(p(z)) with polynomial exponents.  Circle evaluation returns
-log-magnitudes and max-rescaled values so that downstream quadrature never
-overflows on homogeneous targets: for a homogeneous Q of degree d,
-log|Q(f)| = d*log||f|| + log|Q(w)| with w = f * exp(-log||f||).
+A coordinate is an exponential polynomial sum_p c_p(z) * exp(p(z)), kept in
+collected normal form: a map from each exponent polynomial p in Q(i)[z] to a
+nonzero coefficient polynomial c_p in Q(i)[z].  A polynomial coordinate is
+the single key p = 0.  Sums and products stay in this form, so Q(f) is
+composed exactly for every curve, and the form is canonical: a coordinate
+is identically zero exactly when it has no keys.  Two facts make it so.
+Exponentials whose exponents differ in their non-constant part are linearly
+independent over C[z].  Exponentials whose exponents differ only by a
+constant are exp(c_j) * exp(p) with distinct algebraic c_j, and the exp(c_j)
+are linearly independent over the algebraic numbers (Lindemann-Weierstrass);
+comparing coefficients of each power of z leaves no relation with
+coefficients in Q(i).  Keys are therefore full exponent polynomials,
+constant term included: exp(z + 1) = e * exp(z) must stay a separate key.
+
+Circle evaluation returns log-magnitudes and max-rescaled values so that
+downstream quadrature never overflows on homogeneous targets: for a
+homogeneous Q of degree d, log|Q(f)| = d*log||f|| + log|Q(w)| with
+w = f * exp(-log||f||).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParseError
-from .poly import Polynomial
-from .univar import QQi, UnivariatePoly, poly_gcd_many
+from .poly import Polynomial, _Scanner
+from .univar import (QQi, UnivariatePoly, _join_signed, _signed_monomials,
+                     poly_gcd_many)
+
+_ZERO = UnivariatePoly()
 
 
 @dataclass(frozen=True)
@@ -30,35 +45,35 @@ class ExpTerm:
 
 
 class CurveCoordinate:
-    """Polynomial or exponential-polynomial coordinate function."""
+    """Exponential polynomial in collected normal form (see the module docstring).
 
-    __slots__ = ("poly", "terms")
+    `terms` maps exponent polynomials to nonzero coefficient polynomials;
+    `poly` is the coordinate as a UnivariatePoly when its only key is 0
+    (the zero polynomial when it has none), else None.
+    """
 
-    def __init__(self, *, poly: UnivariatePoly | None = None,
-                 terms: Sequence[ExpTerm] | None = None):
-        if (poly is None) == (terms is None):
-            raise ValueError("exactly one of poly/terms must be given")
-        if terms is not None:
-            kept = tuple(t for t in terms if not t.coef.is_zero)
-            if all(t.exponent.is_zero for t in kept):
-                poly = UnivariatePoly.from_pairs((t.coef, t.power) for t in kept)
-                terms = None
-            else:
-                terms = kept
-        self.poly = poly
-        self.terms = terms
+    __slots__ = ("terms", "poly")
+
+    def __init__(self, terms: Mapping[UnivariatePoly, UnivariatePoly]):
+        self.terms = {p: c for p, c in terms.items() if not c.is_zero}
+        if not self.terms:
+            self.poly = _ZERO
+        elif len(self.terms) == 1:
+            self.poly = self.terms.get(_ZERO)
+        else:
+            self.poly = None
 
     @classmethod
     def from_poly(cls, poly: UnivariatePoly) -> "CurveCoordinate":
-        return cls(poly=poly)
+        return cls({_ZERO: poly})
 
     @classmethod
     def from_terms(cls, terms: Sequence[ExpTerm]) -> "CurveCoordinate":
-        return cls(terms=terms)
-
-    @property
-    def kind(self) -> str:
-        return "polynomial" if self.poly is not None else "exponential-polynomial"
+        """Collect terms by exponent, summing their coefficients."""
+        pairs: dict[UnivariatePoly, list] = {}
+        for t in terms:
+            pairs.setdefault(t.exponent, []).append((t.coef, t.power))
+        return cls({p: UnivariatePoly.from_pairs(cp) for p, cp in pairs.items()})
 
     @property
     def is_polynomial(self) -> bool:
@@ -66,33 +81,43 @@ class CurveCoordinate:
 
     @property
     def is_zero(self) -> bool:
-        return self.poly is not None and self.poly.is_zero
+        """Exact: the collected form is canonical."""
+        return not self.terms
 
-    @property
-    def is_nonzero_constant(self) -> bool:
-        return self.poly is not None and self.poly.degree == 0
+    def __add__(self, other: "CurveCoordinate") -> "CurveCoordinate":
+        out = dict(self.terms)
+        for p, c in other.terms.items():
+            out[p] = out[p] + c if p in out else c
+        return CurveCoordinate(out)
+
+    def __mul__(self, other) -> "CurveCoordinate":
+        if not isinstance(other, CurveCoordinate):
+            return CurveCoordinate({p: c * other for p, c in self.terms.items()})
+        out: dict[UnivariatePoly, UnivariatePoly] = {}
+        for p, a in self.terms.items():
+            for q, b in other.terms.items():
+                key = p + q
+                prod = a * b
+                out[key] = out[key] + prod if key in out else prod
+        return CurveCoordinate(out)
 
     def derivative(self) -> "CurveCoordinate":
-        if self.poly is not None:
-            return CurveCoordinate(poly=self.poly.derivative())
-        out: list[ExpTerm] = []
-        for t in self.terms:
-            if t.power:
-                out.append(ExpTerm(t.coef * t.power, t.power - 1, t.exponent))
-            dp = t.exponent.derivative()
-            for i, a in enumerate(dp.coeffs):
-                if not a.is_zero:
-                    out.append(ExpTerm(t.coef * a, t.power + i, t.exponent))
-        return CurveCoordinate(terms=out) if out else CurveCoordinate(poly=UnivariatePoly())
+        """(c exp(p))' = (c' + c p') exp(p), term by term."""
+        out = {}
+        for p, c in self.terms.items():
+            dc = c.derivative()
+            out[p] = dc + c * p.derivative() if p.coeffs else dc
+        return CurveCoordinate(out)
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
-        if self.poly is not None:
-            return self.poly.eval_array(z)
         total = np.zeros_like(z)
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in self.terms:
-                total = total + complex(t.coef) * z ** t.power * np.exp(t.exponent.eval_array(z))
+            for p, c in self.terms.items():
+                value = c.eval_array(z)
+                if p.coeffs:
+                    value = value * np.exp(p.eval_array(z))
+                total = total + value
         return total
 
     def log_values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,9 +131,13 @@ class CurveCoordinate:
             return np.zeros(z.shape), self.poly.eval_array(z)
         logs = []
         with np.errstate(divide="ignore"):
-            for t in self.terms:
-                logs.append(np.log(np.abs(complex(t.coef)))
-                            + t.power * np.log(z) + t.exponent.eval_array(z))
+            log_z = np.log(z)
+            for p, c in self.terms.items():
+                pz = p.eval_array(z)
+                # log|a| drops the phase of a: w * exp(L) is the value only when
+                # every coefficient is positive real (open defect, see ROADMAP.md)
+                logs.extend(np.log(np.abs(complex(a))) + k * log_z + pz
+                            for k, a in enumerate(c.coeffs) if not a.is_zero)
         stacked = np.stack(logs)
         L = np.max(stacked.real, axis=0)
         w = np.sum(np.exp(stacked - L), axis=0)
@@ -123,39 +152,18 @@ class CurveCoordinate:
         if self.poly is not None:
             return self.poly.to_text()
         parts = []
-        for t in self.terms:
-            coef = t.coef
-            sign = "+"
-            if coef.im == 0 and coef.re < 0:
-                sign, coef = "-", -coef
-            body = _coef_text(coef)
-            if t.power == 1:
-                body += "*z"
-            elif t.power > 1:
-                body += f"*z^{t.power}"
-            body += f"*exp({t.exponent.to_text()})"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        for p, c in self.terms.items():
+            parts += _signed_monomials(c, "z", f"*exp({p.to_text()})" if p.coeffs else "")
+        return _join_signed(parts)
 
     def __repr__(self) -> str:
         return f"CurveCoordinate({self.to_text()})"
 
 
-def _coef_text(c: QQi) -> str:
-    text = str(c)
-    if ("+" in text[1:]) or ("-" in text[1:]) or text.endswith("i"):
-        return f"({text})"
-    return text
-
-
 class ProjectiveCurve:
     """Reduced representation of a holomorphic curve by M+1 coordinates."""
 
-    __slots__ = ("coordinates", "reduced_verified")
+    __slots__ = ("coordinates",)
 
     def __init__(self, coordinates: Sequence[CurveCoordinate]):
         coords = tuple(coordinates)
@@ -164,16 +172,9 @@ class ProjectiveCurve:
         if all(c.is_zero for c in coords):
             raise ValueError("all coordinates vanish")
         self.coordinates = coords
-        self.reduced_verified = self._verify_reduced()
-
-    def _verify_reduced(self) -> bool:
-        if self.all_polynomial:
-            g = poly_gcd_many([c.poly for c in self.coordinates if not c.is_zero])
-            if g.degree > 0:
-                raise ValueError("coordinates share a common factor; representation is not reduced")
-            return True
-        # a nowhere-zero coordinate certifies reducedness for mixed sums
-        return any(c.is_nonzero_constant for c in self.coordinates)
+        if self.all_polynomial and poly_gcd_many(
+                [c.poly for c in coords if not c.is_zero]).degree > 0:
+            raise ValueError("coordinates share a common factor; representation is not reduced")
 
     @property
     def all_polynomial(self) -> bool:
@@ -182,12 +183,6 @@ class ProjectiveCurve:
     @property
     def ambient_dim(self) -> int:
         return len(self.coordinates) - 1
-
-    @property
-    def max_degree(self) -> int:
-        if not self.all_polynomial:
-            raise ValueError("degree defined for polynomial curves only")
-        return max(c.poly.degree for c in self.coordinates)
 
     def circle_values(self, r: float, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (L, W): L = log max_i |f_i| on |z| = r, W the coordinates scaled by exp(-L)."""
@@ -212,56 +207,7 @@ class ProjectiveCurve:
         return f"ProjectiveCurve({', '.join(c.to_text() for c in self.coordinates)})"
 
 
-class _CurveScanner:
-    def __init__(self, text: str, line: int | None = None):
-        self.text = text
-        self.pos = 0
-        self.line = line
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, line=self.line, column=self.pos + 1)
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def match_word(self, word: str) -> bool:
-        self.peek()
-        if self.text.startswith(word, self.pos):
-            after = self.pos + len(word)
-            nxt = self.text[after] if after < len(self.text) else ""
-            if not (nxt.isalnum() or nxt == "_"):
-                self.pos = after
-                return True
-        return False
-
-    def integer(self) -> int:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
-
-    def rational(self) -> Fraction:
-        num = self.integer()
-        if self.peek() == "/":
-            self.take()
-            den = self.integer()
-            if den == 0:
-                raise self.error("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-
-def _parse_complex_atom(sc: _CurveScanner, sign: int) -> QQi:
+def _parse_complex_atom(sc: _Scanner, sign: int) -> QQi:
     """rational ['i'] or bare 'i'."""
     if sc.peek() == "i" and not sc.text.startswith("i", sc.pos + 1):
         nxt = sc.text[sc.pos + 1] if sc.pos + 1 < len(sc.text) else ""
@@ -275,7 +221,7 @@ def _parse_complex_atom(sc: _CurveScanner, sign: int) -> QQi:
     return QQi(value)
 
 
-def _parse_paren_complex(sc: _CurveScanner) -> QQi:
+def _parse_paren_complex(sc: _Scanner) -> QQi:
     sc.take()  # (
     total = QQi(0)
     sign = 1
@@ -291,7 +237,7 @@ def _parse_paren_complex(sc: _CurveScanner) -> QQi:
     return total
 
 
-def _parse_term(sc: _CurveScanner, sign: int) -> tuple[QQi, int, UnivariatePoly]:
+def _parse_term(sc: _Scanner, sign: int) -> tuple[QQi, int, UnivariatePoly]:
     coef = QQi(sign)
     power = 0
     exponent = UnivariatePoly()
@@ -349,7 +295,7 @@ def parse_coordinate(text: str, *, line: int | None = None) -> CurveCoordinate:
     Complex literals use rational parts with an `i` suffix; signed
     complex constants must be parenthesized, e.g. `(1-1/2i)*z^2`.
     """
-    sc = _CurveScanner(text, line)
+    sc = _Scanner(text, line)
     terms: list[ExpTerm] = []
     first = True
     while True:
@@ -367,7 +313,7 @@ def parse_coordinate(text: str, *, line: int | None = None) -> CurveCoordinate:
         coef, power, exponent = _parse_term(sc, sign)
         terms.append(ExpTerm(coef, power, exponent))
         first = False
-    return CurveCoordinate(terms=terms)
+    return CurveCoordinate.from_terms(terms)
 
 
 def parse_curve(text: str) -> ProjectiveCurve:
@@ -399,43 +345,9 @@ def parse_curve(text: str) -> ProjectiveCurve:
     return ProjectiveCurve(coords)
 
 
-def compose_polynomial(target: Polynomial, curve: ProjectiveCurve) -> UnivariatePoly:
-    """Exact composition Q(f_0, ..., f_M) for an all-polynomial curve."""
-    if not curve.all_polynomial:
-        raise ValueError("exact composition needs a polynomial curve")
+def compose(target: Polynomial, curve: ProjectiveCurve) -> CurveCoordinate:
+    """Exact composition Q(f_0, ..., f_M), collected; zero exactly when Q vanishes on f."""
     if target.nvars != curve.ambient_dim + 1:
         raise ValueError(f"target has {target.nvars} variables, curve has {curve.ambient_dim + 1}")
-    values = [c.poly for c in curve.coordinates]
-    result = target.evaluate_exact(
-        values, UnivariatePoly.constant(1)) if target.terms else UnivariatePoly()
-    return result
-
-
-class ComposedTarget:
-    """Numeric Q(f) with derivative, for contour work on exponential curves."""
-
-    __slots__ = ("target", "curve", "_partials", "_coord_derivs", "label")
-
-    def __init__(self, target: Polynomial, curve: ProjectiveCurve, label: str = ""):
-        if target.nvars != curve.ambient_dim + 1:
-            raise ValueError("variable count mismatch")
-        self.target = target
-        self.curve = curve
-        self._partials = [target.derivative(i) for i in range(target.nvars)]
-        self._coord_derivs = [c.derivative() for c in curve.coordinates]
-        self.label = label
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            coords = [c.eval_array(z) for c in self.curve.coordinates]
-            return self.target.evaluate_array(coords)
-
-    def deriv(self, z: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            coords = [c.eval_array(z) for c in self.curve.coordinates]
-            total = np.zeros(np.shape(z), dtype=np.complex128)
-            for partial, dc in zip(self._partials, self._coord_derivs):
-                if partial.is_zero:
-                    continue
-                total = total + partial.evaluate_array(coords) * dc.eval_array(z)
-        return total
+    return target.evaluate_exact(curve.coordinates,
+                                 CurveCoordinate.from_poly(UnivariatePoly.constant(1)))

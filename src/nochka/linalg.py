@@ -42,15 +42,3 @@ class Echelon:
         self.pivots.insert(at, pivot)
         return True
 
-
-def rank_of(vectors: Sequence[Sequence]) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank
-
-
-def greedy_basis(vectors: Sequence[Sequence]) -> list[int]:
-    """Indices of the greedily chosen independent subfamily, in input order."""
-    ech = Echelon()
-    return [i for i, v in enumerate(vectors) if ech.insert(v)]

@@ -3,7 +3,8 @@
 Characteristic and proximity are circle averages computed by doubling
 trapezoid quadrature (spectrally accurate for periodic integrands); zero
 divisors are exact for polynomial data and argument-principle counts for
-exponential sums; counting functions are closed forms over divisors.
+exponential polynomials, with targets Q(f) composed exactly for every
+curve; counting functions are closed forms over divisors.
 The report builders evaluate both sides of the main inequalities and
 record slack per radius.
 """
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import ComposedTarget, CurveCoordinate, ProjectiveCurve, compose_polynomial
+from .curves import CurveCoordinate, ProjectiveCurve, compose
 from .errors import QuadratureError, VerificationError
 from .geometry import Arrangement, PositionReport, check_subgeneral_position
 from .linalg import Echelon
@@ -111,7 +112,7 @@ def characteristic(curve: ProjectiveCurve, r: float, *, tol: float = DEFAULT_QUA
 
 def zero_divisor(obj, radius: float | None = None) -> ZeroDivisor:
     """Zero divisor of a polynomial (exact, valid everywhere) or of an
-    exponential sum / composed target inside |z| < radius (argument principle)."""
+    exponential polynomial inside |z| < radius (argument principle)."""
     if isinstance(obj, CurveCoordinate) and obj.is_polynomial:
         obj = obj.poly
     if isinstance(obj, UnivariatePoly):
@@ -120,13 +121,9 @@ def zero_divisor(obj, radius: float | None = None) -> ZeroDivisor:
         return ZeroDivisor(tuple(poly_roots_with_multiplicity(obj)), math.inf)
     if radius is None:
         raise ValueError("a radius is required for non-polynomial functions")
-    if isinstance(obj, CurveCoordinate):
-        fn, dfn = obj.eval_array, obj.derivative().eval_array
-    elif isinstance(obj, ComposedTarget):
-        fn, dfn = obj.value, obj.deriv
-    else:
+    if not isinstance(obj, CurveCoordinate):
         raise TypeError(f"cannot take the zero divisor of {type(obj).__name__}")
-    result = zeros_in_disk(fn, dfn, radius)
+    result = zeros_in_disk(obj.eval_array, obj.derivative().eval_array, radius)
     return ZeroDivisor(tuple(result.zeros), result.radius_used)
 
 
@@ -167,7 +164,7 @@ def _proximity_impl(curve, target: Polynomial, r: float, tol: float) -> tuple[fl
         raise ValueError("target must be nonzero homogeneous")
     if target.nvars != curve.ambient_dim + 1:
         raise ValueError("variable count mismatch between target and curve")
-    if curve.all_polynomial and compose_polynomial(target, curve).is_zero:
+    if compose(target, curve).is_zero:
         raise ValueError("target vanishes identically on the curve")
     log_norm = math.log(float(target.max_abs_coeff()))
 
@@ -218,7 +215,7 @@ def jensen_check(phi: CurveCoordinate | UnivariatePoly, radii: Sequence[float], 
     at_zero = phi.eval_array(np.array([0.0 + 0.0j]))[0]
     if abs(at_zero) < 1e-15:
         raise ValueError("phi(0) = 0: factor out the vanishing power of z first")
-    divisor = zero_divisor(phi, radii[-1] * 1.001 if not phi.is_polynomial else None)
+    divisor = zero_divisor(phi, radii[-1] * 1.001)
 
     def sample(thetas, rr):
         z = rr * np.exp(1j * thetas)
@@ -475,7 +472,7 @@ def lift_curve(curve: ProjectiveCurve, arr: Arrangement, m: int) -> LiftResult:
         raise ValueError("curve and arrangement ambient dimensions differ")
     if m < 1:
         raise ValueError("m must be >= 1")
-    composed = [compose_polynomial(f, curve) for f in arr.normalized_forms()]
+    composed = [compose(f, curve).poly for f in arr.normalized_forms()]
     exps = list(monomials_of_degree(arr.q, m))
     coords: list[UnivariatePoly] = []
     for exp in exps:
@@ -605,18 +602,10 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
     targets = []
     rmax = radii[-1] * 1.001
     for name, form in arr.hypersurfaces:
-        if curve.all_polynomial:
-            comp = compose_polynomial(form, curve)
-            if comp.is_zero:
-                raise ValueError(f"target {name} vanishes identically on the curve")
-            div = zero_divisor(comp)
-        else:
-            target = ComposedTarget(form, curve, label=name)
-            probe = target.value(np.array([0.31 + 0.17j, -1.12 + 0.53j, 0.77 - 0.91j]))
-            if np.all(np.abs(probe) < 1e-200):
-                raise ValueError(f"target {name} appears to vanish identically on the curve")
-            div = zero_divisor(target, rmax)
-        targets.append((name, form, div))
+        comp = compose(form, curve)
+        if comp.is_zero:
+            raise ValueError(f"target {name} vanishes identically on the curve")
+        targets.append((name, form, zero_divisor(comp, rmax)))
 
     coefficient = q - 2 * N + n - 1 - eps
     rows = []

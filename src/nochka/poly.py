@@ -477,9 +477,16 @@ def degree_m_slice_rank(ideal: Ideal, m: int, max_steps: int = DEFAULT_GB_STEPS,
 
 
 class _Scanner:
-    def __init__(self, text: str):
+    """Character scanner shared by the polynomial and curve parsers.
+
+    `line`, when given, goes into every ParseError; errors without it
+    report the character position only.
+    """
+
+    def __init__(self, text: str, line: int | None = None):
         self.text = text
         self.pos = 0
+        self.line = line
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -495,7 +502,18 @@ class _Scanner:
         return ch
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, column=self.pos + 1)
+        return ParseError(message, line=self.line, column=self.pos + 1)
+
+    def match_word(self, word: str) -> bool:
+        """Consume `word` if it comes next and is not the prefix of a longer name."""
+        self.skip_ws()
+        if self.text.startswith(word, self.pos):
+            after = self.pos + len(word)
+            nxt = self.text[after] if after < len(self.text) else ""
+            if not (nxt.isalnum() or nxt == "_"):
+                self.pos = after
+                return True
+        return False
 
     def integer(self) -> int:
         self.skip_ws()
@@ -505,6 +523,17 @@ class _Scanner:
         if start == self.pos:
             raise self.error("expected an integer")
         return int(self.text[start:self.pos])
+
+    def rational(self) -> Fraction:
+        """`a` or `a/b` with nonnegative integers."""
+        num = self.integer()
+        if self.peek() == "/":
+            self.take()
+            den = self.integer()
+            if den == 0:
+                raise self.error("zero denominator")
+            return Fraction(num, den)
+        return Fraction(num)
 
     def name(self) -> str:
         self.skip_ws()
@@ -550,15 +579,7 @@ def parse_polynomial(text: str, varnames: Sequence[str], *,
         while True:
             ch = sc.peek()
             if ch.isdigit():
-                num = sc.integer()
-                if sc.peek() == "/":
-                    sc.take()
-                    den = sc.integer()
-                    if den == 0:
-                        raise sc.error("zero denominator")
-                    coeff *= Fraction(num, den)
-                else:
-                    coeff *= num
+                coeff *= sc.rational()
             elif ch.isalpha() or ch == "_":
                 name = sc.name()
                 if name not in index:

@@ -83,9 +83,6 @@ class QQi:
     def __rtruediv__(self, other):
         return QQi.of(other) / self
 
-    def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
@@ -121,16 +118,8 @@ class UnivariatePoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls) -> "UnivariatePoly":
-        return cls()
-
-    @classmethod
     def constant(cls, value) -> "UnivariatePoly":
         return cls([value])
-
-    @classmethod
-    def x(cls) -> "UnivariatePoly":
-        return cls([0, 1])
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple]) -> "UnivariatePoly":
@@ -213,12 +202,6 @@ class UnivariatePoly:
             e >>= 1
         return result
 
-    def shift(self, k: int) -> "UnivariatePoly":
-        """Multiply by z^k."""
-        if self.is_zero:
-            return self
-        return UnivariatePoly([QQI_ZERO] * k + list(self.coeffs))
-
     def derivative(self) -> "UnivariatePoly":
         return UnivariatePoly([c * k for k, c in enumerate(self.coeffs)][1:])
 
@@ -244,13 +227,6 @@ class UnivariatePoly:
             return self
         return self.scale(QQI_ONE / self.leading)
 
-    def eval_exact(self, z) -> QQi:
-        z = QQi.of(z)
-        acc = QQI_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
     def eval_array(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
         acc = np.zeros_like(z)
@@ -264,28 +240,37 @@ class UnivariatePoly:
     def to_text(self, var: str = "z") -> str:
         if self.is_zero:
             return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero:
-                continue
-            sign = "+"
-            if c.im == 0 and c.re < 0:
-                sign, c = "-", -c
-            if k == 0:
-                body = _coeff_text(c)
-            else:
-                zp = var if k == 1 else f"{var}^{k}"
-                body = zp if c == QQI_ONE else f"{_coeff_text(c)}*{zp}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _join_signed(_signed_monomials(self, var, ""))
 
     def __repr__(self) -> str:
         return f"UnivariatePoly({self.to_text()})"
+
+
+def _signed_monomials(p: UnivariatePoly, var: str, suffix: str) -> list[tuple[str, str]]:
+    """(sign, body) per nonzero monomial of p, highest power first; `suffix` ends each body."""
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = p.coeffs[k]
+        if c.is_zero:
+            continue
+        sign = "+"
+        if c.im == 0 and c.re < 0:
+            sign, c = "-", -c
+        if k == 0:
+            body = _coeff_text(c)
+        else:
+            zp = var if k == 1 else f"{var}^{k}"
+            body = zp if c == QQI_ONE else f"{_coeff_text(c)}*{zp}"
+        parts.append((sign, body + suffix))
+    return parts
+
+
+def _join_signed(parts: list[tuple[str, str]]) -> str:
+    first_sign, first_body = parts[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
 
 
 def _coeff_text(c: QQi) -> str:

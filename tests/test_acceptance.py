@@ -222,8 +222,8 @@ def test_criterion_08_jensen_and_fmt_consistency():
         target = parse_polynomial(
             rng.choice(("x0 + x1", "x1 - x2", "x0 + 2*x1 - x2", "x0*x2 - x1^2",
                         "x0^2 + x1*x2")), names)
-        from nochka.curves import compose_polynomial
-        composed = compose_polynomial(target, curve)
+        from nochka.curves import compose
+        composed = compose(target, curve)
         if composed.is_zero:
             continue
         if any(min(abs(abs(z) - r) for r in radii) < 0.1

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nochka
 from nochka.cli import main
 from nochka.fixtures import pencil_lines_arrangement, three_point_arrangement
 from nochka.geometry import format_arrangement, parse_arrangement
@@ -42,6 +47,16 @@ def run_json(capsys, argv):
 
 
 class TestRankCommands:
+    def test_module_entry_point(self, oracle_file):
+        src = str(Path(nochka.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-m", "nochka.cli", "weights",
+                               "--oracle", oracle_file],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["theta"] == "1/2"
+
     def test_weights(self, capsys, oracle_file):
         code, payload = run_json(capsys, ["weights", "--oracle", oracle_file])
         assert code == 0
@@ -168,6 +183,18 @@ class TestAnalyticCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert out.splitlines()[0] == "r\tT\tlhs\trhs\tslack"
+
+    def test_smt_report_vanishing_target_exit_2(self, capsys, tmp_path):
+        arr = tmp_path / "g.arrangement"
+        arr.write_text("[space] M=2 n=2 degV=1 N=2\n[vars] x0 x1 x2\n[variety]\n"
+                       "[hypersurfaces]\nH0 : x0\nH2 : x2\nH3 : x0 + x1 + x2\n"
+                       "G : x0*x2 - x1^2\n")
+        curve = tmp_path / "g.curve"
+        curve.write_text("[curve] M=2\n1\nexp(z)\nexp(2*z)\n")
+        code = main(["smt-report", "--arr", str(arr), "--curve", str(curve),
+                     "--epsilon", "1/2", "--radii", "2"])
+        assert code == 2
+        assert "target G vanishes identically on the curve" in capsys.readouterr().err
 
     def test_smt_report_untruncated(self, capsys, pencil_file, parabola_file):
         code, payload = run_json(capsys, [

@@ -6,18 +6,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nochka.curves import (CurveCoordinate, ExpTerm, ProjectiveCurve,
+from nochka.curves import (CurveCoordinate, ExpTerm, ProjectiveCurve, compose,
                            parse_coordinate, parse_curve)
 from nochka.fixtures import (exp_curve, parabola_curve, pencil_lines_arrangement,
                              three_point_arrangement)
-from nochka.geometry import hilbert_function
+from nochka.geometry import hilbert_function, parse_arrangement
 from nochka.nevanlinna import (cartan_ru_check, characteristic, counting_function,
                                jensen_check, lift_curve, proximity, smt_report,
                                wronskian, wronskian_divisor_check, zero_divisor)
-from nochka.poly import parse_polynomial
+from nochka.poly import Polynomial, monomials_of_degree, parse_polynomial
 from nochka.univar import QQi, UnivariatePoly
 
 V3 = ("x0", "x1", "x2")
+
+VANISHING_G_ARRANGEMENT = """[space] M=2 n=2 degV=1 N=2
+[vars] x0 x1 x2
+[variety]
+[hypersurfaces]
+H0 : x0
+H2 : x2
+H3 : x0 + x1 + x2
+G : x0*x2 - x1^2
+"""
+VANISHING_G_CURVE = "[curve] M=2\n1\nexp(z)\nexp(2*z)\n"
 
 
 def up(*coeffs) -> UnivariatePoly:
@@ -146,6 +157,16 @@ class TestProximity:
         target = parse_polynomial("x0*x2 - x1^2", V3)
         with pytest.raises(ValueError):
             proximity(parabola_curve(), target, 10)
+
+    def test_degenerate_target_on_exponential_curve_rejected(self):
+        # G(1, e^z, e^{2z}) = e^{2z} - (e^z)^2 vanishes identically
+        arr = parse_arrangement(VANISHING_G_ARRANGEMENT)
+        curve = parse_curve(VANISHING_G_CURVE)
+        G = dict(arr.hypersurfaces)["G"]
+        with pytest.raises(ValueError, match="vanishes identically"):
+            proximity(curve, G, 2)
+        with pytest.raises(ValueError, match="target G vanishes identically on the curve"):
+            smt_report(curve, arr, Fraction(1, 2), [2])
 
 
 class TestJensen:
@@ -367,6 +388,9 @@ class TestCurveParsing:
         from nochka.errors import ParseError
         with pytest.raises(ParseError):
             parse_curve("[curve] M=2\n1\nz\n")
+        with pytest.raises(ParseError) as err:
+            parse_curve("[curve] M=2\n1\nexp(z\nz\n")
+        assert err.value.line == 3
 
     def test_coordinate_text_round_trip(self):
         import random
@@ -391,3 +415,55 @@ class TestCurveParsing:
             again = parse_coordinate(coord.to_text())
             z = np.array([0.37 + 0.21j, -0.64 + 0.88j, 1.13 - 0.29j])
             assert np.allclose(coord.eval_array(z), again.eval_array(z))
+
+
+class TestCompose:
+    def test_matches_numeric_chain_rule_and_collects(self):
+        import random
+        rng = random.Random(11)
+
+        def random_terms():
+            return [ExpTerm(QQi(rng.randint(-3, 3), rng.randint(-2, 2)), rng.randint(0, 2),
+                            UnivariatePoly([rng.randint(-1, 1) for _ in range(rng.randint(1, 3))]))
+                    for _ in range(rng.randint(1, 3))]
+
+        def term_sums(terms, z):
+            """f and f' summed term by term, independently of the collected form."""
+            f, df = np.zeros_like(z), np.zeros_like(z)
+            for t in terms:
+                e = complex(t.coef) * np.exp(t.exponent.eval_array(z))
+                f = f + e * z ** t.power
+                df = df + e * (t.power * z ** max(t.power - 1, 0)
+                               + z ** t.power * t.exponent.derivative().eval_array(z))
+            return f, df
+
+        def relative_error(got, want):
+            return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+        checked = 0
+        while checked < 12:
+            term_lists = [random_terms() for _ in range(3)]
+            try:
+                curve = ProjectiveCurve([CurveCoordinate.from_terms(t) for t in term_lists])
+            except ValueError:
+                continue
+            d = rng.randint(1, 3)
+            form = Polynomial(3, {m: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                  for m in monomials_of_degree(3, d) if rng.random() < 0.6})
+            comp = compose(form, curve)
+            if comp.is_zero:
+                continue
+            z = np.array([rng.uniform(0, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                          for _ in range(16)])
+            values, derivs = zip(*(term_sums(t, z) for t in term_lists))
+            assert relative_error(comp.eval_array(z), form.evaluate_array(values)) < 1e-10
+            chain = sum(form.derivative(i).evaluate_array(values) * df
+                        for i, df in enumerate(derivs))
+            assert relative_error(comp.derivative().eval_array(z), chain) < 1e-10
+            checked += 1
+
+        doubled = parse_coordinate("exp(z) + exp(z)")
+        assert doubled.terms == {up(0, 1): up(2)}
+        # exp(z + 1) = e * exp(z): the constant term is part of the key
+        assert len(parse_coordinate("exp(z + 1) + exp(z)").terms) == 2
+        assert parse_coordinate("exp(z) - exp(z)").is_zero
