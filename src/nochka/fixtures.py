@@ -13,10 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .curves import CurveCoordinate, ExpTerm, ProjectiveCurve
 from .geometry import Arrangement, check_subgeneral_position
+from .linalg import primitive
 from .poly import Polynomial, parse_polynomial
 from .univar import QQi, UnivariatePoly
 
@@ -75,30 +75,15 @@ def exp_curve() -> ProjectiveCurve:
 _MONOS2 = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
 
 
-def _scale_to_int(values: list[Fraction]) -> tuple[int, ...]:
-    den = 1
-    for v in values:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in values]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
 def _eval_point(p: Polynomial, point: tuple[int, ...]) -> Fraction:
     values = [Fraction(x) for x in point]
     return p.evaluate_exact(values, Fraction(1))
 
 
 def _cross(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return _scale_to_int([
-        Fraction(a[1] * b[2] - a[2] * b[1]),
-        Fraction(a[2] * b[0] - a[0] * b[2]),
-        Fraction(a[0] * b[1] - a[1] * b[0]),
-    ])
+    return primitive([a[1] * b[2] - a[2] * b[1],
+                      a[2] * b[0] - a[0] * b[2],
+                      a[0] * b[1] - a[1] * b[0]])
 
 
 def _line_through(a: tuple[int, ...], b: tuple[int, ...]) -> Polynomial | None:
@@ -162,7 +147,7 @@ def _conic_through(rng: random.Random, point: tuple[int, ...]) -> Polynomial | N
     rest = sum((c * v for i, (c, v) in enumerate(zip(coeffs, values)) if i != pivot),
                Fraction(0))
     coeffs[pivot] = -rest / values[pivot]
-    ints = _scale_to_int(coeffs)
+    ints = primitive(coeffs)
     if all(x == 0 for x in ints):
         return None
     return Polynomial(3, {m: c for m, c in zip(_MONOS2, ints)})
@@ -183,7 +168,7 @@ def _second_intersection(rng: random.Random, conic: Polynomial,
     point = [Fraction(b) + t * d for b, d in zip(base, direction)]
     if all(v == 0 for v in point):
         return None
-    return _scale_to_int(point)
+    return primitive(point)
 
 
 def _try_build(rng: random.Random):

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb, lcm
 from typing import Sequence
 
 from .errors import ParseError, ResourceBudgetError, VerificationError
-from .linalg import Echelon
+from .linalg import Echelon, primitive
 from .poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension,
-                   monomials_of_degree, parse_polynomial)
+                   monomials_of_degree, parse_polynomial, products_of_degree)
 from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle, ValidationReport,
                         _set_str, indices_of, validate_rank_oracle)
 
@@ -221,41 +222,27 @@ class HilbertData:
 
 
 def _degree_m_vectors(arr: Arrangement, m: int, qm_budget: int,
-                      max_steps: int | None) -> tuple[list[tuple[int, ...]], list[list[Fraction]]]:
-    """Exponent vectors of degree m and the rational coefficient vectors of the
-    corresponding products of normalized forms, reduced modulo the variety ideal."""
+                      max_steps: int | None) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Exponent vectors of degree m and, for each, the content-free integer
+    coefficient vector of the product of normalized forms, reduced modulo the
+    variety ideal."""
     steps = max_steps if max_steps is not None else arr.gb_steps
-    q = arr.q
-    total = comb(q + m - 1, m)
+    total = comb(arr.q + m - 1, m)
     if total > qm_budget:
         raise ResourceBudgetError(f"q_m = {total} exceeds budget {qm_budget}")
-    forms = arr.normalized_forms()
-    exponents = list(monomials_of_degree(q, m))
-    powers: list[dict[int, Polynomial]] = [dict() for _ in range(q)]
-
-    def power(j: int, e: int) -> Polynomial:
-        if e not in powers[j]:
-            powers[j][e] = forms[j] ** e
-        return powers[j][e]
-
-    ideal = arr.variety_ideal()
-    reduced: list[Polynomial] = []
-    for exp in exponents:
-        prod = Polynomial.constant(arr.M + 1, 1)
-        for j, e in enumerate(exp):
-            if e:
-                prod = prod * power(j, e)
-        if arr.variety_generators:
-            prod = ideal.normal_form(prod, steps)
-        reduced.append(prod)
+    exponents = list(monomials_of_degree(arr.q, m))
+    reduce = None
+    if arr.variety_generators:
+        reduce = partial(arr.variety_ideal().normal_form, max_steps=steps)
+    reduced = list(products_of_degree(arr.normalized_forms(), m, reduce))
     support = sorted({mono for p in reduced for mono in p.terms}, reverse=True)
     index = {mono: i for i, mono in enumerate(support)}
     vectors = []
     for p in reduced:
-        row = [Fraction(0)] * len(support)
+        row = [0] * len(support)
         for mono, coeff in p.terms.items():
             row[index[mono]] = coeff
-        vectors.append(row)
+        vectors.append(primitive(row))
     return exponents, vectors
 
 

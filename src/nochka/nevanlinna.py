@@ -23,9 +23,9 @@ from .curves import CurveCoordinate, ProjectiveCurve, compose
 from .errors import QuadratureError, VerificationError
 from .geometry import Arrangement, PositionReport, check_subgeneral_position
 from .linalg import Echelon
-from .poly import Polynomial, monomials_of_degree
+from .poly import Polynomial, products_of_degree
 from .rootfind import poly_roots_with_multiplicity, zeros_in_disk
-from .univar import QQi, UnivariatePoly, poly_gcd_many
+from .univar import UnivariatePoly, poly_gcd_many
 
 DEFAULT_QUAD_TOL = 1e-9
 QUAD_K0 = 6
@@ -155,17 +155,18 @@ def proximity(curve: ProjectiveCurve, target: Polynomial, r: float, *,
     """Circle average of log(||f||^d ||Q|| / |Q(f)|) for a homogeneous target Q."""
     if r < 1:
         raise ValueError("radius must be >= 1")
-    value, _ = _proximity_impl(curve, target, r, tol)
-    return value
-
-
-def _proximity_impl(curve, target: Polynomial, r: float, tol: float) -> tuple[float, float]:
     if target.is_zero or not target.is_homogeneous:
         raise ValueError("target must be nonzero homogeneous")
     if target.nvars != curve.ambient_dim + 1:
         raise ValueError("variable count mismatch between target and curve")
     if compose(target, curve).is_zero:
         raise ValueError("target vanishes identically on the curve")
+    value, _ = _proximity_impl(curve, target, r, tol)
+    return value
+
+
+def _proximity_impl(curve, target: Polynomial, r: float, tol: float) -> tuple[float, float]:
+    """Proximity and the radius used, for a target already checked by the caller."""
     log_norm = math.log(float(target.max_abs_coeff()))
 
     def sample(thetas, rr):
@@ -473,21 +474,21 @@ def lift_curve(curve: ProjectiveCurve, arr: Arrangement, m: int) -> LiftResult:
     if m < 1:
         raise ValueError("m must be >= 1")
     composed = [compose(f, curve).poly for f in arr.normalized_forms()]
-    exps = list(monomials_of_degree(arr.q, m))
-    coords: list[UnivariatePoly] = []
-    for exp in exps:
-        prod = UnivariatePoly([1])
-        for c, e in zip(composed, exp):
-            if e:
-                prod = prod * c ** e
-        coords.append(prod)
+    coords = list(products_of_degree(composed, m))
     width = max((c.degree for c in coords), default=-1) + 1
+    # Rank over Q(i) by realification: w -> [Re w ; Im w] is Q-linear and
+    # injective and carries the Q(i)-span of the coordinates onto the Q-span
+    # of the images of w and i*w.  That Q-span is closed under w -> i*w, so
+    # the image of i*w is independent exactly when the image of w is.
     ech = Echelon()
     for c in coords:
-        vec = list(c.coeffs) + [QQi(0)] * (width - len(c.coeffs))
-        ech.insert(vec)
-    rank = ech.rank
-    q_m = len(exps)
+        pad = [0] * (width - len(c.coeffs))
+        re = [x.re for x in c.coeffs] + pad
+        im = [x.im for x in c.coeffs] + pad
+        if ech.insert(re + im):
+            ech.insert([-x for x in im] + re)
+    rank = ech.rank // 2
+    q_m = len(coords)
     return LiftResult(tuple(coords), q_m, rank, q_m - rank, q_m - rank >= q_m - 1)
 
 

@@ -75,6 +75,34 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
             yield (first,) + rest
 
 
+def products_of_degree(factors: Sequence, degree: int,
+                       reduce: Callable | None = None) -> Iterator:
+    """The products of `degree` factors, one per exponent vector of
+    `monomials_of_degree(len(factors), degree)` and in its order.
+
+    Each product is its prefix times one factor: a depth-first walk over
+    non-decreasing factor-index sequences holds only `degree` partial
+    products at a time.  `reduce`, when given, is applied after every
+    multiplication; it must satisfy reduce(reduce(a) * b) == reduce(a * b),
+    as the normal form modulo a Groebner basis does.
+    """
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    q = len(factors)
+
+    def walk(prefix, start: int, left: int):
+        for j in range(start, q):
+            p = factors[j] if prefix is None else prefix * factors[j]
+            if reduce is not None:
+                p = reduce(p)
+            if left == 1:
+                yield p
+            else:
+                yield from walk(p, j, left - 1)
+
+    return walk(None, 0, degree)
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ParseError, VerificationError
+from .linalg import Echelon, primitive
 
 MAX_GROUND_SET = 20
 
@@ -497,38 +498,6 @@ def greedy_select(oracle: RankOracle, weights: WeightAssignment,
     return tuple(chosen)
 
 
-def _primitive(vec: list[int]) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    if g > 1:
-        vec = [x // g for x in vec]
-    for x in vec:
-        if x:
-            if x < 0:
-                vec = [-y for y in vec]
-            break
-    return tuple(vec)
-
-
-def _echelon_insert_int(rows: tuple[tuple[int, ...], ...],
-                        vec: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    v = list(vec)
-    for row in rows:
-        p = next(i for i, x in enumerate(row) if x)
-        if v[p]:
-            rp, vp = row[p], v[p]
-            v = [x * rp - y * vp for x, y in zip(v, row)]
-    if not any(v):
-        return rows
-    new = _primitive(v)
-    pivot = next(i for i, x in enumerate(new) if x)
-    out = list(rows)
-    at = sum(1 for row in out if next(i for i, x in enumerate(row) if x) < pivot)
-    out.insert(at, new)
-    return tuple(out)
-
-
 def linear_matroid_oracle(vectors: Sequence[Sequence], N: int) -> RankOracle:
     """Rank oracle of a list of q nonzero rational vectors: c(R) = rank{v_j : j in R}.
 
@@ -550,18 +519,21 @@ def linear_matroid_oracle(vectors: Sequence[Sequence], N: int) -> RankOracle:
     for j, vec in enumerate(vectors, 1):
         if len(vec) != dim:
             raise ValueError(f"vector {j} has length {len(vec)} != {dim}")
-        fracs = [Fraction(x) for x in vec]
-        if all(x == 0 for x in fracs):
+        ints.append(primitive([Fraction(x) for x in vec]))
+        if not any(ints[-1]):
             raise ValueError(f"vector {j} is zero")
-        den = lcm(*(x.denominator for x in fracs))
-        ints.append(_primitive([int(x * den) for x in fracs]))
 
-    bases: list[tuple[tuple[int, ...], ...]] = [()] * (1 << q)
     table = [0] * (1 << q)
-    for mask in range(1, 1 << q):
-        low = mask & -mask
-        bases[mask] = _echelon_insert_int(bases[mask ^ low], ints[low.bit_length() - 1])
-        table[mask] = len(bases[mask])
+
+    def extend(base: Echelon, mask: int, start: int) -> None:
+        # depth first, so only one echelon form per subset size is held
+        for j in range(start, q):
+            ech = base.copy()
+            ech.insert(ints[j])
+            table[mask | 1 << j] = ech.rank
+            extend(ech, mask | 1 << j, j + 1)
+
+    extend(Echelon(), 0, 0)
     return RankOracle(q, n, N, tuple(table))
 
 

@@ -1,13 +1,14 @@
 """Arrangements, codimension oracles, position checks, Hilbert data."""
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from nochka.errors import ParseError, ResourceBudgetError
-from nochka.fixtures import (conic_presentation_arrangement, pencil_lines_arrangement,
-                             three_point_arrangement)
+from nochka.fixtures import (conic_presentation_arrangement, generate_intro_fixture,
+                             pencil_lines_arrangement, three_point_arrangement)
 from nochka.geometry import (Arrangement, check_subgeneral_position, codim_oracle,
                              format_arrangement, hilbert_function, hilbert_weight,
                              parse_arrangement, verify_hilbert_lower_bound)
@@ -152,6 +153,27 @@ class TestHilbertFunction:
         arr = three_point_arrangement()
         a, b = hilbert_function(arr, 3), hilbert_function(arr, 3)
         assert a == b
+
+    def test_rank_matches_sympy(self):
+        # H(m) is the rank of the products' coefficient matrix, here built and
+        # ranked by sympy from the forms alone
+        sympy = pytest.importorskip("sympy")
+
+        def sympy_rank(arr, m):
+            xs = sympy.symbols(f"x0:{arr.M + 1}")
+            forms = [sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator)
+                                    * sympy.prod(x ** e for x, e in zip(xs, mono))
+                                    for mono, c in f.terms.items()), *xs)
+                     ** (arr.lcm_degree // f.degree) for f in arr.forms]
+            rows = [math.prod(combo).as_dict()
+                    for combo in combinations_with_replacement(forms, m)]
+            monos = sorted({mono for row in rows for mono in row})
+            return sympy.Matrix([[row.get(mono, 0) for mono in monos] for row in rows]).rank()
+
+        pencil = pencil_lines_arrangement()
+        assert hilbert_weight(pencil, 4, range(1, 10)).H == sympy_rank(pencil, 4)
+        intro = generate_intro_fixture(1).arrangement
+        assert hilbert_function(intro, 2).H == sympy_rank(intro, 2)
 
     def test_on_curved_variety(self):
         # the plane conic carried by the coordinate lines is itself, so the

@@ -304,6 +304,17 @@ class TestLift:
             assert lifted.relation_dim == lifted.q_m - hilbert_function(arr, m).H
             assert lifted.q_m - lifted.relation_dim == 2 * m + 1
 
+    def test_non_real_coefficients(self):
+        # (1 : i*z : -z^2) is the parabola under diag(1, i, -1) and (1 : z+i : z^2)
+        # is on the conic (x1 - i*x0)^2 = x0*x2: the rank over Q(i) is 2m+1 for both
+        arr = pencil_lines_arrangement()
+        i = QQi(0, 1)
+        for curve in (poly_curve(up(1), up(0, i), up(0, 0, -1)),
+                      poly_curve(up(1), up(i, 1), up(0, 0, 1))):
+            for m in (1, 2, 3):
+                lifted = lift_curve(curve, arr, m)
+                assert lifted.q_m - lifted.relation_dim == 2 * m + 1
+
 
 class TestSMTReport:
     def test_hyperplane_fixture_slack(self):
