@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, log10
 
 from .errors import VerificationError
 
@@ -58,11 +58,9 @@ def log10_int(value: int) -> float:
         raise ValueError("value must be positive")
     digits = len(str(value))
     if digits <= 15:
-        import math
-        return math.log10(value)
+        return log10(value)
     head = int(str(value)[:15])
-    import math
-    return math.log10(head) + (digits - 15)
+    return log10(head) + (digits - 15)
 
 
 def m_zero(params: ParamSet) -> int:
@@ -110,15 +108,14 @@ class BoundsResult:
 
 
 def truncation_levels(params: ParamSet, *, hilbert_value: int | None = None,
-                      hilbert_m: int | None = None,
-                      theta: Fraction | None = None) -> BoundsResult:
+                      hilbert_m: int | None = None) -> BoundsResult:
     """Truncation-level bounds, and exact levels when a Hilbert value is supplied.
 
     The j-th bound is floor(d_j (binom(q+m0-1, m0) - 1) / d) + 1.  With
     H = H(m) supplied the exact level floor(d_j (H-1)/d) + 1 is emitted,
     together with the two threshold inequalities that the choice of m
-    must satisfy, evaluated with the given theta or its generic lower
-    bound (n+1)/(2N-n+1).
+    must satisfy, evaluated with the generic lower bound
+    theta = (n+1)/(2N-n+1) of the Nochka constant.
     """
     d = params.lcm_degree
     m0 = m_zero(params)
@@ -133,9 +130,7 @@ def truncation_levels(params: ParamSet, *, hilbert_value: int | None = None,
         if hilbert_value < 1 or hilbert_m < 1:
             raise ValueError("hilbert data must be positive")
         lj_exact = tuple(dj * (hilbert_value - 1) // d + 1 for dj in params.degrees)
-        if theta is None:
-            theta = Fraction(params.n + 1, 2 * params.N - params.n + 1)
-        theta = Fraction(theta)
+        theta = Fraction(params.n + 1, 2 * params.N - params.n + 1)
         n = params.n
         delta = params.delta_bound
         threshold = theta * params.epsilon / 4

@@ -21,6 +21,7 @@ from .fixtures import generate_intro_fixture
 from .geometry import (check_subgeneral_position, codim_oracle, format_arrangement,
                        hilbert_function, hilbert_weight, parse_arrangement)
 from .nevanlinna import cartan_ru_check, jensen_check, smt_report, wronskian_divisor_check
+from .poly import DEFAULT_GB_STEPS
 from .rank_core import (build_filtration, format_oracle, greedy_select,
                         nochka_weights, parse_oracle, validate_rank_oracle)
 
@@ -116,18 +117,20 @@ def _cmd_greedy(args) -> tuple[dict, bool]:
             "selected_sum": str(rhs)}, True
 
 
+def _arrangement(args):
+    return parse_arrangement(_read(args.arr), gb_steps=args.budget_gb_steps)
+
+
 def _cmd_position_check(args) -> tuple[dict, bool]:
-    arr = parse_arrangement(_read(args.arr))
-    oracle = codim_oracle(arr, max_steps=args.budget_gb_steps)
-    report = check_subgeneral_position(arr, oracle=oracle)
+    arr = _arrangement(args)
+    report = check_subgeneral_position(arr)
     return {"schema": SCHEMA, "command": "position-check",
             "q": arr.q, "n": arr.n, "degrees": list(arr.degrees),
             **report.as_dict()}, report.ok
 
 
 def _cmd_oracle_dump(args) -> tuple[dict, bool]:
-    arr = parse_arrangement(_read(args.arr))
-    oracle = codim_oracle(arr, max_steps=args.budget_gb_steps)
+    oracle = codim_oracle(_arrangement(args))
     text = format_oracle(oracle)
     if args.out:
         Path(args.out).write_text(text)
@@ -137,15 +140,13 @@ def _cmd_oracle_dump(args) -> tuple[dict, bool]:
 
 
 def _cmd_hilbert(args) -> tuple[dict, bool]:
-    arr = parse_arrangement(_read(args.arr))
-    data = hilbert_function(arr, args.m, max_steps=args.budget_gb_steps)
+    data = hilbert_function(_arrangement(args), args.m)
     return {"schema": SCHEMA, "command": "hilbert", **data.as_dict()}, True
 
 
 def _cmd_hilbert_weight(args) -> tuple[dict, bool]:
-    arr = parse_arrangement(_read(args.arr))
     costs = _rational_list(args.c)
-    result = hilbert_weight(arr, args.m, costs, max_steps=args.budget_gb_steps)
+    result = hilbert_weight(_arrangement(args), args.m, costs)
     return {"schema": SCHEMA, "command": "hilbert-weight",
             "c": [str(c) for c in costs], **result.as_dict()}, True
 
@@ -173,7 +174,7 @@ def _cmd_wronskian_check(args) -> tuple[dict, bool]:
 
 
 def _cmd_cartan_check(args) -> tuple[dict, bool]:
-    arr = parse_arrangement(_read(args.arr))
+    arr = _arrangement(args)
     curve = parse_curve(_read(args.curve))
     report = cartan_ru_check(curve, arr.forms, Fraction(args.epsilon),
                              _float_list(args.radii), tol=args.quad_tol)
@@ -189,15 +190,14 @@ def _cmd_cartan_check(args) -> tuple[dict, bool]:
 
 
 def _cmd_smt_report(args) -> tuple[dict, bool]:
-    arr = parse_arrangement(_read(args.arr))
+    arr = _arrangement(args)
     curve = parse_curve(_read(args.curve))
     truncations = None
     if args.truncation not in (None, "", "inf"):
         truncations = int(args.truncation)
     elif args.truncation == "inf":
         truncations = math.inf
-    position = check_subgeneral_position(
-        arr, oracle=codim_oracle(arr, max_steps=args.budget_gb_steps))
+    position = check_subgeneral_position(arr)
     report = smt_report(curve, arr, Fraction(args.epsilon), _float_list(args.radii),
                         truncations=truncations, tol=args.quad_tol, position=position)
     payload = {"schema": SCHEMA, "command": "smt-report", **report.as_dict()}
@@ -228,9 +228,6 @@ def _cmd_gen_fixture(args) -> tuple[dict, bool]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"), default="json")
-    common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--budget-gb-steps", type=int, default=20_000, dest="budget_gb_steps")
-    common.add_argument("--quad-tol", type=float, default=1e-9, dest="quad_tol")
 
     parser = argparse.ArgumentParser(prog="nochka",
                                      description="Nochka weights, position checks, and "
@@ -313,9 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_smt_report)
 
     p = sub.add_parser("gen-fixture", parents=[common])
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_gen_fixture)
 
+    for name in ("position-check", "oracle-dump", "hilbert", "hilbert-weight",
+                 "cartan-check", "smt-report"):
+        sub.choices[name].add_argument("--budget-gb-steps", type=int, default=DEFAULT_GB_STEPS,
+                                       dest="budget_gb_steps")
+    for name in ("jensen", "cartan-check", "smt-report"):
+        sub.choices[name].add_argument("--quad-tol", type=float, default=1e-9, dest="quad_tol")
     return parser
 
 

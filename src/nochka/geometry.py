@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import comb, lcm
 from typing import Sequence
 
@@ -31,7 +30,8 @@ class Arrangement:
     An empty generator list means V is the whole space (then n = M and
     degV = 1).  Construction validates homogeneity, that no hypersurface
     contains V, and that the declared dimension matches the generators.
-    Instances are treated as immutable.
+    Instances are treated as immutable.  `gb_steps` bounds every Groebner
+    computation made on the arrangement, construction's checks included.
     """
 
     M: int
@@ -78,11 +78,11 @@ class Arrangement:
             if self.n != self.M or self.deg_v != 1:
                 raise ValueError("with no variety generators, V is the whole space: n = M, degV = 1")
         else:
-            dim = ideal_dimension(self.variety_ideal(), self.gb_steps)
+            dim = ideal_dimension(self.variety_ideal())
             if dim != self.n:
                 raise ValueError(f"declared n = {self.n} but the variety ideal has dimension {dim}")
         for name, p in self.hypersurfaces:
-            if self.variety_ideal().normal_form(p, self.gb_steps).is_zero:
+            if self.variety_ideal().normal_form(p).is_zero:
                 raise ValueError(f"hypersurface {name} contains the variety")
 
     @property
@@ -112,7 +112,8 @@ class Arrangement:
 
     def variety_ideal(self) -> Ideal:
         if self._ideal is None:
-            self._ideal = Ideal(self.variety_generators, nvars=self.M + 1)
+            self._ideal = Ideal(self.variety_generators, nvars=self.M + 1,
+                                max_steps=self.gb_steps)
         return self._ideal
 
     def normalized_forms(self) -> tuple[Polynomial, ...]:
@@ -121,14 +122,13 @@ class Arrangement:
         return tuple(p ** (d // p.degree) for p in self.forms)
 
 
-def codim_oracle(arr: Arrangement, *, max_steps: int | None = None) -> RankOracle:
+def codim_oracle(arr: Arrangement) -> RankOracle:
     """Rank oracle with c(R) = n - dim(V cut by the R-indexed hypersurfaces).
 
     Empty intersections give dimension -1, hence c = n+1.  The table is
     filled in order of subset size with monotone pruning: supersets of a
     spanning subset are spanning.
     """
-    steps = max_steps if max_steps is not None else arr.gb_steps
     q, n = arr.q, arr.n
     forms = arr.forms
     base = list(arr.variety_generators)
@@ -150,7 +150,7 @@ def codim_oracle(arr: Arrangement, *, max_steps: int | None = None) -> RankOracl
                 table[mask] = n + 1
                 continue
             gens = base + [forms[j] for j in range(q) if mask >> j & 1]
-            dim = ideal_dimension(Ideal(gens, nvars=arr.M + 1), steps)
+            dim = ideal_dimension(Ideal(gens, nvars=arr.M + 1, max_steps=arr.gb_steps))
             c = n - dim
             if not 0 <= c <= n + 1:
                 raise VerificationError(
@@ -221,19 +221,16 @@ class HilbertData:
                 "matrix_provenance": self.matrix_provenance}
 
 
-def _degree_m_vectors(arr: Arrangement, m: int, qm_budget: int,
-                      max_steps: int | None) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+def _degree_m_vectors(arr: Arrangement, m: int,
+                      qm_budget: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Exponent vectors of degree m and, for each, the content-free integer
     coefficient vector of the product of normalized forms, reduced modulo the
     variety ideal."""
-    steps = max_steps if max_steps is not None else arr.gb_steps
     total = comb(arr.q + m - 1, m)
     if total > qm_budget:
         raise ResourceBudgetError(f"q_m = {total} exceeds budget {qm_budget}")
     exponents = list(monomials_of_degree(arr.q, m))
-    reduce = None
-    if arr.variety_generators:
-        reduce = partial(arr.variety_ideal().normal_form, max_steps=steps)
+    reduce = arr.variety_ideal().normal_form if arr.variety_generators else None
     reduced = list(products_of_degree(arr.normalized_forms(), m, reduce))
     support = sorted({mono for p in reduced for mono in p.terms}, reverse=True)
     index = {mono: i for i, mono in enumerate(support)}
@@ -246,8 +243,8 @@ def _degree_m_vectors(arr: Arrangement, m: int, qm_budget: int,
     return exponents, vectors
 
 
-def hilbert_function(arr: Arrangement, m: int, *, qm_budget: int = DEFAULT_QM_BUDGET,
-                     max_steps: int | None = None) -> HilbertData:
+def hilbert_function(arr: Arrangement, m: int, *,
+                     qm_budget: int = DEFAULT_QM_BUDGET) -> HilbertData:
     """H(m) = rank of the degree-m products of normalized forms modulo the variety.
 
     The basis is chosen greedily in exponent order (lexicographically
@@ -256,7 +253,7 @@ def hilbert_function(arr: Arrangement, m: int, *, qm_budget: int = DEFAULT_QM_BU
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    exponents, vectors = _degree_m_vectors(arr, m, qm_budget, max_steps)
+    exponents, vectors = _degree_m_vectors(arr, m, qm_budget)
     ech = Echelon()
     basis = [exponents[i] for i, v in enumerate(vectors) if ech.insert(v)]
     H = ech.rank
@@ -284,8 +281,7 @@ class HilbertWeightResult:
 
 
 def hilbert_weight(arr: Arrangement, m: int, costs: Sequence, *,
-                   qm_budget: int = DEFAULT_QM_BUDGET,
-                   max_steps: int | None = None) -> HilbertWeightResult:
+                   qm_budget: int = DEFAULT_QM_BUDGET) -> HilbertWeightResult:
     """Maximal total cost of a monomial basis of the degree-m slice.
 
     Greedy over indices sorted by descending exponent-cost (ties by
@@ -297,7 +293,7 @@ def hilbert_weight(arr: Arrangement, m: int, costs: Sequence, *,
         raise ValueError(f"cost vector must have length q = {arr.q}")
     if any(c < 0 for c in costs):
         raise ValueError("costs must be nonnegative")
-    exponents, vectors = _degree_m_vectors(arr, m, qm_budget, max_steps)
+    exponents, vectors = _degree_m_vectors(arr, m, qm_budget)
     weights = [sum((Fraction(e) * c for e, c in zip(exp, costs)), Fraction(0))
                for exp in exponents]
     order = sorted(range(len(exponents)), key=lambda i: (-weights[i], i))
@@ -339,8 +335,7 @@ class HilbertSlackReport:
 
 def verify_hilbert_lower_bound(arr: Arrangement, m: int, costs: Sequence,
                                coordinate_subset: Sequence[int], *,
-                               qm_budget: int = DEFAULT_QM_BUDGET,
-                               max_steps: int | None = None) -> HilbertSlackReport:
+                               qm_budget: int = DEFAULT_QM_BUDGET) -> HilbertSlackReport:
     """Exact slack of S/(mH) >= (sum of the subset costs)/(n+1) - (2n+1) Delta max(c) / m.
 
     Requires m to exceed the image-degree bound and the n+1 chosen
@@ -356,15 +351,14 @@ def verify_hilbert_lower_bound(arr: Arrangement, m: int, costs: Sequence,
     if not all(1 <= i <= arr.q for i in subset):
         raise ValueError("coordinate subset indices must lie in 1..q")
     gens = list(arr.variety_generators) + [arr.forms[i - 1] for i in subset]
-    steps = max_steps if max_steps is not None else arr.gb_steps
-    if ideal_dimension(Ideal(gens, nvars=arr.M + 1), steps) != -1:
+    if ideal_dimension(Ideal(gens, nvars=arr.M + 1, max_steps=arr.gb_steps)) != -1:
         raise ValueError("the chosen coordinate hypersurfaces do not cut V to the empty set")
     costs = [Fraction(c) for c in costs]
     if len(costs) != arr.q:
         raise ValueError(f"cost vector must have length q = {arr.q}")
     if any(c < 0 for c in costs):
         raise ValueError("costs must be nonnegative")
-    hw = hilbert_weight(arr, m, costs, qm_budget=qm_budget, max_steps=max_steps)
+    hw = hilbert_weight(arr, m, costs, qm_budget=qm_budget)
     lhs = hw.S / (m * hw.H)
     cmax = max(costs)
     rhs = (sum((costs[i - 1] for i in subset), Fraction(0)) / (arr.n + 1)
@@ -382,8 +376,12 @@ def format_arrangement(arr: Arrangement) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_arrangement(text: str) -> Arrangement:
-    """Parse the arrangement file format (see `format_arrangement`)."""
+def parse_arrangement(text: str, *, gb_steps: int = DEFAULT_GB_STEPS) -> Arrangement:
+    """Parse the arrangement file format (see `format_arrangement`).
+
+    `gb_steps` is the arrangement's Groebner budget; it already bounds the
+    dimension and containment checks made while constructing it.
+    """
     header = None
     var_names: tuple[str, ...] = ()
     variety: list[Polynomial] = []
@@ -446,6 +444,6 @@ def parse_arrangement(text: str) -> Arrangement:
         raise ParseError(f"expected {header['M'] + 1} variables, got {len(var_names)}")
     try:
         return Arrangement(header["M"], header["n"], header["degV"], header["N"],
-                           tuple(variety), tuple(hypersurfaces), var_names)
+                           tuple(variety), tuple(hypersurfaces), var_names, gb_steps)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

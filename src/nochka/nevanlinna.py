@@ -24,7 +24,7 @@ from .errors import QuadratureError, VerificationError
 from .geometry import Arrangement, PositionReport, check_subgeneral_position
 from .linalg import Echelon
 from .poly import Polynomial, products_of_degree
-from .rootfind import poly_roots_with_multiplicity, zeros_in_disk
+from .rootfind import CLUSTER_TOL, poly_roots_with_multiplicity, zeros_in_disk
 from .univar import UnivariatePoly, poly_gcd_many
 
 DEFAULT_QUAD_TOL = 1e-9
@@ -80,9 +80,6 @@ class ZeroDivisor:
 
     entries: tuple[tuple[complex, int], ...]
     radius_of_validity: float
-
-    def counting(self, r: float, truncation: int | None = None) -> float:
-        return counting_function(self, r, truncation)
 
     def total_multiplicity(self, within: float | None = None) -> int:
         return sum(k for z, k in self.entries
@@ -318,12 +315,11 @@ def wronskian_divisor_check(coordinates: Sequence[UnivariatePoly | CurveCoordina
     if w.is_zero:
         raise ValueError("linearly dependent coordinates")
 
-    tol = 1e-8
     clusters: list[list] = []  # [center, orders per coordinate, wronskian order]
 
     def locate(z: complex) -> list | None:
         for cl in clusters:
-            if abs(z - cl[0]) <= tol * (1 + abs(cl[0])):
+            if abs(z - cl[0]) <= CLUSTER_TOL * (1 + abs(cl[0])):
                 return cl
         return None
 
@@ -572,9 +568,10 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
 
     Mode is `hyperplane` when every target is a linear form on the full
     space (truncation defaults to n there) and `hypersurface` otherwise
-    (untruncated by default).  The report carries per-target consistency
-    values d_j T(r) - N(r) - m(r), whose constancy across radii is the
-    first-main-theorem check, and explicit caveat notes.
+    (untruncated by default); `truncations`, when given, is one level for
+    every target, an int or `math.inf`.  The report carries per-target
+    consistency values d_j T(r) - N(r) - m(r), whose constancy across radii
+    is the first-main-theorem check, and explicit caveat notes.
     """
     radii = sorted(float(r) for r in radii)
     if not radii or radii[0] < 1:
@@ -591,14 +588,8 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
             else "hypersurface")
     if truncations is None:
         trunc_list: list[int | None] = [n if mode == "hyperplane" else None] * q
-    elif truncations == math.inf:
-        trunc_list = [None] * q
-    elif isinstance(truncations, int):
-        trunc_list = [truncations] * q
     else:
-        trunc_list = [None if t in (None, math.inf) else int(t) for t in truncations]
-        if len(trunc_list) != q:
-            raise ValueError(f"need {q} truncation levels")
+        trunc_list = [None if truncations == math.inf else int(truncations)] * q
 
     targets = []
     rmax = radii[-1] * 1.001

@@ -2,8 +2,9 @@
 
 Monomials are exponent tuples; a polynomial maps monomials to nonzero
 `Fraction`s.  Everything here stays exact: the dimension and rank queries
-feeding position checks must never see floating point.  The default term
-order is degree-reverse-lexicographic.
+feeding position checks must never see floating point.  The term order is
+degree-reverse-lexicographic throughout: leading terms, division, Groebner
+bases and printed term order all use `key_degrevlex`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ParseError, ResourceBudgetError, VerificationError
+from .univar import _join_signed
 
 Monomial = tuple[int, ...]
 
@@ -40,29 +42,8 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 def key_degrevlex(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def key_lex(m: Monomial):
-    return m
-
-
-TERM_ORDERS: dict[str, Callable[[Monomial], object]] = {
-    "degrevlex": key_degrevlex,
-    "lex": key_lex,
-}
-
-
-def order_key(order: str) -> Callable[[Monomial], object]:
-    try:
-        return TERM_ORDERS[order]
-    except KeyError:
-        raise ValueError(f"unknown term order {order!r}") from None
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
@@ -128,12 +109,6 @@ class Polynomial:
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
         return cls(nvars, {(0,) * nvars: Fraction(value)})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "Polynomial":
-        mono = [0] * nvars
-        mono[index] = 1
-        return cls(nvars, {tuple(mono): Fraction(1)})
 
     @classmethod
     def monomial(cls, nvars: int, mono: Monomial, coeff=1) -> "Polynomial":
@@ -204,14 +179,14 @@ class Polynomial:
             result = result * self
         return result
 
-    def leading_term(self, key) -> tuple[Monomial, Fraction]:
+    def leading_term(self) -> tuple[Monomial, Fraction]:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=key)
+        m = max(self.terms, key=key_degrevlex)
         return m, self.terms[m]
 
-    def monic(self, key) -> "Polynomial":
-        _, lc = self.leading_term(key)
+    def monic(self) -> "Polynomial":
+        _, lc = self.leading_term()
         return self.scale(1 / lc)
 
     def derivative(self, index: int) -> "Polynomial":
@@ -224,9 +199,8 @@ class Polynomial:
                 out[tuple(lowered)] = c * e
         return Polynomial(self.nvars, out)
 
-    def sorted_terms(self, order: str = "degrevlex") -> list[tuple[Monomial, Fraction]]:
-        key = order_key(order)
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+        return sorted(self.terms.items(), key=lambda t: key_degrevlex(t[0]), reverse=True)
 
     def evaluate_exact(self, values: Sequence, one):
         """Evaluate at field elements; `one` seeds the constant accumulator."""
@@ -255,11 +229,11 @@ class Polynomial:
     def max_abs_coeff(self) -> Fraction:
         return max((abs(c) for c in self.terms.values()), default=Fraction(0))
 
-    def to_text(self, varnames: Sequence[str], order: str = "degrevlex") -> str:
+    def to_text(self, varnames: Sequence[str]) -> str:
         if self.is_zero:
             return "0"
-        parts: list[str] = []
-        for mono, coeff in self.sorted_terms(order):
+        parts: list[tuple[str, str]] = []
+        for mono, coeff in self.sorted_terms():
             factors = []
             for name, e in zip(varnames, mono):
                 if e == 1:
@@ -272,28 +246,21 @@ class Polynomial:
                 body = str(mag)
             elif mag != 1:
                 body = f"{mag}*{body}"
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            parts.append(("-" if coeff < 0 else "+", body))
+        return _join_signed(parts)
 
     def __repr__(self) -> str:
         names = [f"x{i}" for i in range(self.nvars)]
         return f"Polynomial({self.to_text(names)})"
 
 
-def normal_form(p: Polynomial, divisors: Sequence[Polynomial],
-                order: str = "degrevlex") -> Polynomial:
+def normal_form(p: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     """Remainder of p under multivariate division by the divisor list."""
-    key = order_key(order)
-    prepared = [(g, *g.leading_term(key)) for g in divisors if not g.is_zero]
+    prepared = [(g, *g.leading_term()) for g in divisors if not g.is_zero]
     work = dict(p.terms)
     remainder: dict[Monomial, Fraction] = {}
     while work:
-        m = max(work, key=key)
+        m = max(work, key=key_degrevlex)
         c = work[m]
         for g, lm, lc in prepared:
             if mono_divides(lm, m):
@@ -313,24 +280,23 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial],
     return Polynomial(p.nvars, remainder)
 
 
-def _s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
-    lmf, lcf = f.leading_term(key)
-    lmg, lcg = g.leading_term(key)
+def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    lmf, lcf = f.leading_term()
+    lmg, lcg = g.leading_term()
     l = mono_lcm(lmf, lmg)
     return (f.mono_scale(mono_quotient(l, lmf), 1 / lcf)
             - g.mono_scale(mono_quotient(l, lmg), 1 / lcg))
 
 
-def groebner_basis(generators: Iterable[Polynomial], order: str = "degrevlex",
+def groebner_basis(generators: Iterable[Polynomial],
                    max_steps: int = DEFAULT_GB_STEPS) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis via Buchberger.
 
-    Pair selection is by minimal (degree, order-key) of the pair lcm --
+    Pair selection is by minimal (degree, degrevlex key) of the pair lcm --
     the sugar strategy for homogeneous input.  Coprime leading terms and
     the chain criterion prune pairs.  Exceeding `max_steps` pair
     reductions raises ResourceBudgetError.
     """
-    key = order_key(order)
     basis: list[Polynomial] = []
     for g in generators:
         if not g.is_zero and g not in basis:
@@ -340,14 +306,14 @@ def groebner_basis(generators: Iterable[Polynomial], order: str = "degrevlex",
     nvars = basis[0].nvars
     if any(g.nvars != nvars for g in basis):
         raise ValueError("generators live in different rings")
-    basis = [g.monic(key) for g in basis]
+    basis = [g.monic() for g in basis]
 
-    lead = [g.leading_term(key)[0] for g in basis]
+    lead = [g.leading_term()[0] for g in basis]
     heap: list[tuple] = []
 
     def push_pair(i: int, j: int):
         l = mono_lcm(lead[i], lead[j])
-        heapq.heappush(heap, (sum(l), key(l), i, j))
+        heapq.heappush(heap, (sum(l), key_degrevlex(l), i, j))
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -375,39 +341,43 @@ def groebner_basis(generators: Iterable[Polynomial], order: str = "degrevlex",
         steps += 1
         if steps > max_steps:
             raise ResourceBudgetError(f"Groebner step budget {max_steps} exceeded")
-        r = normal_form(_s_polynomial(basis[i], basis[j], key), basis, order)
+        r = normal_form(_s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero:
             continue
-        r = r.monic(key)
+        r = r.monic()
         basis.append(r)
-        lead.append(r.leading_term(key)[0])
+        lead.append(r.leading_term()[0])
         new = len(basis) - 1
         for t in range(new):
             push_pair(t, new)
 
     # minimalize: drop elements whose leading term another leading term divides
     minimal: list[Polynomial] = []
-    for g in sorted(basis, key=lambda h: key(h.leading_term(key)[0])):
-        lm = g.leading_term(key)[0]
-        if not any(mono_divides(h.leading_term(key)[0], lm) for h in minimal):
+    for g in sorted(basis, key=lambda h: key_degrevlex(h.leading_term()[0])):
+        lm = g.leading_term()[0]
+        if not any(mono_divides(h.leading_term()[0], lm) for h in minimal):
             minimal.append(g)
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order)
+        r = normal_form(g, others)
         if not r.is_zero:
-            reduced.append(r.monic(key))
-    reduced.sort(key=lambda h: key(h.leading_term(key)[0]))
+            reduced.append(r.monic())
+    reduced.sort(key=lambda h: key_degrevlex(h.leading_term()[0]))
     return tuple(reduced)
 
 
 class Ideal:
-    """Homogeneous ideal with a lazily cached reduced Groebner basis."""
+    """Homogeneous ideal with a lazily cached reduced Groebner basis.
 
-    __slots__ = ("generators", "nvars", "order", "_gb")
+    `max_steps` bounds the one Buchberger run that fills the cache; every
+    query on the ideal (basis, normal form, dimension) goes through it.
+    """
+
+    __slots__ = ("generators", "nvars", "max_steps", "_gb")
 
     def __init__(self, generators: Iterable[Polynomial], nvars: int | None = None,
-                 order: str = "degrevlex"):
+                 max_steps: int = DEFAULT_GB_STEPS):
         gens = tuple(g for g in generators if not g.is_zero)
         if nvars is None:
             if not gens:
@@ -418,29 +388,28 @@ class Ideal:
                 raise ValueError("generators live in different rings")
             if not g.is_homogeneous:
                 raise ValueError("generators must be homogeneous")
-        order_key(order)
         self.generators = gens
         self.nvars = nvars
-        self.order = order
+        self.max_steps = max_steps
         self._gb: tuple[Polynomial, ...] | None = None
 
-    def groebner(self, max_steps: int = DEFAULT_GB_STEPS) -> tuple[Polynomial, ...]:
+    def groebner(self) -> tuple[Polynomial, ...]:
         if self._gb is None:
-            gb = groebner_basis(self.generators, self.order, max_steps)
+            gb = groebner_basis(self.generators, self.max_steps)
             for g in self.generators:
-                if not normal_form(g, gb, self.order).is_zero:
+                if not normal_form(g, gb).is_zero:
                     raise VerificationError("generator does not reduce to zero against its basis")
             self._gb = gb
         return self._gb
 
-    def normal_form(self, p: Polynomial, max_steps: int = DEFAULT_GB_STEPS) -> Polynomial:
-        return normal_form(p, self.groebner(max_steps), self.order)
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        return normal_form(p, self.groebner())
 
     def __repr__(self) -> str:
         return f"Ideal({len(self.generators)} generators in {self.nvars} variables)"
 
 
-def ideal_dimension(ideal: Ideal, max_steps: int = DEFAULT_GB_STEPS) -> int:
+def ideal_dimension(ideal: Ideal) -> int:
     """Projective dimension of the vanishing set; -1 for the empty projective set.
 
     Computed combinatorially on the leading-term ideal: the affine
@@ -448,11 +417,10 @@ def ideal_dimension(ideal: Ideal, max_steps: int = DEFAULT_GB_STEPS) -> int:
     generator support.  When that count is zero the emptiness is
     cross-checked by reducing variable powers to zero.
     """
-    gb = ideal.groebner(max_steps)
+    gb = ideal.groebner()
     if any(g.degree == 0 for g in gb):
         return -1
-    key = order_key(ideal.order)
-    supports = [frozenset(i for i, e in enumerate(g.leading_term(key)[0]) if e)
+    supports = [frozenset(i for i, e in enumerate(g.leading_term()[0]) if e)
                 for g in gb]
     nvars = ideal.nvars
     best = 0
@@ -463,26 +431,25 @@ def ideal_dimension(ideal: Ideal, max_steps: int = DEFAULT_GB_STEPS) -> int:
         if all(not s <= members for s in supports):
             best = len(members)
     if best == 0 and gb:
-        _check_irrelevant(ideal, max_steps)
+        _check_irrelevant(ideal)
     return best - 1
 
 
-def _check_irrelevant(ideal: Ideal, max_steps: int) -> None:
+def _check_irrelevant(ideal: Ideal) -> None:
     """Cross-check emptiness: every variable power must reduce to zero."""
-    gb = ideal.groebner(max_steps)
+    gb = ideal.groebner()
     k = max(g.degree for g in gb) + 1
     for _ in range(2):
         if all(ideal.normal_form(
                 Polynomial.monomial(ideal.nvars, tuple(k if i == v else 0
-                                                       for i in range(ideal.nvars))),
-                max_steps).is_zero
+                                                       for i in range(ideal.nvars)))).is_zero
                for v in range(ideal.nvars)):
             return
         k *= 2
     raise VerificationError("leading-term dimension says empty but variable powers do not vanish")
 
 
-def degree_m_slice_rank(ideal: Ideal, m: int, max_steps: int = DEFAULT_GB_STEPS,
+def degree_m_slice_rank(ideal: Ideal, m: int,
                         budget: int = DEFAULT_SLICE_BUDGET) -> int:
     """Dimension of the degree-m slice of the ideal as a rational vector space.
 
@@ -495,11 +462,10 @@ def degree_m_slice_rank(ideal: Ideal, m: int, max_steps: int = DEFAULT_GB_STEPS,
     total = comb(ideal.nvars - 1 + m, m)
     if total > budget:
         raise ResourceBudgetError(f"degree-{m} slice has {total} monomials > budget {budget}")
-    gb = ideal.groebner(max_steps)
+    gb = ideal.groebner()
     if not gb:
         return 0
-    key = order_key(ideal.order)
-    leads = [g.leading_term(key)[0] for g in gb]
+    leads = [g.leading_term()[0] for g in gb]
     return sum(1 for mono in monomials_of_degree(ideal.nvars, m)
                if any(mono_divides(lt, mono) for lt in leads))
 

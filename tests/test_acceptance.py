@@ -109,7 +109,7 @@ def test_criterion_03_greedy_theorem(oracle_pool):
 
 def _brute_force_weight(arr, m, costs) -> Fraction:
     from nochka.geometry import _degree_m_vectors
-    exps, vectors = _degree_m_vectors(arr, m, 5000, None)
+    exps, vectors = _degree_m_vectors(arr, m, 5000)
     H = hilbert_function(arr, m).H
     weights = [sum((Fraction(e) * Fraction(c) for e, c in zip(exp, costs)), Fraction(0))
                for exp in exps]

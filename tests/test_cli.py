@@ -94,6 +94,9 @@ class TestRankCommands:
         bad.write_text("not an oracle\n")
         assert main(["weights", "--oracle", str(bad)]) == 2
 
+    def test_flag_of_another_subcommand_exit_2(self, capsys, oracle_file):
+        assert main(["weights", "--oracle", oracle_file, "--seed", "3"]) == 2
+
 
 class TestGeometryCommands:
     def test_position_check(self, capsys, pencil_file):
@@ -126,6 +129,16 @@ class TestGeometryCommands:
         code, payload = run_json(capsys, ["hilbert", "--arr", str(path), "--m", "2"])
         assert code == 0
         assert payload["H"] == 3 and payload["q_m"] == 6
+
+    def test_hilbert_budget_bounds_the_variety_basis(self, capsys, tmp_path):
+        path = tmp_path / "twisted_cubic.arrangement"
+        path.write_text("[space] M=3 n=1 degV=3 N=1\n[vars] x0 x1 x2 x3\n[variety]\n"
+                        "x0*x2 - x1^2\nx1*x3 - x2^2\nx0*x3 - x1*x2\n[hypersurfaces]\n"
+                        "H0 : x0\nH1 : x3\nH2 : x0 + x1 + x2 + x3\n")
+        argv = ["hilbert", "--arr", str(path), "--m", "2"]
+        assert main(argv + ["--budget-gb-steps", "0"]) == 3
+        assert "Groebner step budget 0 exceeded" in capsys.readouterr().err
+        assert main(argv) == 0
 
     def test_hilbert_weight(self, capsys, tmp_path):
         from nochka.fixtures import conic_presentation_arrangement

@@ -189,7 +189,7 @@ class TestHilbertFunction:
 def brute_force_max_weight(arr: Arrangement, m: int, costs) -> Fraction:
     """Independent oracle: maximum basis weight by exhaustive search."""
     from nochka.geometry import _degree_m_vectors
-    exps, vectors = _degree_m_vectors(arr, m, 5000, None)
+    exps, vectors = _degree_m_vectors(arr, m, 5000)
     H = hilbert_function(arr, m).H
     weights = [sum((Fraction(e) * Fraction(c) for e, c in zip(exp, costs)), Fraction(0))
                for exp in exps]

@@ -64,7 +64,7 @@ class TestOrders:
         assert key_degrevlex((0, 2, 0)) > key_degrevlex((1, 0, 1))
 
     def test_leading_term(self):
-        mono, coeff = p3("x0*x2 - x1^2").leading_term(key_degrevlex)
+        mono, coeff = p3("x0*x2 - x1^2").leading_term()
         assert mono == (0, 2, 0) and coeff == -1
 
 
@@ -117,6 +117,8 @@ class TestGroebner:
                 ("x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2")]
         with pytest.raises(ResourceBudgetError):
             groebner_basis(gens, max_steps=0)
+        with pytest.raises(ResourceBudgetError):
+            ideal_dimension(Ideal(gens, max_steps=0))
 
     def test_inhomogeneous_rejected_by_ideal(self):
         with pytest.raises(ValueError):
@@ -162,7 +164,7 @@ class TestSliceRank:
         for m in range(1, 6):
             direct = sum(
                 1 for mono in monomials_of_degree(3, m)
-                if any(mono_divides(g.leading_term(key_degrevlex)[0], mono) for g in gens))
+                if any(mono_divides(g.leading_term()[0], mono) for g in gens))
             assert degree_m_slice_rank(ideal, m) == direct
 
     def test_standard_monomial_complement(self):
