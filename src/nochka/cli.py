@@ -108,6 +108,8 @@ def _cmd_greedy(args) -> tuple[dict, bool]:
     oracle = parse_oracle(_read(args.oracle))
     weights = nochka_weights(oracle)
     subset = _int_list(args.subset)
+    if len(set(subset)) != len(subset):
+        raise ParseError(f"repeated index in --subset {args.subset!r}")
     costs = _rational_list(args.costs)
     chosen = greedy_select(oracle, weights, subset, costs)
     lhs = sum((weights.omega[j - 1] * costs[j - 1] for j in subset), Fraction(0))

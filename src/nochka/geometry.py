@@ -1,7 +1,8 @@
 """Hypersurface arrangements on a projective variety.
 
 Turns explicit arrangements into rank oracles via Groebner dimension
-computations, checks subgeneral position, and computes Hilbert functions
+computations (exact vector ranks for hyperplanes of the whole space),
+checks subgeneral position, and computes Hilbert functions
 and Hilbert weights of the image variety of the arrangement's normalized
 forms.  All linear algebra is exact.
 """
@@ -18,7 +19,7 @@ from .linalg import Echelon, primitive
 from .poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension,
                    monomials_of_degree, parse_polynomial, products_of_degree)
 from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle, ValidationReport,
-                        _set_str, indices_of, validate_rank_oracle)
+                        _set_str, linear_matroid_oracle, validate_rank_oracle)
 
 DEFAULT_QM_BUDGET = 5000
 
@@ -125,12 +126,24 @@ class Arrangement:
 def codim_oracle(arr: Arrangement) -> RankOracle:
     """Rank oracle with c(R) = n - dim(V cut by the R-indexed hypersurfaces).
 
-    Empty intersections give dimension -1, hence c = n+1.  The table is
-    filled in order of subset size with monotone pruning: supersets of a
-    spanning subset are spanning.
+    Empty intersections give dimension -1, hence c = n+1.  Hyperplanes of
+    the whole space (no variety generators, every form of degree 1) get
+    exact ranks with no Groebner work: there c(R) = M - dim is the rank of
+    the coefficient vectors of R, read by `linear_matroid_oracle`.
+    Otherwise the table is filled by Groebner dimension computations in
+    order of subset size with monotone pruning: supersets of a spanning
+    subset are spanning.
     """
     q, n = arr.q, arr.n
     forms = arr.forms
+    if not arr.variety_generators and all(d == 1 for d in arr.degrees):
+        vectors = []
+        for p in forms:
+            vec = [Fraction(0)] * (arr.M + 1)
+            for mono, c in p.terms.items():
+                vec[mono.index(1)] = c
+            vectors.append(vec)
+        return linear_matroid_oracle(vectors, arr.N)
     base = list(arr.variety_generators)
     table = [0] * (1 << q)
     by_size: list[list[int]] = [[] for _ in range(q + 1)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import comb
+from operator import add, le, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,20 +27,20 @@ DEFAULT_SLICE_BUDGET = 2_000_000
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_quotient(a: Monomial, b: Monomial) -> Monomial:
     """a / b componentwise; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def key_degrevlex(m: Monomial):
@@ -85,9 +86,14 @@ def products_of_degree(factors: Sequence, degree: int,
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
 
-    __slots__ = ("nvars", "terms")
+    The public constructor validates and normalizes outside input.  Results
+    of arithmetic on polynomials are built by `_clean`, which trusts its
+    terms to be canonical already.
+    """
+
+    __slots__ = ("nvars", "terms", "_lead")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -101,6 +107,17 @@ class Polynomial:
             clean[mono] = coeff
         self.nvars = nvars
         self.terms = clean
+        self._lead: Monomial | None = None
+
+    @classmethod
+    def _clean(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap terms that are already canonical: nonzero `Fraction`
+        coefficients on exponent tuples of length `nvars`."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        p._lead = None
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -137,26 +154,38 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(self.nvars, out)
+            v = out.get(m)
+            v = c if v is None else v + c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+        return Polynomial._clean(self.nvars, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return Polynomial(self.nvars, out)
+            v = out.get(m)
+            v = -c if v is None else v - c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+        return Polynomial._clean(self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._clean(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             out: dict[Monomial, Fraction] = {}
+            get = out.get
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
-                    m = mono_mul(m1, m2)
-                    out[m] = out.get(m, Fraction(0)) + c1 * c2
-            return Polynomial(self.nvars, out)
+                    m = tuple(map(add, m1, m2))
+                    v = get(m)
+                    out[m] = c1 * c2 if v is None else v + c1 * c2
+            return Polynomial._clean(self.nvars, {m: c for m, c in out.items() if c})
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -164,12 +193,19 @@ class Polynomial:
 
     def scale(self, factor) -> "Polynomial":
         factor = Fraction(factor)
-        return Polynomial(self.nvars, {m: c * factor for m, c in self.terms.items()})
+        if not factor:
+            return Polynomial.zero(self.nvars)
+        return Polynomial._clean(self.nvars, {m: c * factor for m, c in self.terms.items()})
 
     def mono_scale(self, mono: Monomial, coeff) -> "Polynomial":
         coeff = Fraction(coeff)
-        return Polynomial(self.nvars,
-                          {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
+        if not coeff:
+            return Polynomial.zero(self.nvars)
+        if coeff == 1:  # the S-polynomials of a monic basis
+            return Polynomial._clean(self.nvars, {mono_mul(m, mono): c
+                                                  for m, c in self.terms.items()})
+        return Polynomial._clean(self.nvars, {mono_mul(m, mono): c * coeff
+                                              for m, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -180,14 +216,16 @@ class Polynomial:
         return result
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=key_degrevlex)
-        return m, self.terms[m]
+        lead = self._lead
+        if lead is None:
+            if self.is_zero:
+                raise ValueError("zero polynomial has no leading term")
+            lead = self._lead = max(self.terms, key=key_degrevlex)
+        return lead, self.terms[lead]
 
     def monic(self) -> "Polynomial":
         _, lc = self.leading_term()
-        return self.scale(1 / lc)
+        return self if lc == 1 else self.scale(1 / lc)
 
     def derivative(self, index: int) -> "Polynomial":
         out: dict[Monomial, Fraction] = {}
@@ -197,7 +235,7 @@ class Polynomial:
                 lowered = list(m)
                 lowered[index] = e - 1
                 out[tuple(lowered)] = c * e
-        return Polynomial(self.nvars, out)
+        return Polynomial._clean(self.nvars, out)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: key_degrevlex(t[0]), reverse=True)
@@ -255,29 +293,50 @@ class Polynomial:
 
 
 def normal_form(p: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
-    """Remainder of p under multivariate division by the divisor list."""
-    prepared = [(g, *g.leading_term()) for g in divisors if not g.is_zero]
+    """Remainder of p under multivariate division by the divisor list.
+
+    The next term to divide is popped from a heap keyed by (-degree,
+    reversed exponents), the negated degrevlex key.  A monomial cancelled
+    after it was pushed leaves a stale entry, which is skipped; every term a
+    division step adds is smaller than the term it divides, so a popped
+    monomial never comes back.
+    """
+    prepared = []
+    for g in divisors:
+        if g.is_zero:
+            continue
+        lm, lc = g.leading_term()
+        tail = [(gm, gc) for gm, gc in g.terms.items() if gm != lm]
+        prepared.append((lm, None if lc == 1 else lc, tail))
     work = dict(p.terms)
+    heap = [(-sum(m), m[::-1], m) for m in work]
+    heapq.heapify(heap)
     remainder: dict[Monomial, Fraction] = {}
-    while work:
-        m = max(work, key=key_degrevlex)
-        c = work[m]
-        for g, lm, lc in prepared:
-            if mono_divides(lm, m):
+    while heap:
+        m = heapq.heappop(heap)[2]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for lm, lc, tail in prepared:
+            if all(map(le, lm, m)):
                 quot = mono_quotient(m, lm)
-                factor = c / lc
-                for gm, gc in g.terms.items():
-                    target = mono_mul(gm, quot)
-                    value = work.get(target, Fraction(0)) - factor * gc
-                    if value:
-                        work[target] = value
+                factor = c if lc is None else c / lc
+                for gm, gc in tail:
+                    target = tuple(map(add, gm, quot))
+                    value = work.get(target)
+                    if value is None:
+                        work[target] = -factor * gc
+                        heapq.heappush(heap, (-sum(target), target[::-1], target))
                     else:
-                        work.pop(target, None)
+                        value -= factor * gc
+                        if value:
+                            work[target] = value
+                        else:
+                            del work[target]
                 break
         else:
             remainder[m] = c
-            del work[m]
-    return Polynomial(p.nvars, remainder)
+    return Polynomial._clean(p.nvars, remainder)
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

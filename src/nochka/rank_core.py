@@ -560,6 +560,7 @@ def parse_oracle(text: str) -> RankOracle:
     if not 1 <= q <= MAX_GROUND_SET:
         raise ParseError(f"q out of range 1..{MAX_GROUND_SET}", line=1)
     table: list[int | None] = [None] * (1 << q)
+    bits = {str(j): 1 << (j - 1) for j in range(1, q + 1)}
     count = 0
     for ln, raw in enumerate(lines[1:], 2):
         stripped = raw.strip()
@@ -569,10 +570,17 @@ def parse_oracle(text: str) -> RankOracle:
             raise ParseError("expected `subset : c-value`", line=ln)
         left, _, right = stripped.partition(":")
         left = left.strip()
-        try:
-            mask = 0 if left == "-" else mask_of((int(p) for p in left.split(",")), q)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=ln) from None
+        mask = 0
+        if left != "-":
+            try:
+                for token in left.split(","):
+                    mask |= bits[token]
+            except KeyError:
+                # not a canonical index: parse and check it the long way
+                try:
+                    mask = mask_of((int(p) for p in left.split(",")), q)
+                except ValueError as exc:
+                    raise ParseError(str(exc), line=ln) from None
         try:
             value = int(right.strip())
         except ValueError:

@@ -89,6 +89,14 @@ class TestRankCommands:
         assert payload["selected"] == [1, 4]
         assert payload["weighted_sum"] == "7/2"
 
+    def test_greedy_repeated_index_exit_2(self, capsys, oracle_file):
+        code = main(["greedy", "--oracle", oracle_file,
+                     "--subset", "1,1,1,2", "--costs", "4,3,2,1,0,0,0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeated index" in captured.err
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "broken.oracle"
         bad.write_text("not an oracle\n")

@@ -6,6 +6,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from nochka import geometry
 from nochka.errors import ParseError, ResourceBudgetError
 from nochka.fixtures import (conic_presentation_arrangement, generate_intro_fixture,
                              pencil_lines_arrangement, three_point_arrangement)
@@ -13,8 +14,8 @@ from nochka.geometry import (Arrangement, check_subgeneral_position, codim_oracl
                              format_arrangement, hilbert_function, hilbert_weight,
                              parse_arrangement, verify_hilbert_lower_bound)
 from nochka.linalg import Echelon
-from nochka.poly import parse_polynomial
-from nochka.rank_core import linear_matroid_oracle, validate_rank_oracle
+from nochka.poly import Ideal, ideal_dimension, parse_polynomial
+from nochka.rank_core import validate_rank_oracle
 
 V3 = ("x0", "x1", "x2")
 
@@ -22,6 +23,20 @@ V3 = ("x0", "x1", "x2")
 def plane_lines(*texts: str, N: int) -> Arrangement:
     hyps = tuple((f"H{i}", parse_polynomial(t, V3)) for i, t in enumerate(texts, 1))
     return Arrangement(2, 2, 1, N, (), hyps, V3)
+
+
+def groebner_codims(arr: Arrangement) -> tuple[int, ...]:
+    """c(R) = n - dim(V cut by R) for every subset, one Groebner basis each."""
+    table = []
+    for mask in range(1 << arr.q):
+        gens = list(arr.variety_generators) + [arr.forms[j] for j in range(arr.q)
+                                               if mask >> j & 1]
+        table.append(arr.n - ideal_dimension(Ideal(gens, nvars=arr.M + 1)))
+    return tuple(table)
+
+
+def _forbidden(*args):
+    raise AssertionError("this route must not be taken")
 
 
 class TestArrangement:
@@ -63,17 +78,40 @@ class TestCodimOracle:
         oracle = codim_oracle(arr)
         assert oracle.c([1, 2, 3]) == 2
 
-    def test_agrees_with_linear_matroid_on_hyperplanes(self):
-        arr = pencil_lines_arrangement()
+    def test_agrees_with_linear_matroid_on_hyperplanes(self, monkeypatch):
+        cases = [
+            (pencil_lines_arrangement(), {(1, 2, 3): 2}),
+            # three concurrent triples, through (1:0:0), (0:1:0) and (0:0:1)
+            (plane_lines("x1", "x2", "x1 + x2", "x0", "x0 + x2", "x0 + 2*x2",
+                         "x0 + x1", "x0 + 2*x1", "x0 + 3*x1", N=3),
+             {(1, 2, 3): 2, (4, 5, 6): 2, (7, 8, 9): 2, (1, 4, 5): 3}),
+            # H4 repeats H1
+            (plane_lines("x0", "x1", "x2", "2*x0", N=3), {(1, 4): 1, (1, 2, 4): 2}),
+        ]
+        expected = [groebner_codims(arr) for arr, _ in cases]
+        monkeypatch.setattr(geometry, "ideal_dimension", _forbidden)
+        for (arr, pinned), table in zip(cases, expected):
+            oracle = codim_oracle(arr)
+            assert oracle.table == table
+            for subset, c in pinned.items():
+                assert oracle.c(subset) == c
+
+    def test_lines_on_a_variety_use_groebner(self, monkeypatch):
+        conic = parse_polynomial("x0*x2 - x1^2", V3)
+        hyps = tuple((f"H{i}", parse_polynomial(t, V3))
+                     for i, t in enumerate(("x0", "x2", "x0 + x2", "x1"), 1))
+        arr = Arrangement(2, 1, 2, 2, (conic,), hyps, V3)
+        calls = []
+
+        def counted(ideal):
+            calls.append(ideal)
+            return ideal_dimension(ideal)
+
+        monkeypatch.setattr(geometry, "ideal_dimension", counted)
+        monkeypatch.setattr(geometry, "linear_matroid_oracle", _forbidden)
         oracle = codim_oracle(arr)
-        vectors = []
-        for _, form in arr.hypersurfaces:
-            vec = [Fraction(0)] * 3
-            for mono, c in form.terms.items():
-                vec[mono.index(1)] = c
-            vectors.append(tuple(vec))
-        matroid = linear_matroid_oracle(vectors, arr.N)
-        assert oracle.table == matroid.table
+        assert calls
+        assert oracle.table == groebner_codims(arr)
 
     def test_oracle_on_variety(self):
         conic = parse_polynomial("x0*x2 - x1^2", V3)

@@ -208,3 +208,144 @@ class TestRingAxioms:
     def test_commutativity(self, a, b):
         assert a * b == b * a
         assert a + b == b + a
+
+
+@st.composite
+def core_polynomials(draw, nvars: int, max_terms: int = 5, max_degree: int = 3):
+    """Sparse polynomials with small rational coefficients, homogeneous or not."""
+    homogeneous = draw(st.booleans())
+    degree = draw(st.integers(0, max_degree))
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        if homogeneous:
+            mono = draw(st.sampled_from(list(monomials_of_degree(nvars, degree))))
+        else:
+            mono = tuple(draw(st.integers(0, max_degree)) for _ in range(nvars))
+        terms[mono] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
+    return Polynomial(nvars, terms)
+
+
+@st.composite
+def poly_families(draw, count: int, **kwargs):
+    nvars = draw(st.integers(2, 4))
+    return [draw(core_polynomials(nvars, **kwargs)) for _ in range(count)]
+
+
+def reference_normal_form(p: Polynomial, divisors) -> Polynomial:
+    """Division by rescanning for the largest remaining term at every step."""
+    prepared = []
+    for g in divisors:
+        if not g.is_zero:
+            lm = max(g.terms, key=key_degrevlex)
+            prepared.append((g, lm, g.terms[lm]))
+    work = dict(p.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=key_degrevlex)
+        c = work[m]
+        for g, lm, lc in prepared:
+            if mono_divides(lm, m):
+                quot = tuple(x - y for x, y in zip(m, lm))
+                factor = c / lc
+                for gm, gc in g.terms.items():
+                    target = tuple(x + y for x, y in zip(gm, quot))
+                    value = work.get(target, Fraction(0)) - factor * gc
+                    if value:
+                        work[target] = value
+                    else:
+                        work.pop(target, None)
+                break
+        else:
+            remainder[m] = c
+            del work[m]
+    return Polynomial(p.nvars, remainder)
+
+
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    (lmf, lcf), (lmg, lcg) = f.leading_term(), g.leading_term()
+    lcm = tuple(max(x, y) for x, y in zip(lmf, lmg))
+    return (Polynomial.monomial(f.nvars, tuple(x - y for x, y in zip(lcm, lmf)), 1 / lcf) * f
+            - Polynomial.monomial(g.nvars, tuple(x - y for x, y in zip(lcm, lmg)), 1 / lcg) * g)
+
+
+def assert_canonical(p: Polynomial) -> None:
+    assert all(isinstance(c, Fraction) and c != 0 for c in p.terms.values())
+    assert all(len(m) == p.nvars and min(m) >= 0 for m in p.terms)
+
+
+class TestPolyCoreProperties:
+    @given(poly_families(4))
+    @settings(max_examples=150, deadline=None)
+    def test_normal_form_matches_reference_division(self, family):
+        p, *divisors = family
+        assert normal_form(p, divisors) == reference_normal_form(p, divisors)
+
+    @given(poly_families(2), st.integers(-3, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_results_store_no_zero_coefficient(self, family, k):
+        a, b = family
+        shift = tuple(range(a.nvars))
+        results = [a + b, a - b, a - a, -a, a * b, a * (a - a), a.scale(k), a.scale(Fraction(k, 2)),
+                   a.mono_scale(shift, k), a.derivative(0), a ** 2, normal_form(a, [b])]
+        if not a.is_zero:
+            results.append(a.monic())
+        for r in results:
+            assert_canonical(r)
+            assert r == Polynomial(r.nvars, r.terms)
+
+    @given(poly_families(2))
+    @settings(max_examples=150, deadline=None)
+    def test_cached_leading_term(self, family):
+        for p in (*family, family[0] * family[1], family[0] + family[1]):
+            if p.is_zero:
+                continue
+            expected = max(p.terms, key=key_degrevlex)
+            assert p.leading_term() == (expected, p.terms[expected])
+            assert p.leading_term() == (expected, p.terms[expected])
+
+    @given(poly_families(3, max_terms=3, max_degree=2))
+    @settings(max_examples=60, deadline=None)
+    def test_groebner_basis_invariants(self, gens):
+        gb = groebner_basis(gens)
+        leads = [g.leading_term()[0] for g in gb]
+        for g in gb:
+            assert g.leading_term()[1] == 1
+            for lm in leads:
+                if lm != g.leading_term()[0]:
+                    assert not any(mono_divides(lm, m) for m in g.terms)
+        for g in gens:
+            assert normal_form(g, gb).is_zero
+        for i, f in enumerate(gb):
+            for g in gb[i + 1:]:
+                assert normal_form(s_polynomial(f, g), gb).is_zero
+
+    @given(poly_families(3, max_terms=3, max_degree=2))
+    @settings(max_examples=40, deadline=None)
+    def test_groebner_basis_matches_sympy(self, gens):
+        sympy = pytest.importorskip("sympy")
+        nvars = gens[0].nvars
+        symbols = sympy.symbols(f"x0:{nvars}")
+
+        def to_sympy(p: Polynomial):
+            return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                               * sympy.Mul(*(s ** e for s, e in zip(symbols, m)))
+                               for m, c in p.terms.items()))
+
+        def from_sympy(expr) -> frozenset:
+            terms = sympy.Poly(expr, *symbols).as_dict()
+            return frozenset((m, Fraction(int(c.p), int(c.q))) for m, c in terms.items())
+
+        # both sides must order the variables x0 > x1 > ... the same way
+        every = Polynomial(nvars, {m: 1 for d in range(3) for m in monomials_of_degree(nvars, d)})
+        ours = [m for m, _ in every.sorted_terms()]
+        theirs = [m for m, _ in sympy.Poly(to_sympy(every), *symbols).terms(order="grevlex")]
+        assert ours == theirs
+
+        nonzero = [g for g in gens if not g.is_zero]
+        gb = groebner_basis(nonzero)
+        if not nonzero:
+            assert gb == ()
+            return
+        expected = sympy.groebner([to_sympy(g) for g in nonzero], *symbols, order="grevlex",
+                                  domain=sympy.QQ)
+        assert {frozenset(g.terms.items()) for g in gb} == {from_sympy(e) for e in expected.exprs}

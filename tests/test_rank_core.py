@@ -298,6 +298,18 @@ class TestOracleFormat:
         with pytest.raises(ParseError):
             parse_oracle("2 1 1\n- : 0\n1 : 1\n2 : 1\n1,2 : x\n")
 
+    def test_non_canonical_indices(self, fixture_oracle):
+        lines = format_oracle(fixture_oracle).splitlines()
+        assert lines[4] == "1,2 : 1"
+        lines[4] = "01, 2 : 1"
+        assert parse_oracle("\n".join(lines)) == fixture_oracle
+        for token, message in (("0", "index 0 outside 1..7"), ("8", "index 8 outside 1..7"),
+                               ("1,x", "invalid literal")):
+            lines[4] = f"{token} : 1"
+            with pytest.raises(ParseError, match=message) as err:
+                parse_oracle("\n".join(lines))
+            assert err.value.line == 5
+
 
 def _random_matroid(draw) -> RankOracle:
     n = draw(st.integers(1, 3))
