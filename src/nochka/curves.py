@@ -136,8 +136,9 @@ class CurveCoordinate:
                 pz = p.eval_array(z)
                 # log|a| drops the phase of a: w * exp(L) is the value only when
                 # every coefficient is positive real (open defect, see ROADMAP.md)
-                logs.extend(np.log(np.abs(complex(a))) + k * log_z + pz
-                            for k, a in enumerate(c.coeffs) if not a.is_zero)
+                logs.extend(np.log(np.abs(ca)) + k * log_z + pz
+                            for k, (a, ca) in enumerate(zip(c.coeffs, c.complex_coeffs))
+                            if not a.is_zero)
         stacked = np.stack(logs)
         L = np.max(stacked.real, axis=0)
         w = np.sum(np.exp(stacked - L), axis=0)

@@ -1,10 +1,13 @@
 """Nevanlinna functionals for explicit curves.
 
 Characteristic and proximity are circle averages computed by doubling
-trapezoid quadrature (spectrally accurate for periodic integrands); zero
-divisors are exact for polynomial data and argument-principle counts for
-exponential polynomials, with targets Q(f) composed exactly for every
-curve; counting functions are closed forms over divisors.
+trapezoid quadrature (spectrally accurate for periodic integrands).  The
+averages a report needs at one radius share one grid: each level's curve
+samples are computed once, and each integrand stops at its own level, so
+its value equals the one a separate run gives.  Zero divisors are exact
+for polynomial data and argument-principle counts for exponential
+polynomials, with targets Q(f) composed exactly for every curve;
+counting functions are closed forms over divisors.
 The report builders evaluate both sides of the main inequalities and
 record slack per radius.
 """
@@ -38,40 +41,111 @@ class _NearCircleZero(Exception):
     """A quadrature sample landed on (numerically) a zero of the integrand's argument."""
 
 
-def _circle_average(sample, r: float, *, tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Mean over the circle of radius r by doubling uniform samples.
+def _circle_averages(base, integrands, r: float, *, tol: float) -> list:
+    """Means over the circle of radius r of several integrands, by doubling uniform samples.
 
-    `sample(thetas, r)` returns integrand values.  Uniform-sample means on
-    a periodic integrand are the trapezoid rule; doubling stops once two
-    successive levels agree within `tol`.
+    `base(r, thetas)`, such as `ProjectiveCurve.circle_values`, is computed
+    once per level and shared; each integrand maps it to its own values.
+    Uniform-sample means on a periodic integrand are the trapezoid rule.
+    Each integrand keeps its own running mean and stops once two of its
+    successive levels agree within `tol`, so its value is bit for bit the
+    one a run with that integrand alone gives.  Returns one outcome per
+    integrand: its mean, the `_NearCircleZero` it raised, or a
+    `QuadratureError` when it did not converge.
     """
-    n = 1 << QUAD_K0
-    thetas = np.arange(n) * (2 * np.pi / n)
-    current = float(np.mean(sample(thetas, r)))
-    diff = math.inf
-    for k in range(QUAD_K0 + 1, QUAD_KMAX + 1):
-        n2 = 1 << k
-        fresh = np.arange(1, n2, 2) * (2 * np.pi / n2)
-        nxt = 0.5 * (current + float(np.mean(sample(fresh, r))))
-        diff = abs(nxt - current)
-        current = nxt
-        if diff < tol:
-            return current
-    raise QuadratureError("circle quadrature did not converge", achieved=diff)
+    outcomes: list = [None] * len(integrands)
+    means = [0.0] * len(integrands)
+    diffs = [math.inf] * len(integrands)
+    active = range(len(integrands))
+    for k in range(QUAD_K0, QUAD_KMAX + 1):
+        if not active:
+            break
+        n = 1 << k
+        first = k == QUAD_K0
+        # the first level takes every point, each later one only the new odd points
+        thetas = (np.arange(n) if first else np.arange(1, n, 2)) * (2 * np.pi / n)
+        values = base(r, thetas)
+        still = []
+        for i in active:
+            try:
+                mean = float(np.mean(integrands[i](values)))
+            except _NearCircleZero as exc:
+                # without its traceback, which would keep this level's samples alive
+                outcomes[i] = exc.with_traceback(None)
+                continue
+            if first:
+                means[i] = mean
+                still.append(i)
+                continue
+            nxt = 0.5 * (means[i] + mean)
+            diffs[i] = abs(nxt - means[i])
+            means[i] = nxt
+            if diffs[i] < tol:
+                outcomes[i] = nxt
+            else:
+                still.append(i)
+        # release this level's samples before the next, larger level is computed
+        del values
+        active = still
+    for i in active:
+        outcomes[i] = QuadratureError("circle quadrature did not converge", achieved=diffs[i])
+    return outcomes
 
 
-def _averaged_with_perturbation(sample, r: float, *, tol: float) -> tuple[float, float]:
-    """Run `_circle_average`, inflating r by relative 1e-6 steps on near-zero hits.
+def _averaged_with_perturbation(base, integrands, r: float, *,
+                                tol: float) -> list[tuple[float, float]]:
+    """Run `_circle_averages`; an integrand that hits a near-zero sample runs
+    again alone at r inflated by relative 1e-6 steps.
 
-    Returns (value, radius actually used).
+    Returns (value, radius actually used) per integrand, or raises the
+    error of the first integrand that failed.
     """
-    r_eff = r
-    for _ in range(6):
-        try:
-            return _circle_average(sample, r_eff, tol=tol), r_eff
-        except _NearCircleZero:
+    results = []
+    for integrand, outcome in zip(integrands, _circle_averages(base, integrands, r, tol=tol)):
+        r_eff = r
+        for _ in range(5):  # r and up to five inflations of it
+            if not isinstance(outcome, _NearCircleZero):
+                break
             r_eff *= PERTURB_FACTOR
-    raise QuadratureError(f"integrand stayed singular near radius {r} after perturbations")
+            [outcome] = _circle_averages(base, [integrand], r_eff, tol=tol)
+        if isinstance(outcome, _NearCircleZero):
+            raise QuadratureError(f"integrand stayed singular near radius {r} after perturbations")
+        if isinstance(outcome, QuadratureError):
+            raise outcome
+        results.append((outcome, r_eff))
+    return results
+
+
+def _circle_average(base, integrand, r: float, *, tol: float) -> tuple[float, float]:
+    """The one-integrand case: (value, radius actually used)."""
+    [result] = _averaged_with_perturbation(base, [integrand], r, tol=tol)
+    return result
+
+
+def _log_max(values) -> np.ndarray:
+    """Integrand of T(r) from `circle_values` output: log max_i |f_i|."""
+    L, _ = values
+    if not np.all(np.isfinite(L)):
+        raise _NearCircleZero
+    return L
+
+
+def _proximity_integrand(target: Polynomial):
+    """Integrand of m(r, Q) from `circle_values` output.
+
+    With f = exp(L) w and Q homogeneous of degree d, ||f||^d ||Q|| / |Q(f)|
+    equals ||Q|| / |Q(w)|.
+    """
+    log_norm = math.log(float(target.max_abs_coeff()))
+
+    def integrand(values):
+        _, W = values
+        av = np.abs(target.evaluate_array(list(W)))
+        if not np.all(np.isfinite(av)) or np.any(av < VALUE_FLOOR):
+            raise _NearCircleZero
+        return log_norm - np.log(av)
+
+    return integrand
 
 
 @dataclass(frozen=True)
@@ -96,14 +170,7 @@ def characteristic(curve: ProjectiveCurve, r: float, *, tol: float = DEFAULT_QUA
     """Circle average of log max_i |f_i| at radius r."""
     if r < 1:
         raise ValueError("radius must be >= 1")
-
-    def sample(thetas, rr):
-        L, _ = curve.circle_values(rr, thetas)
-        if not np.all(np.isfinite(L)):
-            raise _NearCircleZero
-        return L
-
-    value, _ = _averaged_with_perturbation(sample, r, tol=tol)
+    value, _ = _circle_average(curve.circle_values, _log_max, r, tol=tol)
     return value
 
 
@@ -158,23 +225,8 @@ def proximity(curve: ProjectiveCurve, target: Polynomial, r: float, *,
         raise ValueError("variable count mismatch between target and curve")
     if compose(target, curve).is_zero:
         raise ValueError("target vanishes identically on the curve")
-    value, _ = _proximity_impl(curve, target, r, tol)
+    value, _ = _circle_average(curve.circle_values, _proximity_integrand(target), r, tol=tol)
     return value
-
-
-def _proximity_impl(curve, target: Polynomial, r: float, tol: float) -> tuple[float, float]:
-    """Proximity and the radius used, for a target already checked by the caller."""
-    log_norm = math.log(float(target.max_abs_coeff()))
-
-    def sample(thetas, rr):
-        _, W = curve.circle_values(rr, thetas)
-        qv = target.evaluate_array(list(W))
-        av = np.abs(qv)
-        if not np.all(np.isfinite(av)) or np.any(av < VALUE_FLOOR):
-            raise _NearCircleZero
-        return log_norm - np.log(av)
-
-    return _averaged_with_perturbation(sample, r, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -215,16 +267,17 @@ def jensen_check(phi: CurveCoordinate | UnivariatePoly, radii: Sequence[float], 
         raise ValueError("phi(0) = 0: factor out the vanishing power of z first")
     divisor = zero_divisor(phi, radii[-1] * 1.001)
 
-    def sample(thetas, rr):
-        z = rr * np.exp(1j * thetas)
-        values = phi.log_abs_array(z)
+    def log_abs(rr, thetas):
+        return phi.log_abs_array(rr * np.exp(1j * thetas))
+
+    def finite(values):
         if not np.all(np.isfinite(values)):
             raise _NearCircleZero
         return values
 
     used, integrals, countings, diffs = [], [], [], []
     for r in radii:
-        integral, r_eff = _averaged_with_perturbation(sample, r, tol=tol)
+        integral, r_eff = _circle_average(log_abs, finite, r, tol=tol)
         used.append(r_eff)
         integrals.append(integral)
         countings.append(counting_function(divisor, r_eff))
@@ -415,10 +468,10 @@ def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
             ksets.append(combo)
     log_norms = [math.log(float(h.max_abs_coeff())) for h in hyperplanes]
 
-    def sample(thetas, rr):
-        L, W = curve.circle_values(rr, thetas)
+    def max_sum(values):
+        L, W = values
         if not ksets:
-            return np.zeros(thetas.shape)
+            return np.zeros(L.shape)
         terms = []
         for h, ln in zip(hyperplanes, log_norms):
             hv = np.abs(h.evaluate_array(list(W)))
@@ -434,8 +487,8 @@ def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
 
     rows = []
     for r in radii:
-        T = characteristic(curve, r, tol=tol)
-        integral, r_eff = _averaged_with_perturbation(sample, r, tol=tol)
+        (T, _), (integral, r_eff) = _averaged_with_perturbation(
+            curve.circle_values, [_log_max, max_sum], r, tol=tol)
         ncount = counting_function(wdiv, r_eff)
         lhs = integral + ncount
         rhs = (n + 1 + eps) * T
@@ -609,13 +662,15 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
             t_cache[rr] = characteristic(curve, rr, tol=tol)
         return t_cache[rr]
 
+    integrands = [_log_max] + [_proximity_integrand(form) for _, form, _ in targets]
     for r in radii:
-        T = char_at(r)
+        # T(r) and every proximity converge on one shared grid per radius
+        (T, _), *proximities = _averaged_with_perturbation(curve.circle_values, integrands,
+                                                           r, tol=tol)
         target_rows = []
         rhs = 0.0
-        for (name, form, div), trunc in zip(targets, trunc_list):
+        for (name, form, div), trunc, (prox, r_eff) in zip(targets, trunc_list, proximities):
             d = form.degree
-            prox, r_eff = _proximity_impl(curve, form, r, tol)
             n_full = counting_function(div, r_eff)
             n_trunc = counting_function(div, r, trunc)
             T_eff = T if r_eff == r else char_at(r_eff)

@@ -574,13 +574,22 @@ def parse_oracle(text: str) -> RankOracle:
         if left != "-":
             try:
                 for token in left.split(","):
-                    mask |= bits[token]
+                    bit = bits[token]
+                    # in increasing order each bit exceeds the mask of the ones before it
+                    if bit <= mask:
+                        raise ParseError(f"subset {left} must list distinct indices "
+                                         "in increasing order", line=ln)
+                    mask |= bit
             except KeyError:
                 # not a canonical index: parse and check it the long way
                 try:
-                    mask = mask_of((int(p) for p in left.split(",")), q)
+                    indices = [int(p) for p in left.split(",")]
+                    mask = mask_of(indices, q)
                 except ValueError as exc:
                     raise ParseError(str(exc), line=ln) from None
+                if any(a >= b for a, b in zip(indices, indices[1:])):
+                    raise ParseError(f"subset {left} must list distinct indices "
+                                     "in increasing order", line=ln) from None
         try:
             value = int(right.strip())
         except ValueError:

@@ -107,15 +107,20 @@ QQI_ONE = QQi(1)
 
 
 class UnivariatePoly:
-    """Dense univariate polynomial over QQi, coefficients low to high."""
+    """Dense univariate polynomial over QQi, coefficients low to high.
 
-    __slots__ = ("coeffs",)
+    `_complex` caches the coefficients as Python complexes once a numeric
+    evaluation needs them; it takes no part in equality or hashing.
+    """
+
+    __slots__ = ("coeffs", "_complex")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [QQi.of(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._complex: tuple[complex, ...] | None = None
 
     @classmethod
     def constant(cls, value) -> "UnivariatePoly":
@@ -227,15 +232,22 @@ class UnivariatePoly:
             return self
         return self.scale(QQI_ONE / self.leading)
 
+    @property
+    def complex_coeffs(self) -> tuple[complex, ...]:
+        """complex(c) for each coefficient, low to high, converted once per polynomial."""
+        if self._complex is None:
+            self._complex = tuple(complex(c) for c in self.coeffs)
+        return self._complex
+
     def eval_array(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
         acc = np.zeros_like(z)
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+        for c in reversed(self.complex_coeffs):
+            acc = acc * z + c
         return acc
 
     def numpy_coeffs(self) -> np.ndarray:
-        return np.array([complex(c) for c in self.coeffs], dtype=np.complex128)
+        return np.array(self.complex_coeffs, dtype=np.complex128)
 
     def to_text(self, var: str = "z") -> str:
         if self.is_zero:

@@ -97,6 +97,19 @@ class TestRankCommands:
         assert captured.out == ""
         assert "repeated index" in captured.err
 
+    @pytest.mark.parametrize("subsets", [("1,1", "2,1"), ("1", "2,1"), ("1,1", "1,2")])
+    def test_validate_rank_unsorted_subset_exit_2(self, capsys, tmp_path, subsets):
+        # `1 : 1` and `1,2 : 2` are the sorted forms of the q = 2 file's lines
+        path = tmp_path / "unsorted.oracle"
+        path.write_text(f"2 1 1\n- : 0\n{subsets[0]} : 1\n2 : 1\n{subsets[1]} : 2\n")
+        assert main(["validate-rank", "--oracle", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "increasing order (line " in captured.err
+        sorted_path = tmp_path / "sorted.oracle"
+        sorted_path.write_text("2 1 1\n- : 0\n1 : 1\n2 : 1\n1,2 : 2\n")
+        assert main(["validate-rank", "--oracle", str(sorted_path)]) == 0
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "broken.oracle"
         bad.write_text("not an oracle\n")

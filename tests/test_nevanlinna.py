@@ -1,6 +1,7 @@
 """Characteristic, divisors, counting, proximity, Jensen, Wronskian, reports."""
 
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,13 @@ import pytest
 
 from nochka.curves import (CurveCoordinate, ExpTerm, ProjectiveCurve, compose,
                            parse_coordinate, parse_curve)
-from nochka.fixtures import (exp_curve, parabola_curve, pencil_lines_arrangement,
-                             three_point_arrangement)
+from nochka.errors import QuadratureError
+from nochka.fixtures import (exp_curve, generate_intro_fixture, parabola_curve,
+                             pencil_lines_arrangement, three_point_arrangement)
 from nochka.geometry import hilbert_function, parse_arrangement
-from nochka.nevanlinna import (cartan_ru_check, characteristic, counting_function,
+from nochka.nevanlinna import (PERTURB_FACTOR, QUAD_K0, QUAD_KMAX, _averaged_with_perturbation,
+                               _circle_average, _circle_averages, _NearCircleZero,
+                               cartan_ru_check, characteristic, counting_function,
                                jensen_check, lift_curve, proximity, smt_report,
                                wronskian, wronskian_divisor_check, zero_divisor)
 from nochka.poly import Polynomial, monomials_of_degree, parse_polynomial
@@ -59,6 +63,136 @@ class TestCharacteristic:
     def test_radius_below_one_rejected(self):
         with pytest.raises(ValueError):
             characteristic(parabola_curve(), 0.5)
+
+
+class _Counted:
+    """A synthetic integrand that counts the levels it sees."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.levels = 0
+
+    def __call__(self, values):
+        self.levels += 1
+        return self.fn(values)
+
+
+# synthetic integrands map the shared samples (r, thetas) to values
+def _smooth(values):
+    _, thetas = values
+    # a trigonometric polynomial of low degree: 64 points are exact
+    return np.cos(thetas) + 2
+
+
+def _slow(values):
+    _, thetas = values
+    # sum_{j>=1} a^j cos(j theta): the 2^k-point mean is a^n / (1 - a^n) with
+    # n = 2^k, so successive levels differ by about a^(n/2)
+    a = 10 ** (-6 / 1024)
+    w = a * np.exp(1j * thetas)
+    return (w / (1 - w)).real
+
+
+def _singular_at_two(values):
+    r, thetas = values
+    if r == 2.0:
+        raise _NearCircleZero
+    return np.sin(thetas) ** 2 + r
+
+
+def _sawtooth(values):
+    # discontinuous: successive levels differ by pi / 2^k, above 1e-9 at every level
+    return values[1]
+
+
+def _samples(r, thetas):
+    return r, thetas
+
+
+class TestSharedQuadrature:
+    def test_each_integrand_matches_its_own_run(self):
+        fns = [_smooth, _slow, _singular_at_two, _sawtooth]
+        shared = [_Counted(fn) for fn in fns]
+        outcomes = _circle_averages(_samples, shared, 2.0, tol=1e-9)
+        # levels run QUAD_K0 = 6 .. QUAD_KMAX = 20; each integrand stops at its own
+        assert [c.levels for c in shared] == [2, 7, 1, QUAD_KMAX - QUAD_K0 + 1]
+        for fn, outcome in zip(fns, outcomes):
+            [alone] = _circle_averages(_samples, [_Counted(fn)], 2.0, tol=1e-9)
+            assert type(outcome) is type(alone)
+            if isinstance(alone, float):
+                assert outcome == alone
+        assert outcomes[0] == 2.0
+        assert abs(outcomes[1]) < 1e-9
+        assert isinstance(outcomes[2], _NearCircleZero)
+        assert isinstance(outcomes[3], QuadratureError)
+        assert outcomes[3].achieved > 1e-9
+        assert outcomes[3].achieved == _circle_averages(_samples, [_sawtooth], 2.0,
+                                                        tol=1e-9)[0].achieved
+
+    def test_base_is_computed_once_per_level(self):
+        calls = []
+
+        def base(r, thetas):
+            calls.append(len(thetas))
+            return r, thetas
+
+        _circle_averages(base, [_Counted(fn) for fn in (_smooth, _slow, _singular_at_two)],
+                         2.0, tol=1e-9)
+        assert calls == [64] + [1 << (k - 1) for k in range(7, 13)]
+
+    def test_earlier_levels_are_released(self):
+        class Samples(list):
+            """(r, thetas) that a weak reference can watch."""
+
+        previous, alive = [], []
+
+        def base(r, thetas):
+            alive.append(sum(ref() is not None for ref in previous))
+            samples = Samples([r, thetas])
+            previous.append(weakref.ref(samples))
+            return samples
+
+        _circle_averages(base, [_singular_at_two, _sawtooth], 2.0, tol=1e-9)
+        assert alive == [0] * (QUAD_KMAX - QUAD_K0 + 1)
+
+    def test_perturbation_and_errors_per_integrand(self):
+        fns = [_smooth, _slow, _singular_at_two]
+        results = _averaged_with_perturbation(_samples, fns, 2.0, tol=1e-9)
+        assert results == [_circle_average(_samples, fn, 2.0, tol=1e-9) for fn in fns]
+        assert [r for _, r in results] == [2.0, 2.0, 2.0 * PERTURB_FACTOR]
+        with pytest.raises(QuadratureError) as shared:
+            _averaged_with_perturbation(_samples, fns + [_sawtooth], 2.0, tol=1e-9)
+        with pytest.raises(QuadratureError) as alone:
+            _circle_average(_samples, _sawtooth, 2.0, tol=1e-9)
+        assert shared.value.achieved == alone.value.achieved
+        assert str(shared.value) == str(alone.value)
+
+    def test_always_singular_integrand_raises(self):
+        def always(values):
+            raise _NearCircleZero
+
+        with pytest.raises(QuadratureError, match="stayed singular"):
+            _averaged_with_perturbation(_samples, [_smooth, always], 2.0, tol=1e-9)
+
+
+class TestSMTSharedGrid:
+    """Each row of `smt_report` equals T(r) and m(r, D_j) computed alone."""
+
+    @staticmethod
+    def _assert_rows_match(curve, arr, radii, **kwargs):
+        report = smt_report(curve, arr, Fraction(1, 2), radii, **kwargs)
+        forms = dict(arr.hypersurfaces)
+        for row in report.rows:
+            assert row.T == characteristic(curve, row.r)
+            for t in row.targets:
+                assert t.proximity == proximity(curve, forms[t.name], row.r)
+
+    def test_exp_curve_intro_1(self):
+        self._assert_rows_match(exp_curve(), generate_intro_fixture(1).arrangement, [2.0])
+
+    def test_parabola_pencil(self):
+        self._assert_rows_match(parabola_curve(), pencil_lines_arrangement(), [1.5, 10],
+                                truncations=2)
 
 
 class TestZeroDivisor:

@@ -303,8 +303,11 @@ class TestOracleFormat:
         assert lines[4] == "1,2 : 1"
         lines[4] = "01, 2 : 1"
         assert parse_oracle("\n".join(lines)) == fixture_oracle
+        unordered = "distinct indices in increasing order"
         for token, message in (("0", "index 0 outside 1..7"), ("8", "index 8 outside 1..7"),
-                               ("1,x", "invalid literal")):
+                               ("1,x", "invalid literal"), ("2,1", unordered),
+                               ("1,1", unordered), ("1,2,2", unordered), ("3,1,2", unordered),
+                               ("02, 1", unordered), ("1, 01", unordered)):
             lines[4] = f"{token} : 1"
             with pytest.raises(ParseError, match=message) as err:
                 parse_oracle("\n".join(lines))

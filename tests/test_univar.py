@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,46 @@ class TestUnivariatePoly:
         q, r = f.divmod_exact(g)
         assert q * g + r == f
         assert r.degree < g.degree
+
+
+def _horner(p: UnivariatePoly, z: np.ndarray) -> np.ndarray:
+    """Reference evaluation: Horner over complex(c), converting at every step."""
+    acc = np.zeros_like(z)
+    for c in reversed(p.coeffs):
+        acc = acc * z + complex(c)
+    return acc
+
+
+NON_REAL = (QQi(1, -3), QQi(Fraction(2, 7), Fraction(5, 3)), QQi(0, -1),
+            QQi(Fraction(-4, 9), Fraction(1, 11)))
+POINTS = np.array([0.3 + 0.2j, -1.7 + 2.9j, 1e3 - 4e2j, 0j, -0.0 - 1j])
+
+
+class TestComplexCoefficientCache:
+    def test_matches_uncached_horner_bit_for_bit(self):
+        p = UnivariatePoly(NON_REAL)
+        want = _horner(p, POINTS).tobytes()
+        assert p.eval_array(POINTS).tobytes() == want
+        assert p.eval_array(POINTS).tobytes() == want  # second call reads the cache
+        assert p.numpy_coeffs().tolist() == [complex(c) for c in NON_REAL]
+
+    def test_polynomials_built_from_an_evaluated_one(self):
+        p = UnivariatePoly(NON_REAL)
+        q = UnivariatePoly([QQi(2), QQi(0, 1)])
+        p.eval_array(POINTS)
+        q.eval_array(POINTS)
+        for built in (p + q, p - q, p * q, q * p, p ** 2, p.derivative(),
+                      p.scale(QQi(0, 2)), -p):
+            assert built.eval_array(POINTS).tobytes() == _horner(built, POINTS).tobytes()
+        assert (p * q).eval_array(POINTS) == pytest.approx(
+            _horner(p, POINTS) * _horner(q, POINTS), rel=1e-12)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        evaluated, fresh = UnivariatePoly(NON_REAL), UnivariatePoly(NON_REAL)
+        evaluated.eval_array(POINTS)
+        assert evaluated == fresh
+        assert hash(evaluated) == hash(fresh)
+        assert {fresh: "x"}[evaluated] == "x"
 
 
 class TestSquarefree:
