@@ -52,17 +52,6 @@ class ParamSet:
         return self.lcm_degree ** self.n * self.deg_v
 
 
-def log10_int(value: int) -> float:
-    """log10 of a positive integer, safe for values beyond float range."""
-    if value <= 0:
-        raise ValueError("value must be positive")
-    digits = len(str(value))
-    if digits <= 15:
-        return log10(value)
-    head = int(str(value)[:15])
-    return log10(head) + (digits - 15)
-
-
 def m_zero(params: ParamSet) -> int:
     """floor(4 d^{n+1} q (2n+1)(2N-n+1) degV / epsilon) + 1, exactly."""
     d = params.lcm_degree
@@ -98,7 +87,7 @@ class BoundsResult:
             "qm0": str(self.qm0),
             "qm0_log10": self.qm0_log10,
             "Lj_bounds": [str(x) for x in self.lj_bounds],
-            "Lj_bounds_log10": [log10_int(x) for x in self.lj_bounds],
+            "Lj_bounds_log10": [log10(x) for x in self.lj_bounds],
         }
         if self.lj_exact is not None:
             out["Lj_exact"] = [str(x) for x in self.lj_exact]
@@ -147,4 +136,4 @@ def truncation_levels(params: ParamSet, *, hilbert_value: int | None = None,
             "tail_ok": tail < threshold,
         }
 
-    return BoundsResult(d, m0, qm0, log10_int(qm0), lj_bounds, lj_exact, feasibility)
+    return BoundsResult(d, m0, qm0, log10(qm0), lj_bounds, lj_exact, feasibility)

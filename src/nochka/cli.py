@@ -199,9 +199,8 @@ def _cmd_smt_report(args) -> tuple[dict, bool]:
         truncations = int(args.truncation)
     elif args.truncation == "inf":
         truncations = math.inf
-    position = check_subgeneral_position(arr)
     report = smt_report(curve, arr, Fraction(args.epsilon), _float_list(args.radii),
-                        truncations=truncations, tol=args.quad_tol, position=position)
+                        truncations=truncations, tol=args.quad_tol)
     payload = {"schema": SCHEMA, "command": "smt-report", **report.as_dict()}
     payload["tsv"] = report.as_tsv()
     if args.out:

@@ -154,7 +154,7 @@ class CurveCoordinate:
             return self.poly.to_text()
         parts = []
         for p, c in self.terms.items():
-            parts += _signed_monomials(c, "z", f"*exp({p.to_text()})" if p.coeffs else "")
+            parts += _signed_monomials(c, f"*exp({p.to_text()})" if p.coeffs else "")
         return _join_signed(parts)
 
     def __repr__(self) -> str:

@@ -22,6 +22,7 @@ from .univar import QQi, UnivariatePoly
 
 _VARS3 = ("x0", "x1", "x2")
 _VARS2 = ("x0", "x1")
+MAX_ATTEMPTS = 100
 
 
 def three_point_arrangement() -> Arrangement:
@@ -101,11 +102,11 @@ class IntroFixture:
     attempts: int
 
 
-def generate_intro_fixture(seed: int, *, max_attempts: int = 100) -> IntroFixture:
+def generate_intro_fixture(seed: int) -> IntroFixture:
     """Emit a verified 12-curve arrangement: 3 conics sharing one point plus
     three concurrent line triples, in 3-subgeneral position on the plane."""
     rng = random.Random(seed)
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         built = _try_build(rng)
         if built is None:
             continue
@@ -127,7 +128,7 @@ def generate_intro_fixture(seed: int, *, max_attempts: int = 100) -> IntroFixtur
             "origin": "randomly constructed, then verified by the exact position check",
         }
         return IntroFixture(arrangement, manifest, seed, attempt)
-    raise RuntimeError(f"no valid arrangement found in {max_attempts} attempts (seed {seed})")
+    raise RuntimeError(f"no valid arrangement found in {MAX_ATTEMPTS} attempts (seed {seed})")
 
 
 def _rand_point(rng: random.Random) -> tuple[int, ...]:

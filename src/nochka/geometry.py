@@ -19,9 +19,9 @@ from .linalg import Echelon, primitive
 from .poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension,
                    monomials_of_degree, parse_polynomial, products_of_degree)
 from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle, ValidationReport,
-                        _set_str, linear_matroid_oracle, validate_rank_oracle)
+                        _set_str, check_costs, linear_matroid_oracle, validate_rank_oracle)
 
-DEFAULT_QM_BUDGET = 5000
+QM_BUDGET = 5000
 
 
 @dataclass
@@ -103,6 +103,11 @@ class Arrangement:
         return tuple(p for _, p in self.hypersurfaces)
 
     @property
+    def is_linear(self) -> bool:
+        """Hyperplanes of the whole space: no variety generators, every form linear."""
+        return not self.variety_generators and all(d == 1 for d in self.degrees)
+
+    @property
     def lcm_degree(self) -> int:
         return lcm(*self.degrees)
 
@@ -136,14 +141,8 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
     """
     q, n = arr.q, arr.n
     forms = arr.forms
-    if not arr.variety_generators and all(d == 1 for d in arr.degrees):
-        vectors = []
-        for p in forms:
-            vec = [Fraction(0)] * (arr.M + 1)
-            for mono, c in p.terms.items():
-                vec[mono.index(1)] = c
-            vectors.append(vec)
-        return linear_matroid_oracle(vectors, arr.N)
+    if arr.is_linear:
+        return linear_matroid_oracle([p.linear_coefficients() for p in forms], arr.N)
     base = list(arr.variety_generators)
     table = [0] * (1 << q)
     by_size: list[list[int]] = [[] for _ in range(q + 1)]
@@ -178,9 +177,10 @@ class PositionReport:
 
     N: int
     condition_i: AxiomCheck
-    condition_ii_mode: str
     condition_ii: ValidationReport
     oracle: RankOracle
+
+    condition_ii_mode = "proxy"
 
     @property
     def ok(self) -> bool:
@@ -215,7 +215,7 @@ def check_subgeneral_position(arr: Arrangement, *,
             break
     cond_i = AxiomCheck("empty-(N+1)-intersections", witness is None, witness)
     cond_ii = validate_rank_oracle(oracle)
-    return PositionReport(arr.N, cond_i, "proxy", cond_ii, oracle)
+    return PositionReport(arr.N, cond_i, cond_ii, oracle)
 
 
 @dataclass(frozen=True)
@@ -234,14 +234,14 @@ class HilbertData:
                 "matrix_provenance": self.matrix_provenance}
 
 
-def _degree_m_vectors(arr: Arrangement, m: int,
-                      qm_budget: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+def _degree_m_vectors(arr: Arrangement,
+                      m: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Exponent vectors of degree m and, for each, the content-free integer
     coefficient vector of the product of normalized forms, reduced modulo the
     variety ideal."""
     total = comb(arr.q + m - 1, m)
-    if total > qm_budget:
-        raise ResourceBudgetError(f"q_m = {total} exceeds budget {qm_budget}")
+    if total > QM_BUDGET:
+        raise ResourceBudgetError(f"q_m = {total} exceeds budget {QM_BUDGET}")
     exponents = list(monomials_of_degree(arr.q, m))
     reduce = arr.variety_ideal().normal_form if arr.variety_generators else None
     reduced = list(products_of_degree(arr.normalized_forms(), m, reduce))
@@ -256,8 +256,7 @@ def _degree_m_vectors(arr: Arrangement, m: int,
     return exponents, vectors
 
 
-def hilbert_function(arr: Arrangement, m: int, *,
-                     qm_budget: int = DEFAULT_QM_BUDGET) -> HilbertData:
+def hilbert_function(arr: Arrangement, m: int) -> HilbertData:
     """H(m) = rank of the degree-m products of normalized forms modulo the variety.
 
     The basis is chosen greedily in exponent order (lexicographically
@@ -266,7 +265,7 @@ def hilbert_function(arr: Arrangement, m: int, *,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    exponents, vectors = _degree_m_vectors(arr, m, qm_budget)
+    exponents, vectors = _degree_m_vectors(arr, m)
     ech = Echelon()
     basis = [exponents[i] for i, v in enumerate(vectors) if ech.insert(v)]
     H = ech.rank
@@ -293,20 +292,15 @@ class HilbertWeightResult:
                 "basis": [list(b) for b in self.basis]}
 
 
-def hilbert_weight(arr: Arrangement, m: int, costs: Sequence, *,
-                   qm_budget: int = DEFAULT_QM_BUDGET) -> HilbertWeightResult:
+def hilbert_weight(arr: Arrangement, m: int, costs: Sequence) -> HilbertWeightResult:
     """Maximal total cost of a monomial basis of the degree-m slice.
 
     Greedy over indices sorted by descending exponent-cost (ties by
     ascending index); greedy maximality over the basis matroid makes the
     result the true maximum over all monomial bases.
     """
-    costs = [Fraction(c) for c in costs]
-    if len(costs) != arr.q:
-        raise ValueError(f"cost vector must have length q = {arr.q}")
-    if any(c < 0 for c in costs):
-        raise ValueError("costs must be nonnegative")
-    exponents, vectors = _degree_m_vectors(arr, m, qm_budget)
+    costs = check_costs(costs, arr.q)
+    exponents, vectors = _degree_m_vectors(arr, m)
     weights = [sum((Fraction(e) * c for e, c in zip(exp, costs)), Fraction(0))
                for exp in exponents]
     order = sorted(range(len(exponents)), key=lambda i: (-weights[i], i))
@@ -347,8 +341,7 @@ class HilbertSlackReport:
 
 
 def verify_hilbert_lower_bound(arr: Arrangement, m: int, costs: Sequence,
-                               coordinate_subset: Sequence[int], *,
-                               qm_budget: int = DEFAULT_QM_BUDGET) -> HilbertSlackReport:
+                               coordinate_subset: Sequence[int]) -> HilbertSlackReport:
     """Exact slack of S/(mH) >= (sum of the subset costs)/(n+1) - (2n+1) Delta max(c) / m.
 
     Requires m to exceed the image-degree bound and the n+1 chosen
@@ -366,12 +359,8 @@ def verify_hilbert_lower_bound(arr: Arrangement, m: int, costs: Sequence,
     gens = list(arr.variety_generators) + [arr.forms[i - 1] for i in subset]
     if ideal_dimension(Ideal(gens, nvars=arr.M + 1, max_steps=arr.gb_steps)) != -1:
         raise ValueError("the chosen coordinate hypersurfaces do not cut V to the empty set")
+    hw = hilbert_weight(arr, m, costs)
     costs = [Fraction(c) for c in costs]
-    if len(costs) != arr.q:
-        raise ValueError(f"cost vector must have length q = {arr.q}")
-    if any(c < 0 for c in costs):
-        raise ValueError("costs must be nonnegative")
-    hw = hilbert_weight(arr, m, costs, qm_budget=qm_budget)
     lhs = hw.S / (m * hw.H)
     cmax = max(costs)
     rhs = (sum((costs[i - 1] for i in subset), Fraction(0)) / (arr.n + 1)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -27,8 +26,8 @@ from .errors import QuadratureError, VerificationError
 from .geometry import Arrangement, PositionReport, check_subgeneral_position
 from .linalg import Echelon
 from .poly import Polynomial, products_of_degree
-from .rootfind import CLUSTER_TOL, poly_roots_with_multiplicity, zeros_in_disk
-from .univar import UnivariatePoly, poly_gcd_many
+from .rootfind import CLUSTER_TOL, poly_roots_with_multiplicity, root_key, zeros_in_disk
+from .univar import QQI_ZERO, QQi, UnivariatePoly, poly_gcd_many
 
 DEFAULT_QUAD_TOL = 1e-9
 QUAD_K0 = 6
@@ -122,6 +121,17 @@ def _circle_average(base, integrand, r: float, *, tol: float) -> tuple[float, fl
     return result
 
 
+def _checked_radii(radii: Sequence[float], tol: float) -> list[float]:
+    """The radii in ascending order, each checked to be finite and >= 1, after
+    checking that the quadrature tolerance is a positive finite number."""
+    radii = sorted(float(r) for r in radii)
+    if not radii or not all(1 <= r < math.inf for r in radii):
+        raise ValueError("radii must be finite and >= 1")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"quadrature tolerance must be a positive finite number, got {tol}")
+    return radii
+
+
 def _log_max(values) -> np.ndarray:
     """Integrand of T(r) from `circle_values` output: log max_i |f_i|."""
     L, _ = values
@@ -155,9 +165,8 @@ class ZeroDivisor:
     entries: tuple[tuple[complex, int], ...]
     radius_of_validity: float
 
-    def total_multiplicity(self, within: float | None = None) -> int:
-        return sum(k for z, k in self.entries
-                   if within is None or abs(z) < within)
+    def total_multiplicity(self) -> int:
+        return sum(k for _, k in self.entries)
 
     def as_dict(self) -> dict:
         return {
@@ -168,8 +177,7 @@ class ZeroDivisor:
 
 def characteristic(curve: ProjectiveCurve, r: float, *, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Circle average of log max_i |f_i| at radius r."""
-    if r < 1:
-        raise ValueError("radius must be >= 1")
+    [r] = _checked_radii([r], tol)
     value, _ = _circle_average(curve.circle_values, _log_max, r, tol=tol)
     return value
 
@@ -194,18 +202,17 @@ def zero_divisor(obj, radius: float | None = None) -> ZeroDivisor:
 def counting_function(divisor: ZeroDivisor, r: float, truncation: int | None = None) -> float:
     """Logarithmically weighted zero count from radius 1: zeros inside the
     unit disk contribute log r, others log(r/|z|), multiplicities capped at
-    the truncation level."""
+    the truncation level (None: untruncated)."""
     if r < 1:
         raise ValueError("radius must be >= 1")
     if r > divisor.radius_of_validity * (1 + 1e-12):
         raise ValueError(f"radius {r} exceeds divisor validity {divisor.radius_of_validity}")
-    finite_level = truncation is not None and truncation != math.inf
-    if finite_level and truncation < 1:
+    if truncation is not None and truncation < 1:
         raise ValueError("truncation level must be >= 1")
     total = 0.0
     for z, k in divisor.entries:
-        if finite_level:
-            k = min(k, int(truncation))
+        if truncation is not None:
+            k = min(k, truncation)
         a = abs(z)
         if a < 1:
             total += k * math.log(r)
@@ -217,8 +224,7 @@ def counting_function(divisor: ZeroDivisor, r: float, truncation: int | None = N
 def proximity(curve: ProjectiveCurve, target: Polynomial, r: float, *,
               tol: float = DEFAULT_QUAD_TOL) -> float:
     """Circle average of log(||f||^d ||Q|| / |Q(f)|) for a homogeneous target Q."""
-    if r < 1:
-        raise ValueError("radius must be >= 1")
+    [r] = _checked_radii([r], tol)
     if target.is_zero or not target.is_homogeneous:
         raise ValueError("target must be nonzero homogeneous")
     if target.nvars != curve.ambient_dim + 1:
@@ -259,11 +265,16 @@ def jensen_check(phi: CurveCoordinate | UnivariatePoly, radii: Sequence[float], 
         phi = CurveCoordinate.from_poly(phi)
     if phi.is_zero:
         raise ValueError("phi must be nonzero")
-    radii = sorted(float(r) for r in radii)
-    if not radii or radii[0] < 1:
-        raise ValueError("radii must be >= 1")
-    at_zero = phi.eval_array(np.array([0.0 + 0.0j]))[0]
-    if abs(at_zero) < 1e-15:
+    radii = _checked_radii(radii, tol)
+    # phi(0) = sum_p c_p(0) exp(p(0)) with every p(0) in Q(i): the exponentials
+    # of distinct p(0) are linearly independent over the algebraic numbers
+    # (Lindemann-Weierstrass), so phi(0) = 0 exactly when the c_p(0) sum to
+    # zero within every group of equal p(0)
+    at_zero: dict[QQi, QQi] = {}
+    for p, c in phi.terms.items():
+        key = p.coeffs[0] if p.coeffs else QQI_ZERO
+        at_zero[key] = at_zero.get(key, QQI_ZERO) + c.coeffs[0]
+    if all(v.is_zero for v in at_zero.values()):
         raise ValueError("phi(0) = 0: factor out the vanishing power of z first")
     divisor = zero_divisor(phi, radii[-1] * 1.001)
 
@@ -396,7 +407,7 @@ def wronskian_divisor_check(coordinates: Sequence[UnivariatePoly | CurveCoordina
         bound = sum(min(o, M) for o in orders)
         points.append(WronskianPointCheck(center, tuple(orders), product_order,
                                           word, bound, product_order - word <= bound))
-    points.sort(key=lambda p: (round(abs(p.point), 9), round(np.angle(p.point), 9)))
+    points.sort(key=lambda p: root_key(p.point))
     return WronskianReport(tuple(points), all(p.ok for p in points))
 
 
@@ -416,7 +427,9 @@ class CartanReport:
     epsilon: float
     general_position_subsets: int
     rows: tuple[CartanRadiusRow, ...]
-    caveat: str
+
+    caveat = ("the inequality admits an exceptional radius set of finite measure; "
+              "negative slack at isolated radii is recorded, not failed")
 
     def as_dict(self) -> dict:
         return {
@@ -441,9 +454,7 @@ def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
         raise ValueError("this check needs a polynomial curve")
     n = curve.ambient_dim
     eps = float(epsilon)
-    radii = sorted(float(r) for r in radii)
-    if not radii or radii[0] < 1:
-        raise ValueError("radii must be >= 1")
+    radii = _checked_radii(radii, tol)
     for h in hyperplanes:
         if h.is_zero or h.degree != 1 or not h.is_homogeneous:
             raise ValueError("hyperplanes must be nonzero linear forms")
@@ -454,31 +465,18 @@ def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
         raise ValueError("degenerate curve: vanishing Wronskian")
     wdiv = zero_divisor(w) if w.degree >= 1 else ZeroDivisor((), math.inf)
 
-    def coeff_vector(h: Polynomial) -> list[Fraction]:
-        vec = [Fraction(0)] * (n + 1)
-        for mono, c in h.terms.items():
-            vec[mono.index(1)] = c
-        return vec
-
-    vectors = [coeff_vector(h) for h in hyperplanes]
+    vectors = [h.linear_coefficients() for h in hyperplanes]
     ksets = []
     for combo in combinations(range(len(hyperplanes)), n + 1):
         ech = Echelon()
         if all(ech.insert(vectors[i]) for i in combo):
             ksets.append(combo)
-    log_norms = [math.log(float(h.max_abs_coeff())) for h in hyperplanes]
+    proximities = [_proximity_integrand(h) for h in hyperplanes]
 
     def max_sum(values):
-        L, W = values
         if not ksets:
-            return np.zeros(L.shape)
-        terms = []
-        for h, ln in zip(hyperplanes, log_norms):
-            hv = np.abs(h.evaluate_array(list(W)))
-            if not np.all(np.isfinite(hv)) or np.any(hv < VALUE_FLOOR):
-                raise _NearCircleZero
-            terms.append(ln - np.log(hv))
-        stacked = np.stack(terms)
+            return np.zeros(values[0].shape)
+        stacked = np.stack([integrand(values) for integrand in proximities])
         best = None
         for combo in ksets:
             s = stacked[list(combo)].sum(axis=0)
@@ -493,9 +491,7 @@ def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
         lhs = integral + ncount
         rhs = (n + 1 + eps) * T
         rows.append(CartanRadiusRow(r, T, integral, ncount, lhs, rhs, rhs - lhs))
-    caveat = ("the inequality admits an exceptional radius set of finite measure; "
-              "negative slack at isolated radii is recorded, not failed")
-    return CartanReport(eps, len(ksets), tuple(rows), caveat)
+    return CartanReport(eps, len(ksets), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -626,9 +622,7 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
     consistency values d_j T(r) - N(r) - m(r), whose constancy across radii
     is the first-main-theorem check, and explicit caveat notes.
     """
-    radii = sorted(float(r) for r in radii)
-    if not radii or radii[0] < 1:
-        raise ValueError("radii must be >= 1")
+    radii = _checked_radii(radii, tol)
     if position is None:
         position = check_subgeneral_position(arr)
     if not position.ok:
@@ -637,8 +631,7 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
         raise ValueError("curve and arrangement ambient dimensions differ")
     q, n, N = arr.q, arr.n, arr.N
     eps = float(epsilon)
-    mode = ("hyperplane" if all(d == 1 for d in arr.degrees) and not arr.variety_generators
-            else "hypersurface")
+    mode = "hyperplane" if arr.is_linear else "hypersurface"
     if truncations is None:
         trunc_list: list[int | None] = [n if mode == "hyperplane" else None] * q
     else:

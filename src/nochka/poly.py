@@ -23,7 +23,7 @@ from .univar import _join_signed
 Monomial = tuple[int, ...]
 
 DEFAULT_GB_STEPS = 20_000
-DEFAULT_SLICE_BUDGET = 2_000_000
+SLICE_BUDGET = 2_000_000
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -263,6 +263,13 @@ class Polynomial:
                     term = term * values[i] ** e
             total = total + term
         return total
+
+    def linear_coefficients(self) -> list[Fraction]:
+        """Coefficient vector of a linear form, one entry per variable."""
+        vec = [Fraction(0)] * self.nvars
+        for mono, c in self.terms.items():
+            vec[mono.index(1)] = c
+        return vec
 
     def max_abs_coeff(self) -> Fraction:
         return max((abs(c) for c in self.terms.values()), default=Fraction(0))
@@ -508,8 +515,7 @@ def _check_irrelevant(ideal: Ideal) -> None:
     raise VerificationError("leading-term dimension says empty but variable powers do not vanish")
 
 
-def degree_m_slice_rank(ideal: Ideal, m: int,
-                        budget: int = DEFAULT_SLICE_BUDGET) -> int:
+def degree_m_slice_rank(ideal: Ideal, m: int) -> int:
     """Dimension of the degree-m slice of the ideal as a rational vector space.
 
     Equals the count of degree-m monomials divisible by some leading term
@@ -519,8 +525,8 @@ def degree_m_slice_rank(ideal: Ideal, m: int,
     if m < 0:
         raise ValueError("m must be >= 0")
     total = comb(ideal.nvars - 1 + m, m)
-    if total > budget:
-        raise ResourceBudgetError(f"degree-{m} slice has {total} monomials > budget {budget}")
+    if total > SLICE_BUDGET:
+        raise ResourceBudgetError(f"degree-{m} slice has {total} monomials > budget {SLICE_BUDGET}")
     gb = ideal.groebner()
     if not gb:
         return 0

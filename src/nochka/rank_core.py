@@ -264,21 +264,21 @@ class Filtration:
         }
 
 
-def build_filtration(oracle: RankOracle, *, validate: bool = True) -> Filtration:
+def build_filtration(oracle: RankOracle) -> Filtration:
     """Run the minimal-ratio chain construction.
 
     At each step the candidate pool consists of proper supersets R of the
     current end R_s with c(R_s) < c(R) < n+1 whose ratio to R_s stays below
     the terminal threshold; the next link minimizes the ratio, ties broken
     by maximal cardinality and then by lexicographically smallest sorted
-    index tuple.  The returned chain is re-checked exhaustively against the
-    four chain conditions before being returned.
+    index tuple.  The oracle must pass `validate_rank_oracle`, and the
+    returned chain is re-checked exhaustively against the four chain
+    conditions before being returned.
     """
     q, n, N = oracle.q, oracle.n, oracle.N
-    if validate:
-        report = validate_rank_oracle(oracle)
-        if not report.ok:
-            raise VerificationError(f"oracle fails validation: {report.summary()}")
+    report = validate_rank_oracle(oracle)
+    if not report.ok:
+        raise VerificationError(f"oracle fails validation: {report.summary()}")
     if q < 2 * N - n + 1:
         raise ValueError(f"need q >= 2N-n+1 = {2 * N - n + 1}, got q = {q}")
 
@@ -383,14 +383,14 @@ class WeightAssignment:
         }
 
 
-def nochka_weights(oracle: RankOracle, *, validate: bool = True) -> WeightAssignment:
+def nochka_weights(oracle: RankOracle) -> WeightAssignment:
     """Derive weights from the filtration: the i-th ratio on R_i \\ R_{i-1}, theta elsewhere.
 
     The result is verified against all four weight conditions before being
     returned; the completion step of the existence proof is never
     materialized, so the weights depend on the chain and theta alone.
     """
-    filtration = build_filtration(oracle, validate=validate)
+    filtration = build_filtration(oracle)
     omega = [filtration.theta] * oracle.q
     prev: set[int] = set()
     for subset, ratio in zip(filtration.subsets, filtration.ratios):
@@ -450,6 +450,16 @@ def verify_weight_conditions(oracle: RankOracle, weights: WeightAssignment) -> V
     return ValidationReport(all(c.ok for c in checks), tuple(checks))
 
 
+def check_costs(costs: Sequence, q: int) -> list[Fraction]:
+    """The cost vector as Fractions, checked to hold q nonnegative entries."""
+    costs = [Fraction(c) for c in costs]
+    if len(costs) != q:
+        raise ValueError(f"cost vector must have length q = {q}")
+    if any(c < 0 for c in costs):
+        raise ValueError("costs must be nonnegative")
+    return costs
+
+
 def greedy_select(oracle: RankOracle, weights: WeightAssignment,
                   subset: Iterable[int], costs: Sequence) -> tuple[int, ...]:
     """Pick an ordered general-position subfamily of R dominating the weighted cost sum.
@@ -467,11 +477,7 @@ def greedy_select(oracle: RankOracle, weights: WeightAssignment,
     if len(members) > oracle.N + 1:
         raise ValueError(f"#R = {len(members)} exceeds N+1 = {oracle.N + 1}")
     rmask = mask_of(members, q)
-    costs = [Fraction(x) for x in costs]
-    if len(costs) != q:
-        raise ValueError(f"cost vector must have length q = {q}")
-    if any(e < 0 for e in costs):
-        raise ValueError("costs must be nonnegative")
+    costs = check_costs(costs, q)
 
     order = sorted(members, key=lambda j: (-costs[j - 1], j))
     cstar = oracle.c_mask(rmask)

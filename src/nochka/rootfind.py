@@ -21,10 +21,19 @@ CLUSTER_TOL = 1e-8
 NEWTON_TOL = 1e-13
 WINDING_CERT = 0.25
 MIN_BOX = 1e-10
+WINDING_MAX_PASSES = 48
+WINDING_MAX_POINTS = 200_000
+MAX_BOXES = 60_000
+NEWTON_ITERATIONS = 60
 
 
 class ContourNearZero(Exception):
     """A contour sample sits on (or refinement cannot separate it from) a zero."""
+
+
+def root_key(z: complex) -> tuple[float, float]:
+    """Sort key of reported zeros: modulus, then argument, both to 9 places."""
+    return round(abs(z), 9), round(np.angle(z), 9)
 
 
 def _merge_clusters(pairs: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
@@ -36,12 +45,16 @@ def _merge_clusters(pairs: list[tuple[complex, int]]) -> list[tuple[complex, int
                 break
         else:
             merged.append((z, k))
-    merged.sort(key=lambda t: (round(abs(t[0]), 9), round(np.angle(t[0]), 9)))
+    merged.sort(key=lambda t: root_key(t[0]))
     return merged
 
 
 def poly_roots_with_multiplicity(p: UnivariatePoly) -> list[tuple[complex, int]]:
-    """All complex roots with exact multiplicities from the square-free structure."""
+    """All complex roots with exact multiplicities from the square-free structure.
+
+    The square-free factors are pairwise coprime and each has simple roots,
+    so every root found is a distinct zero, however close to another.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
     out: list[tuple[complex, int]] = []
@@ -62,13 +75,13 @@ def poly_roots_with_multiplicity(p: UnivariatePoly) -> list[tuple[complex, int]]
                 if abs(step) < NEWTON_TOL * (1 + abs(z)):
                     break
             out.append((z, mult))
-    return _merge_clusters(out)
+    out.sort(key=lambda t: root_key(t[0]))
+    return out
 
 
 def winding_number(fn: Callable[[np.ndarray], np.ndarray],
                    gamma: Callable[[np.ndarray], np.ndarray],
-                   *, n0: int = 64, max_passes: int = 48,
-                   max_points: int = 200_000) -> int:
+                   *, n0: int = 64) -> int:
     """Winding number of fn along the closed contour gamma: [0,1) -> C.
 
     Samples are refined until consecutive argument steps stay below 1
@@ -81,7 +94,7 @@ def winding_number(fn: Callable[[np.ndarray], np.ndarray],
     t = np.linspace(0.0, 1.0, n0, endpoint=False)
     z = gamma(t)
     v = fn(z)
-    for _ in range(max_passes):
+    for _ in range(WINDING_MAX_PASSES):
         if not np.all(np.isfinite(v)) or np.any(np.abs(v) < 1e-280):
             raise ContourNearZero
         dphi = np.angle(np.roll(v, -1) * np.conj(v))
@@ -96,7 +109,7 @@ def winding_number(fn: Callable[[np.ndarray], np.ndarray],
             if abs(total - count) >= WINDING_CERT:
                 raise ContourNearZero
             return count
-        if t.size + int(bad.sum()) > max_points:
+        if t.size + int(bad.sum()) > WINDING_MAX_POINTS:
             raise ContourNearZero
         nxt = np.roll(t, -1)
         nxt[-1] += 1.0
@@ -146,7 +159,7 @@ _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.56, 0.44, 0.515, 0.485, 0.61)
 
 def zeros_in_disk(fn: Callable[[np.ndarray], np.ndarray],
                   dfn: Callable[[np.ndarray], np.ndarray],
-                  radius: float, *, max_boxes: int = 60_000) -> DiskZeros:
+                  radius: float) -> DiskZeros:
     """All zeros of fn with |z| < radius, via box subdivision with winding counts.
 
     The boundary circle may be inflated by relative steps of 1e-6 when a
@@ -187,8 +200,8 @@ def zeros_in_disk(fn: Callable[[np.ndarray], np.ndarray],
         if count == 0:
             continue
         boxes += 1
-        if boxes > max_boxes:
-            raise ResourceBudgetError(f"box subdivision exceeded {max_boxes} boxes")
+        if boxes > MAX_BOXES:
+            raise ResourceBudgetError(f"box subdivision exceeded {MAX_BOXES} boxes")
         cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
         size = max(x1 - x0, y1 - y0)
         # multi-zero boxes only profit from Newton once they are small enough
@@ -251,7 +264,7 @@ def zeros_in_disk(fn: Callable[[np.ndarray], np.ndarray],
     return DiskZeros(kept, r_used, perturbed, total)
 
 
-def _newton(fn, dfn, z0: complex, *, iterations: int = 60) -> tuple[complex | None, bool]:
+def _newton(fn, dfn, z0: complex) -> tuple[complex | None, bool]:
     """Newton iteration; returns (point, strict).
 
     `strict` marks full-tolerance convergence.  Near a multiple zero the
@@ -261,7 +274,7 @@ def _newton(fn, dfn, z0: complex, *, iterations: int = 60) -> tuple[complex | No
     """
     z = z0
     last = np.inf
-    for _ in range(iterations):
+    for _ in range(NEWTON_ITERATIONS):
         arr = np.array([z])
         d = dfn(arr)[0]
         if d == 0 or not np.isfinite(d):

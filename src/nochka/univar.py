@@ -249,17 +249,17 @@ class UnivariatePoly:
     def numpy_coeffs(self) -> np.ndarray:
         return np.array(self.complex_coeffs, dtype=np.complex128)
 
-    def to_text(self, var: str = "z") -> str:
+    def to_text(self) -> str:
         if self.is_zero:
             return "0"
-        return _join_signed(_signed_monomials(self, var, ""))
+        return _join_signed(_signed_monomials(self, ""))
 
     def __repr__(self) -> str:
         return f"UnivariatePoly({self.to_text()})"
 
 
-def _signed_monomials(p: UnivariatePoly, var: str, suffix: str) -> list[tuple[str, str]]:
-    """(sign, body) per nonzero monomial of p, highest power first; `suffix` ends each body."""
+def _signed_monomials(p: UnivariatePoly, suffix: str) -> list[tuple[str, str]]:
+    """(sign, body) per nonzero monomial of p in z, highest power first; `suffix` ends each body."""
     parts = []
     for k in range(p.degree, -1, -1):
         c = p.coeffs[k]
@@ -271,7 +271,7 @@ def _signed_monomials(p: UnivariatePoly, var: str, suffix: str) -> list[tuple[st
         if k == 0:
             body = _coeff_text(c)
         else:
-            zp = var if k == 1 else f"{var}^{k}"
+            zp = "z" if k == 1 else f"z^{k}"
             body = zp if c == QQI_ONE else f"{_coeff_text(c)}*{zp}"
         parts.append((sign, body + suffix))
     return parts

@@ -67,7 +67,7 @@ def test_criterion_01_weight_soundness(oracle_pool):
     oracles, generation_seconds = oracle_pool
     start = time.perf_counter()
     for oracle in oracles:
-        weights = nochka_weights(oracle, validate=False)
+        weights = nochka_weights(oracle)
         report = verify_weight_conditions(oracle, weights)
         assert report.ok, report.summary()
     elapsed = generation_seconds + time.perf_counter() - start
@@ -97,7 +97,7 @@ def test_criterion_03_greedy_theorem(oracle_pool):
         size = rng.randint(1, min(oracle.q, oracle.N + 1))
         subset = rng.sample(range(1, oracle.q + 1), size)
         costs = [Fraction(rng.randint(0, 8), rng.randint(1, 6)) for _ in range(oracle.q)]
-        weights = nochka_weights(oracle, validate=False)
+        weights = nochka_weights(oracle)
         chosen = greedy_select(oracle, weights, subset, costs)
         assert oracle.c(chosen) == len(chosen) == oracle.c(subset)
         lhs = sum((weights.omega[j - 1] * costs[j - 1] for j in subset), Fraction(0))
@@ -109,7 +109,7 @@ def test_criterion_03_greedy_theorem(oracle_pool):
 
 def _brute_force_weight(arr, m, costs) -> Fraction:
     from nochka.geometry import _degree_m_vectors
-    exps, vectors = _degree_m_vectors(arr, m, 5000)
+    exps, vectors = _degree_m_vectors(arr, m)
     H = hilbert_function(arr, m).H
     weights = [sum((Fraction(e) * Fraction(c) for e, c in zip(exp, costs)), Fraction(0))
                for exp in exps]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nochka.bounds import ParamSet, log10_int, m_zero, q_m, truncation_levels
+from nochka.bounds import ParamSet, m_zero, q_m, truncation_levels
 
 
 def params(n=2, degV=1, N=3, q=12, degrees=None, eps=1):
@@ -62,9 +62,12 @@ class TestQm:
                     assert q_m(q, m) == q_m(q - 1, m) + q_m(q, m - 1)
 
     def test_astronomical_log10(self):
-        value = q_m(12, 9601)
-        assert value > 10 ** 36
-        assert abs(log10_int(value) - (len(str(value)) - 1)) < 1
+        out = truncation_levels(params()).as_dict()
+        assert int(out["qm0"]) > 10 ** 36
+        texts = [out["qm0"]] + out["Lj_bounds"]
+        logs = [out["qm0_log10"]] + out["Lj_bounds_log10"]
+        for text, value in zip(texts, logs):
+            assert abs(value - (len(text) - 1)) < 1
 
 
 class TestTruncationLevels:

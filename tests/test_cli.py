@@ -192,6 +192,13 @@ class TestAnalyticCommands:
         assert payload["max_deviation"] < 1e-6
         assert abs(payload["constant"] - math.log(4)) < 1e-6
 
+    @pytest.mark.parametrize("extra", [["--radii", "nan"], ["--radii", "2,inf"],
+                                       ["--radii", "2", "--quad-tol", "0"],
+                                       ["--radii", "2", "--quad-tol", "nan"]])
+    def test_jensen_bad_radius_or_tolerance_exit_2(self, capsys, extra):
+        assert main(["jensen", "--phi", "z - 1/2", *extra]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
     def test_wronskian_check(self, capsys, parabola_file):
         code, payload = run_json(capsys, ["wronskian-check", "--curve", parabola_file])
         assert code == 0 and payload["ok"]

@@ -64,6 +64,14 @@ class TestCharacteristic:
         with pytest.raises(ValueError):
             characteristic(parabola_curve(), 0.5)
 
+    def test_non_finite_radius_or_tolerance_rejected(self):
+        target = parse_polynomial("x0", V3)
+        for r, tol in ((math.nan, 1e-9), (math.inf, 1e-9), (2.0, 0.0), (2.0, math.nan)):
+            with pytest.raises(ValueError):
+                characteristic(parabola_curve(), r, tol=tol)
+            with pytest.raises(ValueError):
+                proximity(parabola_curve(), target, r, tol=tol)
+
 
 class _Counted:
     """A synthetic integrand that counts the levels it sees."""
@@ -268,6 +276,12 @@ class TestCounting:
         # slope in log r is the zero count inside radius r: nondecreasing
         assert all(x <= y + 1e-12 for x, y in zip(slopes, slopes[1:]))
 
+    def test_close_roots_stay_distinct(self):
+        # (z - 1)(z - 1 - 10^-9) has two simple zeros, however close they are
+        div = zero_divisor(up(-1, 1) * up(-1 - Fraction(1, 10 ** 9), 1))
+        assert [k for _, k in div.entries] == [1, 1]
+        assert counting_function(div, 10, 1) == pytest.approx(2 * math.log(10), abs=1e-6)
+
     def test_validity_radius_enforced(self):
         g = CurveCoordinate.from_terms([ExpTerm(QQi(1), 0, up(0, 1)),
                                         ExpTerm(QQi(-1), 0, UnivariatePoly())])
@@ -323,6 +337,14 @@ class TestJensen:
     def test_phi_vanishing_at_origin_rejected(self):
         with pytest.raises(ValueError):
             jensen_check(up(0, 1), [2, 4])
+
+    def test_phi_at_origin_decided_exactly(self):
+        # phi(0) = 10^-20 is tiny but not zero
+        report = jensen_check(parse_coordinate("1/100000000000000000000 + z"), [2, 4])
+        assert report.max_deviation < 1e-6
+        for text in ("exp(z) - 1", "exp(z) - exp(2*z) + z"):
+            with pytest.raises(ValueError, match="phi\\(0\\) = 0"):
+                jensen_check(parse_coordinate(text), [2, 4])
 
     def test_transcendental(self):
         phi = CurveCoordinate.from_terms([ExpTerm(QQi(1), 0, up(0, 1)),

@@ -337,14 +337,14 @@ class TestProperties:
     def test_valid_oracles_always_get_verified_weights(self, oracle):
         report = validate_rank_oracle(oracle)
         assume(report.ok)
-        weights = nochka_weights(oracle, validate=False)
+        weights = nochka_weights(oracle)
         assert verify_weight_conditions(oracle, weights).ok
 
     @given(matroid_oracles(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_greedy_postconditions_and_scaling(self, oracle, data):
         assume(validate_rank_oracle(oracle).ok)
-        weights = nochka_weights(oracle, validate=False)
+        weights = nochka_weights(oracle)
         size = data.draw(st.integers(1, min(oracle.q, oracle.N + 1)))
         subset = data.draw(st.permutations(range(1, oracle.q + 1)))[:size]
         costs = data.draw(st.lists(
@@ -363,4 +363,4 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_filtration_reruns_identical(self, oracle):
         assume(validate_rank_oracle(oracle).ok)
-        assert build_filtration(oracle, validate=False) == build_filtration(oracle, validate=False)
+        assert build_filtration(oracle) == build_filtration(oracle)
