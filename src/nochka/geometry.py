@@ -12,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import ParseError, ResourceBudgetError, VerificationError
-from .linalg import Echelon, primitive
-from .poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension,
-                   monomials_of_degree, parse_polynomial, products_of_degree)
+from .linalg import Echelon
+from .poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension, monomials_of_degree,
+                   mul_packed, pack_terms, parse_polynomial, products_of_degree,
+                   unpack_monomial)
 from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle, ValidationReport,
                         _set_str, check_costs, linear_matroid_oracle, validate_rank_oracle)
 
@@ -131,18 +133,23 @@ class Arrangement:
 def codim_oracle(arr: Arrangement) -> RankOracle:
     """Rank oracle with c(R) = n - dim(V cut by the R-indexed hypersurfaces).
 
-    Empty intersections give dimension -1, hence c = n+1.  Hyperplanes of
-    the whole space (no variety generators, every form of degree 1) get
-    exact ranks with no Groebner work: there c(R) = M - dim is the rank of
-    the coefficient vectors of R, read by `linear_matroid_oracle`.
-    Otherwise the table is filled by Groebner dimension computations in
-    order of subset size with monotone pruning: supersets of a spanning
-    subset are spanning.
+    Empty intersections give dimension -1, hence c = n+1.  On the whole
+    space (no variety generators) a subset of hyperplanes has c(R) = M - dim,
+    the rank of its coefficient vectors, so it needs no Groebner work:
+    all-hyperplane arrangements are read by `linear_matroid_oracle`, and in
+    a mixed arrangement each all-hyperplane subset gets its rank from an
+    `Echelon`.  The other subsets are filled by Groebner dimension
+    computations in order of subset size with monotone pruning: supersets
+    of a spanning subset are spanning.
     """
     q, n = arr.q, arr.n
     forms = arr.forms
     if arr.is_linear:
         return linear_matroid_oracle([p.linear_coefficients() for p in forms], arr.N)
+    lines = {}
+    if not arr.variety_generators:
+        lines = {j: p.linear_coefficients() for j, p in enumerate(forms) if p.degree == 1}
+    line_mask = sum(1 << j for j in lines)
     base = list(arr.variety_generators)
     table = [0] * (1 << q)
     by_size: list[list[int]] = [[] for _ in range(q + 1)]
@@ -160,6 +167,13 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
                 m ^= low
             if pruned:
                 table[mask] = n + 1
+                continue
+            if mask & line_mask == mask:
+                ech = Echelon()
+                for j, coeffs in lines.items():
+                    if mask >> j & 1:
+                        ech.insert(coeffs)
+                table[mask] = ech.rank
                 continue
             gens = base + [forms[j] for j in range(q) if mask >> j & 1]
             dim = ideal_dimension(Ideal(gens, nvars=arr.M + 1, max_steps=arr.gb_steps))
@@ -238,21 +252,39 @@ def _degree_m_vectors(arr: Arrangement,
                       m: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Exponent vectors of degree m and, for each, the content-free integer
     coefficient vector of the product of normalized forms, reduced modulo the
-    variety ideal."""
+    variety ideal.
+
+    Products are taken over the integers on packed monomials (`mul_packed`):
+    each one is a positive multiple of the rational product, which leaves
+    every rank and every greedy choice made on the rows unchanged.  Modulo a
+    variety, each product is unpacked, reduced by `Ideal.normal_form` and
+    packed again.
+    """
     total = comb(arr.q + m - 1, m)
     if total > QM_BUDGET:
         raise ResourceBudgetError(f"q_m = {total} exceeds budget {QM_BUDGET}")
     exponents = list(monomials_of_degree(arr.q, m))
-    reduce = arr.variety_ideal().normal_form if arr.variety_generators else None
-    reduced = list(products_of_degree(arr.normalized_forms(), m, reduce))
-    support = sorted({mono for p in reduced for mono in p.terms}, reverse=True)
-    index = {mono: i for i, mono in enumerate(support)}
+    base = m * arr.lcm_degree + 1  # a digit holds any exponent of a degree-md monomial
+    forms = [pack_terms(f, base) for f in arr.normalized_forms()]
+    if arr.variety_generators:
+        ideal, nvars = arr.variety_ideal(), arr.M + 1
+
+        def reduce(p: dict[int, int]) -> dict[int, int]:
+            unpacked = {unpack_monomial(k, base, nvars): c for k, c in p.items()}
+            return pack_terms(ideal.normal_form(Polynomial(nvars, unpacked)), base)
+
+        forms = [reduce(f) for f in forms]
+        products = products_of_degree(forms, m, lambda a, b: reduce(mul_packed(a, b)))
+    else:
+        products = products_of_degree(forms, m, mul_packed)
+    support = sorted({k for p in products for k in p}, reverse=True)
+    index = {k: i for i, k in enumerate(support)}
     vectors = []
-    for p in reduced:
+    for p in products:
         row = [0] * len(support)
-        for mono, coeff in p.terms.items():
-            row[index[mono]] = coeff
-        vectors.append(primitive(row))
+        for k, c in p.items():
+            row[index[k]] = c
+        vectors.append(tuple(row))
     return exponents, vectors
 
 
@@ -301,15 +333,18 @@ def hilbert_weight(arr: Arrangement, m: int, costs: Sequence) -> HilbertWeightRe
     """
     costs = check_costs(costs, arr.q)
     exponents, vectors = _degree_m_vectors(arr, m)
-    weights = [sum((Fraction(e) * c for e, c in zip(exp, costs)), Fraction(0))
-               for exp in exponents]
-    order = sorted(range(len(exponents)), key=lambda i: (-weights[i], i))
+    # integer weights: the costs times the lcm of their denominators
+    den = lcm(*(c.denominator for c in costs))
+    scaled = [c.numerator * (den // c.denominator) for c in costs]
+    weights = [sum(map(mul, exp, scaled)) for exp in exponents]
+    # a stable descending sort keeps ties in ascending index order
+    order = sorted(range(len(exponents)), key=weights.__getitem__, reverse=True)
     ech = Echelon()
     chosen: list[int] = []
     for i in order:
         if ech.insert(vectors[i]):
             chosen.append(i)
-    S = sum((weights[i] for i in chosen), Fraction(0))
+    S = Fraction(sum(weights[i] for i in chosen), den)
     return HilbertWeightResult(m, len(chosen), S,
                                tuple(exponents[i] for i in sorted(chosen)))
 

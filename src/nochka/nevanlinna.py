@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -203,8 +204,8 @@ def counting_function(divisor: ZeroDivisor, r: float, truncation: int | None = N
     """Logarithmically weighted zero count from radius 1: zeros inside the
     unit disk contribute log r, others log(r/|z|), multiplicities capped at
     the truncation level (None: untruncated)."""
-    if r < 1:
-        raise ValueError("radius must be >= 1")
+    if not 1 <= r < math.inf:
+        raise ValueError("radius must be finite and >= 1")
     if r > divisor.radius_of_validity * (1 + 1e-12):
         raise ValueError(f"radius {r} exceeds divisor validity {divisor.radius_of_validity}")
     if truncation is not None and truncation < 1:
@@ -509,29 +510,62 @@ class LiftResult:
                 "relation_dim": self.relation_dim, "degenerate": self.degenerate}
 
 
+def _gaussian_integer_form(p: UnivariatePoly) -> tuple[list[int], list[int], int]:
+    """(re, im, den) with p = (re + i*im) / den: integer coefficient lists, low
+    to high, over the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for c in p.coeffs for x in (c.re, c.im)))
+    return ([c.re.numerator * (den // c.re.denominator) for c in p.coeffs],
+            [c.im.numerator * (den // c.im.denominator) for c in p.coeffs], den)
+
+
+def _gaussian_mul(a: tuple, b: tuple) -> tuple[list[int], list[int], int]:
+    """Product of two `_gaussian_integer_form`s."""
+    ar, ai, ad = a
+    br, bi, bd = b
+    if not ar or not br:
+        return [], [], ad * bd
+    re = [0] * (len(ar) + len(br) - 1)
+    im = re.copy()
+    right = list(zip(br, bi))
+    for i, (x, y) in enumerate(zip(ar, ai)):
+        if x or y:
+            for k, (u, v) in enumerate(right, i):
+                re[k] += x * u - y * v
+                im[k] += x * v + y * u
+    return re, im, ad * bd
+
+
 def lift_curve(curve: ProjectiveCurve, arr: Arrangement, m: int) -> LiftResult:
     """Compose all degree-m monomials in the normalized forms with the curve and
-    measure the space of linear forms vanishing on the lifted coordinates."""
+    measure the space of linear forms vanishing on the lifted coordinates.
+
+    Products are taken over the Gaussian integers with one denominator each;
+    a coordinate becomes a `UnivariatePoly` over Q(i) once, at the end."""
     if not curve.all_polynomial:
         raise ValueError("lifting needs a polynomial curve")
     if curve.ambient_dim != arr.M:
         raise ValueError("curve and arrangement ambient dimensions differ")
     if m < 1:
         raise ValueError("m must be >= 1")
-    composed = [compose(f, curve).poly for f in arr.normalized_forms()]
-    coords = list(products_of_degree(composed, m))
-    width = max((c.degree for c in coords), default=-1) + 1
+    composed = [_gaussian_integer_form(compose(f, curve).poly) for f in arr.normalized_forms()]
+    products = products_of_degree(composed, m, _gaussian_mul)
+    width = max(len(re) for re, _, _ in products)
     # Rank over Q(i) by realification: w -> [Re w ; Im w] is Q-linear and
     # injective and carries the Q(i)-span of the coordinates onto the Q-span
     # of the images of w and i*w.  That Q-span is closed under w -> i*w, so
-    # the image of i*w is independent exactly when the image of w is.
+    # the image of i*w is independent exactly when the image of w is.  Each
+    # row is the image of den*w, a positive multiple, which leaves the rank.
     ech = Echelon()
-    for c in coords:
-        pad = [0] * (width - len(c.coeffs))
-        re = [x.re for x in c.coeffs] + pad
-        im = [x.im for x in c.coeffs] + pad
-        if ech.insert(re + im):
-            ech.insert([-x for x in im] + re)
+    coords = []
+    for re, im, den in products:
+        if den == 1:  # Fraction(x, den) would pay for a gcd on every coefficient
+            coords.append(UnivariatePoly([QQi(x, y) for x, y in zip(re, im)]))
+        else:
+            coords.append(UnivariatePoly([QQi(Fraction(x, den), Fraction(y, den))
+                                          for x, y in zip(re, im)]))
+        pad = [0] * (width - len(re))
+        if ech.insert(re + pad + im + pad):
+            ech.insert([-y for y in im] + pad + re + pad)
     rank = ech.rank // 2
     q_m = len(coords)
     return LiftResult(tuple(coords), q_m, rank, q_m - rank, q_m - rank >= q_m - 1)

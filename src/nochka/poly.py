@@ -5,6 +5,13 @@ Monomials are exponent tuples; a polynomial maps monomials to nonzero
 feeding position checks must never see floating point.  The term order is
 degree-reverse-lexicographic throughout: leading terms, division, Groebner
 bases and printed term order all use `key_degrevlex`.
+
+Families of products (`products_of_degree`, behind the Hilbert rows) are
+built over the integers: `pack_terms` scales a polynomial to a content-free
+integer one and packs each monomial into one integer (`pack_monomial`), and
+`mul_packed` multiplies.  Each product is a positive multiple of the
+rational one, so `Fraction` appears only at the boundary: where forms come
+in, and where a product is reduced modulo a variety by `normal_form`.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ParseError, ResourceBudgetError, VerificationError
+from .linalg import primitive
 from .univar import _join_signed
 
 Monomial = tuple[int, ...]
@@ -57,32 +65,41 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
             yield (first,) + rest
 
 
-def products_of_degree(factors: Sequence, degree: int,
-                       reduce: Callable | None = None) -> Iterator:
+def products_of_degree(factors: Sequence, degree: int, mul: Callable) -> list:
     """The products of `degree` factors, one per exponent vector of
     `monomials_of_degree(len(factors), degree)` and in its order.
 
-    Each product is its prefix times one factor: a depth-first walk over
+    Each product is mul(prefix, factor): a depth-first walk over
     non-decreasing factor-index sequences holds only `degree` partial
-    products at a time.  `reduce`, when given, is applied after every
-    multiplication; it must satisfy reduce(reduce(a) * b) == reduce(a * b),
-    as the normal form modulo a Groebner basis does.
+    products at a time.  Callers bring their own representation and `mul`
+    (see `mul_packed`).  A `mul` may fold in a normal form modulo a Groebner
+    basis, taken up to a nonzero scalar; the factors must then be reduced
+    already, as the walk returns each one unchanged when `degree` is 1.
+    The walk keeps an explicit stack, not a recursive closure: a nested
+    function that refers to itself is a reference cycle, and it would keep
+    the products alive until the next full garbage collection.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    q = len(factors)
-
-    def walk(prefix, start: int, left: int):
-        for j in range(start, q):
-            p = factors[j] if prefix is None else prefix * factors[j]
-            if reduce is not None:
-                p = reduce(p)
-            if left == 1:
-                yield p
-            else:
-                yield from walk(p, j, left - 1)
-
-    return walk(None, 0, degree)
+    last = len(factors) - 1
+    if last < 0:
+        return []
+    index = [0] * degree
+    prefix = [factors[0]] * degree
+    for level in range(1, degree):
+        prefix[level] = mul(prefix[level - 1], factors[0])
+    products = []
+    while True:
+        products.append(prefix[-1])
+        level = degree - 1
+        while index[level] == last:
+            level -= 1
+            if level < 0:
+                return products
+        j = index[level] + 1
+        for t in range(level, degree):
+            index[t] = j
+            prefix[t] = factors[j] if t == 0 else mul(prefix[t - 1], factors[j])
 
 
 class Polynomial:
@@ -344,6 +361,51 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
         else:
             remainder[m] = c
     return Polynomial._clean(p.nvars, remainder)
+
+
+def pack_monomial(mono: Monomial, base: int) -> int:
+    """The exponents as digits in `base`, x0 the most significant digit.
+
+    When every exponent is below `base`, packing is injective, adding packed
+    keys multiplies monomials, and descending packed order is descending
+    exponent-tuple order.
+    """
+    key = 0
+    for e in mono:
+        key = key * base + e
+    return key
+
+
+def unpack_monomial(key: int, base: int, nvars: int) -> Monomial:
+    digits = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        key, digits[i] = divmod(key, base)
+    return tuple(digits)
+
+
+def pack_terms(p: Polynomial, base: int) -> dict[int, int]:
+    """p times the positive rational that makes it a content-free integer
+    polynomial, as a dict from packed monomial (`pack_monomial`) to `int`.
+    Every exponent of p must be below `base`, or two monomials may share a
+    key."""
+    return dict(zip((pack_monomial(m, base) for m in p.terms),
+                    primitive(list(p.terms.values()))))
+
+
+def mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two packed integer polynomials; every exponent of the
+    product must stay below the packing base.  The product of content-free
+    polynomials is content-free (Gauss's lemma)."""
+    out: dict[int, int] = {}
+    get = out.get
+    right = list(b.items())
+    for ka, ca in a.items():
+        for kb, cb in right:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    return out
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -14,7 +14,7 @@ from nochka.geometry import (Arrangement, check_subgeneral_position, codim_oracl
                              format_arrangement, hilbert_function, hilbert_weight,
                              parse_arrangement, verify_hilbert_lower_bound)
 from nochka.linalg import Echelon
-from nochka.poly import Ideal, ideal_dimension, parse_polynomial
+from nochka.poly import Ideal, ideal_dimension, monomials_of_degree, parse_polynomial
 from nochka.rank_core import validate_rank_oracle
 
 V3 = ("x0", "x1", "x2")
@@ -96,6 +96,42 @@ class TestCodimOracle:
             for subset, c in pinned.items():
                 assert oracle.c(subset) == c
 
+    def test_all_line_subsets_of_a_mixed_arrangement_skip_groebner(self, monkeypatch):
+        arr = Arrangement(2, 2, 1, 2, (), tuple(
+            (f"H{i}", parse_polynomial(t, V3)) for i, t in
+            enumerate(("x0*x2 - x1^2", "x0", "x1 + x2", "x0 + x1 + x2", "2*x0"), 1)), V3)
+        expected = groebner_codims(arr)
+        calls = []
+
+        def counted(ideal):
+            calls.append(ideal)
+            return ideal_dimension(ideal)
+
+        monkeypatch.setattr(geometry, "ideal_dimension", counted)
+        oracle = codim_oracle(arr)
+        assert oracle.table == expected
+        conic = arr.forms[0]
+        assert calls and all(conic in ideal.generators for ideal in calls)
+
+    def test_intro_fixture_all_line_subsets(self, monkeypatch):
+        arr = generate_intro_fixture(1).arrangement
+        calls = []
+
+        def counted(ideal):
+            calls.append(ideal)
+            return ideal_dimension(ideal)
+
+        monkeypatch.setattr(geometry, "ideal_dimension", counted)
+        oracle = codim_oracle(arr)
+        assert len(calls) == 169  # 298 before all-line subsets took exact ranks
+        assert all(any(g.degree > 1 for g in ideal.generators) for ideal in calls)
+        monkeypatch.undo()
+        lines = [j for j, d in enumerate(arr.degrees) if d == 1]
+        for size in range(1, len(lines) + 1):
+            for subset in combinations(lines, size):
+                ideal = Ideal([arr.forms[j] for j in subset], nvars=3)
+                assert oracle.table[sum(1 << j for j in subset)] == 2 - ideal_dimension(ideal)
+
     def test_lines_on_a_variety_use_groebner(self, monkeypatch):
         conic = parse_polynomial("x0*x2 - x1^2", V3)
         hyps = tuple((f"H{i}", parse_polynomial(t, V3))
@@ -163,6 +199,36 @@ class TestPositionCheck:
                 assert next(c.ok for c in report.checks if c.axiom == axiom)
 
 
+V4 = ("x0", "x1", "x2", "x3")
+
+
+def conic_lines_arrangement(conic: str = "x0*x2 - x1^2") -> Arrangement:
+    """A conic, carried by the three coordinate lines."""
+    hyps = tuple((f"H{i}", parse_polynomial(v, V3)) for i, v in enumerate(V3, 1))
+    return Arrangement(2, 1, 2, 1, (parse_polynomial(conic, V3),), hyps, V3)
+
+
+def twisted_cubic_arrangement() -> Arrangement:
+    gens = tuple(parse_polynomial(t, V4) for t in ("x0*x2 - x1^2", "x1*x3 - x2^2",
+                                                    "x0*x3 - x1*x2"))
+    hyps = tuple((name, parse_polynomial(t, V4)) for name, t in
+                 (("H0", "1/2*x0 - 3*x2"), ("H1", "x3^2 - 2/3*x1*x2"), ("H2", "x0 + x1 + x3")))
+    return Arrangement(3, 1, 3, 2, gens, hyps, V4)
+
+
+def fraction_rows(arr: Arrangement, m: int) -> list[dict]:
+    """Reference rows: each degree-m product of the normalized forms in
+    `Fraction` arithmetic, reduced by `Ideal.normal_form`, as a term dict."""
+    forms = arr.normalized_forms()
+    rows = []
+    for combo in combinations_with_replacement(range(arr.q), m):
+        p = forms[combo[0]]
+        for j in combo[1:]:
+            p = p * forms[j]
+        rows.append(arr.variety_ideal().normal_form(p).terms)
+    return rows
+
+
 class TestHilbertFunction:
     def test_three_point_m2(self):
         data = hilbert_function(three_point_arrangement(), 2)
@@ -186,6 +252,28 @@ class TestHilbertFunction:
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
             hilbert_function(pencil_lines_arrangement(), 7)
+
+    @pytest.mark.parametrize("make", [pencil_lines_arrangement, conic_lines_arrangement,
+                                      lambda: conic_lines_arrangement("2*x0*x2 - 3*x1^2"),
+                                      twisted_cubic_arrangement],
+                             ids=["pencil", "conic", "scaled-conic", "twisted-cubic"])
+    def test_integer_rows_are_multiples_of_fraction_rows(self, make):
+        # each row is a nonzero multiple of the rational product's normal form,
+        # in descending-monomial column order, and content-free
+        from nochka.geometry import _degree_m_vectors
+        arr = make()
+        for m in range(1, 5):
+            exps, vectors = _degree_m_vectors(arr, m)
+            assert exps == list(monomials_of_degree(arr.q, m))
+            reference = fraction_rows(arr, m)
+            support = sorted({mono for row in reference for mono in row}, reverse=True)
+            assert len(vectors) == len(reference)
+            for vec, row in zip(vectors, reference):
+                assert all(isinstance(x, int) for x in vec)
+                nonzero = {support[i]: x for i, x in enumerate(vec) if x}
+                assert nonzero.keys() == row.keys()
+                assert len({Fraction(x) / row[mono] for mono, x in nonzero.items()}) <= 1
+                assert math.gcd(*vec) == (1 if row else 0)
 
     def test_reruns_identical(self):
         arr = three_point_arrangement()
@@ -258,6 +346,17 @@ class TestHilbertWeight:
         assert result.H == 3
         assert result.S == sum((Fraction(e) * c for exp in result.basis
                                 for e, c in zip(exp, costs)), Fraction(0))
+
+    def test_integer_weights_match_fraction_brute_force(self):
+        # cost denominators 2, 3 and 7 are cleared by one lcm of 42
+        arr = plane_lines("x0", "x1", "x2", "x0 + x1", N=2)
+        for costs in ([Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(3, 2)],
+                      [Fraction(1, 7), Fraction(0), Fraction(1, 3), Fraction(1, 7)],
+                      [Fraction(5, 3), Fraction(1, 2), Fraction(4, 7), 1]):
+            result = hilbert_weight(arr, 2, costs)
+            assert result.S == brute_force_max_weight(arr, 2, costs)
+            assert result.S == sum((Fraction(e) * Fraction(c) for exp in result.basis
+                                    for e, c in zip(exp, costs)), Fraction(0))
 
     def test_matches_brute_force_on_small_cases(self):
         import random

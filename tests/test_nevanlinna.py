@@ -1,8 +1,10 @@
 """Characteristic, divisors, counting, proximity, Jensen, Wronskian, reports."""
 
+import gc
 import math
 import weakref
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from nochka.curves import (CurveCoordinate, ExpTerm, ProjectiveCurve, compose,
 from nochka.errors import QuadratureError
 from nochka.fixtures import (exp_curve, generate_intro_fixture, parabola_curve,
                              pencil_lines_arrangement, three_point_arrangement)
-from nochka.geometry import hilbert_function, parse_arrangement
+from nochka.geometry import Arrangement, hilbert_function, hilbert_weight, parse_arrangement
 from nochka.nevanlinna import (PERTURB_FACTOR, QUAD_K0, QUAD_KMAX, _averaged_with_perturbation,
                                _circle_average, _circle_averages, _NearCircleZero,
                                cartan_ru_check, characteristic, counting_function,
@@ -252,6 +254,11 @@ class TestCounting:
         for r in (2.0, 5.0, 13.0):
             assert counting_function(div, r) == pytest.approx(math.log(r), abs=1e-12)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.5])
+    def test_radius_must_be_finite_and_at_least_one(self, r):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            counting_function(zero_divisor(up(-2, 1)), r)
+
     def test_monotone_in_radius_and_truncation(self):
         div = zero_divisor(up(-2, 1) ** 3 * up(3, 1) * up(-5, 1))
         values = [counting_function(div, r) for r in (1.0, 2.0, 4.0, 8.0, 16.0)]
@@ -451,7 +458,6 @@ class TestLift:
     def test_identity_on_curved_variety(self):
         # (1 : z : z^2) parametrizes the plane conic; lifting through the
         # coordinate lines must see exactly the conic's coordinate ring
-        from nochka.geometry import Arrangement
         conic = parse_polynomial("x0*x2 - x1^2", V3)
         hyps = tuple((f"H{i}", parse_polynomial(v, V3)) for i, v in enumerate(V3, 1))
         arr = Arrangement(2, 1, 2, 1, (conic,), hyps, V3)
@@ -470,6 +476,55 @@ class TestLift:
             for m in (1, 2, 3):
                 lifted = lift_curve(curve, arr, m)
                 assert lifted.q_m - lifted.relation_dim == 2 * m + 1
+
+    def test_coordinates_equal_fraction_products(self):
+        # Q(i) coefficients with denominators and non-real parts on both sides
+        # of each product; the reference multiplies `UnivariatePoly`s over QQi
+        i = QQi(0, 1)
+        curve = poly_curve(up(1), up(Fraction(1, 2), i), up(3, 0, Fraction(2, 3) - i))
+        arr = pencil_lines_arrangement()
+        composed = [compose(f, curve).poly for f in arr.normalized_forms()]
+        for m in (1, 2, 3):
+            expected = []
+            for combo in combinations_with_replacement(composed, m):
+                p = combo[0]
+                for f in combo[1:]:
+                    p = p * f
+                expected.append(p)
+            lifted = lift_curve(curve, arr, m)
+            assert lifted.coordinates == tuple(expected)
+            assert lifted.q_m - lifted.relation_dim == 2 * m + 1
+
+    def test_identically_zero_coordinate(self):
+        # x1 + x2 vanishes on (1 : z : -z): the rank counts the span of the
+        # nonzero products only
+        arr = pencil_lines_arrangement()
+        curve = poly_curve(up(1), up(0, 1), up(0, -1))
+        lifted = lift_curve(curve, arr, 2)
+        assert (lifted.q_m, lifted.rank) == (45, 3)
+        assert sum(c.is_zero for c in lifted.coordinates) == 9
+
+
+class TestNoGarbageCycles:
+    def test_products_are_freed_without_the_cycle_collector(self):
+        # a reference cycle would keep every product alive until a full
+        # collection and raise peak memory
+        conic = parse_polynomial("x0*x2 - x1^2", V3)
+        hyps = tuple((f"H{k}", parse_polynomial(v, V3)) for k, v in enumerate(V3, 1))
+        conic_arr = Arrangement(2, 1, 2, 1, (conic,), hyps, V3)
+        pencil = pencil_lines_arrangement()
+        curve = parabola_curve()
+        conic_arr.variety_ideal().groebner()
+        gc.collect()
+        gc.disable()
+        try:
+            hilbert_function(pencil, 3)
+            hilbert_function(conic_arr, 3)
+            hilbert_weight(pencil, 3, [Fraction(k, 3) for k in range(9)])
+            lift_curve(curve, pencil, 2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSMTReport:
@@ -497,7 +552,6 @@ class TestSMTReport:
                        Fraction(1, 2), [0.5, 10])
 
     def test_caveats_present_for_polynomial_hypersurface_mode(self):
-        from nochka.geometry import Arrangement
         hyps = tuple((f"Q{i}", parse_polynomial(f"x{i}^2", V3)) for i in range(3))
         arr = Arrangement(2, 2, 1, 2, (), hyps, V3)
         report = smt_report(parabola_curve(), arr, Fraction(1), [10])
