@@ -4,10 +4,14 @@ Characteristic and proximity are circle averages computed by doubling
 trapezoid quadrature (spectrally accurate for periodic integrands).  The
 averages a report needs at one radius share one grid: each level's curve
 samples are computed once, and each integrand stops at its own level, so
-its value equals the one a separate run gives.  Zero divisors are exact
-for polynomial data and argument-principle counts for exponential
-polynomials, with targets Q(f) composed exactly for every curve;
-counting functions are closed forms over divisors.
+its value equals the one a separate run gives.  A sample is singular when
+the integrand is not finite there (for a proximity, also when |Q(w)| <
+1e-250); that integrand alone then runs again at the radius inflated by
+relative 1e-6 steps.  The zero it hit then lies within about 1e-6 r of the
+circle, so the rerun converges only under a loose tolerance.  Zero
+divisors are exact for polynomial data and argument-principle counts for
+exponential polynomials, with targets Q(f) composed exactly for every
+curve; counting functions are closed forms over divisors.
 The report builders evaluate both sides of the main inequalities and
 record slack per radius.
 """
@@ -37,20 +41,17 @@ PERTURB_FACTOR = 1 + 1e-6
 VALUE_FLOOR = 1e-250
 
 
-class _NearCircleZero(Exception):
-    """A quadrature sample landed on (numerically) a zero of the integrand's argument."""
-
-
 def _circle_averages(base, integrands, r: float, *, tol: float) -> list:
     """Means over the circle of radius r of several integrands, by doubling uniform samples.
 
     `base(r, thetas)`, such as `ProjectiveCurve.circle_values`, is computed
-    once per level and shared; each integrand maps it to its own values.
+    once per level and shared; each integrand maps it to its own samples.
     Uniform-sample means on a periodic integrand are the trapezoid rule.
     Each integrand keeps its own running mean and stops once two of its
     successive levels agree within `tol`, so its value is bit for bit the
-    one a run with that integrand alone gives.  Returns one outcome per
-    integrand: its mean, the `_NearCircleZero` it raised, or a
+    one a run with that integrand alone gives.  An integrand with a sample
+    that is not finite is singular at this radius and stops there.  Returns
+    one outcome per integrand: its mean, None when it was singular, or a
     `QuadratureError` when it did not converge.
     """
     outcomes: list = [None] * len(integrands)
@@ -67,12 +68,11 @@ def _circle_averages(base, integrands, r: float, *, tol: float) -> list:
         values = base(r, thetas)
         still = []
         for i in active:
-            try:
-                mean = float(np.mean(integrands[i](values)))
-            except _NearCircleZero as exc:
-                # without its traceback, which would keep this level's samples alive
-                outcomes[i] = exc.with_traceback(None)
-                continue
+            # an inf or nan sample makes the mean inf or nan; the samples are
+            # bound to no name here, so each integrand's array goes at once
+            mean = float(np.mean(integrands[i](values)))
+            if not math.isfinite(mean):
+                continue  # singular: its outcome stays None
             if first:
                 means[i] = mean
                 still.append(i)
@@ -94,7 +94,7 @@ def _circle_averages(base, integrands, r: float, *, tol: float) -> list:
 
 def _averaged_with_perturbation(base, integrands, r: float, *,
                                 tol: float) -> list[tuple[float, float]]:
-    """Run `_circle_averages`; an integrand that hits a near-zero sample runs
+    """Run `_circle_averages`; an integrand that is singular at r runs
     again alone at r inflated by relative 1e-6 steps.
 
     Returns (value, radius actually used) per integrand, or raises the
@@ -104,11 +104,11 @@ def _averaged_with_perturbation(base, integrands, r: float, *,
     for integrand, outcome in zip(integrands, _circle_averages(base, integrands, r, tol=tol)):
         r_eff = r
         for _ in range(5):  # r and up to five inflations of it
-            if not isinstance(outcome, _NearCircleZero):
+            if outcome is not None:
                 break
             r_eff *= PERTURB_FACTOR
             [outcome] = _circle_averages(base, [integrand], r_eff, tol=tol)
-        if isinstance(outcome, _NearCircleZero):
+        if outcome is None:
             raise QuadratureError(f"integrand stayed singular near radius {r} after perturbations")
         if isinstance(outcome, QuadratureError):
             raise outcome
@@ -135,26 +135,24 @@ def _checked_radii(radii: Sequence[float], tol: float) -> list[float]:
 
 def _log_max(values) -> np.ndarray:
     """Integrand of T(r) from `circle_values` output: log max_i |f_i|."""
-    L, _ = values
-    if not np.all(np.isfinite(L)):
-        raise _NearCircleZero
-    return L
+    return values[0]
 
 
 def _proximity_integrand(target: Polynomial):
     """Integrand of m(r, Q) from `circle_values` output.
 
     With f = exp(L) w and Q homogeneous of degree d, ||f||^d ||Q|| / |Q(f)|
-    equals ||Q|| / |Q(w)|.
+    equals ||Q|| / |Q(w)|.  A sample with |Q(w)| < VALUE_FLOOR is taken as
+    a zero of Q(f) and gives +inf.
     """
     log_norm = math.log(float(target.max_abs_coeff()))
 
     def integrand(values):
         _, W = values
         av = np.abs(target.evaluate_array(list(W)))
-        if not np.all(np.isfinite(av)) or np.any(av < VALUE_FLOOR):
-            raise _NearCircleZero
-        return log_norm - np.log(av)
+        av[av < VALUE_FLOOR] = 0
+        with np.errstate(divide="ignore"):
+            return log_norm - np.log(av)
 
     return integrand
 
@@ -279,17 +277,12 @@ def jensen_check(phi: CurveCoordinate | UnivariatePoly, radii: Sequence[float], 
         raise ValueError("phi(0) = 0: factor out the vanishing power of z first")
     divisor = zero_divisor(phi, radii[-1] * 1.001)
 
-    def log_abs(rr, thetas):
-        return phi.log_abs_array(rr * np.exp(1j * thetas))
-
-    def finite(values):
-        if not np.all(np.isfinite(values)):
-            raise _NearCircleZero
-        return values
+    def circle(rr, thetas):
+        return rr * np.exp(1j * thetas)
 
     used, integrals, countings, diffs = [], [], [], []
     for r in radii:
-        integral, r_eff = _circle_average(log_abs, finite, r, tol=tol)
+        integral, r_eff = _circle_average(circle, phi.log_abs_array, r, tol=tol)
         used.append(r_eff)
         integrals.append(integral)
         countings.append(counting_function(divisor, r_eff))
@@ -488,6 +481,8 @@ def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
     for r in radii:
         (T, _), (integral, r_eff) = _averaged_with_perturbation(
             curve.circle_values, [_log_max, max_sum], r, tol=tol)
+        # both sides at the radius the max-sum integral used
+        T = T if r_eff == r else characteristic(curve, r_eff, tol=tol)
         ncount = counting_function(wdiv, r_eff)
         lhs = integral + ncount
         rhs = (n + 1 + eps) * T
@@ -682,13 +677,6 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
     coefficient = q - 2 * N + n - 1 - eps
     rows = []
     fmt_values: dict[str, list[float]] = {name: [] for name, _, _ in targets}
-    t_cache: dict[float, float] = {}
-
-    def char_at(rr: float) -> float:
-        if rr not in t_cache:
-            t_cache[rr] = characteristic(curve, rr, tol=tol)
-        return t_cache[rr]
-
     integrands = [_log_max] + [_proximity_integrand(form) for _, form, _ in targets]
     for r in radii:
         # T(r) and every proximity converge on one shared grid per radius
@@ -700,7 +688,8 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
             d = form.degree
             n_full = counting_function(div, r_eff)
             n_trunc = counting_function(div, r, trunc)
-            T_eff = T if r_eff == r else char_at(r_eff)
+            # a perturbed proximity is checked against T at its own radius
+            T_eff = T if r_eff == r else characteristic(curve, r_eff, tol=tol)
             fmt = d * T_eff - n_full - prox
             fmt_values[name].append(fmt)
             rhs += n_trunc / d

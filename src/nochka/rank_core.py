@@ -300,25 +300,11 @@ def build_filtration(oracle: RankOracle) -> Filtration:
         pool = np.nonzero(cand)[0]
         if pool.size == 0:
             break
-        best = None
-        best_num = best_den = best_pc = 0
-        for m in pool:
-            m = int(m)
-            num = int(t[m]) - cs
-            den = int(pc[m]) - ps
-            if best is None or num * best_den < best_num * den:
-                take = True
-            elif num * best_den == best_num * den:
-                if int(pc[m]) != best_pc:
-                    take = int(pc[m]) > best_pc
-                else:
-                    take = indices_of(m) < indices_of(best)
-            else:
-                take = False
-            if take:
-                best, best_num, best_den, best_pc = m, num, den, int(pc[m])
+        # least ratio, then the larger subset, then the smaller index tuple
+        ratio, _, _, best = min((Fraction(int(t[m]) - cs, int(pc[m]) - ps), -int(pc[m]),
+                                 indices_of(m), m) for m in map(int, pool))
         chain.append(best)
-        ratios.append(Fraction(best_num, best_den))
+        ratios.append(ratio)
 
     last = chain[-1]
     theta = Fraction(n + 1 - int(t[last]), 2 * N - n + 1 - int(pc[last]))
@@ -530,16 +516,19 @@ def linear_matroid_oracle(vectors: Sequence[Sequence], N: int) -> RankOracle:
             raise ValueError(f"vector {j} is zero")
 
     table = [0] * (1 << q)
-
-    def extend(base: Echelon, mask: int, start: int) -> None:
-        # depth first, so only one echelon form per subset size is held
-        for j in range(start, q):
-            ech = base.copy()
-            ech.insert(ints[j])
-            table[mask | 1 << j] = ech.rank
-            extend(ech, mask | 1 << j, j + 1)
-
-    extend(Echelon(), 0, 0)
+    # depth first over (echelon form of mask, mask, next index to add), so
+    # about one echelon form per subset size is held; an explicit stack, as a
+    # nested function calling itself would be a reference cycle
+    stack = [(Echelon(), 0, 0)]
+    while stack:
+        base, mask, j = stack.pop()
+        if j == q:
+            continue
+        stack.append((base, mask, j + 1))
+        ech = base.copy()
+        ech.insert(ints[j])
+        table[mask | 1 << j] = ech.rank
+        stack.append((ech, mask | 1 << j, j + 1))
     return RankOracle(q, n, N, tuple(table))
 
 

@@ -14,13 +14,15 @@ from nochka.curves import (CurveCoordinate, ExpTerm, ProjectiveCurve, compose,
 from nochka.errors import QuadratureError
 from nochka.fixtures import (exp_curve, generate_intro_fixture, parabola_curve,
                              pencil_lines_arrangement, three_point_arrangement)
-from nochka.geometry import Arrangement, hilbert_function, hilbert_weight, parse_arrangement
+from nochka.geometry import (Arrangement, codim_oracle, hilbert_function, hilbert_weight,
+                             parse_arrangement)
 from nochka.nevanlinna import (PERTURB_FACTOR, QUAD_K0, QUAD_KMAX, _averaged_with_perturbation,
-                               _circle_average, _circle_averages, _NearCircleZero,
+                               _circle_average, _circle_averages,
                                cartan_ru_check, characteristic, counting_function,
                                jensen_check, lift_curve, proximity, smt_report,
                                wronskian, wronskian_divisor_check, zero_divisor)
 from nochka.poly import Polynomial, monomials_of_degree, parse_polynomial
+from nochka.rank_core import linear_matroid_oracle
 from nochka.univar import QQi, UnivariatePoly
 
 V3 = ("x0", "x1", "x2")
@@ -105,9 +107,7 @@ def _slow(values):
 
 def _singular_at_two(values):
     r, thetas = values
-    if r == 2.0:
-        raise _NearCircleZero
-    return np.sin(thetas) ** 2 + r
+    return np.sin(thetas) ** 2 + (np.inf if r == 2.0 else r)
 
 
 def _sawtooth(values):
@@ -133,7 +133,7 @@ class TestSharedQuadrature:
                 assert outcome == alone
         assert outcomes[0] == 2.0
         assert abs(outcomes[1]) < 1e-9
-        assert isinstance(outcomes[2], _NearCircleZero)
+        assert outcomes[2] is None
         assert isinstance(outcomes[3], QuadratureError)
         assert outcomes[3].achieved > 1e-9
         assert outcomes[3].achieved == _circle_averages(_samples, [_sawtooth], 2.0,
@@ -162,7 +162,15 @@ class TestSharedQuadrature:
             previous.append(weakref.ref(samples))
             return samples
 
-        _circle_averages(base, [_singular_at_two, _sawtooth], 2.0, tol=1e-9)
+        def watched(fn):
+            """`fn` with each array it returns watched as well."""
+            def integrand(values):
+                out = np.array(fn(values))
+                previous.append(weakref.ref(out))
+                return out
+            return integrand
+
+        _circle_averages(base, [watched(_singular_at_two), watched(_sawtooth)], 2.0, tol=1e-9)
         assert alive == [0] * (QUAD_KMAX - QUAD_K0 + 1)
 
     def test_perturbation_and_errors_per_integrand(self):
@@ -179,10 +187,58 @@ class TestSharedQuadrature:
 
     def test_always_singular_integrand_raises(self):
         def always(values):
-            raise _NearCircleZero
+            return np.full(values[1].shape, np.nan)
 
         with pytest.raises(QuadratureError, match="stayed singular"):
             _averaged_with_perturbation(_samples, [_smooth, always], 2.0, tol=1e-9)
+
+
+def _lines_through_two():
+    """Four lines in general position; on the parabola, H3 = x1 - 2*x0 is z - 2."""
+    forms = [parse_polynomial(t, V3) for t in ("x0", "x2", "x1 - 2*x0", "x0 + x1 + x2")]
+    return forms, Arrangement(2, 2, 1, 2, (),
+                              tuple((f"H{k}", f) for k, f in enumerate(forms, 1)), V3)
+
+
+class TestSingularSamples:
+    """A sample z = 2 on the circle r = 2 hits a zero, and that integrand alone
+    moves to r = 2 * PERTURB_FACTOR.  There log|z - 2| still has a log
+    singularity within 2e-6 of the circle, so only a loose tolerance converges."""
+
+    R_EFF = 2 * PERTURB_FACTOR
+
+    def test_proximity_hits_the_value_floor(self):
+        forms, _ = _lines_through_two()
+        assert proximity(parabola_curve(), forms[2], 2, tol=1e-5) == \
+            proximity(parabola_curve(), forms[2], self.R_EFF, tol=1e-5)
+
+    def test_jensen_records_the_radius_used(self):
+        report = jensen_check(parse_coordinate("z - 2"), [2], tol=1e-5)
+        assert report.radii_used == (self.R_EFF,)
+
+    def test_smt_report_perturbs_one_target(self):
+        _, arr = _lines_through_two()
+        report = smt_report(parabola_curve(), arr, Fraction(1, 2), [2], tol=1e-5)
+        [row] = report.rows
+        assert row.T == characteristic(parabola_curve(), 2, tol=1e-5)
+        assert [t.name for t in row.targets if t.r_used != row.r] == ["H3"]
+        assert [t.r_used for t in row.targets if t.name == "H3"] == [self.R_EFF]
+
+    def test_cartan_takes_T_at_the_radius_used(self):
+        forms, _ = _lines_through_two()
+        [row] = cartan_ru_check(parabola_curve(), forms, 1, [2], tol=1e-5).rows
+        assert row.T == characteristic(parabola_curve(), self.R_EFF, tol=1e-5)
+        assert row.rhs == 4 * row.T
+
+    def test_default_tolerance_does_not_converge(self):
+        forms, arr = _lines_through_two()
+        calls = [lambda: proximity(parabola_curve(), forms[2], 2),
+                 lambda: jensen_check(parse_coordinate("z - 2"), [2]),
+                 lambda: smt_report(parabola_curve(), arr, Fraction(1, 2), [2]),
+                 lambda: cartan_ru_check(parabola_curve(), forms, 1, [2])]
+        for call in calls:
+            with pytest.raises(QuadratureError, match="did not converge"):
+                call()
 
 
 class TestSMTSharedGrid:
@@ -507,8 +563,8 @@ class TestLift:
 
 class TestNoGarbageCycles:
     def test_products_are_freed_without_the_cycle_collector(self):
-        # a reference cycle would keep every product alive until a full
-        # collection and raise peak memory
+        # a reference cycle would keep every product, or an oracle's table,
+        # alive until a full collection and raise peak memory
         conic = parse_polynomial("x0*x2 - x1^2", V3)
         hyps = tuple((f"H{k}", parse_polynomial(v, V3)) for k, v in enumerate(V3, 1))
         conic_arr = Arrangement(2, 1, 2, 1, (conic,), hyps, V3)
@@ -522,6 +578,8 @@ class TestNoGarbageCycles:
             hilbert_function(conic_arr, 3)
             hilbert_weight(pencil, 3, [Fraction(k, 3) for k in range(9)])
             lift_curve(curve, pencil, 2)
+            codim_oracle(pencil)
+            linear_matroid_oracle([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 2)
             assert gc.collect() == 0
         finally:
             gc.enable()
