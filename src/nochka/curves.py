@@ -49,13 +49,15 @@ class CurveCoordinate:
 
     `terms` maps exponent polynomials to nonzero coefficient polynomials;
     `poly` is the coordinate as a UnivariatePoly when its only key is 0
-    (the zero polynomial when it has none), else None.
+    (the zero polynomial when it has none), else None.  `_dterms` holds the
+    derivative's terms once `value_and_derivative` has needed them.
     """
 
-    __slots__ = ("terms", "poly")
+    __slots__ = ("terms", "poly", "_dterms")
 
     def __init__(self, terms: Mapping[UnivariatePoly, UnivariatePoly]):
         self.terms = {p: c for p, c in terms.items() if not c.is_zero}
+        self._dterms = None
         if not self.terms:
             self.poly = _ZERO
         elif len(self.terms) == 1:
@@ -109,16 +111,25 @@ class CurveCoordinate:
             out[p] = dc + c * p.derivative() if p.coeffs else dc
         return CurveCoordinate(out)
 
-    def eval_array(self, z: np.ndarray) -> np.ndarray:
+    def value_and_derivative(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(f(z), f'(z)), computing exp(p(z)) once per exponent key.
+
+        (c exp(p))' = (c' + c p') exp(p) keeps the key p, so f and f' share
+        each exponential.
+        """
+        if self._dterms is None:
+            self._dterms = self.derivative().terms
         z = np.asarray(z, dtype=np.complex128)
         total = np.zeros_like(z)
+        dtotal = np.zeros_like(z)
         with np.errstate(over="ignore", invalid="ignore"):
             for p, c in self.terms.items():
-                value = c.eval_array(z)
-                if p.coeffs:
-                    value = value * np.exp(p.eval_array(z))
-                total = total + value
-        return total
+                e = np.exp(p.eval_array(z)) if p.coeffs else 1.0
+                total = total + c.eval_array(z) * e
+                d = self._dterms.get(p)
+                if d is not None:
+                    dtotal = dtotal + d.eval_array(z) * e
+        return total, dtotal
 
     def log_values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (L, w) with the coordinate value equal to w * exp(L), |w| <= #terms.

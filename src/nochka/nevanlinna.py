@@ -194,7 +194,7 @@ def zero_divisor(obj, radius: float | None = None) -> ZeroDivisor:
         raise ValueError("a radius is required for non-polynomial functions")
     if not isinstance(obj, CurveCoordinate):
         raise TypeError(f"cannot take the zero divisor of {type(obj).__name__}")
-    result = zeros_in_disk(obj.eval_array, obj.derivative().eval_array, radius)
+    result = zeros_in_disk(obj.value_and_derivative, radius)
     return ZeroDivisor(tuple(result.zeros), result.radius_used)
 
 

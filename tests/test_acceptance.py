@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from nochka.curves import CurveCoordinate, ExpTerm, ProjectiveCurve
@@ -24,7 +25,7 @@ from nochka.nevanlinna import (characteristic, counting_function, jensen_check,
                                wronskian_divisor_check, zero_divisor)
 from nochka.rank_core import (greedy_select, linear_matroid_oracle, nochka_weights,
                               validate_rank_oracle, verify_weight_conditions)
-from nochka.rootfind import _circle_gamma, winding_number
+from nochka.rootfind import winding_number
 from nochka.univar import QQi, UnivariatePoly, poly_gcd_many
 
 
@@ -299,7 +300,8 @@ def test_criterion_13_transcendental_pipeline():
     g = CurveCoordinate.from_terms([ExpTerm(QQi(1), 0, UnivariatePoly([0, 1])),
                                     ExpTerm(QQi(-1), 0, UnivariatePoly())])
     divisor = zero_divisor(g, 7.0)
-    boundary = winding_number(g.eval_array, _circle_gamma(0.0, divisor.radius_of_validity),
+    r = divisor.radius_of_validity
+    boundary = winding_number(g.value_and_derivative, lambda t: r * np.exp(2j * np.pi * t),
                               n0=256)
     assert divisor.total_multiplicity() == boundary == 3
 

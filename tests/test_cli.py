@@ -192,6 +192,14 @@ class TestAnalyticCommands:
         assert payload["max_deviation"] < 1e-6
         assert abs(payload["constant"] - math.log(4)) < 1e-6
 
+    def test_jensen_many_zeros_near_the_edge(self, capsys):
+        # the disk of radius 5 needs the log-derivative step test: without it a
+        # full turn of arg exp(z^2) hides between two samples of a box edge
+        code, payload = run_json(capsys, ["jensen", "--phi", "exp(z^2) + exp(z) + 2",
+                                          "--radii", "1.5,2.5,5"])
+        assert code == 0
+        assert payload["max_deviation"] < 1e-9
+
     @pytest.mark.parametrize("extra", [["--radii", "nan"], ["--radii", "2,inf"],
                                        ["--radii", "2", "--quad-tol", "0"],
                                        ["--radii", "2", "--quad-tol", "nan"]])
