@@ -1,10 +1,18 @@
 """Hypersurface arrangements on a projective variety.
 
-Turns explicit arrangements into rank oracles via Groebner dimension
-computations (exact vector ranks for hyperplanes of the whole space),
-checks subgeneral position, and computes Hilbert functions
-and Hilbert weights of the image variety of the arrangement's normalized
-forms.  All linear algebra is exact.
+Turns explicit arrangements into rank oracles, checks subgeneral position,
+and computes Hilbert functions and Hilbert weights of the image variety of
+the arrangement's normalized forms.  All linear algebra is exact.
+
+A rank oracle needs the dimension of V cut by each subset R of the
+hypersurfaces.  The hyperplanes of R never go to Groebner: if their
+coefficient vectors have rank k and an integer basis B of their common
+kernel, then t -> B t is a linear isomorphism from projective (M - k)-space
+onto the linear space L they cut out.  It maps the zero set of the other
+polynomials restricted to p(B t) onto V cut by R, so both have the same
+projective dimension, and only the restricted ideal, in M + 1 - k
+variables, needs a Groebner basis (none at all when L is empty, a point,
+or inside every other zero set).
 """
 
 from __future__ import annotations
@@ -16,10 +24,10 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ParseError, ResourceBudgetError, VerificationError
-from .linalg import Echelon
+from .linalg import Echelon, primitive
 from .poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension, monomials_of_degree,
-                   mul_packed, pack_terms, parse_polynomial, products_of_degree,
-                   unpack_monomial)
+                   mul_packed, pack_monomial, pack_terms, parse_polynomial,
+                   products_of_degree, unpack_monomial)
 from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle, ValidationReport,
                         _set_str, check_costs, linear_matroid_oracle, validate_rank_oracle)
 
@@ -130,27 +138,94 @@ class Arrangement:
         return tuple(p ** (d // p.degree) for p in self.forms)
 
 
+def _linear_space(parent: Echelon, line: Sequence, lines: Sequence[Sequence],
+                  width: int) -> tuple[Echelon, list[tuple[int, ...]]]:
+    """The echelon of `parent` plus `line`, and an integer basis B of the
+    common kernel of `lines` (the coefficient vectors of every hyperplane it
+    holds, `line` included).  Both defining properties of B are checked
+    exactly: each row of `lines` times B is 0, and B has full column rank
+    width - rank."""
+    ech = parent.copy()
+    ech.insert(line)
+    basis = ech.kernel(width)
+    columns = Echelon()
+    for b in basis:
+        columns.insert(b)
+    if (columns.rank != len(basis) or len(basis) != width - ech.rank
+            or any(sum(map(mul, row, b)) for row in lines for b in basis)):
+        raise VerificationError("the hyperplanes' kernel basis failed its exact check")
+    return ech, basis
+
+
+def _restrict(p: Polynomial, basis: Sequence[tuple[int, ...]]) -> Polynomial:
+    """p(B t) in the variables t = (t_0, ..., t_{len(B)-1}), where column c of
+    B is basis[c], scaled to a content-free integer polynomial; zero when p
+    vanishes on the span of B.
+
+    The products are taken on packed integer monomials (`mul_packed`), with
+    the powers of each substituted coordinate built once."""
+    nvars = len(basis)
+    base = p.degree + 1
+    units = [pack_monomial(tuple(int(c == i) for i in range(nvars)), base)
+             for c in range(nvars)]
+    coords = [{units[c]: b[i] for c, b in enumerate(basis) if b[i]}
+              for i in range(p.nvars)]
+    powers: dict[tuple[int, int], dict[int, int]] = {}
+    total: dict[int, int] = {}
+    for mono, coeff in zip(p.terms, primitive(list(p.terms.values()))):
+        term = {0: coeff}
+        for i, e in enumerate(mono):
+            if e:
+                power = powers.get((i, e))
+                if power is None:
+                    power = coords[i]
+                    for _ in range(e - 1):
+                        power = mul_packed(power, coords[i])
+                    powers[i, e] = power
+                term = mul_packed(term, power)
+        for k, c in term.items():
+            total[k] = total.get(k, 0) + c
+    keys = [k for k, c in total.items() if c]
+    coeffs = primitive([total[k] for k in keys]) if keys else ()
+    return Polynomial._clean(nvars, {unpack_monomial(k, base, nvars): Fraction(c)
+                                     for k, c in zip(keys, coeffs)})
+
+
 def codim_oracle(arr: Arrangement) -> RankOracle:
     """Rank oracle with c(R) = n - dim(V cut by the R-indexed hypersurfaces).
 
-    Empty intersections give dimension -1, hence c = n+1.  On the whole
-    space (no variety generators) a subset of hyperplanes has c(R) = M - dim,
-    the rank of its coefficient vectors, so it needs no Groebner work:
-    all-hyperplane arrangements are read by `linear_matroid_oracle`, and in
-    a mixed arrangement each all-hyperplane subset gets its rank from an
-    `Echelon`.  The other subsets are filled by Groebner dimension
-    computations in order of subset size with monotone pruning: supersets
-    of a spanning subset are spanning.
+    Empty intersections give dimension -1, hence c = n+1.  All-hyperplane
+    arrangements of the whole space are read by `linear_matroid_oracle`.
+    Otherwise each subset R is split into its hyperplanes (its degree-1
+    forms) and the rest.  The k independent hyperplanes cut out a linear
+    space L of projective dimension M - k, and an integer kernel basis B of
+    their coefficient vectors (`Echelon.kernel`, one per hyperplane subset)
+    makes t -> B t an isomorphism from projective (M - k)-space onto L.  So
+    V cut by R has the projective dimension of the zero set of the variety
+    generators and the other members of R, each restricted to p(B t):
+
+    - k = M + 1: L is empty;
+    - no restricted generator is left nonzero: V contains L, dim = M - k;
+    - L is a point: empty, since every restricted generator left is a
+      nonzero multiple of t^d;
+    - otherwise the Groebner dimension of the restricted ideal in M + 1 - k
+      variables, under the arrangement's step budget.
+
+    No Groebner run sees a hyperplane.  Subsets are filled in order of size
+    with monotone pruning: supersets of a spanning subset are spanning.
     """
-    q, n = arr.q, arr.n
+    q, n, M = arr.q, arr.n, arr.M
     forms = arr.forms
     if arr.is_linear:
         return linear_matroid_oracle([p.linear_coefficients() for p in forms], arr.N)
-    lines = {}
-    if not arr.variety_generators:
-        lines = {j: p.linear_coefficients() for j, p in enumerate(forms) if p.degree == 1}
+    lines = {j: primitive(p.linear_coefficients()) for j, p in enumerate(forms)
+             if p.degree == 1}
     line_mask = sum(1 << j for j in lines)
-    base = list(arr.variety_generators)
+    # the polynomials to restrict, by index: the variety generators, then the forms
+    polys = arr.variety_generators + forms
+    g = len(arr.variety_generators)
+    spaces = {0: (Echelon(), Echelon().kernel(M + 1))}
+    restricted: dict[tuple[int, int], Polynomial] = {}
     table = [0] * (1 << q)
     by_size: list[list[int]] = [[] for _ in range(q + 1)]
     for mask in range(1, 1 << q):
@@ -168,15 +243,34 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
             if pruned:
                 table[mask] = n + 1
                 continue
-            if mask & line_mask == mask:
-                ech = Echelon()
-                for j, coeffs in lines.items():
-                    if mask >> j & 1:
-                        ech.insert(coeffs)
-                table[mask] = ech.rank
-                continue
-            gens = base + [forms[j] for j in range(q) if mask >> j & 1]
-            dim = ideal_dimension(Ideal(gens, nvars=arr.M + 1, max_steps=arr.gb_steps))
+            hmask = mask & line_mask
+            space = spaces.get(hmask)
+            if space is None:
+                # mask is unpruned, so mask minus one hyperplane was computed
+                # before it and its hyperplane subset already has a space
+                low = hmask & -hmask
+                space = spaces[hmask] = _linear_space(
+                    spaces[hmask ^ low][0], lines[low.bit_length() - 1],
+                    [lines[j] for j in lines if hmask >> j & 1], M + 1)
+            ech, basis = space
+            if ech.rank == M + 1:
+                dim = -1
+            else:
+                rest = mask ^ hmask
+                gens = []
+                for i in [*range(g), *(g + j for j in range(q) if rest >> j & 1)]:
+                    r = restricted.get((hmask, i))
+                    if r is None:
+                        r = restricted[hmask, i] = _restrict(polys[i], basis)
+                    if not r.is_zero:
+                        gens.append(r)
+                if not gens:
+                    dim = M - ech.rank
+                elif len(basis) == 1:
+                    dim = -1
+                else:
+                    dim = ideal_dimension(Ideal(gens, nvars=len(basis),
+                                                max_steps=arr.gb_steps))
             c = n - dim
             if not 0 <= c <= n + 1:
                 raise VerificationError(

@@ -3,12 +3,15 @@
 Vectors have rational entries (`int` or `Fraction`).  Each is scaled to a
 content-free integer vector and reduced by fraction-free elimination
 (Bareiss 1968), so no rational arithmetic happens inside the reduction.
+The null space of the rows is read off the same echelon form by integer
+back substitution (`Echelon.kernel`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 
@@ -69,3 +72,35 @@ class Echelon:
         self.rows.insert(at, primitive(v))
         self.pivots.insert(at, pivot)
         return True
+
+    def kernel(self, width: int) -> list[tuple[int, ...]]:
+        """An integer basis of the vectors x of length `width` with row . x = 0
+        for every row: width - rank content-free vectors, one per non-pivot
+        column f in increasing order.
+
+        The vector of f is 0 at the other non-pivot columns and positive at f;
+        its pivot entries are solved from the last row up, and when a pivot
+        entry would be a fraction the vector is scaled to keep it integral.
+        """
+        if any(len(row) != width for row in self.rows):
+            raise ValueError(f"rows do not have {width} entries")
+        pivots = set(self.pivots)
+        solve = list(zip(self.pivots, self.rows))[::-1]
+        basis = []
+        for f in range(width):
+            if f in pivots:
+                continue
+            x = [0] * width
+            x[f] = 1
+            for p, row in solve:
+                s = sum(map(mul, row, x))  # x[p] is still 0 here
+                if s:
+                    a = row[p]
+                    if a < 0:
+                        a, s = -a, -s
+                    g = gcd(a, s)
+                    if a != g:
+                        x = [v * (a // g) for v in x]
+                    x[p] = -s // g
+            basis.append(primitive(x))
+        return basis

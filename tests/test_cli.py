@@ -161,6 +161,16 @@ class TestGeometryCommands:
         assert "Groebner step budget 0 exceeded" in capsys.readouterr().err
         assert main(argv) == 0
 
+    def test_oracle_budget_bounds_the_restricted_runs(self, capsys, tmp_path):
+        # the restricted ideals of conic pairs still need S-pairs
+        from nochka.fixtures import generate_intro_fixture
+        path = tmp_path / "intro-1.arrangement"
+        path.write_text(format_arrangement(generate_intro_fixture(1).arrangement))
+        argv = ["oracle-dump", "--arr", str(path)]
+        assert main(argv + ["--budget-gb-steps", "0"]) == 3
+        assert "Groebner step budget 0 exceeded" in capsys.readouterr().err
+        assert main(argv) == 0
+
     def test_hilbert_weight(self, capsys, tmp_path):
         from nochka.fixtures import conic_presentation_arrangement
         path = tmp_path / "conic.arrangement"

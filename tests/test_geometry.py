@@ -5,19 +5,23 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nochka import geometry
-from nochka.errors import ParseError, ResourceBudgetError
+from nochka.errors import ParseError, ResourceBudgetError, VerificationError
 from nochka.fixtures import (conic_presentation_arrangement, generate_intro_fixture,
                              pencil_lines_arrangement, three_point_arrangement)
 from nochka.geometry import (Arrangement, check_subgeneral_position, codim_oracle,
                              format_arrangement, hilbert_function, hilbert_weight,
                              parse_arrangement, verify_hilbert_lower_bound)
 from nochka.linalg import Echelon
-from nochka.poly import Ideal, ideal_dimension, monomials_of_degree, parse_polynomial
+from nochka.poly import (Ideal, Polynomial, ideal_dimension, monomials_of_degree,
+                         parse_polynomial)
 from nochka.rank_core import validate_rank_oracle
 
 V3 = ("x0", "x1", "x2")
+V4 = ("x0", "x1", "x2", "x3")
 
 
 def plane_lines(*texts: str, N: int) -> Arrangement:
@@ -25,10 +29,16 @@ def plane_lines(*texts: str, N: int) -> Arrangement:
     return Arrangement(2, 2, 1, N, (), hyps, V3)
 
 
-def groebner_codims(arr: Arrangement) -> tuple[int, ...]:
-    """c(R) = n - dim(V cut by R) for every subset, one Groebner basis each."""
+def groebner_codims(arr: Arrangement, pruned: bool = False) -> tuple[int, ...]:
+    """c(R) = n - dim(V cut by R) for every subset, one Groebner basis each
+    on the forms as given.  With `pruned`, a subset that holds an empty
+    subset one smaller is empty with no basis computed."""
     table = []
     for mask in range(1 << arr.q):
+        if pruned and any(table[mask ^ 1 << j] == arr.n + 1
+                          for j in range(arr.q) if mask >> j & 1):
+            table.append(arr.n + 1)
+            continue
         gens = list(arr.variety_generators) + [arr.forms[j] for j in range(arr.q)
                                                if mask >> j & 1]
         table.append(arr.n - ideal_dimension(Ideal(gens, nvars=arr.M + 1)))
@@ -110,8 +120,27 @@ class TestCodimOracle:
         monkeypatch.setattr(geometry, "ideal_dimension", counted)
         oracle = codim_oracle(arr)
         assert oracle.table == expected
-        conic = arr.forms[0]
-        assert calls and all(conic in ideal.generators for ideal in calls)
+        # the conic alone, then the conic on each of the five line subsets of
+        # rank 1 ({x0, 2*x0} among them); a subset of rank 2 cuts out a point,
+        # which the restriction decides with no basis, and all-line subsets
+        # need none either
+        assert [ideal.nvars for ideal in calls] == [3, 2, 2, 2, 2, 2]
+        assert all(ideal.nvars < arr.M + 1 or all(g.degree > 1 for g in ideal.generators)
+                   for ideal in calls)
+
+    @pytest.mark.parametrize("damage", [lambda b: b[:-1], lambda b: b + b[:1],
+                                        lambda b: [tuple(x + 1 for x in v) for v in b]],
+                             ids=["too-short", "dependent", "not-orthogonal"])
+    def test_kernel_basis_is_checked(self, monkeypatch, damage):
+        arr = Arrangement(2, 2, 1, 2, (), tuple(
+            (f"H{i}", parse_polynomial(t, V3)) for i, t in
+            enumerate(("x0*x2 - x1^2", "x0 + x1"), 1)), V3)
+        kernel = Echelon.kernel
+        monkeypatch.setattr(Echelon, "kernel",
+                            lambda ech, width: damage(kernel(ech, width)) if ech.rank
+                            else kernel(ech, width))
+        with pytest.raises(VerificationError, match="kernel basis"):
+            codim_oracle(arr)
 
     def test_intro_fixture_all_line_subsets(self, monkeypatch):
         arr = generate_intro_fixture(1).arrangement
@@ -123,14 +152,14 @@ class TestCodimOracle:
 
         monkeypatch.setattr(geometry, "ideal_dimension", counted)
         oracle = codim_oracle(arr)
-        assert len(calls) == 169  # 298 before all-line subsets took exact ranks
-        assert all(any(g.degree > 1 for g in ideal.generators) for ideal in calls)
+        # 169 when each subset with a conic ran on all M+1 variables, 298
+        # before all-line subsets took exact ranks
+        assert len(calls) == 61
+        assert all(ideal.nvars < arr.M + 1 or all(g.degree > 1 for g in ideal.generators)
+                   for ideal in calls)
         monkeypatch.undo()
-        lines = [j for j, d in enumerate(arr.degrees) if d == 1]
-        for size in range(1, len(lines) + 1):
-            for subset in combinations(lines, size):
-                ideal = Ideal([arr.forms[j] for j in subset], nvars=3)
-                assert oracle.table[sum(1 << j for j in subset)] == 2 - ideal_dimension(ideal)
+        # every subset, the all-line ones included
+        assert oracle.table == groebner_codims(arr, pruned=True)
 
     def test_lines_on_a_variety_use_groebner(self, monkeypatch):
         conic = parse_polynomial("x0*x2 - x1^2", V3)
@@ -158,6 +187,68 @@ class TestCodimOracle:
         # each line meets the conic in points: codimension 1 in the curve
         assert all(oracle.c([j]) == 1 for j in (1, 2, 3))
         assert oracle.c([1, 2]) == 2  # x0 = x2 = 0 forces x1 = 0
+
+
+COEFF = st.integers(-2, 2)
+
+
+def _form(draw, nvars: int, degree: int) -> Polynomial:
+    monos = list(monomials_of_degree(nvars, degree))
+    coeffs = draw(st.lists(COEFF, min_size=len(monos), max_size=len(monos)))
+    if not any(coeffs):
+        coeffs[0] = 1
+    return Polynomial(nvars, dict(zip(monos, coeffs)))
+
+
+def _arrangement(M: int, n: int, deg_v: int, variety: tuple[str, ...],
+                 forms: list[Polynomial]) -> Arrangement:
+    names = V4[:M + 1]
+    return Arrangement(M, n, deg_v, max(n, len(forms)),
+                       tuple(parse_polynomial(t, names) for t in variety),
+                       tuple((f"H{i}", p) for i, p in enumerate(forms, 1)), names)
+
+
+CONIC = ("x0*x2 - x1^2",)
+TWISTED_CUBIC = ("x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2")
+
+
+@st.composite
+def mixed_arrangements(draw) -> Arrangement:
+    """Hyperplanes with quadrics on the whole plane or 3-space, or
+    hyperplanes on the conic or on the twisted cubic."""
+    kind = draw(st.sampled_from(["plane", "space", "conic", "twisted-cubic"]))
+    M = 2 if kind in ("plane", "conic") else 3
+    lines = [_form(draw, M + 1, 1) for _ in range(draw(st.integers(1, 3)))]
+    if kind == "conic":
+        return _arrangement(2, 1, 2, CONIC, lines)
+    if kind == "twisted-cubic":
+        return _arrangement(3, 1, 3, TWISTED_CUBIC, lines)
+    quadrics = [_form(draw, M + 1, 2) for _ in range(draw(st.integers(1, 2)))]
+    if kind == "plane":
+        if draw(st.booleans()):  # three independent lines: k = M + 1
+            lines = [parse_polynomial(v, V3) for v in V3] + lines[:1]
+        if draw(st.booleans()):  # a reducible conic through one of the lines
+            quadrics.append(lines[-1] * _form(draw, 3, 1))
+        if draw(st.booleans()):  # a repeated line
+            lines.append(lines[-1].scale(2))
+    return _arrangement(M, M, 1, (), quadrics + lines)
+
+
+class TestRestrictedOracle:
+    @given(mixed_arrangements())
+    @example(_arrangement(2, 2, 1, (), [parse_polynomial(t, V3) for t in (
+        "x0*x2 - x1^2", "x0*x1 + x0*x2", "x0", "2*x0", "x1 + x2")]))
+    @example(_arrangement(2, 2, 1, (), [parse_polynomial(t, V3) for t in (
+        "x0^2 + x1^2 - x2^2", "x0", "x1", "x2")]))
+    @example(_arrangement(3, 3, 1, (), [parse_polynomial(t, V4) for t in (
+        "x0*x3 - x1*x2", "x0^2 + x1^2 - x3^2", "x0", "x1 + x2")]))
+    @example(_arrangement(2, 1, 2, CONIC, [parse_polynomial(t, V3) for t in (
+        "x0", "x1", "x0 + x2")]))
+    @example(_arrangement(3, 1, 3, TWISTED_CUBIC, [parse_polynomial(t, V4) for t in (
+        "x0", "x3", "x1 + x2")]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_groebner_basis_per_subset(self, arr):
+        assert codim_oracle(arr).table == groebner_codims(arr)
 
 
 class TestPositionCheck:
@@ -198,8 +289,6 @@ class TestPositionCheck:
             for axiom in ("monotone", "unit-increment", "capped", "nonzero-singletons"):
                 assert next(c.ok for c in report.checks if c.axiom == axiom)
 
-
-V4 = ("x0", "x1", "x2", "x3")
 
 
 def conic_lines_arrangement(conic: str = "x0*x2 - x1^2") -> Arrangement:
