@@ -60,25 +60,12 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _int_list(text: str) -> list[int]:
+def _list(text: str, convert, kind: str) -> list:
+    """Comma-separated values through `convert`; a bad one is a ParseError naming `kind`."""
     try:
-        return [int(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise ParseError(f"expected a comma-separated integer list, got {text!r}") from None
-
-
-def _rational_list(text: str) -> list[Fraction]:
-    try:
-        return [Fraction(p.strip()) for p in text.split(",") if p.strip()]
+        return [convert(p.strip()) for p in text.split(",") if p.strip()]
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected a comma-separated rational list, got {text!r}") from None
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise ParseError(f"expected a comma-separated number list, got {text!r}") from None
+        raise ParseError(f"expected a comma-separated {kind} list, got {text!r}") from None
 
 
 def _cmd_validate_rank(args) -> tuple[dict, bool]:
@@ -107,10 +94,10 @@ def _cmd_filtration(args) -> tuple[dict, bool]:
 def _cmd_greedy(args) -> tuple[dict, bool]:
     oracle = parse_oracle(_read(args.oracle))
     weights = nochka_weights(oracle)
-    subset = _int_list(args.subset)
+    subset = _list(args.subset, int, "integer")
     if len(set(subset)) != len(subset):
         raise ParseError(f"repeated index in --subset {args.subset!r}")
-    costs = _rational_list(args.costs)
+    costs = _list(args.costs, Fraction, "rational")
     chosen = greedy_select(oracle, weights, subset, costs)
     lhs = sum((weights.omega[j - 1] * costs[j - 1] for j in subset), Fraction(0))
     rhs = sum((costs[j - 1] for j in chosen), Fraction(0))
@@ -147,7 +134,7 @@ def _cmd_hilbert(args) -> tuple[dict, bool]:
 
 
 def _cmd_hilbert_weight(args) -> tuple[dict, bool]:
-    costs = _rational_list(args.c)
+    costs = _list(args.c, Fraction, "rational")
     result = hilbert_weight(_arrangement(args), args.m, costs)
     return {"schema": SCHEMA, "command": "hilbert-weight",
             "c": [str(c) for c in costs], **result.as_dict()}, True
@@ -155,7 +142,7 @@ def _cmd_hilbert_weight(args) -> tuple[dict, bool]:
 
 def _cmd_bounds(args) -> tuple[dict, bool]:
     params = bounds_mod.ParamSet(args.n, args.degV, args.N, args.q,
-                                 tuple(_int_list(args.degrees)), Fraction(args.epsilon))
+                                 tuple(_list(args.degrees, int, "integer")), Fraction(args.epsilon))
     result = bounds_mod.truncation_levels(params, hilbert_value=args.H, hilbert_m=args.m)
     return {"schema": SCHEMA, "command": "bounds",
             "epsilon": str(params.epsilon), **result.as_dict()}, True
@@ -163,7 +150,7 @@ def _cmd_bounds(args) -> tuple[dict, bool]:
 
 def _cmd_jensen(args) -> tuple[dict, bool]:
     phi = parse_coordinate(args.phi)
-    report = jensen_check(phi, _float_list(args.radii), tol=args.quad_tol)
+    report = jensen_check(phi, _list(args.radii, float, "number"), tol=args.quad_tol)
     return {"schema": SCHEMA, "command": "jensen", "phi": args.phi,
             "quad_tol": args.quad_tol, **report.as_dict()}, True
 
@@ -179,7 +166,7 @@ def _cmd_cartan_check(args) -> tuple[dict, bool]:
     arr = _arrangement(args)
     curve = parse_curve(_read(args.curve))
     report = cartan_ru_check(curve, arr.forms, Fraction(args.epsilon),
-                             _float_list(args.radii), tol=args.quad_tol)
+                             _list(args.radii, float, "number"), tol=args.quad_tol)
     payload = {"schema": SCHEMA, "command": "cartan-check",
                "quad_tol": args.quad_tol, **report.as_dict()}
     lines = ["r\tT\tmax_sum_integral\twronskian_counting\tlhs\trhs\tslack"]
@@ -199,7 +186,7 @@ def _cmd_smt_report(args) -> tuple[dict, bool]:
         truncations = int(args.truncation)
     elif args.truncation == "inf":
         truncations = math.inf
-    report = smt_report(curve, arr, Fraction(args.epsilon), _float_list(args.radii),
+    report = smt_report(curve, arr, Fraction(args.epsilon), _list(args.radii, float, "number"),
                         truncations=truncations, tol=args.quad_tol)
     payload = {"schema": SCHEMA, "command": "smt-report", **report.as_dict()}
     payload["tsv"] = report.as_tsv()

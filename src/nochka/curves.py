@@ -108,7 +108,7 @@ class CurveCoordinate:
         out = {}
         for p, c in self.terms.items():
             dc = c.derivative()
-            out[p] = dc + c * p.derivative() if p.coeffs else dc
+            out[p] = dc + c * p.derivative() if p.re else dc
         return CurveCoordinate(out)
 
     def value_and_derivative(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +124,7 @@ class CurveCoordinate:
         dtotal = np.zeros_like(z)
         with np.errstate(over="ignore", invalid="ignore"):
             for p, c in self.terms.items():
-                e = np.exp(p.eval_array(z)) if p.coeffs else 1.0
+                e = np.exp(p.eval_array(z)) if p.re else 1.0
                 total = total + c.eval_array(z) * e
                 d = self._dterms.get(p)
                 if d is not None:
@@ -148,8 +148,8 @@ class CurveCoordinate:
                 # log|a| drops the phase of a: w * exp(L) is the value only when
                 # every coefficient is positive real (open defect, see ROADMAP.md)
                 logs.extend(np.log(np.abs(ca)) + k * log_z + pz
-                            for k, (a, ca) in enumerate(zip(c.coeffs, c.complex_coeffs))
-                            if not a.is_zero)
+                            for k, (x, y, ca) in enumerate(zip(c.re, c.im, c.complex_coeffs))
+                            if x or y)
         stacked = np.stack(logs)
         L = np.max(stacked.real, axis=0)
         w = np.sum(np.exp(stacked - L), axis=0)
@@ -165,7 +165,7 @@ class CurveCoordinate:
             return self.poly.to_text()
         parts = []
         for p, c in self.terms.items():
-            parts += _signed_monomials(c, f"*exp({p.to_text()})" if p.coeffs else "")
+            parts += _signed_monomials(c, f"*exp({p.to_text()})" if p.re else "")
         return _join_signed(parts)
 
     def __repr__(self) -> str:

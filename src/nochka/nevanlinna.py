@@ -19,8 +19,8 @@ record slack per radius.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -271,7 +271,7 @@ def jensen_check(phi: CurveCoordinate | UnivariatePoly, radii: Sequence[float], 
     # zero within every group of equal p(0)
     at_zero: dict[QQi, QQi] = {}
     for p, c in phi.terms.items():
-        key = p.coeffs[0] if p.coeffs else QQI_ZERO
+        key = QQI_ZERO if p.is_zero else p.coeffs[0]
         at_zero[key] = at_zero.get(key, QQI_ZERO) + c.coeffs[0]
     if all(v.is_zero for v in at_zero.values()):
         raise ValueError("phi(0) = 0: factor out the vanishing power of z first")
@@ -382,19 +382,16 @@ def wronskian_divisor_check(coordinates: Sequence[UnivariatePoly | CurveCoordina
         return None
 
     for i, p in enumerate(polys):
-        if p.degree < 1:
-            continue
         for z, k in poly_roots_with_multiplicity(p):
             cl = locate(z)
             if cl is None:
                 cl = [z, [0] * len(polys), 0]
                 clusters.append(cl)
             cl[1][i] += k
-    if w.degree >= 1:
-        for z, k in poly_roots_with_multiplicity(w):
-            cl = locate(z)
-            if cl is not None:
-                cl[2] += k
+    for z, k in poly_roots_with_multiplicity(w):
+        cl = locate(z)
+        if cl is not None:
+            cl[2] += k
     points = []
     for center, orders, word in clusters:
         product_order = sum(orders)
@@ -457,7 +454,7 @@ def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
     w = wronskian([c.poly for c in curve.coordinates])
     if w.is_zero:
         raise ValueError("degenerate curve: vanishing Wronskian")
-    wdiv = zero_divisor(w) if w.degree >= 1 else ZeroDivisor((), math.inf)
+    wdiv = zero_divisor(w)
 
     vectors = [h.linear_coefficients() for h in hyperplanes]
     ksets = []
@@ -505,62 +502,32 @@ class LiftResult:
                 "relation_dim": self.relation_dim, "degenerate": self.degenerate}
 
 
-def _gaussian_integer_form(p: UnivariatePoly) -> tuple[list[int], list[int], int]:
-    """(re, im, den) with p = (re + i*im) / den: integer coefficient lists, low
-    to high, over the lcm of the denominators."""
-    den = math.lcm(*(x.denominator for c in p.coeffs for x in (c.re, c.im)))
-    return ([c.re.numerator * (den // c.re.denominator) for c in p.coeffs],
-            [c.im.numerator * (den // c.im.denominator) for c in p.coeffs], den)
-
-
-def _gaussian_mul(a: tuple, b: tuple) -> tuple[list[int], list[int], int]:
-    """Product of two `_gaussian_integer_form`s."""
-    ar, ai, ad = a
-    br, bi, bd = b
-    if not ar or not br:
-        return [], [], ad * bd
-    re = [0] * (len(ar) + len(br) - 1)
-    im = re.copy()
-    right = list(zip(br, bi))
-    for i, (x, y) in enumerate(zip(ar, ai)):
-        if x or y:
-            for k, (u, v) in enumerate(right, i):
-                re[k] += x * u - y * v
-                im[k] += x * v + y * u
-    return re, im, ad * bd
-
-
 def lift_curve(curve: ProjectiveCurve, arr: Arrangement, m: int) -> LiftResult:
     """Compose all degree-m monomials in the normalized forms with the curve and
     measure the space of linear forms vanishing on the lifted coordinates.
 
-    Products are taken over the Gaussian integers with one denominator each;
-    a coordinate becomes a `UnivariatePoly` over Q(i) once, at the end."""
+    The products are `UnivariatePoly` products, integer convolutions over
+    one denominator, so each realified row is read from a product's
+    integer numerators `re` and `im`."""
     if not curve.all_polynomial:
         raise ValueError("lifting needs a polynomial curve")
     if curve.ambient_dim != arr.M:
         raise ValueError("curve and arrangement ambient dimensions differ")
     if m < 1:
         raise ValueError("m must be >= 1")
-    composed = [_gaussian_integer_form(compose(f, curve).poly) for f in arr.normalized_forms()]
-    products = products_of_degree(composed, m, _gaussian_mul)
-    width = max(len(re) for re, _, _ in products)
+    composed = [compose(f, curve).poly for f in arr.normalized_forms()]
+    coords = products_of_degree(composed, m, operator.mul)
+    width = max(len(p.re) for p in coords)
     # Rank over Q(i) by realification: w -> [Re w ; Im w] is Q-linear and
     # injective and carries the Q(i)-span of the coordinates onto the Q-span
     # of the images of w and i*w.  That Q-span is closed under w -> i*w, so
     # the image of i*w is independent exactly when the image of w is.  Each
     # row is the image of den*w, a positive multiple, which leaves the rank.
     ech = Echelon()
-    coords = []
-    for re, im, den in products:
-        if den == 1:  # Fraction(x, den) would pay for a gcd on every coefficient
-            coords.append(UnivariatePoly([QQi(x, y) for x, y in zip(re, im)]))
-        else:
-            coords.append(UnivariatePoly([QQi(Fraction(x, den), Fraction(y, den))
-                                          for x, y in zip(re, im)]))
-        pad = [0] * (width - len(re))
-        if ech.insert(re + pad + im + pad):
-            ech.insert([-y for y in im] + pad + re + pad)
+    for p in coords:
+        pad = [0] * (width - len(p.re))
+        if ech.insert([*p.re, *pad, *p.im, *pad]):
+            ech.insert([*(-y for y in p.im), *pad, *p.re, *pad])
     rank = ech.rank // 2
     q_m = len(coords)
     return LiftResult(tuple(coords), q_m, rank, q_m - rank, q_m - rank >= q_m - 1)

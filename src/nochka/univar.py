@@ -1,12 +1,19 @@
 """Exact Gaussian-rational scalars and univariate polynomials.
 
-The coefficient-exact substrate for curve coordinates, Wronskians,
+The one Q(i)[z] arithmetic behind curve coordinates, Wronskians,
 square-free multiplicity extraction, and the lifted-curve rank
-computations.
+computations.  A polynomial is a pair of integer coefficient tuples over
+one positive denominator, (re + i*im) / den, in a canonical form:
+products are integer convolutions, sums align denominators by their lcm,
+and division is pseudo-division by the monic divisor, whose numerator has
+an integer leading coefficient.  `QQi` scalars appear only at the
+boundary: parsing, the coefficient view for text and tests, and
+conversion to complex.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -80,9 +87,6 @@ class QQi:
         return QQi((self.re * other.re + self.im * other.im) / d,
                    (self.im * other.re - self.re * other.im) / d)
 
-    def __rtruediv__(self, other):
-        return QQi.of(other) / self
-
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
@@ -103,23 +107,44 @@ class QQi:
 
 
 QQI_ZERO = QQi(0)
-QQI_ONE = QQi(1)
 
 
 class UnivariatePoly:
-    """Dense univariate polynomial over QQi, coefficients low to high.
+    """Polynomial (re + i*im) / den over Q(i), coefficients low to high.
 
-    `_complex` caches the coefficients as Python complexes once a numeric
-    evaluation needs them; it takes no part in equality or hashing.
+    `re` and `im` are integer tuples of one length and `den` is a positive
+    integer.  The form is canonical: no trailing coefficient is zero, and
+    den is coprime to the entries taken together, so equality and hashing
+    compare the three fields.  Arithmetic stays on these integers; the
+    QQi view (`coeffs`, `leading`) serves text and tests.  `_complex`
+    caches the coefficients as Python complexes once a numeric evaluation
+    needs them; it takes no part in equality or hashing.
     """
 
-    __slots__ = ("coeffs", "_complex")
+    __slots__ = ("re", "im", "den", "_complex")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [QQi.of(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+        self._reduce([c.re.numerator * (den // c.re.denominator) for c in cs],
+                     [c.im.numerator * (den // c.im.denominator) for c in cs], den)
+
+    @classmethod
+    def _of(cls, re: Sequence[int], im: Sequence[int], den: int) -> "UnivariatePoly":
+        """(re + i*im) / den in canonical form; den > 0."""
+        p = cls.__new__(cls)
+        p._reduce(re, im, den)
+        return p
+
+    def _reduce(self, re: Sequence[int], im: Sequence[int], den: int) -> None:
+        n = len(re)
+        while n and not (re[n - 1] or im[n - 1]):
+            n -= 1
+        re, im = re[:n], im[:n]
+        g = math.gcd(den, *re, *im)
+        if g > 1:
+            re, im, den = [x // g for x in re], [y // g for y in im], den // g
+        self.re, self.im, self.den = tuple(re), tuple(im), den
         self._complex: tuple[complex, ...] | None = None
 
     @classmethod
@@ -130,22 +155,24 @@ class UnivariatePoly:
     def from_pairs(cls, pairs: Iterable[tuple]) -> "UnivariatePoly":
         """Build from (coefficient, power) pairs, accumulating repeats."""
         acc: dict[int, QQi] = {}
-        top = -1
         for coeff, power in pairs:
-            power = int(power)
             if power < 0:
                 raise ValueError("negative power")
             acc[power] = acc.get(power, QQI_ZERO) + QQi.of(coeff)
-            top = max(top, power)
-        return cls([acc.get(k, QQI_ZERO) for k in range(top + 1)])
+        return cls([acc.get(k, QQI_ZERO) for k in range(max(acc, default=-1) + 1)])
+
+    @property
+    def coeffs(self) -> tuple[QQi, ...]:
+        return tuple(QQi(Fraction(x, self.den), Fraction(y, self.den))
+                     for x, y in zip(self.re, self.im))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     @property
     def leading(self) -> QQi:
@@ -154,89 +181,106 @@ class UnivariatePoly:
         return self.coeffs[-1]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UnivariatePoly) and self.coeffs == other.coeffs
+        return (isinstance(other, UnivariatePoly) and self.re == other.re
+                and self.im == other.im and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.re, self.im, self.den))
 
     def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UnivariatePoly(out)
+        a, b = (self, other) if len(self.re) >= len(other.re) else (other, self)
+        den = math.lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        re, im = [x * sa for x in a.re], [y * sa for y in a.im]
+        for k, (x, y) in enumerate(zip(b.re, b.im)):
+            re[k] += x * sb
+            im[k] += y * sb
+        return UnivariatePoly._of(re, im, den)
 
     def __sub__(self, other: "UnivariatePoly") -> "UnivariatePoly":
         return self + (-other)
 
     def __neg__(self) -> "UnivariatePoly":
-        return UnivariatePoly([-c for c in self.coeffs])
+        return UnivariatePoly._of([-x for x in self.re], [-y for y in self.im], self.den)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
-            return self.scale(other)
-        if self.is_zero or other.is_zero:
-            return UnivariatePoly()
-        out = [QQI_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UnivariatePoly(out)
+    def __mul__(self, other) -> "UnivariatePoly":
+        """Convolution of the integer numerators; a scalar factor is a constant polynomial."""
+        if not isinstance(other, UnivariatePoly):
+            other = UnivariatePoly.constant(other)
+        re = [0] * (len(self.re) + len(other.re) - 1)
+        im = re.copy()
+        right = list(zip(other.re, other.im))
+        for i, (x, y) in enumerate(zip(self.re, self.im)):
+            if x or y:
+                for k, (u, v) in enumerate(right, i):
+                    re[k] += x * u - y * v
+                    im[k] += x * v + y * u
+        return UnivariatePoly._of(re, im, self.den * other.den)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, factor) -> "UnivariatePoly":
-        factor = QQi.of(factor)
-        return UnivariatePoly([c * factor for c in self.coeffs])
+    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "UnivariatePoly":
         if exponent < 0:
             raise ValueError("negative power")
-        result = UnivariatePoly([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
+        result, base = UnivariatePoly([1]), self
+        while exponent:
+            if exponent & 1:
                 result = result * base
             base = base * base
-            e >>= 1
+            exponent >>= 1
         return result
 
     def derivative(self) -> "UnivariatePoly":
-        return UnivariatePoly([c * k for k, c in enumerate(self.coeffs)][1:])
+        return UnivariatePoly._of([k * x for k, x in enumerate(self.re)][1:],
+                                  [k * y for k, y in enumerate(self.im)][1:], self.den)
+
+    def _inverse_leading(self) -> "UnivariatePoly":
+        """The constant 1 / leading coefficient: den * conj(a + bi) / (a^2 + b^2)."""
+        a, b = self.re[-1], self.im[-1]
+        return UnivariatePoly._of((a * self.den,), (-b * self.den,), a * a + b * b)
 
     def divmod_exact(self, divisor: "UnivariatePoly") -> tuple["UnivariatePoly", "UnivariatePoly"]:
+        """(q, r) with self = q * divisor + r and deg r < deg divisor.
+
+        Pseudo-division by the monic divisor m = M / lead, whose numerator M
+        has the integer leading coefficient lead: lead^s * N = Q * M + R over
+        the Gaussian integers, for the numerator N of self and s quotient
+        terms, and each step divides its top coefficient by lead exactly.
+        """
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        lead = divisor.leading
-        quot = [QQI_ZERO] * max(0, len(rem) - dd)
-        for k in range(len(rem) - dd - 1, -1, -1):
-            c = rem[k + dd]
-            if c.is_zero:
-                continue
-            f = c / lead
-            quot[k] = f
-            for i, dc in enumerate(divisor.coeffs):
-                rem[k + i] = rem[k + i] - f * dc
-        return UnivariatePoly(quot), UnivariatePoly(rem[:dd])
+        inverse = divisor._inverse_leading()
+        monic = divisor * inverse
+        mr, mi, lead = monic.re, monic.im, monic.den
+        dm = len(mr) - 1
+        steps = max(0, len(self.re) - dm)
+        scale = lead ** steps
+        re, im = [x * scale for x in self.re], [y * scale for y in self.im]
+        qr, qi = [0] * steps, [0] * steps
+        for k in range(steps - 1, -1, -1):
+            c, d = re[k + dm], im[k + dm]
+            if c or d:
+                qr[k], qi[k] = c, d  # lead times the quotient term
+                x, y = c // lead, d // lead
+                for j, (u, v) in enumerate(zip(mr, mi), k):
+                    re[j] -= x * u - y * v
+                    im[j] -= x * v + y * u
+        den = self.den * scale
+        return (UnivariatePoly._of(qr, qi, den) * inverse,
+                UnivariatePoly._of(re[:dm], im[:dm], den))
 
     def monic(self) -> "UnivariatePoly":
-        if self.is_zero:
-            return self
-        return self.scale(QQI_ONE / self.leading)
+        return self * self._inverse_leading() if self.re else self
 
     @property
     def complex_coeffs(self) -> tuple[complex, ...]:
-        """complex(c) for each coefficient, low to high, converted once per polynomial."""
+        """complex(c) for each coefficient, low to high, converted once per polynomial.
+
+        Integer true division rounds correctly, as float(Fraction) does.
+        """
         if self._complex is None:
-            self._complex = tuple(complex(c) for c in self.coeffs)
+            den = self.den
+            self._complex = tuple(complex(x / den, y / den) for x, y in zip(self.re, self.im))
         return self._complex
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
@@ -262,17 +306,18 @@ def _signed_monomials(p: UnivariatePoly, suffix: str) -> list[tuple[str, str]]:
     """(sign, body) per nonzero monomial of p in z, highest power first; `suffix` ends each body."""
     parts = []
     for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
-        if c.is_zero:
+        x, y = p.re[k], p.im[k]
+        if not (x or y):
             continue
         sign = "+"
-        if c.im == 0 and c.re < 0:
-            sign, c = "-", -c
+        if y == 0 and x < 0:
+            sign, x = "-", -x
+        c = QQi(Fraction(x, p.den), Fraction(y, p.den))
         if k == 0:
             body = _coeff_text(c)
         else:
             zp = "z" if k == 1 else f"z^{k}"
-            body = zp if c == QQI_ONE else f"{_coeff_text(c)}*{zp}"
+            body = zp if c == 1 else f"{_coeff_text(c)}*{zp}"
         parts.append((sign, body + suffix))
     return parts
 

@@ -1,5 +1,7 @@
 """Gaussian-rational scalars, univariate polynomials, square-free structure, roots."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nochka.curves import parse_coordinate
 from nochka.rootfind import poly_roots_with_multiplicity
 from nochka.univar import (QQi, UnivariatePoly, poly_gcd, poly_gcd_many,
                            squarefree_decomposition)
@@ -104,7 +107,7 @@ class TestComplexCoefficientCache:
         p.eval_array(POINTS)
         q.eval_array(POINTS)
         for built in (p + q, p - q, p * q, q * p, p ** 2, p.derivative(),
-                      p.scale(QQi(0, 2)), -p):
+                      p * QQi(0, 2), -p):
             assert built.eval_array(POINTS).tobytes() == _horner(built, POINTS).tobytes()
         assert (p * q).eval_array(POINTS) == pytest.approx(
             _horner(p, POINTS) * _horner(q, POINTS), rel=1e-12)
@@ -155,3 +158,115 @@ class TestPolyRoots:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             poly_roots_with_multiplicity(UnivariatePoly())
+
+
+def _random_qqi(rng: random.Random) -> QQi:
+    return QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+               Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+
+
+def _random_poly(rng: random.Random, degree: int) -> UnivariatePoly:
+    """Degree exactly `degree`, Gaussian-rational coefficients with denominators <= 7."""
+    coeffs = [_random_qqi(rng) for _ in range(degree)]
+    lead = _random_qqi(rng)
+    return UnivariatePoly(coeffs + [lead if lead else QQi(1, Fraction(1, 7))])
+
+
+class TestAgainstSympy:
+    """Differential checks against sympy's Q(i)[z] (test-only dependency)."""
+
+    SEEDS = range(12)
+
+    @pytest.fixture(autouse=True)
+    def _sympy(self):
+        self.sympy = pytest.importorskip("sympy")
+        self.z = self.sympy.Symbol("z")
+
+    def to_sympy(self, p: UnivariatePoly):
+        sp = self.sympy
+        return sp.Poly([sp.Rational(c.re.numerator, c.re.denominator)
+                        + sp.I * sp.Rational(c.im.numerator, c.im.denominator)
+                        for c in reversed(p.coeffs)], self.z, domain=sp.QQ_I)
+
+    def from_sympy(self, q) -> UnivariatePoly:
+        def qqi(c):
+            re, im = (self.sympy.Rational(part) for part in (self.sympy.re(c), self.sympy.im(c)))
+            return QQi(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+        return UnivariatePoly([qqi(c) for c in reversed(q.all_coeffs())])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_product_derivative_division(self, seed):
+        rng = random.Random(seed)
+        a = _random_poly(rng, rng.randint(0, 8))
+        b = _random_poly(rng, rng.randint(0, 5))
+        assert any(c.im for c in a.coeffs + b.coeffs)
+        sa, sb = self.to_sympy(a), self.to_sympy(b)
+        assert a * b == self.from_sympy(sa * sb)
+        assert a.derivative() == self.from_sympy(sa.diff(self.z))
+        q, r = a.divmod_exact(b)
+        sq, sr = sa.div(sb)
+        assert (q, r) == (self.from_sympy(sq), self.from_sympy(sr))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_gcd_and_squarefree(self, seed):
+        rng = random.Random(seed)
+        g, u, v = (_random_poly(rng, d) for d in (2, rng.randint(1, 3), rng.randint(1, 3)))
+        a, b = g * u, g * v
+        assert poly_gcd(a, b) == self.from_sympy(self.to_sympy(a).gcd(self.to_sympy(b)).monic())
+        p = _random_poly(rng, 1) * _random_poly(rng, 2) ** 2 * _random_poly(rng, 1) ** 3
+        _, factors = self.to_sympy(p).sqf_list()
+        expected = {k: self.from_sympy(f.monic()) for f, k in factors}
+        assert dict((k, f) for f, k in squarefree_decomposition(p)) == expected
+
+
+gaussian_rationals = st.builds(
+    lambda a, b, d, e: QQi(Fraction(a, d), Fraction(b, e)),
+    st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 9), st.integers(1, 9))
+gaussian_polys = st.lists(gaussian_rationals, max_size=6).map(UnivariatePoly)
+
+
+def assert_same_canonical(p: UnivariatePoly, q: UnivariatePoly) -> None:
+    assert p == q
+    assert hash(p) == hash(q)
+    assert (p.re, p.im, p.den) == (q.re, q.im, q.den)
+    for r in (p, q):
+        assert r.den > 0 and len(r.re) == len(r.im)
+        assert math.gcd(r.den, *r.re, *r.im) == 1
+        assert not r.re or r.re[-1] or r.im[-1]
+
+
+class TestCanonicalForm:
+    @given(gaussian_polys, gaussian_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_exact_quotient(self, a, b):
+        if b.is_zero:
+            return
+        q, r = (a * b).divmod_exact(b)
+        assert_same_canonical(q, a)
+        assert_same_canonical(r, UnivariatePoly())
+
+    @given(gaussian_polys, gaussian_rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_scale_and_unscale(self, a, c):
+        if c.is_zero:
+            return
+        assert_same_canonical(a * c * (QQi(1) / c), a)
+
+    @given(st.lists(st.tuples(gaussian_rationals, st.integers(0, 4)), max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_powers(self, pairs):
+        total = [QQi(0)] * 5
+        for c, k in pairs:
+            total[k] = total[k] + c
+        assert_same_canonical(UnivariatePoly.from_pairs(pairs), UnivariatePoly(total))
+
+    @given(gaussian_polys, gaussian_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_cancelling_sum(self, a, b):
+        assert_same_canonical((a + b) - b - a, UnivariatePoly())
+        assert_same_canonical((a + b) - b, a)
+
+    def test_equal_exponents_share_one_key(self):
+        f = parse_coordinate("exp(1/2*z + 1/2*z) + exp(z)")
+        assert list(f.terms.items()) == [(UnivariatePoly([0, 1]), UnivariatePoly([2]))]
+        assert parse_coordinate("exp(1/2*z + 1/2*z) - exp(z)").is_zero
