@@ -8,6 +8,7 @@ usage error, 3 resource budget exceeded, 4 a mathematical check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -213,7 +214,9 @@ def _cmd_gen_fixture(args) -> tuple[dict, bool]:
             "coefficient": fixture.manifest["coefficient"]}, True
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"), default="json")
 

@@ -12,7 +12,8 @@ onto the linear space L they cut out.  It maps the zero set of the other
 polynomials restricted to p(B t) onto V cut by R, so both have the same
 projective dimension, and only the restricted ideal, in M + 1 - k
 variables, needs a Groebner basis (none at all when L is empty, a point,
-or inside every other zero set).
+or inside every other zero set, when one restricted polynomial is left, or
+when L is a line and a univariate gcd decides it).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension, monomia
                    products_of_degree, unpack_monomial)
 from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle, ValidationReport,
                         _set_str, check_costs, linear_matroid_oracle, validate_rank_oracle)
+from .univar import UnivariatePoly, poly_gcd_many
 
 QM_BUDGET = 5000
 
@@ -191,6 +193,29 @@ def _restrict(p: Polynomial, basis: Sequence[tuple[int, ...]]) -> Polynomial:
                                      for k, c in zip(keys, coeffs)})
 
 
+def _forms_dimension(gens: Sequence[Polynomial], nvars: int, gb_steps: int) -> int:
+    """Projective dimension of the common zero set of nonzero forms of
+    positive degree in nvars >= 2 variables.
+
+    One form cuts a hypersurface, of dimension nvars - 2.  Binary forms
+    F(t0, t1) meet in a point exactly when they share a zero (z : 1), a root
+    of the gcd of the F(z, 1), or all vanish at (1 : 0), where each has no
+    t0^d term.  Other ideals take a Groebner basis under `gb_steps`."""
+    if len(gens) == 1:
+        return nvars - 2
+    if nvars == 2:
+        if all((g.degree, 0) not in g.terms for g in gens):
+            return 0
+        dehomogenised = []
+        for g in gens:
+            coeffs = [Fraction(0)] * (g.degree + 1)
+            for (e0, _), c in g.terms.items():
+                coeffs[e0] = c
+            dehomogenised.append(UnivariatePoly(coeffs))
+        return 0 if poly_gcd_many(dehomogenised).degree > 0 else -1
+    return ideal_dimension(Ideal(gens, nvars=nvars, max_steps=gb_steps))
+
+
 def codim_oracle(arr: Arrangement) -> RankOracle:
     """Rank oracle with c(R) = n - dim(V cut by the R-indexed hypersurfaces).
 
@@ -208,6 +233,8 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
     - no restricted generator is left nonzero: V contains L, dim = M - k;
     - L is a point: empty, since every restricted generator left is a
       nonzero multiple of t^d;
+    - one restricted generator left: a hypersurface of L, dim = M - k - 1;
+    - L is a line: binary forms, decided by a univariate gcd;
     - otherwise the Groebner dimension of the restricted ideal in M + 1 - k
       variables, under the arrangement's step budget.
 
@@ -269,8 +296,7 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
                 elif len(basis) == 1:
                     dim = -1
                 else:
-                    dim = ideal_dimension(Ideal(gens, nvars=len(basis),
-                                                max_steps=arr.gb_steps))
+                    dim = _forms_dimension(gens, len(basis), arr.gb_steps)
             c = n - dim
             if not 0 <= c <= n + 1:
                 raise VerificationError(

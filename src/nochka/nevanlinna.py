@@ -307,28 +307,23 @@ def wronskian(functions: Sequence[UnivariatePoly | CurveCoordinate]) -> Univaria
         for _ in range(k - 1):
             row.append(row[-1].derivative())
         derivs.append(row)
-    full = (1 << k) - 1
-    memo: dict[int, UnivariatePoly] = {0: UnivariatePoly([1])}
-
-    def det(mask: int) -> UnivariatePoly:
-        if mask in memo:
-            return memo[mask]
+    # minors[mask]: the determinant of the rows in mask against the last
+    # popcount(mask) derivative columns, expanded along its first column;
+    # built bottom-up by popcount, so each minor's minors come first
+    minors: dict[int, UnivariatePoly] = {0: UnivariatePoly([1])}
+    for mask in sorted(range(1, 1 << k), key=int.bit_count):
         col = k - mask.bit_count()
         total = UnivariatePoly()
         sign = 1
         m = mask
         while m:
             low = m & -m
-            i = low.bit_length() - 1
-            sub = det(mask ^ low)
-            term = derivs[i][col] * sub
+            term = derivs[low.bit_length() - 1][col] * minors[mask ^ low]
             total = total + term if sign > 0 else total - term
             sign = -sign
             m ^= low
-        memo[mask] = total
-        return total
-
-    return det(full)
+        minors[mask] = total
+    return minors[(1 << k) - 1]
 
 
 @dataclass(frozen=True)

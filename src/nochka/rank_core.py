@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -93,9 +94,12 @@ class RankOracle:
             raise ValueError(f"N must be >= n, got N={self.N} < n={self.n}")
         if len(self.table) != 1 << self.q:
             raise ValueError(f"table must have 2^{self.q} entries, got {len(self.table)}")
-        for mask, value in enumerate(self.table):
-            if not isinstance(value, int) or not 0 <= value <= self.n + 1:
-                raise ValueError(f"c{_set_str(mask)} = {value!r} outside 0..{self.n + 1}")
+        table = self.table
+        # one pass in C for the usual all-int table; the loop names the first bad value
+        if not (set(map(type, table)) == {int} and 0 <= min(table) and max(table) <= self.n + 1):
+            for mask, value in enumerate(table):
+                if not isinstance(value, int) or not 0 <= value <= self.n + 1:
+                    raise ValueError(f"c{_set_str(mask)} = {value!r} outside 0..{self.n + 1}")
 
     def c_mask(self, mask: int) -> int:
         return self.table[mask]
@@ -166,23 +170,29 @@ def validate_rank_oracle(oracle: RankOracle) -> ValidationReport:
             break
     add("nonzero-singletons", singleton_w)
 
-    mono_w = unit_w = None
+    # inc[b, m] = c(m + b) - c(m) for m without bit b, and 0 for m with it;
+    # c lies in 0..n+1 and inc in -(n+1)..n+1, both within int8 for n < 127
+    small = t.astype(np.int8 if n < 127 else np.int64)
+    inc = np.zeros((q, 1 << q), dtype=small.dtype)
     for b in range(q):
         bit = 1 << b
-        sub = masks[(masks & bit) == 0]
-        d = t[sub | bit] - t[sub]
-        if mono_w is None:
-            bad = np.nonzero(d < 0)[0]
-            if bad.size:
-                m = int(sub[bad[0]])
-                mono_w = f"c{_set_str(m | bit)} < c{_set_str(m)}"
-        if unit_w is None:
-            bad = np.nonzero(d > 1)[0]
-            if bad.size:
-                m = int(sub[bad[0]])
-                unit_w = f"c{_set_str(m | bit)} - c{_set_str(m)} = {int(d[bad[0]])}"
-    add("monotone", mono_w)
-    add("unit-increment", unit_w)
+        pairs = small.reshape(-1, 2, bit)
+        inc[b].reshape(-1, 2, bit)[:, 0, :] = pairs[:, 1, :] - pairs[:, 0, :]
+
+    def first(bad: np.ndarray) -> tuple[int, int] | None:
+        """(row, column) of the first True of the first row holding one."""
+        rows = bad.any(axis=1)
+        if not rows.any():
+            return None
+        r = int(np.argmax(rows))
+        return r, int(np.argmax(bad[r]))
+
+    hit = first(inc < 0)
+    add("monotone", None if hit is None else
+        f"c{_set_str(hit[1] | 1 << hit[0])} < c{_set_str(hit[1])}")
+    hit = first(inc > 1)
+    add("unit-increment", None if hit is None else
+        f"c{_set_str(hit[1] | 1 << hit[0])} - c{_set_str(hit[1])} = {int(inc[hit])}")
 
     bad = np.nonzero(t > np.minimum(pc, n + 1))[0]
     capped_w = None
@@ -198,33 +208,30 @@ def validate_rank_oracle(oracle: RankOracle) -> ValidationReport:
         span_w = f"c{_set_str(m)} = {int(t[m])} != {n + 1} with #S = {int(pc[m])} >= N+1"
     add("spanning", span_w)
 
-    def submodular_witness() -> str | None:
-        for b1 in range(q):
-            for b2 in range(b1 + 1, q):
-                bits = (1 << b1) | (1 << b2)
-                base = masks[(masks & bits) == 0]
-                lhs = t[base | bits] + t[base]
-                rhs = t[base | (1 << b1)] + t[base | (1 << b2)]
-                bad = np.nonzero(lhs > rhs)[0]
-                if bad.size:
-                    m = int(base[bad[0]])
-                    return f"R1={_set_str(m | (1 << b1))}, R2={_set_str(m | (1 << b2))}"
-        return None
-
-    add("submodular", submodular_witness())
-
-    exch_w = None
-    for m in np.nonzero(t == pc)[0]:
-        m = int(m)
-        cm = int(t[m])
-        cl = m
-        for b in range(q):
-            bit = 1 << b
-            if not m & bit and t[m | bit] == cm:
-                cl |= bit
-        if int(t[cl]) != cm:
-            exch_w = f"K={_set_str(m)}, R={_set_str(cl)}"
+    # c(K+i+j) + c(K) > c(K+i) + c(K+j) iff inc[j, K+i] > inc[j, K]; pass i
+    # compares, for every j > i, the masks with bit i against those without
+    # (inc is 0 on masks holding bit j, so they never fail)
+    sub_w = None
+    for b1 in range(q - 1):
+        bit = 1 << b1
+        quads = inc[b1 + 1:].reshape(q - b1 - 1, -1, 2, bit)
+        hit = first((quads[:, :, 1, :] > quads[:, :, 0, :]).reshape(q - b1 - 1, -1))
+        if hit is not None:
+            high, low = divmod(hit[1], bit)
+            m = high * 2 * bit + low
+            sub_w = f"R1={_set_str(m | bit)}, R2={_set_str(m | 1 << (b1 + 1 + hit[0]))}"
             break
+    add("submodular", sub_w)
+
+    # closure of K: K plus every element that does not raise c(K)
+    closure = masks.copy()
+    for b in range(q):
+        closure[inc[b] == 0] |= 1 << b
+    bad = np.nonzero((t == pc) & (t[closure] != t))[0]
+    exch_w = None
+    if bad.size:
+        m = int(bad[0])
+        exch_w = f"K={_set_str(m)}, R={_set_str(int(closure[m]))}"
     add("exchange", exch_w)
 
     return ValidationReport(all(c.ok for c in checks), tuple(checks))
@@ -420,17 +427,18 @@ def verify_weight_conditions(oracle: RankOracle, weights: WeightAssignment) -> V
     checks.append(AxiomCheck("theta-range", w is None, w))
 
     denom = lcm(*(x.denominator for x in omega)) if omega else 1
-    w_int = [int(x * denom) for x in omega]
-    size = 1 << q
-    sums = [0] * size
-    table = oracle.table
+    # subset sums of the integer weights omega * denom, built by doubling;
+    # Python ints in an object array, so no size of denom can overflow
+    sums = np.zeros(1 << q, dtype=object)
+    for b, wb in enumerate(omega):
+        sums[1 << b:2 << b] = sums[:1 << b] + int(wb * denom)
+    caps = np.array(oracle.table, dtype=object) * denom
+    over = np.nonzero((_popcounts(q) <= N + 1) & (sums > caps))[0]
     w = None
-    for mask in range(1, size):
-        low_bit = mask & -mask
-        sums[mask] = sums[mask ^ low_bit] + w_int[low_bit.bit_length() - 1]
-        if w is None and mask.bit_count() <= N + 1 and sums[mask] > table[mask] * denom:
-            w = (f"R={_set_str(mask)}: sum = {Fraction(sums[mask], denom)}"
-                 f" > c(R) = {table[mask]}")
+    if over.size:
+        mask = int(over[0])
+        w = (f"R={_set_str(mask)}: sum = {Fraction(sums[mask], denom)}"
+             f" > c(R) = {oracle.table[mask]}")
     checks.append(AxiomCheck("subset-cap", w is None, w))
 
     return ValidationReport(all(c.ok for c in checks), tuple(checks))
@@ -532,16 +540,29 @@ def linear_matroid_oracle(vectors: Sequence[Sequence], N: int) -> RankOracle:
     return RankOracle(q, n, N, tuple(table))
 
 
+def subset_labels(q: int) -> list[str]:
+    """The subset column of the oracle text, by mask: `-`, `1`, `2`, `1,2`, `3`, ...
+
+    Built incrementally, label(m + bit b) = label(m) + "," + str(b + 1) for
+    m below that bit, and never cached: at q = 20 there are a million."""
+    labels = ["-"]
+    for j in range(1, q + 1):
+        labels.append(str(j))
+        tag = f",{j}"
+        labels += [label + tag for label in labels[1:-1]]
+    return labels
+
+
 def format_oracle(oracle: RankOracle) -> str:
-    """Interchange text: header `q n N`, then one `subset : c` line per subset."""
-    lines = [f"{oracle.q} {oracle.n} {oracle.N}"]
-    for mask in range(1 << oracle.q):
-        subset = "-" if mask == 0 else ",".join(map(str, indices_of(mask)))
-        lines.append(f"{subset} : {oracle.table[mask]}")
-    return "\n".join(lines) + "\n"
+    """Interchange text: header `q n N`, then one `subset : c` line per subset,
+    in bitmask order."""
+    body = map(" : ".join, zip(subset_labels(oracle.q), map(str, oracle.table)))
+    return f"{oracle.q} {oracle.n} {oracle.N}\n" + "\n".join(body) + "\n"
 
 
 def parse_oracle(text: str) -> RankOracle:
+    """Read the interchange text; subset lines may come in any order and
+    spacing.  Text as `format_oracle` writes it is read column-wise."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty oracle file")
@@ -554,6 +575,31 @@ def parse_oracle(text: str) -> RankOracle:
         raise ParseError("header must hold three integers", line=1) from None
     if not 1 <= q <= MAX_GROUND_SET:
         raise ParseError(f"q out of range 1..{MAX_GROUND_SET}", line=1)
+    table = _canonical_table(lines, q)
+    if table is None:
+        table = _table_of_lines(lines, q)
+    try:
+        return RankOracle(q, n, N, tuple(table))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _canonical_table(lines: list[str], q: int) -> list[int] | None:
+    """The c-values when the subset lines are exactly `format_oracle`'s, else None."""
+    if len(lines) != (1 << q) + 1:
+        return None
+    left, _, right = zip(*map(str.partition, lines[1:], repeat(" : ")))
+    if list(left) != subset_labels(q):
+        return None
+    try:
+        return list(map(int, right))
+    except ValueError:
+        return None
+
+
+def _table_of_lines(lines: list[str], q: int) -> list[int]:
+    """The c-values of subset lines in any order, one line at a time; the
+    source of every ParseError about the body."""
     table: list[int | None] = [None] * (1 << q)
     bits = {str(j): 1 << (j - 1) for j in range(1, q + 1)}
     count = 0
@@ -595,7 +641,4 @@ def parse_oracle(text: str) -> RankOracle:
         count += 1
     if count != 1 << q:
         raise ParseError(f"expected {1 << q} subset lines, got {count}")
-    try:
-        return RankOracle(q, n, N, tuple(table))  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return table  # type: ignore[return-value]

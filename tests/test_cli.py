@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nochka
-from nochka.cli import main
+from nochka.cli import build_parser, main
 from nochka.fixtures import pencil_lines_arrangement, three_point_arrangement
 from nochka.geometry import format_arrangement, parse_arrangement
 from nochka.rank_core import format_oracle, linear_matroid_oracle
@@ -117,6 +117,27 @@ class TestRankCommands:
 
     def test_flag_of_another_subcommand_exit_2(self, capsys, oracle_file):
         assert main(["weights", "--oracle", oracle_file, "--seed", "3"]) == 2
+
+
+class TestCachedParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_interleaved_calls_print_as_when_first(self, capsys, oracle_file):
+        calls = [["greedy", "--oracle", oracle_file, "--subset", "1,2,3,4",
+                  "--costs", "4,3,2,1,0,0,0"],
+                 ["weights", "--oracle", oracle_file, "--subset", "1"],
+                 ["weights", "--oracle", oracle_file, "--format", "tsv"]]
+        first = []
+        for argv in calls:
+            build_parser.cache_clear()
+            code = main(argv)
+            first.append((code, capsys.readouterr()))
+        assert [code for code, _ in first] == [0, 2, 0]
+        parser = build_parser()
+        for argv, expected in zip(calls + calls, first + first):
+            assert (main(argv), capsys.readouterr()) == expected
+        assert build_parser() is parser
 
 
 class TestGeometryCommands:

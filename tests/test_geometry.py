@@ -1,6 +1,7 @@
 """Arrangements, codimension oracles, position checks, Hilbert data."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -16,8 +17,8 @@ from nochka.geometry import (Arrangement, check_subgeneral_position, codim_oracl
                              format_arrangement, hilbert_function, hilbert_weight,
                              parse_arrangement, verify_hilbert_lower_bound)
 from nochka.linalg import Echelon
-from nochka.poly import (Ideal, Polynomial, ideal_dimension, monomials_of_degree,
-                         parse_polynomial)
+from nochka.poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension,
+                         monomials_of_degree, parse_polynomial)
 from nochka.rank_core import validate_rank_oracle
 
 V3 = ("x0", "x1", "x2")
@@ -120,13 +121,11 @@ class TestCodimOracle:
         monkeypatch.setattr(geometry, "ideal_dimension", counted)
         oracle = codim_oracle(arr)
         assert oracle.table == expected
-        # the conic alone, then the conic on each of the five line subsets of
-        # rank 1 ({x0, 2*x0} among them); a subset of rank 2 cuts out a point,
-        # which the restriction decides with no basis, and all-line subsets
-        # need none either
-        assert [ideal.nvars for ideal in calls] == [3, 2, 2, 2, 2, 2]
-        assert all(ideal.nvars < arr.M + 1 or all(g.degree > 1 for g in ideal.generators)
-                   for ideal in calls)
+        # the conic alone, and the conic on each of the five line subsets of
+        # rank 1 ({x0, 2*x0} among them), are one form each; a subset of rank
+        # 2 cuts out a point, which the restriction decides with no basis, and
+        # all-line subsets need none either
+        assert calls == []
 
     @pytest.mark.parametrize("damage", [lambda b: b[:-1], lambda b: b + b[:1],
                                         lambda b: [tuple(x + 1 for x in v) for v in b]],
@@ -153,8 +152,9 @@ class TestCodimOracle:
         monkeypatch.setattr(geometry, "ideal_dimension", counted)
         oracle = codim_oracle(arr)
         # 169 when each subset with a conic ran on all M+1 variables, 298
-        # before all-line subsets took exact ranks
-        assert len(calls) == 61
+        # before all-line subsets took exact ranks, 61 before one restricted
+        # form and binary forms were decided without a basis
+        assert len(calls) == 4
         assert all(ideal.nvars < arr.M + 1 or all(g.degree > 1 for g in ideal.generators)
                    for ideal in calls)
         monkeypatch.undo()
@@ -162,10 +162,12 @@ class TestCodimOracle:
         assert oracle.table == groebner_codims(arr, pruned=True)
 
     def test_lines_on_a_variety_use_groebner(self, monkeypatch):
-        conic = parse_polynomial("x0*x2 - x1^2", V3)
-        hyps = tuple((f"H{i}", parse_polynomial(t, V3))
-                     for i, t in enumerate(("x0", "x2", "x0 + x2", "x1"), 1))
-        arr = Arrangement(2, 1, 2, 2, (conic,), hyps, V3)
+        # the twisted cubic's three quadrics, restricted to a plane, still
+        # need a basis
+        cubic = tuple(parse_polynomial(t, V4) for t in TWISTED_CUBIC)
+        hyps = tuple((f"H{i}", parse_polynomial(t, V4))
+                     for i, t in enumerate(("x0", "x3", "x1 + x2", "x1"), 1))
+        arr = Arrangement(3, 1, 3, 3, cubic, hyps, V4)
         calls = []
 
         def counted(ideal):
@@ -249,6 +251,59 @@ class TestRestrictedOracle:
     @settings(max_examples=40, deadline=None)
     def test_matches_one_groebner_basis_per_subset(self, arr):
         assert codim_oracle(arr).table == groebner_codims(arr)
+
+
+def _random_form(rng: random.Random, nvars: int, degree: int) -> Polynomial:
+    monos = list(monomials_of_degree(nvars, degree))
+    coeffs = [rng.randint(-3, 3) for _ in monos]
+    if not any(coeffs):
+        coeffs[rng.randrange(len(coeffs))] = 1
+    return Polynomial(nvars, dict(zip(monos, coeffs)))
+
+
+def _binary_families(seed: int) -> list[list[Polynomial]]:
+    """Binary forms: at random, sharing a factor, and vanishing together at (1 : 0)."""
+    rng = random.Random(seed)
+    t1 = Polynomial(2, {(0, 1): 1})
+    shared = [_random_form(rng, 2, rng.randint(1, 2)),
+              parse_polynomial("t0^2 + t1^2", ("t0", "t1"))]  # zeros (+-i : 1)
+    out = []
+    for _ in range(4):
+        k = rng.randint(2, 3)
+        forms = [_random_form(rng, 2, rng.randint(1, 3)) for _ in range(k)]
+        out.append(forms)
+        factor = rng.choice(shared)
+        out.append([f * factor for f in forms])
+        out.append([f * t1 for f in forms])
+        out.append([f * t1 * factor for f in forms])
+    return out
+
+
+class TestFormsDimension:
+    def test_binary_forms_match_groebner(self):
+        seen = set()
+        for seed in range(40):
+            for forms in _binary_families(seed):
+                dim = geometry._forms_dimension(forms, 2, DEFAULT_GB_STEPS)
+                assert dim == ideal_dimension(Ideal(forms, nvars=2)), forms
+                seen.add(dim)
+        assert seen == {-1, 0}
+
+    def test_one_form_matches_groebner(self):
+        rng = random.Random(5)
+        for nvars in (2, 3, 4):
+            for _ in range(6):
+                form = _random_form(rng, nvars, rng.randint(1, 3))
+                assert (geometry._forms_dimension([form], nvars, DEFAULT_GB_STEPS)
+                        == ideal_dimension(Ideal([form], nvars=nvars)) == nvars - 2)
+
+    def test_other_ideals_take_a_basis(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(geometry, "ideal_dimension",
+                            lambda ideal: calls.append(ideal) or ideal_dimension(ideal))
+        forms = [parse_polynomial(t, V3) for t in ("x0*x2 - x1^2", "x0")]
+        assert geometry._forms_dimension(forms, 3, DEFAULT_GB_STEPS) == 0
+        assert len(calls) == 1 and calls[0].nvars == 3
 
 
 class TestPositionCheck:

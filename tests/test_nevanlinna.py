@@ -582,6 +582,7 @@ class TestNoGarbageCycles:
             codim_oracle(pencil)
             linear_matroid_oracle([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 2)
             zero_divisor(exponential, 2.0)
+            wronskian(curve.coordinates)
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -1,15 +1,20 @@
 """Rank oracle validation, filtration, weights, and greedy selection."""
 
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nochka.errors import ParseError, VerificationError
-from nochka.rank_core import (RankOracle, build_filtration, format_oracle,
-                              greedy_select, indices_of, linear_matroid_oracle, mask_of,
-                              nochka_weights, parse_oracle, rho, validate_rank_oracle,
+from nochka.rank_core import (AXIOM_NAMES, AxiomCheck, Filtration, RankOracle,
+                              ValidationReport, WeightAssignment, _popcounts, _set_str,
+                              build_filtration, format_oracle, greedy_select, indices_of,
+                              linear_matroid_oracle, mask_of, nochka_weights, parse_oracle,
+                              rho, subset_labels, validate_rank_oracle,
                               verify_weight_conditions)
 
 FIXTURE_VECTORS = [(1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -312,6 +317,240 @@ class TestOracleFormat:
             with pytest.raises(ParseError, match=message) as err:
                 parse_oracle("\n".join(lines))
             assert err.value.line == 5
+
+
+def _reference_format(oracle: RankOracle) -> str:
+    """The oracle text as it was written one subset at a time."""
+    lines = [f"{oracle.q} {oracle.n} {oracle.N}"]
+    for mask in range(1 << oracle.q):
+        subset = "-" if mask == 0 else ",".join(map(str, indices_of(mask)))
+        lines.append(f"{subset} : {oracle.table[mask]}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def random_tables(draw) -> RankOracle:
+    q = draw(st.integers(1, 8))
+    n = draw(st.one_of(st.integers(1, 4), st.just(150)))  # c = 151 is past int8
+    N = draw(st.integers(n, n + 3))
+    table = draw(st.lists(st.integers(0, n + 1), min_size=1 << q, max_size=1 << q))
+    return RankOracle(q, n, N, tuple(table))
+
+
+SMALL = linear_matroid_oracle([(1, 0), (0, 1), (1, 1)], 2)
+
+
+def _with_line(i: int, line: str) -> str:
+    lines = format_oracle(SMALL).splitlines()
+    lines[i] = line
+    return "\n".join(lines) + "\n"
+
+
+# every malformed text with its message and line number, as the per-line
+# reader reports them; text laid out as `format_oracle` writes it is read
+# column-wise first and must fall back to that reader unchanged
+MALFORMED = [
+    ("", "empty oracle file", None),
+    ("\n", "header must be `q n N`", 1),
+    ("3 1\n", "header must be `q n N`", 1),
+    ("3 1 x\n", "header must hold three integers", 1),
+    ("0 1 1\n", "q out of range 1..20", 1),
+    ("21 1 1\n", "q out of range 1..20", 1),
+    ("2 1 1\n- : 0\n1 : 1\n", "expected 4 subset lines, got 2", None),
+    ("2 1 1\n- : 0\n1 : 1\n2 : 1\n1,2 : x\n", "bad c-value 'x'", 5),
+    (_with_line(4, "1,2 : x"), "bad c-value 'x'", 5),
+    (_with_line(4, "1,2 : 1.0"), "bad c-value '1.0'", 5),
+    (_with_line(4, "1,2 1"), "expected `subset : c-value`", 5),
+    (_with_line(4, "1,2 : 1 : 2"), "bad c-value '1 : 2'", 5),
+    (_with_line(4, "1,4 : 1"), "index 4 outside 1..3", 5),
+    (_with_line(4, "2,1 : 1"), "subset 2,1 must list distinct indices in increasing order", 5),
+    (_with_line(4, "1,1 : 1"), "subset 1,1 must list distinct indices in increasing order", 5),
+    (_with_line(4, "1 : 1"), "duplicate subset 1", 5),
+    (_with_line(3, "3 : 1"), "duplicate subset 3", 6),
+    (_with_line(1, "- :"), "bad c-value ''", 2),
+    (_with_line(1, "-"), "expected `subset : c-value`", 2),
+    (format_oracle(SMALL) + "1 : 1\n", "duplicate subset 1", 10),
+    (_with_line(8, "1,2,3 : 4"), "c{1,2,3} = 4 outside 0..2", None),
+    (_with_line(8, "1,2,3 : -1"), "c{1,2,3} = -1 outside 0..2", None),
+]
+
+
+class TestCanonicalOracleText:
+    def test_labels_by_mask(self):
+        assert subset_labels(1) == ["-", "1"]
+        assert subset_labels(3) == ["-", "1", "2", "1,2", "3", "1,3", "2,3", "1,2,3"]
+        labels = subset_labels(8)
+        assert labels[1:] == [",".join(map(str, indices_of(m))) for m in range(1, 1 << 8)]
+
+    @given(random_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, oracle):
+        assert parse_oracle(format_oracle(oracle)) == oracle
+
+    @given(random_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_format_matches_per_subset_writer(self, oracle):
+        assert format_oracle(oracle) == _reference_format(oracle)
+
+    @given(random_tables(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_non_canonical_layouts_read_the_same(self, oracle, rng):
+        header, *body = format_oracle(oracle).splitlines()
+        shuffled = rng.sample(body, len(body))
+        assert parse_oracle("\n".join([header, *shuffled])) == oracle
+        spaced = [line.replace(" : ", rng.choice([":", "  :  ", "\t: "])) for line in body]
+        assert parse_oracle("\n".join([header, *spaced])) == oracle
+        padded = [f"  {line}  " for line in body]
+        assert parse_oracle("\n".join([header, *padded])) == oracle
+        blanks = [header, ""] + [x for line in body for x in (line, "")]
+        assert parse_oracle("\n".join(blanks)) == oracle
+
+    @pytest.mark.parametrize("text, message, line", MALFORMED)
+    def test_malformed_text_keeps_its_error(self, text, message, line):
+        with pytest.raises(ParseError) as err:
+            parse_oracle(text)
+        assert err.value.line == line
+        suffix = "" if line is None else f" (line {line})"
+        assert str(err.value) == message + suffix
+
+
+def _reference_validate(oracle: RankOracle) -> ValidationReport:
+    """The axiom checks as they were written, one Python pass per pair of
+    elements for submodularity and per independent set for exchange."""
+    q, n, N = oracle.q, oracle.n, oracle.N
+    t = oracle.as_array()
+    pc = _popcounts(q)
+    masks = np.arange(1 << q, dtype=np.int64)
+    checks = []
+
+    def add(axiom, witness):
+        checks.append(AxiomCheck(axiom, witness is None, witness))
+
+    add("empty-set", None if t[0] == 0 else f"c({{}}) = {int(t[0])}")
+    singleton_w = None
+    for b in range(q):
+        if t[1 << b] != 1:
+            singleton_w = f"c{_set_str(1 << b)} = {int(t[1 << b])} != 1"
+            break
+    add("nonzero-singletons", singleton_w)
+    mono_w = unit_w = None
+    for b in range(q):
+        bit = 1 << b
+        sub = masks[(masks & bit) == 0]
+        d = t[sub | bit] - t[sub]
+        if mono_w is None:
+            bad = np.nonzero(d < 0)[0]
+            if bad.size:
+                m = int(sub[bad[0]])
+                mono_w = f"c{_set_str(m | bit)} < c{_set_str(m)}"
+        if unit_w is None:
+            bad = np.nonzero(d > 1)[0]
+            if bad.size:
+                m = int(sub[bad[0]])
+                unit_w = f"c{_set_str(m | bit)} - c{_set_str(m)} = {int(d[bad[0]])}"
+    add("monotone", mono_w)
+    add("unit-increment", unit_w)
+    bad = np.nonzero(t > np.minimum(pc, n + 1))[0]
+    add("capped", None if not bad.size else
+        f"c{_set_str(int(bad[0]))} = {int(t[bad[0]])} > min({int(pc[bad[0]])},{n + 1})")
+    big = np.nonzero((pc >= N + 1) & (t != n + 1))[0]
+    add("spanning", None if not big.size else
+        f"c{_set_str(int(big[0]))} = {int(t[big[0]])} != {n + 1}"
+        f" with #S = {int(pc[big[0]])} >= N+1")
+
+    def submodular_witness():
+        for b1 in range(q):
+            for b2 in range(b1 + 1, q):
+                bits = (1 << b1) | (1 << b2)
+                base = masks[(masks & bits) == 0]
+                lhs = t[base | bits] + t[base]
+                rhs = t[base | (1 << b1)] + t[base | (1 << b2)]
+                bad = np.nonzero(lhs > rhs)[0]
+                if bad.size:
+                    m = int(base[bad[0]])
+                    return f"R1={_set_str(m | (1 << b1))}, R2={_set_str(m | (1 << b2))}"
+        return None
+
+    add("submodular", submodular_witness())
+    exch_w = None
+    for m in np.nonzero(t == pc)[0]:
+        m = int(m)
+        cm = int(t[m])
+        cl = m
+        for b in range(q):
+            bit = 1 << b
+            if not m & bit and t[m | bit] == cm:
+                cl |= bit
+        if int(t[cl]) != cm:
+            exch_w = f"K={_set_str(m)}, R={_set_str(cl)}"
+            break
+    add("exchange", exch_w)
+    return ValidationReport(all(c.ok for c in checks), tuple(checks))
+
+
+def _planted_oracles(seed: int) -> list[RankOracle]:
+    """A valid linear matroid oracle and copies with a few values replaced."""
+    rng = random.Random(seed)
+    q = rng.randint(1, 8)
+    n = rng.randint(1, 3)
+    N = rng.randint(n, max(n, q))
+    vectors = []
+    while len(vectors) < q:
+        v = tuple(rng.randint(-2, 2) for _ in range(n + 1))
+        if any(v):
+            vectors.append(v)
+    base = linear_matroid_oracle(vectors, N)
+    out = [base]
+    for _ in range(4):
+        table = list(base.table)
+        for _ in range(rng.randint(1, 3)):
+            table[rng.randrange(1 << q)] = rng.randint(0, n + 1)
+        out.append(RankOracle(q, n, N, tuple(table)))
+    return out
+
+
+class TestValidationDifferential:
+    def test_reports_match_the_per_subset_checks(self):
+        failed = set()
+        for seed in range(150):
+            for oracle in _planted_oracles(seed):
+                report = validate_rank_oracle(oracle)
+                assert report.as_dict() == _reference_validate(oracle).as_dict(), oracle
+                failed.update(c.axiom for c in report.failures())
+        # every axiom was planted to fail somewhere
+        assert failed == set(AXIOM_NAMES)
+
+    @given(random_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_reports_match_on_arbitrary_tables(self, oracle):
+        assert validate_rank_oracle(oracle).as_dict() == _reference_validate(oracle).as_dict()
+
+
+def _reference_subset_cap(oracle: RankOracle, omega) -> str | None:
+    """The subset-cap witness as it was found, one Python step per subset."""
+    denom = math.lcm(*(x.denominator for x in omega))
+    w_int = [int(x * denom) for x in omega]
+    sums = [0] * (1 << oracle.q)
+    for mask in range(1, 1 << oracle.q):
+        low_bit = mask & -mask
+        sums[mask] = sums[mask ^ low_bit] + w_int[low_bit.bit_length() - 1]
+        if mask.bit_count() <= oracle.N + 1 and sums[mask] > oracle.table[mask] * denom:
+            return (f"R={_set_str(mask)}: sum = {Fraction(sums[mask], denom)}"
+                    f" > c(R) = {oracle.table[mask]}")
+    return None
+
+
+class TestSubsetCapDifferential:
+    @given(random_tables(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_witness_matches_the_per_subset_sums(self, oracle, data):
+        omega = tuple(data.draw(st.lists(
+            st.fractions(min_value=0, max_value=2, max_denominator=10**12),
+            min_size=oracle.q, max_size=oracle.q)))
+        weights = WeightAssignment(omega, Fraction(1), Filtration((), (), Fraction(1)))
+        report = verify_weight_conditions(oracle, weights)
+        cap = next(c for c in report.checks if c.axiom == "subset-cap")
+        assert cap.witness == _reference_subset_cap(oracle, omega)
 
 
 def _random_matroid(draw) -> RankOracle:
