@@ -14,6 +14,11 @@ comparing coefficients of each power of z leaves no relation with
 coefficients in Q(i).  Keys are therefore full exponent polynomials,
 constant term included: exp(z + 1) = e * exp(z) must stay a separate key.
 
+For root finding each coordinate compiles once, on first use, into stacked
+complex coefficient arrays of its exponents, coefficients and derivative
+coefficients, so that f and f' at any set of points take one Horner pass,
+one exp and a sum over the keys, however many keys the coordinate has.
+
 Circle evaluation returns log-magnitudes and max-rescaled values so that
 downstream quadrature never overflows on homogeneous targets: for a
 homogeneous Q of degree d, log|Q(f)| = d*log||f|| + log|Q(w)| with
@@ -50,7 +55,8 @@ class CurveCoordinate:
     `terms` maps exponent polynomials to nonzero coefficient polynomials;
     `poly` is the coordinate as a UnivariatePoly when its only key is 0
     (the zero polynomial when it has none), else None.  `_dterms` holds the
-    derivative's terms once `value_and_derivative` has needed them.
+    coordinate and its derivative compiled once into stacked coefficient
+    arrays (see `_compile`) when `value_and_derivative` first needs them.
     """
 
     __slots__ = ("terms", "poly", "_dterms")
@@ -112,24 +118,54 @@ class CurveCoordinate:
         return CurveCoordinate(out)
 
     def value_and_derivative(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(f(z), f'(z)), computing exp(p(z)) once per exponent key.
+        """(f(z), f'(z)) in one stacked pass over the compiled coefficient rows.
 
         (c exp(p))' = (c' + c p') exp(p) keeps the key p, so f and f' share
-        each exponential.
+        each exponential: one Horner pass evaluates every exponent,
+        coefficient and derivative coefficient row at once, and one exp
+        covers the exponent rows.  The keys are then added by halving, the
+        upper half onto the lower, elementwise: numpy's sum over the key axis
+        adds in another order at a single point, and root finding needs each
+        point's bits not to depend on what it is evaluated with.
         """
         if self._dterms is None:
-            self._dterms = self.derivative().terms
+            self._dterms = self._compile()
+        nexp, nkeys, columns = self._dterms
         z = np.asarray(z, dtype=np.complex128)
-        total = np.zeros_like(z)
-        dtotal = np.zeros_like(z)
+        flat = z.reshape(-1)
+        acc = np.empty((columns[0].shape[0], flat.size), dtype=np.complex128)
+        acc[...] = columns[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            for p, c in self.terms.items():
-                e = np.exp(p.eval_array(z)) if p.re else 1.0
-                total = total + c.eval_array(z) * e
-                d = self._dterms.get(p)
-                if d is not None:
-                    dtotal = dtotal + d.eval_array(z) * e
-        return total, dtotal
+            for column in columns[1:]:
+                acc *= flat
+                acc += column
+            terms = acc[nexp:].reshape(2, nkeys, flat.size)
+            terms[:, :nexp] *= np.exp(acc[:nexp])
+            while nkeys > 1:
+                half = (nkeys + 1) // 2
+                terms[:, :nkeys - half] += terms[:, half:nkeys]
+                nkeys = half
+        return terms[0, 0].reshape(z.shape), terms[1, 0].reshape(z.shape)
+
+    def _compile(self) -> tuple[int, int, list[np.ndarray]]:
+        """(exponential key count, key count, Horner columns) of the stacked rows.
+
+        Keys are ordered exponential first (the polynomial key, which needs
+        no exp, last; the zero coordinate gets the zero key).  The rows are
+        each exponential key's exponent, then every key's coefficient, then
+        every key's derivative coefficient (zero where the derivative drops
+        the key); the columns are the rows' coefficients of z^j as (rows, 1)
+        arrays, highest j first.
+        """
+        keys = sorted(self.terms, key=lambda p: not p.re) or [_ZERO]
+        dterms = self.derivative().terms
+        rows = [p for p in keys if p.re]
+        nexp = len(rows)
+        rows += [self.terms.get(p, _ZERO) for p in keys] + [dterms.get(p, _ZERO) for p in keys]
+        coeffs = np.zeros((len(rows), max(len(r.re) for r in rows) or 1), dtype=np.complex128)
+        for row, r in zip(coeffs, rows):
+            row[:len(r.re)] = r.complex_coeffs
+        return nexp, len(keys), [coeffs[:, j:j + 1] for j in reversed(range(coeffs.shape[1]))]
 
     def log_values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (L, w) with the coordinate value equal to w * exp(L), |w| <= #terms.

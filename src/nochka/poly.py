@@ -270,15 +270,23 @@ class Polynomial:
         return total if total is not None else one * 0
 
     def evaluate_array(self, values: Sequence[np.ndarray]) -> np.ndarray:
-        """Numeric evaluation with complex128 arithmetic, vectorized over arrays."""
-        shape = np.broadcast(*values).shape if len(values) > 1 else np.shape(values[0])
-        total = np.zeros(shape, dtype=np.complex128)
+        """Numeric evaluation with complex128 arithmetic, vectorized over arrays.
+
+        Each variable's powers are formed once per call, by repeated
+        multiplication and only as high as some term needs; a term is its
+        coefficient as a Python complex times entries of that table.
+        """
+        values = [np.asarray(v, dtype=np.complex128) for v in values]
+        total = np.zeros(np.broadcast_shapes(*(v.shape for v in values)), dtype=np.complex128)
+        powers = [[None, v] for v in values]
         for mono, coeff in self.terms.items():
-            term = np.full(shape, complex(coeff), dtype=np.complex128)
-            for i, e in enumerate(mono):
+            term = complex(coeff)
+            for v, table, e in zip(values, powers, mono):
                 if e:
-                    term = term * values[i] ** e
-            total = total + term
+                    while len(table) <= e:
+                        table.append(table[-1] * v)
+                    term = term * table[e]
+            total += term
         return total
 
     def linear_coefficients(self) -> list[Fraction]:

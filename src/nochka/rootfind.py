@@ -58,6 +58,14 @@ def _merge_clusters(pairs: list[tuple[complex, int]]) -> list[tuple[complex, int
     return merged
 
 
+def _horner(coeffs: tuple[complex, ...], z: complex) -> complex:
+    """The polynomial with these coefficients, low to high, at z."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
 def poly_roots_with_multiplicity(p: UnivariatePoly) -> list[tuple[complex, int]]:
     """All complex roots with exact multiplicities from the square-free structure.
 
@@ -70,16 +78,15 @@ def poly_roots_with_multiplicity(p: UnivariatePoly) -> list[tuple[complex, int]]
     for factor, mult in squarefree_decomposition(p):
         if factor.degree < 1:
             continue
-        coeffs = factor.numpy_coeffs()[::-1]
-        roots = np.roots(coeffs)
-        df = factor.derivative()
-        for root in roots:
+        coeffs = factor.complex_coeffs
+        dcoeffs = factor.derivative().complex_coeffs
+        for root in np.roots(coeffs[::-1]):
             z = complex(root)
             for _ in range(4):
-                dv = df.eval_array(np.array([z]))[0]
+                dv = _horner(dcoeffs, z)
                 if dv == 0:
                     break
-                step = factor.eval_array(np.array([z]))[0] / dv
+                step = _horner(coeffs, z) / dv
                 z -= step
                 if abs(step) < NEWTON_TOL * (1 + abs(z)):
                     break
@@ -172,17 +179,29 @@ def _circles(centers: np.ndarray, radii: np.ndarray):
 
 
 def _boxes(boxes: np.ndarray):
-    """gamma(k, t) of the boundary of boxes[k] = (x0, x1, y0, y1), counterclockwise."""
+    """gamma(k, t) of the boundary of boxes[k] = (x0, x1, y0, y1), counterclockwise.
+
+    A sample at arc length s from the corner (x0, y0) lies on the bottom edge
+    for s < w, the right one for s < w + h, the top one for s < 2w + h and
+    the left one after that; it is computed on its own edge only.
+    """
     x0, x1, y0, y1 = boxes.T
     w, h = x1 - x0, y1 - y0
+    edges = (lambda j, s: x0[j] + s + 1j * y0[j],
+             lambda j, s: x1[j] + 1j * (y0[j] + (s - w[j])),
+             lambda j, s: x1[j] - (s - w[j] - h[j]) + 1j * y1[j],
+             lambda j, s: x0[j] + 1j * (y1[j] - (s - 2 * w[j] - h[j])))
 
     def gamma(k: np.ndarray, t: np.ndarray) -> np.ndarray:
-        a0, a1, b0, b1, wk, hk = x0[k], x1[k], y0[k], y1[k], w[k], h[k]
+        wk, hk = w[k], h[k]
         s = t * (2 * (wk + hk))
-        return np.select([s < wk, s < wk + hk, s < 2 * wk + hk],
-                         [a0 + s + 1j * b0, a1 + 1j * (b0 + (s - wk)),
-                          a1 - (s - wk - hk) + 1j * b1],
-                         a0 + 1j * (b1 - (s - 2 * wk - hk)))
+        # w <= w + h <= 2w + h, so the number of these bounds s has reached is its edge
+        edge = (s >= wk).astype(np.intp) + (s >= wk + hk) + (s >= 2 * wk + hk)
+        z = np.empty(s.shape, dtype=np.complex128)
+        for e, point in enumerate(edges):
+            i = np.flatnonzero(edge == e)
+            z[i] = point(k[i], s[i])
+        return z
 
     return gamma
 

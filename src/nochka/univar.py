@@ -290,9 +290,6 @@ class UnivariatePoly:
             acc = acc * z + c
         return acc
 
-    def numpy_coeffs(self) -> np.ndarray:
-        return np.array(self.complex_coeffs, dtype=np.complex128)
-
     def to_text(self) -> str:
         if self.is_zero:
             return "0"

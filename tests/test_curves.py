@@ -1,0 +1,102 @@
+"""Stacked evaluation of curve coordinates against the per-key loop it replaced."""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from nochka.curves import CurveCoordinate, compose
+from nochka.fixtures import exp_curve, generate_intro_fixture
+from nochka.univar import QQi, UnivariatePoly
+
+
+def per_key_value_and_derivative(coord: CurveCoordinate, z):
+    """(f, f') key by key: one exp and one Horner pass per polynomial."""
+    dterms = coord.derivative().terms
+    z = np.asarray(z, dtype=np.complex128)
+    total = np.zeros_like(z)
+    dtotal = np.zeros_like(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, c in coord.terms.items():
+            e = np.exp(p.eval_array(z)) if p.re else 1.0
+            total = total + c.eval_array(z) * e
+            d = dterms.get(p)
+            if d is not None:
+                dtotal = dtotal + d.eval_array(z) * e
+    return total, dtotal
+
+
+def _gaussian(rng: random.Random) -> QQi:
+    return QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+               Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+
+
+def _poly(rng: random.Random, degree: int) -> UnivariatePoly:
+    return UnivariatePoly([_gaussian(rng) for _ in range(degree + 1)])
+
+
+def _seeded_coordinates():
+    rng = random.Random(14)
+    coords = []
+    for _ in range(12):
+        # constant, linear and quadratic exponents, each with its own coefficient
+        terms = {_poly(rng, rng.randint(0, 2)): _poly(rng, rng.randint(0, 3))
+                 for _ in range(rng.randint(1, 5))}
+        coords.append(CurveCoordinate(terms))
+    coords += [CurveCoordinate.from_poly(_poly(rng, d)) for d in (0, 1, 4)]
+    coords.append(CurveCoordinate({}))
+    intro = generate_intro_fixture(1).arrangement
+    coords += [compose(q, exp_curve()) for _, q in intro.hypersurfaces[:4]]
+    return coords
+
+
+COORDS = _seeded_coordinates()
+
+
+def _agree(got, want) -> bool:
+    return bool(np.all(np.abs(got - want) <= 1e-12 * np.abs(want)))
+
+
+@pytest.mark.parametrize("coord", COORDS, ids=lambda c: f"{len(c.terms)}keys")
+@pytest.mark.parametrize("shape", [(), (0,), (7,), (2, 3)])
+def test_stacked_matches_per_key_loop(coord, shape):
+    rng = np.random.default_rng(len(coord.terms) * 10 + len(shape))
+    z = 1.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    got = coord.value_and_derivative(z)
+    want = per_key_value_and_derivative(coord, z)
+    for g, w in zip(got, want):
+        assert g.shape == np.shape(z) and g.dtype == np.complex128
+        assert _agree(g, w)
+
+
+@pytest.mark.parametrize("coord", COORDS, ids=lambda c: f"{len(c.terms)}keys")
+def test_overflow_is_non_finite_at_the_same_points(coord):
+    # exp(z^2) overflows at z = 30 and 27 + i, underflows at 30i
+    z = np.array([30.0, 1.0, 30j, -30.0, 27 + 1j, 0.2 - 0.1j, 800.0])
+    got = coord.value_and_derivative(z)
+    want = per_key_value_and_derivative(coord, z)
+    for g, w in zip(got, want):
+        finite = np.isfinite(w)
+        assert (np.isfinite(g) == finite).all()
+        assert _agree(g[finite], w[finite])
+
+
+def test_exp_z_squared_overflows_to_non_finite():
+    coord = exp_curve().coordinates[2]
+    f, df = coord.value_and_derivative(np.array([30.0, 1.0]))
+    assert not np.isfinite(f[0]) and not np.isfinite(df[0])
+    assert np.isfinite(f[1]) and np.isfinite(df[1])
+
+
+@pytest.mark.parametrize("coord", COORDS, ids=lambda c: f"{len(c.terms)}keys")
+def test_each_point_gets_the_bits_of_a_one_point_call(coord):
+    # root finding relies on this: a Newton entry or a contour sample must
+    # not depend on what it is batched with
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    f, df = coord.value_and_derivative(z)
+    for j in range(z.size):
+        fj, dfj = coord.value_and_derivative(z[j:j + 1])
+        assert fj.tobytes() == f[j:j + 1].tobytes()
+        assert dfj.tobytes() == df[j:j + 1].tobytes()

@@ -1,8 +1,10 @@
 """Exact polynomial arithmetic, parsing, Groebner bases, and dimension."""
 
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from nochka.poly import (Ideal, Polynomial, degree_m_slice_rank, groebner_basis,
                          ideal_dimension, key_degrevlex, mono_divides, monomials_of_degree,
                          mul_packed, normal_form, pack_monomial, pack_terms, parse_polynomial,
                          products_of_degree, unpack_monomial)
+from nochka.univar import QQi
 
 V2 = ("x0", "x1")
 V3 = ("x0", "x1", "x2")
@@ -401,3 +404,34 @@ class TestPackedIntegerKernels:
     def test_walk_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             products_of_degree([1, 2], 0, int.__mul__)
+
+
+class TestEvaluateArray:
+    @pytest.mark.parametrize("nvars", [2, 3, 4])
+    def test_matches_exact_evaluation_at_gaussian_rationals(self, nvars):
+        rng = random.Random(1400 + nvars)
+        for _ in range(12):
+            form = Polynomial(nvars, {tuple(rng.randint(0, 4) for _ in range(nvars)):
+                                      Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                                      for _ in range(rng.randint(1, 7))})
+            points = [[QQi(Fraction(rng.randint(-12, 12), rng.randint(1, 6)),
+                           Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
+                       for _ in range(nvars)] for _ in range(6)]
+            columns = [np.array([complex(pt[i]) for pt in points]) for i in range(nvars)]
+            got = form.evaluate_array(columns)
+            assert got.shape == (6,) and got.dtype == np.complex128
+            for value, pt in zip(got, points):
+                want = complex(form.evaluate_exact(pt, QQi(1)))
+                # rounding error is relative to the terms, which may cancel
+                scale = sum(abs(float(c)) * prod(abs(complex(x)) ** e for x, e in zip(pt, m))
+                            for m, c in form.terms.items())
+                assert abs(value - want) <= 1e-13 * scale
+
+    def test_zero_and_constant_forms_take_the_broadcast_shape(self):
+        values = [np.ones((2, 1)), np.arange(3.0), np.array(1j)]
+        for form, want in ((Polynomial(3), 0j), (Polynomial(3, {(0, 0, 0): Fraction(5, 2)}), 2.5)):
+            out = form.evaluate_array(values)
+            assert out.dtype == np.complex128 and out.shape == (2, 3)
+            assert (out == want).all()
+        out = Polynomial(3, {(0, 1, 2): Fraction(1)}).evaluate_array(values)
+        assert out.shape == (2, 3) and out.tolist() == [[0j, -1, -2]] * 2

@@ -65,6 +65,43 @@ class TestBatchInvariance:
         assert batch[nb] is not None
 
 
+def select_boxes(boxes: np.ndarray):
+    """Box boundaries as np.select over the four edges' full-length candidates."""
+    x0, x1, y0, y1 = boxes.T
+    w, h = x1 - x0, y1 - y0
+
+    def gamma(k, t):
+        a0, a1, b0, b1, wk, hk = x0[k], x1[k], y0[k], y1[k], w[k], h[k]
+        s = t * (2 * (wk + hk))
+        return np.select([s < wk, s < wk + hk, s < 2 * wk + hk],
+                         [a0 + s + 1j * b0, a1 + 1j * (b0 + (s - wk)),
+                          a1 - (s - wk - hk) + 1j * b1],
+                         a0 + 1j * (b1 - (s - 2 * wk - hk)))
+
+    return gamma
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_box_samples_match_select_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    m = [1, 2, 5, 17, 40, 3][seed]
+    x0 = rng.uniform(-3, 3, m)
+    y0 = rng.uniform(-3, 3, m)
+    # squares, thin boxes, tiny boxes, and corners at -0.0 and 0.0
+    w = rng.choice([1.0, 1e-3, 1e-9, 2.5], m) * rng.uniform(0.5, 1.5, m)
+    h = w * rng.choice([1.0, 0.01, 37.0], m)
+    x0[0], y0[0] = -0.0, 0.0
+    boxes = np.stack([x0, x0 + w, y0, y0 + h], axis=-1)
+    w, h = boxes[:, 1] - x0, boxes[:, 3] - y0
+    k = rng.integers(0, m, 600)
+    t = rng.random(600)
+    # the corners, where the edge changes
+    t[:4 * m] = np.concatenate([np.zeros(m), w / (2 * (w + h)), (w + h) / (2 * (w + h)),
+                                (2 * w + h) / (2 * (w + h))])
+    k[:4 * m] = np.tile(np.arange(m), 4)
+    assert _boxes(boxes)(k, t).tobytes() == select_boxes(boxes)(k, t).tobytes()
+
+
 class TestManyZerosNearTheEdge:
     def test_box_count_sees_every_turn_of_exp_z_squared(self):
         # the phase and log-magnitude tests alone certify 28 here: a full turn

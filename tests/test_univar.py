@@ -99,7 +99,7 @@ class TestComplexCoefficientCache:
         want = _horner(p, POINTS).tobytes()
         assert p.eval_array(POINTS).tobytes() == want
         assert p.eval_array(POINTS).tobytes() == want  # second call reads the cache
-        assert p.numpy_coeffs().tolist() == [complex(c) for c in NON_REAL]
+        assert p.complex_coeffs == tuple(complex(c) for c in NON_REAL)
 
     def test_polynomials_built_from_an_evaluated_one(self):
         p = UnivariatePoly(NON_REAL)
