@@ -142,11 +142,11 @@ class Arrangement:
 
 def _linear_space(parent: Echelon, line: Sequence, lines: Sequence[Sequence],
                   width: int) -> tuple[Echelon, list[tuple[int, ...]]]:
-    """The echelon of `parent` plus `line`, and an integer basis B of the
+    """A copy of `parent` with `line` inserted, and the integer basis B of the
     common kernel of `lines` (the coefficient vectors of every hyperplane it
-    holds, `line` included).  Both defining properties of B are checked
-    exactly: each row of `lines` times B is 0, and B has full column rank
-    width - rank."""
+    holds, `line` included) that it stores.  Both defining properties of B
+    are checked exactly: each row of `lines` times B is 0, and B has full
+    column rank width - rank."""
     ech = parent.copy()
     ech.insert(line)
     basis = ech.kernel(width)

@@ -1,15 +1,18 @@
-"""The exact linear-algebra kernel: a fraction-free integer echelon form.
+"""The exact linear-algebra kernel: the null space of a growing set of rows.
 
-Vectors have rational entries (`int` or `Fraction`).  Each is scaled to a
-content-free integer vector and reduced by fraction-free elimination
-(Bareiss 1968), so no rational arithmetic happens inside the reduction.
-The null space of the rows is read off the same echelon form by integer
-back substitution (`Echelon.kernel`).
+Vectors have rational entries (`int` or `Fraction`).  `Echelon` does not
+keep the rows it accepts: it keeps an integer basis of their null space,
+the vectors x with row . x = 0 for every row.  The row space is the
+orthogonal complement of the null space, so a vector v lies in the span of
+the rows exactly when v . x = 0 for every basis vector x.  Testing a
+width-w vector against rank r therefore costs w - r integer dot products,
+with no row built and no gcd taken; only a vector that raises the rank
+changes the basis, by fraction-free elimination of one column.  The null
+space is the stored basis itself (`Echelon.kernel`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -29,78 +32,82 @@ def primitive(values: Sequence) -> tuple[int, ...]:
     return tuple(ints)
 
 
-class Echelon:
-    """Incremental row echelon form over the integers.
+def _units(width: int) -> list[tuple[int, ...]]:
+    return [(0,) * f + (1,) + (0,) * (width - f - 1) for f in range(width)]
 
-    Rows are content-free integer tuples sorted by pivot (the index of
-    their first nonzero entry), which is cached in `pivots`.
+
+class Echelon:
+    """Incremental rank and null space of rational rows, over the integers.
+
+    The width is fixed by the first insert.  `basis` then holds one
+    content-free integer vector x_f per free column f, in increasing order
+    of f: x_f is positive at f, zero at every other free column and
+    supported on f and the pivot columns below it.  That is the shape and
+    the scale that back substitution in a row echelon form gives, and it
+    fixes each x_f uniquely.  Accepting v drops the smallest free column j
+    with d = v . x_j != 0 and replaces each later x_f by the content-free
+    multiple of |d| x_f - sign(d) (v . x_f) x_j, which is orthogonal to v
+    and keeps that shape.  Vectors are replaced, never mutated, so copies
+    share them.
     """
 
-    __slots__ = ("rows", "pivots")
+    __slots__ = ("width", "basis")
 
     def __init__(self):
-        self.rows: list[tuple[int, ...]] = []
-        self.pivots: list[int] = []
+        self.width: int | None = None
+        self.basis: list[tuple[int, ...]] = []
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return 0 if self.width is None else self.width - len(self.basis)
 
     def copy(self) -> "Echelon":
         other = Echelon()
-        other.rows = self.rows.copy()
-        other.pivots = self.pivots.copy()
+        other.width = self.width
+        other.basis = self.basis.copy()
         return other
 
     def insert(self, vector: Sequence) -> bool:
-        """Insert a rational vector; returns True when it increased the rank."""
-        if len(self.rows) == len(vector):
-            return False  # the rows already span the whole space
-        v = primitive(vector)
-        for p, row in zip(self.pivots, self.rows):
-            a = v[p]
-            if a:
-                b = row[p]
-                g = gcd(a, b)
-                a //= g
-                b //= g
-                v = [b * x - a * y for x, y in zip(v, row)]
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+        """Insert a rational vector; returns True when it increased the rank.
+
+        A vector whose length is not the width raises ValueError."""
+        if self.width is None:
+            self.width = len(vector)
+            self.basis = _units(self.width)
+        elif len(vector) != self.width:
+            raise ValueError(f"vector has {len(vector)} entries, not {self.width}")
+        basis = self.basis
+        if not basis:
+            return False  # the rows span the whole space
+        # some entry is a Fraction exactly when the sum is not an int
+        if type(vector[0]) is not int or type(sum(vector)) is not int:
+            vector = primitive(vector)
+        for at, x in enumerate(basis):
+            d = sum(map(mul, vector, x))
+            if d:
+                break
+        else:
             return False
-        at = bisect(self.pivots, pivot)
-        self.rows.insert(at, primitive(v))
-        self.pivots.insert(at, pivot)
+        kept = basis[:at]
+        for y in basis[at + 1:]:
+            e = sum(map(mul, vector, y))
+            if e:
+                g = gcd(d, e)
+                a, b = abs(d) // g, (e if d > 0 else -e) // g
+                y = [a * s - b * t for s, t in zip(y, x)]
+                g = gcd(*y)
+                y = tuple([s // g for s in y] if g > 1 else y)
+            kept.append(y)
+        self.basis = kept
         return True
 
     def kernel(self, width: int) -> list[tuple[int, ...]]:
         """An integer basis of the vectors x of length `width` with row . x = 0
         for every row: width - rank content-free vectors, one per non-pivot
-        column f in increasing order.
-
-        The vector of f is 0 at the other non-pivot columns and positive at f;
-        its pivot entries are solved from the last row up, and when a pivot
-        entry would be a fraction the vector is scaled to keep it integral.
-        """
-        if any(len(row) != width for row in self.rows):
+        column f in increasing order, positive at f and 0 at the other
+        non-pivot columns (the unit vectors before any insert)."""
+        if self.width is None:
+            return _units(width)
+        if width != self.width:
             raise ValueError(f"rows do not have {width} entries")
-        pivots = set(self.pivots)
-        solve = list(zip(self.pivots, self.rows))[::-1]
-        basis = []
-        for f in range(width):
-            if f in pivots:
-                continue
-            x = [0] * width
-            x[f] = 1
-            for p, row in solve:
-                s = sum(map(mul, row, x))  # x[p] is still 0 here
-                if s:
-                    a = row[p]
-                    if a < 0:
-                        a, s = -a, -s
-                    g = gcd(a, s)
-                    if a != g:
-                        x = [v * (a // g) for v in x]
-                    x[p] = -s // g
-            basis.append(primitive(x))
-        return basis
+        return list(self.basis)

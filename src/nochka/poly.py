@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 from operator import add, le, sub
 from typing import Callable, Iterable, Iterator, Sequence
@@ -56,13 +57,17 @@ def key_degrevlex(m: Monomial):
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
-    """All exponent tuples of the given total degree, lexicographically descending."""
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, degree - first):
-            yield (first,) + rest
+    """All exponent tuples of the given total degree, lexicographically descending.
+
+    Each is counted from a non-decreasing sequence of `degree` variable
+    indices; those come in increasing lexicographic order, which is the
+    descending order of their exponent tuples and the order
+    `products_of_degree` walks."""
+    for indices in combinations_with_replacement(range(nvars), degree):
+        exponents = [0] * nvars
+        for i in indices:
+            exponents[i] += 1
+        yield tuple(exponents)
 
 
 def products_of_degree(factors: Sequence, degree: int, mul: Callable) -> list:

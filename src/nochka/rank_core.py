@@ -501,7 +501,7 @@ def greedy_select(oracle: RankOracle, weights: WeightAssignment,
 def linear_matroid_oracle(vectors: Sequence[Sequence], N: int) -> RankOracle:
     """Rank oracle of a list of q nonzero rational vectors: c(R) = rank{v_j : j in R}.
 
-    Ranks are computed over the rationals via integer echelon forms shared
+    Ranks are computed over the rationals by exact `Echelon` kernels shared
     along the subset lattice.  The result may fail validation (spanning in
     particular); callers must validate.
     """
@@ -524,8 +524,8 @@ def linear_matroid_oracle(vectors: Sequence[Sequence], N: int) -> RankOracle:
             raise ValueError(f"vector {j} is zero")
 
     table = [0] * (1 << q)
-    # depth first over (echelon form of mask, mask, next index to add), so
-    # about one echelon form per subset size is held; an explicit stack, as a
+    # depth first over (Echelon of mask, mask, next index to add), so about
+    # one Echelon per subset size is held; an explicit stack, as a
     # nested function calling itself would be a reference cycle
     stack = [(Echelon(), 0, 0)]
     while stack:

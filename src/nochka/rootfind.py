@@ -111,16 +111,16 @@ def winding_numbers(fd: ValueAndDerivative, gamma: Callable[[np.ndarray, np.ndar
     contour's count does not depend on the contours it is batched with.
     """
     counts: list[int | None] = [None] * m
+    ids = np.arange(m)  # the open contours, in order, and their sample counts
+    sizes = np.full(m, n0)
     t = np.tile(np.linspace(0.0, 1.0, n0, endpoint=False), m)
-    k = np.repeat(np.arange(m), n0)
-    z = gamma(k, t)
+    z = gamma(np.repeat(ids, n0), t)
     f, df = fd(z)
     for _ in range(WINDING_MAX_PASSES):
         # samples are sorted by (contour, t); nxt closes each contour on itself
-        first = np.flatnonzero(np.diff(k, prepend=-1))
-        sizes = np.diff(first, append=k.size)
-        last = first + sizes - 1
-        nxt = np.arange(1, k.size + 1)
+        last = np.cumsum(sizes) - 1
+        first = last - (sizes - 1)
+        nxt = np.arange(1, t.size + 1)
         nxt[last] = first
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             absf = np.abs(f)
@@ -133,7 +133,6 @@ def winding_numbers(fd: ValueAndDerivative, gamma: Callable[[np.ndarray, np.ndar
         near = np.logical_or.reduceat(singular, first)
         nbad = np.add.reduceat(bad, first, dtype=np.intp)
         turns = np.add.reduceat(dphi, first) / (2 * np.pi)
-        ids = k[first]
         for j in np.flatnonzero(~near & (nbad == 0)):
             total = float(turns[j])
             count = round(total)
@@ -143,20 +142,35 @@ def winding_numbers(fd: ValueAndDerivative, gamma: Callable[[np.ndarray, np.ndar
         if not open_.any():
             return counts
         keep = np.repeat(open_, sizes)
+        refine = bad & keep
+        left = np.flatnonzero(refine)
         t_next = t[nxt]
         t_next[last] += 1.0
-        refine = bad & keep
-        mids = ((t[refine] + t_next[refine]) / 2.0) % 1.0
-        k_mids = k[refine]
-        z_mids = gamma(k_mids, mids)
+        mids = ((t[left] + t_next[left]) / 2.0) % 1.0
+        z_mids = gamma(np.repeat(ids[open_], nbad[open_]), mids)
         f_mids, df_mids = fd(z_mids)
-        t = np.concatenate([t[keep], mids])
-        k = np.concatenate([k[keep], k_mids])
-        order = np.lexsort((t, k))
-        t, k = t[order], k[order]
-        z = np.concatenate([z[keep], z_mids])[order]
-        f = np.concatenate([f[keep], f_mids])[order]
-        df = np.concatenate([df[keep], df_mids])[order]
+        # Each midpoint goes right after its left endpoint, which keeps the
+        # samples sorted by t.  A midpoint of the closing segment that rounds
+        # to t = 1.0 wraps to 0.0: it repeats its contour's first sample
+        # (t = 0.0), so it goes right after that one instead.
+        step = keep + refine.astype(np.intp)
+        wrapped = np.flatnonzero(mids == 0.0)
+        starts = first[np.searchsorted(last, left[wrapped])]
+        step[left[wrapped]] -= 1
+        step[starts] += 1
+        end = np.cumsum(step)
+        at_kept = (end - step)[keep]
+        at_mids = end[left] - 1
+        at_mids[wrapped] = end[starts] - step[starts] + 1
+
+        def merged(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+            out = np.empty(end[-1], dtype=old.dtype)
+            out[at_kept] = old[keep]
+            out[at_mids] = new
+            return out
+
+        t, z, f, df = merged(t, mids), merged(z, z_mids), merged(f, f_mids), merged(df, df_mids)
+        ids, sizes = ids[open_], sizes[open_] + nbad[open_]
     return counts
 
 

@@ -1,7 +1,11 @@
-"""The fraction-free integer echelon kernel against a Fraction Gauss-Jordan reference."""
+"""The null-space kernel against a Fraction Gauss-Jordan reference, the
+row-echelon kernel it replaced, and sympy."""
 
 import random
+from bisect import bisect
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,69 @@ def reference_accepts(rows) -> list[bool]:
     return accepts
 
 
+class RowEchelon:
+    """Reference: the row echelon form that stored the rows, with fraction-free
+    reduction on insert and integer back substitution for the kernel."""
+
+    def __init__(self):
+        self.rows: list[tuple[int, ...]] = []
+        self.pivots: list[int] = []
+
+    def insert(self, vector) -> bool:
+        if len(self.rows) == len(vector):
+            return False
+        v = primitive(vector)
+        for p, row in zip(self.pivots, self.rows):
+            a = v[p]
+            if a:
+                b = row[p]
+                g = gcd(a, b)
+                a //= g
+                b //= g
+                v = [b * x - a * y for x, y in zip(v, row)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        at = bisect(self.pivots, pivot)
+        self.rows.insert(at, primitive(v))
+        self.pivots.insert(at, pivot)
+        return True
+
+    def kernel(self, width: int) -> list[tuple[int, ...]]:
+        pivots = set(self.pivots)
+        solve = list(zip(self.pivots, self.rows))[::-1]
+        basis = []
+        for f in range(width):
+            if f in pivots:
+                continue
+            x = [0] * width
+            x[f] = 1
+            for p, row in solve:
+                s = sum(map(mul, row, x))
+                if s:
+                    a = row[p]
+                    if a < 0:
+                        a, s = -a, -s
+                    g = gcd(a, s)
+                    if a != g:
+                        x = [v * (a // g) for v in x]
+                    x[p] = -s // g
+            basis.append(primitive(x))
+        return basis
+
+
+def assert_null_space_shape(ech: Echelon, rows) -> None:
+    """Each stored vector is content-free, positive at its free column (its
+    last nonzero entry), zero at the other free columns and orthogonal to
+    every inserted row."""
+    free = [max(i for i, x in enumerate(b) if x) for b in ech.basis]
+    assert free == sorted(set(free))
+    for b, f in zip(ech.basis, free):
+        assert primitive(b) == b and b[f] > 0
+        assert all(b[g] == 0 for g in free if g != f)
+        assert all(sum(Fraction(x) * y for x, y in zip(r, b)) == 0 for r in rows)
+
+
 BIG = st.fractions(min_value=-10**15, max_value=10**15, max_denominator=10**12)
 ENTRY = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction), BIG)
 
@@ -53,12 +120,16 @@ class TestEchelon:
     @given(planted_rows())
     @settings(max_examples=300, deadline=None)
     def test_greedy_accepts_match_reference(self, rows):
-        ech = Echelon()
-        assert [ech.insert(r) for r in rows] == reference_accepts(rows)
-        for row, pivot in zip(ech.rows, ech.pivots):
-            assert primitive(row) == row
-            assert next(i for i, x in enumerate(row) if x) == pivot
-        assert ech.pivots == sorted(ech.pivots)
+        ech, ref = Echelon(), RowEchelon()
+        width = len(rows[0])
+        accepts = []
+        for r in rows:
+            accepts.append(ech.insert(r))
+            assert accepts[-1] == ref.insert(r)
+            assert ech.rank == len(ref.rows)
+            assert ech.kernel(width) == ref.kernel(width)
+        assert accepts == reference_accepts(rows)
+        assert_null_space_shape(ech, rows)
 
     @given(planted_rows(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -67,11 +138,25 @@ class TestEchelon:
         ech = Echelon()
         for r in rows[:split]:
             ech.insert(r)
-        saved = (list(ech.rows), list(ech.pivots))
+        saved = list(ech.basis)
         child = ech.copy()
         accepts = [child.insert(r) for r in rows[split:]]
-        assert (ech.rows, ech.pivots) == saved
+        assert ech.basis == saved
         assert accepts == reference_accepts(rows)[split:]
+
+    def test_wrong_length_raises(self):
+        ech = Echelon()
+        ech.insert((1, 2, 3))
+        with pytest.raises(ValueError):
+            ech.insert((1, 2))
+        with pytest.raises(ValueError):
+            ech.insert((1, 2, 3, 4))
+        assert ech.rank == 1
+
+    def test_full_rank_rejects_without_a_basis(self):
+        ech = Echelon()
+        assert [ech.insert(r) for r in ((1, 1), (1, -1), (3, 5))] == [True, True, False]
+        assert ech.basis == [] and ech.rank == 2
 
     def test_primitive_keeps_sign(self):
         assert primitive([Fraction(-2, 3), Fraction(4, 9), 0]) == (-3, 2, 0)
@@ -110,6 +195,12 @@ class TestKernel:
         basis = assert_kernel([(Fraction(1, 2), Fraction(2, 3), 0), (0, 3, 7)], 3)
         assert basis == [(28, -21, 9)]
 
+    def test_mixed_rows_with_an_integer_first_entry(self):
+        rows = [(0, Fraction(1, 2), 1, 0), (2, 0, Fraction(-1, 3), 5), (4, 1, Fraction(4, 3), 10)]
+        ref = RowEchelon()
+        assert [ref.insert(r) for r in rows] == [True, True, False]
+        assert assert_kernel(rows, 4) == ref.kernel(4)
+
     def test_width_must_match(self):
         ech = Echelon()
         ech.insert((1, 2))
@@ -136,3 +227,21 @@ class TestKernel:
             if basis:
                 product = sympy.Matrix(rows) * sympy.Matrix(basis).T
                 assert product == sympy.zeros(len(rows), len(basis))
+
+    def test_rank_and_nullity_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(17)
+        for _ in range(60):
+            height, width = rng.randint(1, 9), rng.randint(1, 9)
+            rows = [[rng.choice((0, 0, 1, -1, rng.randint(-50, 50))) for _ in range(width)]
+                    for _ in range(height)]
+            for _ in range(rng.randint(0, 3)):  # plant integer combinations
+                coeffs = [rng.randint(-4, 4) for _ in rows]
+                rows.insert(rng.randint(0, len(rows)),
+                            [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(width)])
+            ech = Echelon()
+            for r in rows:
+                ech.insert(r)
+            rank = sympy.Matrix(rows).rank()
+            assert ech.rank == rank
+            assert len(ech.kernel(width)) == width - rank == len(sympy.Matrix(rows).nullspace())

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import numpy as np
 import pytest
@@ -404,6 +404,26 @@ class TestPackedIntegerKernels:
     def test_walk_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             products_of_degree([1, 2], 0, int.__mul__)
+
+
+def recursive_monomials(nvars: int, degree: int):
+    """Reference: the first exponent from `degree` down to 0, then the rest
+    recursively, which lists the tuples lexicographically descending."""
+    if nvars == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in recursive_monomials(nvars - 1, degree - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("nvars", range(1, 8))
+def test_monomials_of_degree_match_recursive_reference(nvars):
+    for degree in range(7):
+        monos = list(monomials_of_degree(nvars, degree))
+        assert monos == list(recursive_monomials(nvars, degree))
+        assert monos == sorted(monos, reverse=True)
+        assert len(monos) == comb(nvars + degree - 1, degree)
 
 
 class TestEvaluateArray:

@@ -9,7 +9,8 @@ import pytest
 
 from nochka.curves import CurveCoordinate, parse_coordinate
 from nochka.errors import ResourceBudgetError, VerificationError
-from nochka.rootfind import (ContourNearZero, _boxes, _circles, _newton,
+from nochka.rootfind import (WINDING_CERT, WINDING_MAX_PASSES, WINDING_MAX_POINTS,
+                             ContourNearZero, _boxes, _circles, _newton,
                              poly_roots_with_multiplicity, winding_number, winding_numbers,
                              zeros_in_disk)
 from nochka.univar import QQi, UnivariatePoly
@@ -100,6 +101,106 @@ def test_box_samples_match_select_bit_for_bit(seed):
                                 (2 * w + h) / (2 * (w + h))])
     k[:4 * m] = np.tile(np.arange(m), 4)
     assert _boxes(boxes)(k, t).tobytes() == select_boxes(boxes)(k, t).tobytes()
+
+
+def lexsort_winding_numbers(fd, gamma, m, *, n0=64):
+    """Reference: `winding_numbers` as it rebuilt each contour's run from the
+    contour labels and sorted all samples by (contour, t) after every pass."""
+    counts = [None] * m
+    t = np.tile(np.linspace(0.0, 1.0, n0, endpoint=False), m)
+    k = np.repeat(np.arange(m), n0)
+    z = gamma(k, t)
+    f, df = fd(z)
+    for _ in range(WINDING_MAX_PASSES):
+        first = np.flatnonzero(np.diff(k, prepend=-1))
+        sizes = np.diff(first, append=k.size)
+        last = first + sizes - 1
+        nxt = np.arange(1, k.size + 1)
+        nxt[last] = first
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            absf = np.abs(f)
+            singular = ~np.isfinite(f) | ~np.isfinite(df) | (absf < 1e-280)
+            logmag = np.log(absf)
+            rate = np.abs(df) / absf
+            dphi = np.angle(f[nxt] * np.conj(f))
+            bad = ((np.abs(dphi) > 0.9) | (np.abs(logmag[nxt] - logmag) > 0.9)
+                   | (np.maximum(rate, rate[nxt]) * np.abs(z[nxt] - z) > 0.9))
+        near = np.logical_or.reduceat(singular, first)
+        nbad = np.add.reduceat(bad, first, dtype=np.intp)
+        turns = np.add.reduceat(dphi, first) / (2 * np.pi)
+        ids = k[first]
+        for j in np.flatnonzero(~near & (nbad == 0)):
+            total = float(turns[j])
+            count = round(total)
+            if abs(total - count) < WINDING_CERT:
+                counts[ids[j]] = count
+        open_ = ~near & (nbad > 0) & (sizes + nbad <= WINDING_MAX_POINTS)
+        if not open_.any():
+            return counts
+        keep = np.repeat(open_, sizes)
+        t_next = t[nxt]
+        t_next[last] += 1.0
+        refine = bad & keep
+        mids = ((t[refine] + t_next[refine]) / 2.0) % 1.0
+        k_mids = k[refine]
+        z_mids = gamma(k_mids, mids)
+        f_mids, df_mids = fd(z_mids)
+        t = np.concatenate([t[keep], mids])
+        k = np.concatenate([k[keep], k_mids])
+        order = np.lexsort((t, k))
+        t, k = t[order], k[order]
+        z = np.concatenate([z[keep], z_mids])[order]
+        f = np.concatenate([f[keep], f_mids])[order]
+        df = np.concatenate([df[keep], df_mids])[order]
+    return counts
+
+
+def _winding_cases():
+    """Seeded circles and boxes, contour 0 passing within 1e-3 to 1e-16 of a
+    simple zero, so refinement runs deep; then unit circles through a zero
+    within 1e-15 of their t = 0 point, where the closing segment's midpoint
+    rounds to t = 1.0 and wraps to 0.0."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(24):
+        centers = rng.normal(size=4) + 1j * rng.normal(size=4)
+        radii = rng.uniform(0.2, 2.0, 4)
+        if i % 3 == 2:
+            x0, y0 = centers.real, centers.imag
+            gamma = _boxes(np.stack([x0 - radii, x0 + radii, y0 - radii, y0 + radii], axis=-1))
+            zero = x0[0] + radii[0] + 1e-13 + 1j * (y0[0] + radii[0] * rng.uniform(-1, 1))
+        else:
+            gamma = _circles(centers, radii)
+            gap = 10.0 ** -rng.integers(3, 17)
+            zero = centers[0] + (radii[0] + gap) * np.exp(2j * np.pi * rng.random())
+        cases.append((zero, gamma, 4, int(rng.choice([16, 64, 256]))))
+    for offset in (1e-15, 4.5e-16, 1e-16j, 1e-17j):
+        cases.append((1.0 + offset, _circles(np.zeros(1), np.ones(1)), 1, 1024))
+    return cases
+
+
+@pytest.mark.parametrize("zero, gamma, m, n0", _winding_cases())
+def test_winding_numbers_match_lexsort_reference_bit_for_bit(zero, gamma, m, n0):
+    def recorded(calls):
+        def fd(z):
+            calls.append(z.copy())
+            return z - zero, np.ones_like(z)
+        return fd
+
+    ts = []
+
+    def traced(k, t):
+        ts.append(t.copy())
+        return gamma(k, t)
+
+    ours, theirs = [], []
+    counts = winding_numbers(recorded(ours), traced, m, n0=n0)
+    assert counts == lexsort_winding_numbers(recorded(theirs), gamma, m, n0=n0)
+    assert [z.tobytes() for z in ours] == [z.tobytes() for z in theirs]
+    if n0 == 1024:
+        # a midpoint wrapped to t = 0.0, and later passes ran on it
+        wraps = [i for i, t in enumerate(ts) if i and (t == 0.0).any()]
+        assert wraps and wraps[0] < len(ts) - 1
 
 
 class TestManyZerosNearTheEdge:
