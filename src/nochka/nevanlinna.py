@@ -194,7 +194,14 @@ def zero_divisor(obj, radius: float | None = None) -> ZeroDivisor:
         raise ValueError("a radius is required for non-polynomial functions")
     if not isinstance(obj, CurveCoordinate):
         raise TypeError(f"cannot take the zero divisor of {type(obj).__name__}")
-    result = zeros_in_disk(obj.value_and_derivative, radius)
+    [result] = zeros_in_disk([obj.value_and_derivative], radius)
+    return _disk_divisor(result)
+
+
+def _disk_divisor(result) -> ZeroDivisor:
+    """The divisor of one `zeros_in_disk` outcome; raises the error that refused it."""
+    if isinstance(result, Exception):
+        raise result
     return ZeroDivisor(tuple(result.zeros), result.radius_used)
 
 
@@ -628,13 +635,18 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
     else:
         trunc_list = [None if truncations == math.inf else int(truncations)] * q
 
-    targets = []
+    # the exponential targets' zeros come from one box-tree walk; the first
+    # target in order that vanishes identically or is refused raises
     rmax = radii[-1] * 1.001
-    for name, form in arr.hypersurfaces:
-        comp = compose(form, curve)
+    composed = [compose(form, curve) for _, form in arr.hypersurfaces]
+    exponential = [comp for comp in composed if not comp.is_polynomial]
+    in_disk = iter(zeros_in_disk([comp.value_and_derivative for comp in exponential], rmax))
+    targets = []
+    for (name, form), comp in zip(arr.hypersurfaces, composed):
         if comp.is_zero:
             raise ValueError(f"target {name} vanishes identically on the curve")
-        targets.append((name, form, zero_divisor(comp, rmax)))
+        divisor = zero_divisor(comp) if comp.is_polynomial else _disk_divisor(next(in_disk))
+        targets.append((name, form, divisor))
 
     coefficient = q - 2 * N + n - 1 - eps
     rows = []

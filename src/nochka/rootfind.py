@@ -2,21 +2,29 @@
 
 Polynomials get exact square-free decomposition (so multiplicities are
 integers by construction) followed by companion-matrix roots and Newton
-polish.  General analytic functions, given as one evaluator of (f, f'), get
+polish.  General analytic functions, given as evaluators of (f, f'), get
 adaptive argument-principle counting on a subdivided box covering the disk,
 with certified integer rounding of every winding number.  A contour segment
 is halved until three tests pass: the argument of f and log|f| each move by
 at most 0.9 across it, and max |f'/f| at its ends times its length is at
-most 0.9.  The box tree is walked one level at a time: the level's Newton
-starts run as one batch, and the child contours of every box it splits are
-counted as one batch, each refinement pass evaluating f and f' once over
-the new points of all open contours.
+most 0.9.  `zeros_in_disk` walks the box trees of all its functions
+together, one level at a time: the level's Newton starts run as one batch,
+and the child contours of every box it splits are counted as one batch,
+each refinement pass evaluating every function once over the new points of
+its own open contours.  Every contour and Newton start is tagged by its
+function, so each function's result is the one it gets alone, and budgets
+are counted per function.  The first cut of the origin-centred covering
+box stays off the coordinate axes, where the zeros of real data lie.  A
+multiple zero is taken at the point where Newton stalls once a small circle
+around it winds its box's count (and, if that circle leaves the box, a
+circle around the whole box winds it too); a tree whose splits keep
+disagreeing starts again from a slightly larger covering box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -95,27 +103,31 @@ def poly_roots_with_multiplicity(p: UnivariatePoly) -> list[tuple[complex, int]]
     return out
 
 
-def winding_numbers(fd: ValueAndDerivative, gamma: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    m: int, *, n0: int = 64) -> list[int | None]:
+def winding_numbers(fd: ValueAndDerivative | Sequence[ValueAndDerivative],
+                    gamma: Callable[[np.ndarray, np.ndarray], np.ndarray], m: int, *,
+                    n0: int = 64, owner: np.ndarray | None = None) -> list[int | None]:
     """Winding numbers of f along the closed contours k = 0..m-1 of gamma(k, t), t in [0, 1).
 
-    `fd(z)` returns (f(z), f'(z)).  Each contour starts from n0 samples and
-    refines on its own: a segment is halved unless the argument and the
-    log-magnitude of f each move by at most 0.9 across it and max |f'/f| at
-    its ends times its length is at most 0.9 (the step test, which catches a
-    whole turn of the argument between two samples).  The final sum must
-    round to an integer within 0.25.  A contour that meets a zero or a
-    non-finite value, fails to round, or reaches WINDING_MAX_PASSES or
-    WINDING_MAX_POINTS counts as passing near a zero and gets None.  Each
-    pass makes one fd call over the new points of every open contour, and a
-    contour's count does not depend on the contours it is batched with.
+    `fd(z)` returns (f(z), f'(z)).  With `owner`, `fd` is a sequence of such
+    evaluators and contour k winds around the zeros of fd[owner[k]].  Each
+    contour starts from n0 samples and refines on its own: a segment is
+    halved unless the argument and the log-magnitude of f each move by at
+    most 0.9 across it and max |f'/f| at its ends times its length is at most
+    0.9 (the step test, which catches a whole turn of the argument between
+    two samples).  The final sum must round to an integer within 0.25.  A
+    contour that meets a zero or a non-finite value, fails to round, or
+    reaches WINDING_MAX_PASSES or WINDING_MAX_POINTS counts as passing near a
+    zero and gets None.  Each pass makes one call of each evaluator over the
+    new points of its open contours, and a contour's count does not depend
+    on the contours it is batched with.
     """
     counts: list[int | None] = [None] * m
     ids = np.arange(m)  # the open contours, in order, and their sample counts
     sizes = np.full(m, n0)
     t = np.tile(np.linspace(0.0, 1.0, n0, endpoint=False), m)
-    z = gamma(np.repeat(ids, n0), t)
-    f, df = fd(z)
+    k = np.repeat(ids, n0)
+    z = gamma(k, t)
+    f, df = _evaluate(fd, owner, k, z)
     for _ in range(WINDING_MAX_PASSES):
         # samples are sorted by (contour, t); nxt closes each contour on itself
         last = np.cumsum(sizes) - 1
@@ -147,8 +159,9 @@ def winding_numbers(fd: ValueAndDerivative, gamma: Callable[[np.ndarray, np.ndar
         t_next = t[nxt]
         t_next[last] += 1.0
         mids = ((t[left] + t_next[left]) / 2.0) % 1.0
-        z_mids = gamma(np.repeat(ids[open_], nbad[open_]), mids)
-        f_mids, df_mids = fd(z_mids)
+        k = np.repeat(ids[open_], nbad[open_])
+        z_mids = gamma(k, mids)
+        f_mids, df_mids = _evaluate(fd, owner, k, z_mids)
         # Each midpoint goes right after its left endpoint, which keeps the
         # samples sorted by t.  A midpoint of the closing segment that rounds
         # to t = 1.0 wraps to 0.0: it repeats its contour's first sample
@@ -172,6 +185,27 @@ def winding_numbers(fd: ValueAndDerivative, gamma: Callable[[np.ndarray, np.ndar
         t, z, f, df = merged(t, mids), merged(z, z_mids), merged(f, f_mids), merged(df, df_mids)
         ids, sizes = ids[open_], sizes[open_] + nbad[open_]
     return counts
+
+
+def _evaluate(fd: ValueAndDerivative | Sequence[ValueAndDerivative], owner: np.ndarray | None,
+              k: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, f') at z, where z[i] belongs to item k[i]: by fd alone when owner
+    is None, else by fd[owner[k[i]]], each evaluator called once on its own
+    points (in order), so every point gets the bits of a one-function call."""
+    if owner is None:
+        return fd(z)
+    if len(fd) == 1:
+        return fd[0](z)
+    tags = owner[k]
+    order = np.argsort(tags, kind="stable")
+    bounds = np.searchsorted(tags[order], np.arange(len(fd) + 1))
+    f = np.empty(z.shape, dtype=np.complex128)
+    df = np.empty(z.shape, dtype=np.complex128)
+    for u, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if lo < hi:
+            i = order[lo:hi]
+            f[i], df[i] = fd[u](z[i])
+    return f, df
 
 
 def winding_number(fd: ValueAndDerivative, gamma: Callable[[np.ndarray], np.ndarray],
@@ -228,50 +262,96 @@ class DiskZeros:
     boundary_count: int
 
 
-_SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.56, 0.44, 0.515, 0.485, 0.61)
+# The covering box is [-s r, s r]^2 for the first of these s whose count
+# certifies, and a refused tree starts again at the next one; the first
+# fraction cuts it, so it is not 0.5 (see `zeros_in_disk`).
+_COVER_SCALES = (1.02, 1.03)
+_SPLIT_FRACTIONS = (0.53, 0.5, 0.47, 0.56, 0.44, 0.515, 0.485, 0.61)
 
 
-def zeros_in_disk(fd: ValueAndDerivative, radius: float) -> DiskZeros:
-    """All zeros of f with |z| < radius, via box subdivision with winding counts.
+def zeros_in_disk(fds: Sequence[ValueAndDerivative], radius: float) -> list[DiskZeros | Exception]:
+    """All zeros with |z| < radius of each function, via box subdivision with winding counts.
 
-    `fd(z)` returns (f(z), f'(z)).  The boundary circle may be inflated by
-    relative steps of 1e-6 when a zero sits on it (reported via
-    `perturbed`).  The box tree is walked one level at a time: one Newton
-    batch for the level's boxes, then one batch of child counts for the
-    boxes it splits.  Child box counts are checked to sum to their parent's
-    count; the kept zeros must add up to the boundary count.
+    `fds[u](z)` returns (f_u(z), f_u'(z)).  Returns one outcome per function:
+    its `DiskZeros`, or the `VerificationError` or `ResourceBudgetError` that
+    refused it; a refused function drops out of the walk and leaves the
+    others' results unchanged.  The box trees of all the functions are walked
+    together, one level at a time: one Newton batch for the level's boxes,
+    then one batch of child counts for the boxes it splits.  Every contour
+    and Newton start is evaluated by its own function, and each of them gets
+    the bits of a one-entry call, so each outcome is the one the function
+    gets alone.  A function's boundary circle may be inflated by relative
+    steps of 1e-6 when a zero sits on it (reported via `perturbed`).  Child
+    box counts are checked to sum to their parent's count; the kept zeros
+    must add up to the boundary count.  A tree in which some box's splits
+    keep disagreeing (its edge runs through a cluster that float evaluation
+    cannot resolve) starts again from the covering box at the next of
+    _COVER_SCALES, whose cuts lie elsewhere.  MAX_BOXES is counted per
+    function, over all its trees.
+
+    The covering box is centred on 0, so its first cut (_SPLIT_FRACTIONS[0])
+    is kept off x = 0 and y = 0: a function with real coefficients has its
+    real zeros on y = 0, and one that is also real on the imaginary axis (a
+    real function of z^2, say) can have zeros on x = 0 as well.  A contour
+    through a zero refines until WINDING_MAX_PASSES before the cut is moved,
+    so a first cut along an axis costs a full pass budget on such data.
     """
-    r_used = radius
-    perturbed = False
+    n = len(fds)
+    outcomes: list = [None] * n
+    r_used = [radius] * n
+    perturbed = [False] * n
+    totals = [0] * n
+    pending = list(range(n))
     for _ in range(8):
-        [total] = winding_numbers(fd, _circles(np.zeros(1), np.array([r_used])), 1, n0=256)
-        if total is not None:
+        if not pending:
             break
-        r_used *= 1 + 1e-6
-        perturbed = True
-    else:
-        raise VerificationError("boundary circle could not be certified after perturbations")
-    if total == 0:
-        return DiskZeros([], r_used, perturbed, 0)
+        circles = _circles(np.zeros(len(pending)), np.array([r_used[u] for u in pending]))
+        got = winding_numbers(fds, circles, len(pending), n0=256, owner=np.array(pending))
+        still = []
+        for u, total in zip(pending, got):
+            if total is None:
+                r_used[u] *= 1 + 1e-6
+                perturbed[u] = True
+                still.append(u)
+            else:
+                totals[u] = total
+        pending = still
+    for u in pending:
+        outcomes[u] = VerificationError(
+            "boundary circle could not be certified after perturbations")
+    for u in range(n):
+        if outcomes[u] is None and not totals[u]:
+            outcomes[u] = DiskZeros([], r_used[u], perturbed[u], 0)
 
-    for scale in (1.02, 1.03):
-        half = r_used * scale
-        level = np.array([[-half, half, -half, half]])
-        [root_count] = winding_numbers(fd, _boxes(level), 1)
-        if root_count is not None:
+    # each function's tree starts from its covering box at its next cover
+    # scale: first for every function, and again for one whose tree is refused
+    scale_at = [0] * n
+    fresh = [u for u in range(n) if outcomes[u] is None]
+    found: list[list[tuple[complex, int]]] = [[] for _ in range(n)]
+    boxes = np.zeros(n, dtype=np.intp)
+    level = np.empty((0, 4))
+    owner = counts = np.empty(0, dtype=np.intp)
+    while True:
+        if fresh:
+            covers, left = _covering_boxes(fds, fresh, r_used, scale_at)
+            for u in left:
+                outcomes[u] = VerificationError("no box around the disk could be certified")
+            # a covering box that winds 0 times starts no tree; the final check refuses it
+            covers = [(u, box, c) for u, box, c in covers if c]
+            level = np.concatenate([level, np.array([box for _, box, _ in covers]).reshape(-1, 4)])
+            owner = np.concatenate([owner, np.array([u for u, _, _ in covers], dtype=np.intp)])
+            counts = np.concatenate([counts, np.array([c for _, _, c in covers], dtype=np.intp)])
+        if not counts.size:
             break
-    else:
-        raise VerificationError("no box around the disk could be certified")
-    if not root_count:
-        level = level[:0]
-    counts = np.full(len(level), root_count)
-
-    found: list[tuple[complex, int]] = []
-    boxes = 0
-    while counts.size:
-        boxes += counts.size
-        if boxes > MAX_BOXES:
-            raise ResourceBudgetError(f"box subdivision exceeded {MAX_BOXES} boxes")
+        boxes += np.bincount(owner, minlength=n)
+        for u in np.flatnonzero(boxes > MAX_BOXES):
+            if outcomes[u] is None:
+                outcomes[u] = ResourceBudgetError(f"box subdivision exceeded {MAX_BOXES} boxes")
+        alive = np.array([outcomes[u] is None for u in owner], dtype=bool)
+        if not alive.all():
+            level, owner, counts = level[alive], owner[alive], counts[alive]
+            if not counts.size:
+                break
         x0, x1, y0, y1 = level.T
         centers = (x0 + x1) / 2 + 1j * ((y0 + y1) / 2)
         scale = 1 + np.abs(centers)
@@ -282,61 +362,112 @@ def zeros_in_disk(fd: ValueAndDerivative, radius: float) -> DiskZeros:
         z = np.full(counts.size, np.nan, dtype=np.complex128)
         strict = np.zeros(counts.size, dtype=bool)
         if tried.any():
-            z[tried], strict[tried] = _newton(fd, centers[tried])
+            z[tried], strict[tried] = _newton(fds, centers[tried], owner[tried])
         in_box = ((x0 - 1e-12 <= z.real) & (z.real <= x1 + 1e-12)
                   & (y0 - 1e-12 <= z.imag) & (z.imag <= y1 + 1e-12))
         done = (counts == 1) & strict & in_box
-        found.extend((complex(w), 1) for w in z[done])
-        clustered = _clusters_certified(fd, level, counts, z, in_box)
-        found.extend((complex(z[i]), int(counts[i])) for i in clustered)
+        for i in np.flatnonzero(done):
+            found[owner[i]].append((complex(z[i]), 1))
+        clustered = _clusters_certified(fds, level, owner, counts, z, in_box)
+        for i in clustered:
+            found[owner[i]].append((complex(z[i]), int(counts[i])))
         done[clustered] = True
         rest = np.flatnonzero(~done)
         tiny = size[rest] < MIN_BOX * scale[rest]
-        found.extend((complex(centers[i]), int(counts[i])) for i in rest[tiny])
-        level, counts = _split(fd, level[rest[~tiny]], counts[rest[~tiny]])
+        for i in rest[tiny]:
+            found[owner[i]].append((complex(centers[i]), int(counts[i])))
+        split = rest[~tiny]
+        level, owner, counts, refused = _split(fds, level[split], owner[split], counts[split])
+        fresh = [u for u in refused if scale_at[u] < len(_COVER_SCALES)]
+        for u in refused:
+            found[u] = []
+            if u not in fresh:
+                outcomes[u] = VerificationError(
+                    "box splits kept disagreeing with the parent winding count")
 
-    kept = [(z, k) for z, k in found if abs(z) < r_used]
-    kept = _merge_clusters(kept)
-    if sum(k for _, k in kept) != total:
-        raise VerificationError(
-            f"disk zero count {sum(k for _, k in kept)} disagrees with boundary winding {total}")
-    return DiskZeros(kept, r_used, perturbed, total)
+    for u in range(n):
+        if outcomes[u] is None:
+            kept = _merge_clusters([(z, k) for z, k in found[u] if abs(z) < r_used[u]])
+            count = sum(k for _, k in kept)
+            if count == totals[u]:
+                outcomes[u] = DiskZeros(kept, r_used[u], perturbed[u], totals[u])
+            else:
+                outcomes[u] = VerificationError(
+                    f"disk zero count {count} disagrees with boundary winding {totals[u]}")
+    return outcomes
 
 
-def _clusters_certified(fd, level, counts, z, in_box) -> np.ndarray:
+def _covering_boxes(fds, units: list[int], r_used: list[float],
+                    scale_at: list[int]) -> tuple[list[tuple[int, np.ndarray, int]], list[int]]:
+    """(function, box, count) of the certified covering boxes [-s r, s r]^2 of
+    the functions `units`, each at the first of its remaining _COVER_SCALES
+    whose count certifies (scale_at[u] moves past it), and the functions
+    left without one."""
+    covers, left = [], []
+    while units:
+        half = np.array([r_used[u] * _COVER_SCALES[scale_at[u]] for u in units])
+        boxes = np.stack([-half, half, -half, half], axis=-1)
+        got = winding_numbers(fds, _boxes(boxes), len(units), owner=np.array(units))
+        still = []
+        for u, box, c in zip(units, boxes, got):
+            scale_at[u] += 1
+            if c is not None:
+                covers.append((u, box, c))
+            elif scale_at[u] < len(_COVER_SCALES):
+                still.append(u)
+            else:
+                left.append(u)
+        units = still
+    return covers, left
+
+
+def _clusters_certified(fds, level, owner, counts, z, in_box) -> np.ndarray:
     """Indices of the multi-zero boxes whose Newton point carries the box's full count.
 
     A multiple zero stalls both the count and plain Newton, so the
-    stagnation point is accepted when a cluster-scale circle around it,
-    inside the box, winds the box's count.
+    stagnation point w is accepted when a cluster-scale circle D around it
+    winds the box's count k.  A D inside the box needs nothing more.  A D
+    that leaves the box (w lies near an edge) must be matched by a circle E
+    around w that encloses D and the box and winds k as well: then E's zeros
+    are the box's zeros, and D's zeros are among them, so they are the box's.
     """
     accepted = []
     idx = np.flatnonzero((counts > 1) & in_box)
     x0, x1, y0, y1 = level[idx].T
     w = z[idx]
     gap = np.minimum.reduce([w.real - x0, x1 - w.real, w.imag - y0, y1 - w.imag])
+    corners = np.stack([x0 + 1j * y0, x1 + 1j * y0, x0 + 1j * y1, x1 + 1j * y1])
+    reach = np.abs(corners - w).max(axis=0)
     for scale in (1e-6, 1e-5):
-        rad = scale * (1 + np.abs(w))
-        inside = rad < gap
-        idx, w, gap, rad = idx[inside], w[inside], gap[inside], rad[inside]
         if not idx.size:
             break
-        hit = np.array([c == counts[i] for c, i in
-                        zip(winding_numbers(fd, _circles(w, rad), idx.size, n0=32), idx)])
+        rad = scale * (1 + np.abs(w))
+        got = winding_numbers(fds, _circles(w, rad), idx.size, n0=32, owner=owner[idx])
+        hit = np.array([c == counts[i] for c, i in zip(got, idx)])
+        leaves = np.flatnonzero(hit & (rad >= gap))
+        if leaves.size:
+            around = _circles(w[leaves], 1.01 * np.maximum(reach[leaves], rad[leaves]))
+            wide = winding_numbers(fds, around, leaves.size, owner=owner[idx[leaves]])
+            hit[leaves] = [c == counts[i] for c, i in zip(wide, idx[leaves])]
         accepted.extend(idx[hit])
-        idx, w, gap = idx[~hit], w[~hit], gap[~hit]
+        idx, w, gap, reach = idx[~hit], w[~hit], gap[~hit], reach[~hit]
     return np.array(accepted, dtype=np.intp)
 
 
-def _split(fd, level: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The children with nonzero counts of every box in `level`.
+def _split(fds, level: np.ndarray, owner: np.ndarray,
+           counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The children with nonzero counts of every box in `level`, their owners
+    and counts, and the functions refused.
 
     Each box is cut at the first of _SPLIT_FRACTIONS whose four child counts
     are certified and sum to the box's count; the children of all boxes
-    still to cut are counted in one batch per try.
+    still to cut are counted in one batch per try.  A box that runs out of
+    fractions refuses its function, whose other boxes are then dropped.
     """
     children: list[np.ndarray] = []
+    child_owner: list[int] = []
     child_counts: list[int] = []
+    refused: list[int] = []
     tries = np.zeros(counts.size, dtype=np.intp)
     pending = np.arange(counts.size)
     fractions = np.array(_SPLIT_FRACTIONS)
@@ -347,36 +478,45 @@ def _split(fd, level: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nd
         ym = y0 + frac * (y1 - y0)
         quads = np.stack([x0, xm, y0, ym, xm, x1, y0, ym,
                           x0, xm, ym, y1, xm, x1, ym, y1], axis=-1).reshape(-1, 4)
-        quad_counts = winding_numbers(fd, _boxes(quads), quads.shape[0])
+        quad_counts = winding_numbers(fds, _boxes(quads), quads.shape[0],
+                                      owner=np.repeat(owner[pending], 4))
         retry = []
         for j, i in enumerate(pending):
+            u = owner[i]
+            if u in refused:
+                continue
             four = quad_counts[4 * j:4 * j + 4]
             if None in four or sum(four) != counts[i]:
                 # a contour sneaked past a zero; shift the cut and recount
                 tries[i] += 1
                 if tries[i] == fractions.size:
-                    raise VerificationError(
-                        "box splits kept disagreeing with the parent winding count")
-                retry.append(i)
+                    refused.append(u)
+                else:
+                    retry.append(i)
                 continue
             for quad, c in zip(quads[4 * j:4 * j + 4], four):
                 if c:
                     children.append(quad)
+                    child_owner.append(u)
                     child_counts.append(c)
-        pending = np.array(retry, dtype=np.intp)
-    return np.array(children).reshape(-1, 4), np.array(child_counts, dtype=np.intp)
+        pending = np.array([i for i in retry if owner[i] not in refused], dtype=np.intp)
+    keep = [j for j, u in enumerate(child_owner) if u not in refused]
+    return (np.array(children).reshape(-1, 4)[keep], np.array(child_owner, dtype=np.intp)[keep],
+            np.array(child_counts, dtype=np.intp)[keep], refused)
 
 
-def _newton(fd: ValueAndDerivative, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton(fd, z0: np.ndarray, owner: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration from every start point; returns (points, strict).
 
-    `strict` marks full-tolerance convergence.  Near a multiple zero the
-    iteration stalls on evaluation noise, so a point whose final step is
-    merely small is still returned (strict=False) for the caller to verify
-    by a winding count.  A point is nan where the iteration failed: a zero
-    or non-finite derivative or step, or no small step within
+    `fd` and `owner` are as in `winding_numbers`, with owner[j] the function
+    of start j.  `strict` marks full-tolerance convergence.  Near a multiple
+    zero the iteration stalls on evaluation noise, so a point whose final
+    step is merely small is still returned (strict=False) for the caller to
+    verify by a winding count.  A point is nan where the iteration failed: a
+    zero or non-finite derivative or step, or no small step within
     NEWTON_ITERATIONS.  Each iteration evaluates the entries still running
-    in one fd call; every entry gets the result of a one-entry call.
+    in one call per evaluator; every entry gets the result of a one-entry
+    call.
     """
     z = np.array(z0, dtype=np.complex128)
     last = np.full(z.shape, np.inf)
@@ -385,7 +525,7 @@ def _newton(fd: ValueAndDerivative, z0: np.ndarray) -> tuple[np.ndarray, np.ndar
     for _ in range(NEWTON_ITERATIONS):
         if not active.size:
             break
-        f, d = fd(z[active])
+        f, d = _evaluate(fd, owner, active, z[active])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = f / d
         failed = (d == 0) | ~np.isfinite(d) | ~np.isfinite(step)

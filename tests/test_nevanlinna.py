@@ -11,7 +11,8 @@ import pytest
 
 from nochka.curves import (CurveCoordinate, ExpTerm, ProjectiveCurve, compose,
                            parse_coordinate, parse_curve)
-from nochka.errors import QuadratureError
+import nochka.rootfind as rootfind
+from nochka.errors import QuadratureError, ResourceBudgetError
 from nochka.fixtures import (exp_curve, generate_intro_fixture, parabola_curve,
                              pencil_lines_arrangement, three_point_arrangement)
 from nochka.geometry import (Arrangement, codim_oracle, hilbert_function, hilbert_weight,
@@ -378,6 +379,39 @@ class TestProximity:
             proximity(curve, G, 2)
         with pytest.raises(ValueError, match="target G vanishes identically on the curve"):
             smt_report(curve, arr, Fraction(1, 2), [2])
+
+
+def _target_by_target(curve, arr, rmax):
+    """Reference: each target composed, checked and divided in turn."""
+    for name, form in arr.hypersurfaces:
+        comp = compose(form, curve)
+        if comp.is_zero:
+            raise ValueError(f"target {name} vanishes identically on the curve")
+        zero_divisor(comp, rmax)
+
+
+class TestSMTErrorOrder:
+    """`smt_report` divides its exponential targets in one walk, and raises
+    what dividing them one at a time, in order, raises."""
+
+    @pytest.mark.parametrize("order, error", [(("H0", "H2", "H3", "G"), ResourceBudgetError),
+                                              (("H0", "G", "H2", "H3"), ValueError),
+                                              (("H3", "H2", "G", "H0"), ResourceBudgetError),
+                                              (("G", "H3", "H0", "H2"), ValueError)])
+    def test_first_failing_target_in_order_raises(self, monkeypatch, order, error):
+        head, body = VANISHING_G_ARRANGEMENT.split("[hypersurfaces]\n")
+        lines = dict(line.split(" : ") for line in body.strip().splitlines())
+        arr = parse_arrangement(head + "[hypersurfaces]\n"
+                                + "".join(f"{name} : {lines[name]}\n" for name in order))
+        curve = parse_curve(VANISHING_G_CURVE)
+        # H3 = 1 + e^z + e^{2z} has its zeros at +-2 pi i/3 + 2 pi i k, so H3
+        # is refused at radius 3 with no box allowed; H2 = e^{2z} has none
+        monkeypatch.setattr(rootfind, "MAX_BOXES", 0)
+        with pytest.raises(error) as want:
+            _target_by_target(curve, arr, 3 * 1.001)
+        with pytest.raises(error) as got:
+            smt_report(curve, arr, Fraction(1, 2), [3])
+        assert str(got.value) == str(want.value)
 
 
 class TestJensen:

@@ -7,17 +7,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nochka.curves import CurveCoordinate, parse_coordinate
+import nochka.rootfind as rootfind
+from nochka.curves import CurveCoordinate, ExpTerm, compose, parse_coordinate
 from nochka.errors import ResourceBudgetError, VerificationError
-from nochka.rootfind import (WINDING_CERT, WINDING_MAX_PASSES, WINDING_MAX_POINTS,
-                             ContourNearZero, _boxes, _circles, _newton,
-                             poly_roots_with_multiplicity, winding_number, winding_numbers,
-                             zeros_in_disk)
+from nochka.fixtures import exp_curve, generate_intro_fixture
+from nochka.rootfind import (_COVER_SCALES, _SPLIT_FRACTIONS, WINDING_CERT, WINDING_MAX_PASSES,
+                             WINDING_MAX_POINTS, ContourNearZero, DiskZeros, _boxes, _circles,
+                             _newton, poly_roots_with_multiplicity, winding_number,
+                             winding_numbers, zeros_in_disk)
 from nochka.univar import QQi, UnivariatePoly
 
 
 def fused(text: str):
     return parse_coordinate(text).value_and_derivative
+
+
+def disk_zeros(fd, radius):
+    """The one-function outcome of `zeros_in_disk`; raises the error that refused it."""
+    [result] = zeros_in_disk([fd], radius)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def single(gamma, k: int):
@@ -213,7 +223,7 @@ class TestManyZerosNearTheEdge:
 
     def test_closed_form_zeros_of_exp_z_squared_minus_3(self):
         # exp(z^2) = 3 exactly at z = +-sqrt(log 3 + 2 pi i k)
-        result = zeros_in_disk(fused("exp(z^2) - 3"), 6.5)
+        result = disk_zeros(fused("exp(z^2) - 3"), 6.5)
         want = [s * np.sqrt(complex(math.log(3), 2 * math.pi * k))
                 for k in range(-7, 8) for s in (1, -1)]
         want = [w for w in want if abs(w) < 6.5]
@@ -221,6 +231,137 @@ class TestManyZerosNearTheEdge:
         for w in want:
             [(z, k)] = [(z, k) for z, k in result.zeros if abs(z - w) < 1e-9]
             assert k == 1
+
+
+def intro_targets(seed: int):
+    """The 12 targets of the intro fixture `seed` composed with (1 : e^z : e^{z^2})."""
+    arr = generate_intro_fixture(seed).arrangement
+    return [compose(form, exp_curve()) for _, form in arr.hypersurfaces]
+
+
+def exp_sums(count: int, *, real: bool):
+    """Seeded a e^{z^2} + b e^z + c with nonzero rational (or Gaussian rational) a, b, c."""
+    rng = random.Random(4242 + real)
+
+    def coefficient():
+        while True:
+            re, im = (Fraction(rng.randint(-30, 30), 10) for _ in range(2))
+            c = QQi(re, 0 if real else im)
+            if not c.is_zero:
+                return c
+
+    return [CurveCoordinate.from_terms([ExpTerm(coefficient(), 0, UnivariatePoly([0, 0, 1])),
+                                        ExpTerm(coefficient(), 0, UnivariatePoly([0, 1])),
+                                        ExpTerm(coefficient(), 0, UnivariatePoly())])
+            for _ in range(count)]
+
+
+def same_outcome(a, b) -> bool:
+    """Equal `DiskZeros`, or refusals of the same type and message."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return a == b
+
+
+def recorded_walk(monkeypatch, fds, radius) -> tuple[list[int], list[int]]:
+    """Over one walk: the boxes each function's tree visits (its covering box
+    included), and the functions whose trees `_split` refuses."""
+    split = rootfind._split
+    seen = np.zeros(len(fds), dtype=np.intp)
+    refused: list[int] = []
+
+    def recording(*args):
+        out = split(*args)
+        seen[:] += np.bincount(out[1], minlength=len(fds))
+        refused.extend(int(u) for u in out[3])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rootfind, "_split", recording)
+        outcomes = zeros_in_disk(fds, radius)
+    return [int(k) + bool(o.boundary_count) for k, o in zip(seen, outcomes)], refused
+
+
+class TestBatchedWalk:
+    """One walk over several functions gives each the outcome it gets alone."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_intro_targets_match_one_function_calls(self, seed):
+        fds = [t.value_and_derivative for t in intro_targets(seed)]
+        batch = zeros_in_disk(fds, 2.002)
+        assert len(batch) == 12
+        for fd, got in zip(fds, batch):
+            [alone] = zeros_in_disk([fd], 2.002)
+            assert isinstance(alone, DiskZeros)
+            assert got == alone
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_exponential_sums_match_one_function_calls(self, real):
+        fds = [g.value_and_derivative for g in exp_sums(16, real=real)]
+        batch = zeros_in_disk(fds, 2.5)
+        alone = [zeros_in_disk([fd], 2.5)[0] for fd in fds]
+        assert all(same_outcome(a, b) for a, b in zip(batch, alone))
+        assert sum(isinstance(a, DiskZeros) and a.boundary_count > 0 for a in alone) >= 12
+
+    def test_empty_batch(self):
+        assert zeros_in_disk([], 2.0) == []
+
+    def test_box_budget_is_counted_per_function(self, monkeypatch):
+        fds = [t.value_and_derivative for t in intro_targets(1)[:4]]
+        want = zeros_in_disk(fds, 2.002)
+        totals, _ = recorded_walk(monkeypatch, fds, 2.002)
+        assert sum(totals) > max(totals) > 1
+        # every function fits the budget alone, the batch as a whole does not
+        monkeypatch.setattr(rootfind, "MAX_BOXES", max(totals))
+        assert zeros_in_disk(fds, 2.002) == want
+
+    def test_a_refused_function_leaves_the_others_unchanged(self, monkeypatch):
+        fds = [t.value_and_derivative for t in intro_targets(2)]
+        want = zeros_in_disk(fds, 2.002)
+        totals, _ = recorded_walk(monkeypatch, fds, 2.002)
+        big = int(np.argmax(totals))
+        assert sorted(totals)[-2] < totals[big]
+        monkeypatch.setattr(rootfind, "MAX_BOXES", totals[big] - 1)
+        got = zeros_in_disk(fds, 2.002)
+        assert isinstance(got[big], ResourceBudgetError)
+        del got[big], want[big]
+        assert got == want
+
+
+class TestNoContourStalls:
+    """No winding count runs to the pass cap: the first cut avoids the axes,
+    where the real zeros of these real-coefficient targets lie."""
+
+    @staticmethod
+    def _max_passes(monkeypatch, fds, radius) -> int:
+        most = [0]
+        original = rootfind.winding_numbers
+
+        def counting(fd, gamma, m, **kwargs):
+            calls = [0] * len(fd)
+
+            def counted(u):
+                def evaluate(z):
+                    calls[u] += 1
+                    return fd[u](z)
+                return evaluate
+
+            out = original([counted(u) for u in range(len(fd))], gamma, m, **kwargs)
+            most[0] = max(most[0], max(calls) - 1)  # the first call samples, the rest refine
+            return out
+
+        monkeypatch.setattr(rootfind, "winding_numbers", counting)
+        outcomes = zeros_in_disk(fds, radius)
+        assert all(isinstance(o, DiskZeros) for o in outcomes)
+        return most[0]
+
+    def test_intro_1_targets(self, monkeypatch):
+        fds = [t.value_and_derivative for t in intro_targets(1)]
+        assert 0 < self._max_passes(monkeypatch, fds, 2.002) < WINDING_MAX_PASSES
+
+    def test_real_sum_with_real_zeros(self, monkeypatch):
+        fds = [fused("-exp(z^2) + exp(z) + 2")]
+        assert 0 < self._max_passes(monkeypatch, fds, 3.003) < WINDING_MAX_PASSES
 
 
 def _poly_from_roots(roots):
@@ -231,16 +372,62 @@ def _poly_from_roots(roots):
 
 
 TENTH_MICRO = Fraction(1, 10 ** 7)
+RADIUS = 2.5
 
-# Zeros on the first split lines x = 0 and y = 0 of the covering box, and
-# within 1e-7 of them.
+
+def first_cut(radius: float) -> Fraction:
+    """Where the covering box of the disk of this radius is first cut, in x
+    and in y alike: the split rule applied to [-half, half]."""
+    half = radius * _COVER_SCALES[0]
+    return Fraction(-half + _SPLIT_FRACTIONS[0] * (half - -half))
+
+
+CUT = first_cut(RADIUS)
+
+# Zeros on the coordinate axes x = 0 and y = 0, where a cut through the
+# centre of the covering box would run, and on the first cut lines x = CUT
+# and y = CUT; both exactly and within 1e-7.
 ADVERSARIAL = [
     [(QQi(0), 1), (QQi(Fraction(1, 2), Fraction(1, 3)), 1)],
     [(QQi(0, Fraction(3, 4)), 1), (QQi(TENTH_MICRO, Fraction(-1, 2)), 1)],
     [(QQi(0, Fraction(2, 5)), 2), (QQi(Fraction(-1, 3), TENTH_MICRO), 1)],
     [(QQi(-TENTH_MICRO, 1), 1), (QQi(Fraction(6, 5), -TENTH_MICRO), 2), (QQi(0), 1)],
     [(QQi(TENTH_MICRO, TENTH_MICRO), 3), (QQi(0, -1), 1)],
+    [(QQi(CUT, Fraction(7, 10)), 1), (QQi(Fraction(-1, 2), CUT), 1)],
+    [(QQi(CUT, CUT), 2), (QQi(1, Fraction(-1, 3)), 1)],
+    [(QQi(CUT + TENTH_MICRO, Fraction(-3, 5)), 1), (QQi(Fraction(-4, 5), CUT - TENTH_MICRO), 2)],
+    [(QQi(CUT - TENTH_MICRO, CUT + TENTH_MICRO), 1), (QQi(0), 1), (QQi(CUT, -1), 2)],
+    [(QQi(CUT, Fraction(-6, 5)), 3), (QQi(Fraction(9, 10), CUT + TENTH_MICRO), 1)],
 ]
+
+
+class TestRestartAndClusters:
+    def test_a_refused_tree_starts_again_at_the_next_cover_scale(self, monkeypatch):
+        # float rounding splits the triple zero on x = CUT into a 1e-5 cluster
+        # that the first cut runs through; the first tree's splits disagree
+        p = _poly_from_roots([(QQi(CUT, Fraction(-6, 5)), 3),
+                              (QQi(Fraction(9, 10), CUT + TENTH_MICRO), 1)])
+        fd = CurveCoordinate.from_poly(p).value_and_derivative
+        result = disk_zeros(fd, RADIUS)
+        assert recorded_walk(monkeypatch, [fd], RADIUS)[1] == [0]
+        assert sorted(k for _, k in result.zeros) == [1, 3]
+        [(z, _)] = [(z, k) for z, k in result.zeros if k == 3]
+        assert abs(z - complex(CUT, -1.2)) < 1e-4
+        # the restart is per function: in a batch the others' results do not change
+        other = exp_sums(1, real=True)[0].value_and_derivative
+        assert zeros_in_disk([fd, other], RADIUS) == [result, zeros_in_disk([other], RADIUS)[0]]
+
+    def test_double_zero_next_to_a_cut_is_enclosed(self, monkeypatch):
+        # the cluster circle around the double zero 1e-7 below y = CUT leaves
+        # its box, so a circle around the whole box must wind 2 as well; the
+        # first tree certifies it
+        p = _poly_from_roots([(QQi(Fraction(-4, 5), CUT - TENTH_MICRO), 2),
+                              (QQi(CUT + TENTH_MICRO, Fraction(-3, 5)), 1)])
+        fd = CurveCoordinate.from_poly(p).value_and_derivative
+        result = disk_zeros(fd, RADIUS)
+        assert recorded_walk(monkeypatch, [fd], RADIUS)[1] == []
+        [(z, _)] = [(z, k) for z, k in result.zeros if k == 2]
+        assert abs(z - complex(-0.8, float(CUT - TENTH_MICRO))) < 1e-6
 
 
 def _seeded_cases(count: int):
@@ -273,7 +460,7 @@ def test_adversarial_zeros_certify_or_refuse(roots):
     p = _poly_from_roots(roots)
     fd = CurveCoordinate.from_poly(p).value_and_derivative
     try:
-        result = zeros_in_disk(fd, 2.5)
+        result = disk_zeros(fd, RADIUS)
     except (VerificationError, ResourceBudgetError):
         return
     oracle = [(z, k) for z, k in poly_roots_with_multiplicity(p) if abs(z) < result.radius_used]
