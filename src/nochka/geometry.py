@@ -11,16 +11,18 @@ kernel, then t -> B t is a linear isomorphism from projective (M - k)-space
 onto the linear space L they cut out.  It maps the zero set of the other
 polynomials restricted to p(B t) onto V cut by R, so both have the same
 projective dimension, and only the restricted ideal, in M + 1 - k
-variables, needs a Groebner basis (none at all when L is empty, a point,
-or inside every other zero set, when one restricted polynomial is left, or
-when L is a line and a univariate gcd decides it).
+variables, needs a Groebner basis.  None is needed when L is empty or
+inside every other zero set, when one restricted polynomial is left, when
+L is a point (each generator is evaluated there in integers), or when L is
+a line (one rank of the degree-(2d - 1) multiples of the binary forms
+decides it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -31,7 +33,6 @@ from .poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension, monomia
                    products_of_degree, unpack_monomial)
 from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle, ValidationReport,
                         _set_str, check_costs, linear_matroid_oracle, validate_rank_oracle)
-from .univar import UnivariatePoly, poly_gcd_many
 
 QM_BUDGET = 5000
 
@@ -142,13 +143,12 @@ class Arrangement:
 
 def _linear_space(parent: Echelon, line: Sequence, lines: Sequence[Sequence],
                   width: int) -> tuple[Echelon, list[tuple[int, ...]]]:
-    """A copy of `parent` with `line` inserted, and the integer basis B of the
-    common kernel of `lines` (the coefficient vectors of every hyperplane it
-    holds, `line` included) that it stores.  Both defining properties of B
-    are checked exactly: each row of `lines` times B is 0, and B has full
-    column rank width - rank."""
-    ech = parent.copy()
-    ech.insert(line)
+    """`parent` with `line` inserted, and the integer basis B of the common
+    kernel of `lines` (the coefficient vectors of every hyperplane it holds,
+    `line` included) that it stores.  Both defining properties of B are
+    checked exactly: each row of `lines` times B is 0, and B has full column
+    rank width - rank."""
+    ech = parent.extended(line) or parent
     basis = ech.kernel(width)
     columns = Echelon()
     for b in basis:
@@ -193,26 +193,38 @@ def _restrict(p: Polynomial, basis: Sequence[tuple[int, ...]]) -> Polynomial:
                                      for k, c in zip(keys, coeffs)})
 
 
+def _value_at(terms: Sequence[tuple[tuple[int, ...], int]], point: Sequence[int]) -> int:
+    """The integer polynomial with these (monomial, coefficient) terms at an integer point."""
+    return sum(c * prod(map(pow, point, mono)) for mono, c in terms)
+
+
 def _forms_dimension(gens: Sequence[Polynomial], nvars: int, gb_steps: int) -> int:
     """Projective dimension of the common zero set of nonzero forms of
     positive degree in nvars >= 2 variables.
 
-    One form cuts a hypersurface, of dimension nvars - 2.  Binary forms
-    F(t0, t1) meet in a point exactly when they share a zero (z : 1), a root
-    of the gcd of the F(z, 1), or all vanish at (1 : 0), where each has no
-    t0^d term.  Other ideals take a Groebner basis under `gb_steps`."""
+    One form cuts a hypersurface, of dimension nvars - 2.  Binary forms of
+    degree at most d with no common zero in P^1 generate every form of
+    degree 2d - 1: their degree-d multiples have no base point, so two
+    general members are coprime, and for two coprime forms of degree d
+    Sylvester's map onto degree 2d - 1 is a bijection.  Forms with a common
+    zero generate none that misses it.  So they meet in a point exactly when
+    one rank, that of their degree-(2d - 1) monomial multiples, is below 2d.
+    Other ideals take a Groebner basis under `gb_steps`."""
     if len(gens) == 1:
         return nvars - 2
     if nvars == 2:
-        if all((g.degree, 0) not in g.terms for g in gens):
-            return 0
-        dehomogenised = []
+        width = 2 * max(g.degree for g in gens)
+        ech = Echelon()
         for g in gens:
-            coeffs = [Fraction(0)] * (g.degree + 1)
-            for (e0, _), c in g.terms.items():
+            # coefficients by the exponent of t0, shifted by each multiplier t0^a t1^b
+            coeffs = [0] * (g.degree + 1)
+            for (e0, _), c in zip(g.terms, primitive(list(g.terms.values()))):
                 coeffs[e0] = c
-            dehomogenised.append(UnivariatePoly(coeffs))
-        return 0 if poly_gcd_many(dehomogenised).degree > 0 else -1
+            for a in range(width - g.degree):
+                ech.insert([0] * a + coeffs + [0] * (width - g.degree - 1 - a))
+                if ech.rank == width:
+                    return -1
+        return 0
     return ideal_dimension(Ideal(gens, nvars=nvars, max_steps=gb_steps))
 
 
@@ -230,11 +242,13 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
     generators and the other members of R, each restricted to p(B t):
 
     - k = M + 1: L is empty;
+    - L is a point b: the point when every generator vanishes at b, decided
+      by evaluating each there in integers with no restriction, and empty
+      otherwise;
     - no restricted generator is left nonzero: V contains L, dim = M - k;
-    - L is a point: empty, since every restricted generator left is a
-      nonzero multiple of t^d;
     - one restricted generator left: a hypersurface of L, dim = M - k - 1;
-    - L is a line: binary forms, decided by a univariate gcd;
+    - L is a line: binary forms, decided by one rank of their
+      degree-(2d - 1) monomial multiples (`_forms_dimension`);
     - otherwise the Groebner dimension of the restricted ideal in M + 1 - k
       variables, under the arrangement's step budget.
 
@@ -253,6 +267,10 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
     g = len(arr.variety_generators)
     spaces = {0: (Echelon(), Echelon().kernel(M + 1))}
     restricted: dict[tuple[int, int], Polynomial] = {}
+    # the polynomials' integer terms, and by hyperplane subset that cuts out
+    # a point, the bitmask of the polynomials vanishing there
+    int_terms = [list(zip(p.terms, primitive(list(p.terms.values())))) for p in polys]
+    point_zeros: dict[int, int] = {}
     table = [0] * (1 << q)
     by_size: list[list[int]] = [[] for _ in range(q + 1)]
     for mask in range(1, 1 << q):
@@ -282,6 +300,16 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
             ech, basis = space
             if ech.rank == M + 1:
                 dim = -1
+            elif len(basis) == 1:
+                # L is the point basis[0]: V cut by R is that point when
+                # every generator left vanishes there, and empty otherwise
+                zeros = point_zeros.get(hmask)
+                if zeros is None:
+                    zeros = point_zeros[hmask] = sum(
+                        1 << i for i, terms in enumerate(int_terms)
+                        if not _value_at(terms, basis[0]))
+                needed = ((1 << g) - 1) | ((mask ^ hmask) << g)
+                dim = 0 if needed & ~zeros == 0 else -1
             else:
                 rest = mask ^ hmask
                 gens = []
@@ -293,8 +321,6 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
                         gens.append(r)
                 if not gens:
                     dim = M - ech.rank
-                elif len(basis) == 1:
-                    dim = -1
                 else:
                     dim = _forms_dimension(gens, len(basis), arr.gb_steps)
             c = n - dim

@@ -47,8 +47,8 @@ class Echelon:
     fixes each x_f uniquely.  Accepting v drops the smallest free column j
     with d = v . x_j != 0 and replaces each later x_f by the content-free
     multiple of |d| x_f - sign(d) (v . x_f) x_j, which is orthogonal to v
-    and keeps that shape.  Vectors are replaced, never mutated, so copies
-    share them.
+    and keeps that shape.  The basis list and its vectors are replaced,
+    never mutated, so an `extended` Echelon shares them with its parent.
     """
 
     __slots__ = ("width", "basis")
@@ -61,11 +61,14 @@ class Echelon:
     def rank(self) -> int:
         return 0 if self.width is None else self.width - len(self.basis)
 
-    def copy(self) -> "Echelon":
+    def extended(self, vector: Sequence) -> "Echelon | None":
+        """A new Echelon holding these rows and `vector` when the vector
+        raises the rank, else None; this one is left unchanged either way.
+        Nothing is copied for a rejected vector: the new Echelon starts out
+        sharing the basis list, which `insert` replaces and never mutates."""
         other = Echelon()
-        other.width = self.width
-        other.basis = self.basis.copy()
-        return other
+        other.width, other.basis = self.width, self.basis
+        return other if other.insert(vector) else None
 
     def insert(self, vector: Sequence) -> bool:
         """Insert a rational vector; returns True when it increased the rank.

@@ -501,9 +501,12 @@ def greedy_select(oracle: RankOracle, weights: WeightAssignment,
 def linear_matroid_oracle(vectors: Sequence[Sequence], N: int) -> RankOracle:
     """Rank oracle of a list of q nonzero rational vectors: c(R) = rank{v_j : j in R}.
 
-    Ranks are computed over the rationals by exact `Echelon` kernels shared
-    along the subset lattice.  The result may fail validation (spanning in
-    particular); callers must validate.
+    The rank of R is the size of its largest independent subset (Oxley,
+    *Matroid Theory*, 1.3), so the table is independent sets plus a
+    superset maximum: the independent sets, of at most n+1 vectors, are
+    found exactly by `Echelon` and their sizes written at their masks; q
+    numpy passes then carry the maximum up to every superset.  The result
+    may fail validation (spanning in particular); callers must validate.
     """
     q = len(vectors)
     if not 1 <= q <= MAX_GROUND_SET:
@@ -523,21 +526,25 @@ def linear_matroid_oracle(vectors: Sequence[Sequence], N: int) -> RankOracle:
         if not any(ints[-1]):
             raise ValueError(f"vector {j} is zero")
 
-    table = [0] * (1 << q)
-    # depth first over (Echelon of mask, mask, next index to add), so about
-    # one Echelon per subset size is held; an explicit stack, as a
-    # nested function calling itself would be a reference cycle
+    # c <= q <= MAX_GROUND_SET fits in int8
+    table = np.zeros(1 << q, dtype=np.int8)
+    # depth first over (Echelon of an independent mask, mask, next index to
+    # add), on an explicit stack: a nested function calling itself would be
+    # a reference cycle; a vector that does not raise the rank copies nothing
     stack = [(Echelon(), 0, 0)]
     while stack:
-        base, mask, j = stack.pop()
-        if j == q:
-            continue
-        stack.append((base, mask, j + 1))
-        ech = base.copy()
-        ech.insert(ints[j])
-        table[mask | 1 << j] = ech.rank
-        stack.append((ech, mask | 1 << j, j + 1))
-    return RankOracle(q, n, N, tuple(table))
+        ech, mask, start = stack.pop()
+        table[mask] = ech.rank
+        if ech.rank < dim:
+            for j in range(start, q):
+                child = ech.extended(ints[j])
+                if child is not None:
+                    stack.append((child, mask | 1 << j, j + 1))
+    # pass b sets c(m + bit b) = max(c(m + bit b), c(m)) for m without bit b
+    for b in range(q):
+        pairs = table.reshape(-1, 2, 1 << b)
+        np.maximum(pairs[:, 0, :], pairs[:, 1, :], out=pairs[:, 1, :])
+    return RankOracle(q, n, N, tuple(table.tolist()))
 
 
 def subset_labels(q: int) -> list[str]:

@@ -20,6 +20,7 @@ from nochka.linalg import Echelon
 from nochka.poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension,
                          monomials_of_degree, parse_polynomial)
 from nochka.rank_core import validate_rank_oracle
+from nochka.univar import UnivariatePoly, poly_gcd_many
 
 V3 = ("x0", "x1", "x2")
 V4 = ("x0", "x1", "x2", "x3")
@@ -248,6 +249,15 @@ class TestRestrictedOracle:
         "x0", "x1", "x0 + x2")]))
     @example(_arrangement(3, 1, 3, TWISTED_CUBIC, [parse_polynomial(t, V4) for t in (
         "x0", "x3", "x1 + x2")]))
+    # the lines meet at (2 : 2 : 1), on the first conic and off the second
+    @example(_arrangement(2, 2, 1, (), [parse_polynomial(t, V3) for t in (
+        "x0*x2 - x1^2 + 2*x2^2", "x0 - x1", "x1 - 2*x2")]))
+    @example(_arrangement(2, 2, 1, (), [parse_polynomial(t, V3) for t in (
+        "x0*x2 - x1^2 + 3*x2^2", "x0 - x1", "x1 - 2*x2")]))
+    # planes 1-3 meet at (1 : 1 : 1 : 1), on the cubic; planes 1, 2, 4 at
+    # (2 : 2 : 2 : 1), off it
+    @example(_arrangement(3, 1, 3, TWISTED_CUBIC, [parse_polynomial(t, V4) for t in (
+        "x0 - x1", "x1 - x2", "x2 - x3", "x0 - 2*x3")]))
     @settings(max_examples=40, deadline=None)
     def test_matches_one_groebner_basis_per_subset(self, arr):
         assert codim_oracle(arr).table == groebner_codims(arr)
@@ -262,21 +272,41 @@ def _random_form(rng: random.Random, nvars: int, degree: int) -> Polynomial:
 
 
 def _binary_families(seed: int) -> list[list[Polynomial]]:
-    """Binary forms: at random, sharing a factor, and vanishing together at (1 : 0)."""
+    """Families of 2 to 4 binary forms: at random, sharing a factor once or
+    twice, vanishing together at (1 : 0) as well, and of unequal degrees
+    that share only the zero (1 : 0) or only (0 : 1)."""
     rng = random.Random(seed)
-    t1 = Polynomial(2, {(0, 1): 1})
+    t0, t1 = Polynomial(2, {(1, 0): 1}), Polynomial(2, {(0, 1): 1})
     shared = [_random_form(rng, 2, rng.randint(1, 2)),
               parse_polynomial("t0^2 + t1^2", ("t0", "t1"))]  # zeros (+-i : 1)
     out = []
     for _ in range(4):
-        k = rng.randint(2, 3)
+        k = rng.randint(2, 4)
         forms = [_random_form(rng, 2, rng.randint(1, 3)) for _ in range(k)]
         out.append(forms)
         factor = rng.choice(shared)
         out.append([f * factor for f in forms])
+        out.append([f * factor * factor for f in forms])
         out.append([f * t1 for f in forms])
         out.append([f * t1 * factor for f in forms])
+        uneven = [_random_form(rng, 2, d) for d in rng.sample(range(4), k)]
+        out.append([f * t1 for f in uneven])
+        out.append([f * t0 for f in uneven])
     return out
+
+
+def _gcd_dimension(forms: list[Polynomial]) -> int:
+    """The binary-forms decision as it was made: a common zero (1 : 0) when
+    no form has a t0^d term, else a root of the gcd of the F(z, 1)."""
+    if all((g.degree, 0) not in g.terms for g in forms):
+        return 0
+    dehomogenised = []
+    for g in forms:
+        coeffs = [Fraction(0)] * (g.degree + 1)
+        for (e0, _), c in g.terms.items():
+            coeffs[e0] = c
+        dehomogenised.append(UnivariatePoly(coeffs))
+    return 0 if poly_gcd_many(dehomogenised).degree > 0 else -1
 
 
 class TestFormsDimension:
@@ -285,7 +315,7 @@ class TestFormsDimension:
         for seed in range(40):
             for forms in _binary_families(seed):
                 dim = geometry._forms_dimension(forms, 2, DEFAULT_GB_STEPS)
-                assert dim == ideal_dimension(Ideal(forms, nvars=2)), forms
+                assert dim == _gcd_dimension(forms) == ideal_dimension(Ideal(forms, nvars=2)), forms
                 seen.add(dim)
         assert seen == {-1, 0}
 

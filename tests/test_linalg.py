@@ -133,16 +133,20 @@ class TestEchelon:
 
     @given(planted_rows(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_copy_leaves_original_untouched(self, rows, data):
+    def test_extended_leaves_original_untouched(self, rows, data):
         split = data.draw(st.integers(0, len(rows)))
         ech = Echelon()
         for r in rows[:split]:
             ech.insert(r)
-        saved = list(ech.basis)
-        child = ech.copy()
-        accepts = [child.insert(r) for r in rows[split:]]
-        assert ech.basis == saved
+        saved = (ech.width, list(ech.basis))
+        child, accepts = ech, []
+        for r in rows[split:]:
+            extended = child.extended(r)
+            accepts.append(extended is not None)
+            child = extended or child
+        assert (ech.width, ech.basis) == saved
         assert accepts == reference_accepts(rows)[split:]
+        assert child.rank == ech.rank + sum(accepts)
 
     def test_wrong_length_raises(self):
         ech = Echelon()

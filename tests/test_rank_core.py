@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nochka.errors import ParseError, VerificationError
+from nochka.linalg import Echelon, primitive
 from nochka.rank_core import (AXIOM_NAMES, AxiomCheck, Filtration, RankOracle,
                               ValidationReport, WeightAssignment, _popcounts, _set_str,
                               build_filtration, format_oracle, greedy_select, indices_of,
@@ -283,6 +284,74 @@ class TestLinearMatroid:
         oracle = linear_matroid_oracle([(Fraction(1, 2), 0), (1, 0), (0, Fraction(2, 3))], 1)
         assert oracle.c([1, 2]) == 1
         assert oracle.c([1, 3]) == 2
+
+
+def _reference_matroid_table(vectors) -> tuple[int, ...]:
+    """The rank table as it was built, one Echelon copy and insert per subset."""
+    q = len(vectors)
+    ints = [primitive([Fraction(x) for x in v]) for v in vectors]
+    table = [0] * (1 << q)
+    stack = [(Echelon(), 0, 0)]
+    while stack:
+        base, mask, j = stack.pop()
+        if j == q:
+            continue
+        stack.append((base, mask, j + 1))
+        ech = Echelon()
+        ech.width, ech.basis = base.width, list(base.basis)
+        ech.insert(ints[j])
+        table[mask | 1 << j] = ech.rank
+        stack.append((ech, mask | 1 << j, j + 1))
+    return tuple(table)
+
+
+def _vector_family(rng: random.Random, q: int, dim: int) -> list[tuple[int, ...]]:
+    """Nonzero integer vectors, some repeating an earlier one up to scale and
+    some combining two earlier ones."""
+    vectors: list[tuple[int, ...]] = []
+    while len(vectors) < q:
+        draw = rng.random()
+        if vectors and draw < 0.2:
+            scale = rng.choice((1, -2, 3))
+            v = tuple(scale * x for x in rng.choice(vectors))
+        elif len(vectors) >= 2 and draw < 0.45:
+            a, b = rng.sample(vectors, 2)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            v = tuple(s * x + t * y for x, y in zip(a, b))
+        else:
+            v = tuple(rng.randint(-3, 3) for _ in range(dim))
+        if any(v):
+            vectors.append(v)
+    return vectors
+
+
+class TestLinearMatroidReference:
+    def test_tables_match_the_subset_walk(self):
+        rng = random.Random(3)
+        for _ in range(120):
+            q, dim = rng.randint(1, 14), rng.randint(2, 6)
+            vectors = _vector_family(rng, q, dim)
+            for N in sorted({dim - 1, rng.randint(dim - 1, dim + 3), max(q, dim - 1)}):
+                oracle = linear_matroid_oracle(vectors, N)
+                assert (oracle.q, oracle.n, oracle.N) == (q, dim - 1, N)
+                assert oracle.table == _reference_matroid_table(vectors), vectors
+
+    def test_twenty_vectors_in_three_dimensions(self):
+        vectors = _vector_family(random.Random(20), 20, 3)
+        oracle = linear_matroid_oracle(vectors, 19)
+        assert oracle.table == _reference_matroid_table(vectors)
+        assert set(oracle.table) == {0, 1, 2, 3}
+
+    def test_sampled_subsets_match_sympy_rank(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(29)
+        for _ in range(12):
+            q, dim = rng.randint(4, 12), rng.randint(2, 6)
+            vectors = _vector_family(rng, q, dim)
+            oracle = linear_matroid_oracle(vectors, max(q, dim - 1))
+            for mask in rng.sample(range(1, 1 << q), min(25, (1 << q) - 1)):
+                rows = [vectors[j] for j in range(q) if mask >> j & 1]
+                assert oracle.c_mask(mask) == sympy.Matrix(rows).rank(), (vectors, mask)
 
 
 class TestOracleFormat:
