@@ -22,19 +22,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import comb, lcm, prod
 from operator import mul
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ParseError, ResourceBudgetError, VerificationError
 from .linalg import Echelon, primitive
 from .poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension, monomials_of_degree,
-                   mul_packed, pack_monomial, pack_terms, parse_polynomial,
-                   products_of_degree, unpack_monomial)
+                   mul_packed, pack_monomial, parse_polynomial, unpack_monomial)
 from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle, ValidationReport,
                         _set_str, check_costs, linear_matroid_oracle, validate_rank_oracle)
 
 QM_BUDGET = 5000
+_INT64_BOUND = 1 << 63  # an int64 array holds every integer of absolute value below this
+_ROW_CHUNK = 256  # top-level Hilbert rows built and converted to tuples at a time
 
 
 @dataclass
@@ -394,44 +398,142 @@ class HilbertData:
                 "matrix_provenance": self.matrix_provenance}
 
 
+def _exact(a: np.ndarray, bound: int) -> np.ndarray:
+    """The integer array `a` as int64 when `bound`, a bound on every
+    absolute value the next computation on it reaches, is below 2^63, and
+    as Python ints in an object array otherwise."""
+    return a.astype(np.int64 if bound < _INT64_BOUND else object, copy=False)
+
+
 def _degree_m_vectors(arr: Arrangement,
                       m: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Exponent vectors of degree m and, for each, the content-free integer
     coefficient vector of the product of normalized forms, reduced modulo the
     variety ideal.
 
-    Products are taken over the integers on packed monomials (`mul_packed`):
-    each one is a positive multiple of the rational product, which leaves
-    every rank and every greedy choice made on the rows unchanged.  Modulo a
-    variety, each product is unpacked, reduced by `Ideal.normal_form` and
-    packed again.
+    The forms are scaled to content-free integer polynomials, so each
+    product is a positive multiple of the rational one, which leaves every
+    rank and every greedy choice made on the rows unchanged, and is
+    content-free itself (Gauss's lemma).  The products are built level by
+    level as integer matrices (`_level_rows`).  Level k has one row per
+    non-decreasing index sequence of length k, in `monomials_of_degree(q, k)`
+    order, and one column per monomial of degree k*d that its rows can
+    reach, lexicographically descending; columns are labelled by packed
+    monomials (`pack_monomial`), whose descending order is that order.  The
+    children of a row are (parent, j) for j >= its last index.  Modulo a
+    variety, the forms and each level's rows are reduced, and the rows made
+    content-free again, as in a walk that reduces every partial product
+    (`_normal_form_matrix`).  A level is computed in int64 only when the
+    triangle inequality bounds every partial sum on it below 2^63, and in
+    Python ints otherwise.  The top level is built and converted to tuples
+    a block of rows at a time, and its all-zero columns are dropped.
     """
-    total = comb(arr.q + m - 1, m)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    q = arr.q
+    total = comb(q + m - 1, m)
     if total > QM_BUDGET:
         raise ResourceBudgetError(f"q_m = {total} exceeds budget {QM_BUDGET}")
-    exponents = list(monomials_of_degree(arr.q, m))
+    exponents = list(monomials_of_degree(q, m))
+    nvars = arr.M + 1
     base = m * arr.lcm_degree + 1  # a digit holds any exponent of a degree-md monomial
-    forms = [pack_terms(f, base) for f in arr.normalized_forms()]
-    if arr.variety_generators:
-        ideal, nvars = arr.variety_ideal(), arr.M + 1
-
-        def reduce(p: dict[int, int]) -> dict[int, int]:
-            unpacked = {unpack_monomial(k, base, nvars): c for k, c in p.items()}
-            return pack_terms(ideal.normal_form(Polynomial(nvars, unpacked)), base)
-
-        forms = [reduce(f) for f in forms]
-        products = products_of_degree(forms, m, lambda a, b: reduce(mul_packed(a, b)))
-    else:
-        products = products_of_degree(forms, m, mul_packed)
-    support = sorted({k for p in products for k in p}, reverse=True)
-    index = {k: i for i, k in enumerate(support)}
+    forms = arr.normalized_forms()
+    ideal = arr.variety_ideal() if arr.variety_generators else None
+    if ideal is not None:
+        forms = [ideal.normal_form(f) for f in forms]
+    # the multipliers C: one content-free integer row per form over the
+    # monomials U of the forms, which is also level 1
+    monos = sorted({u for f in forms for u in f.terms}, reverse=True)
+    at = {u: i for i, u in enumerate(monos)}
+    rows = [[0] * len(monos) for _ in forms]
+    for row, f in zip(rows, forms):
+        for u, c in zip(f.terms, primitive(list(f.terms.values()))):
+            row[at[u]] = c
+    norm = max(sum(map(abs, row)) for row in rows)
+    C = _exact(np.array(rows, dtype=object).reshape(q, len(monos)), norm)
+    U = [pack_monomial(u, base) for u in monos]
+    P, cols, last = C, U, np.arange(q)
+    for k in range(2, m + 1):
+        counts = q - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        # the children of a row run from its last index to q - 1
+        last = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - q, counts)
+        sums = [c + u for c in cols for u in U]
+        shape = (len(cols), len(U))
+        cols = sorted(set(sums), reverse=True)
+        at = {c: i for i, c in enumerate(cols)}
+        shift = np.array([at[s] for s in sums], dtype=np.intp).reshape(shape)
+        width, N, scale = len(cols), None, 1
+        if ideal is not None:
+            N, cols, scale = _normal_form_matrix(cols, ideal, base, nvars)
+        P = _exact(P, max(int(np.abs(P).max(initial=0)), 1) * norm * scale)
+        if k < m:
+            P = _level_rows(P, parent, last, C, shift, width, N)
+    blocks = [C] if m == 1 else (
+        _level_rows(P, parent[i:i + _ROW_CHUNK], last[i:i + _ROW_CHUNK], C, shift, width, N)
+        for i in range(0, len(parent), _ROW_CHUNK))
     vectors = []
-    for p in products:
-        row = [0] * len(support)
-        for k, c in p.items():
-            row[index[k]] = c
-        vectors.append(tuple(row))
+    nonzero = np.zeros(len(cols), dtype=bool)
+    for block in blocks:
+        nonzero |= block.any(axis=0)
+        vectors.extend(map(tuple, block.tolist()))
+    if not nonzero.all():
+        keep = nonzero.tolist()
+        vectors = [tuple(compress(v, keep)) for v in vectors]
     return exponents, vectors
+
+
+def _level_rows(P: np.ndarray, parent: np.ndarray, last: np.ndarray, C: np.ndarray,
+                shift: np.ndarray, width: int, N: np.ndarray | None) -> np.ndarray:
+    """The next level's rows (parent, j) for j in `last`: row P[parent] times
+    form j, summed as C[j, u] times the row shifted into the `width` columns
+    of the next level by form monomial u (`shift[:, u]`), one numpy pass per
+    u; then, given a normal-form matrix N, reduced by N and made
+    content-free.  The dtype of P must hold every value reached."""
+    rows = P[parent]
+    coeffs = C[last]
+    out = np.zeros((len(parent), width), dtype=P.dtype)
+    for u in range(shift.shape[1]):
+        out[:, shift[:, u]] += coeffs[:, u, None] * rows
+    if N is None:
+        return out
+    out = out @ N
+    g = np.gcd.reduce(out, axis=1)
+    g[g == 0] = 1
+    out //= g[:, None]
+    return out
+
+
+def _normal_form_matrix(cols: list[int], ideal: Ideal, base: int,
+                        nvars: int) -> tuple[np.ndarray, list[int], int]:
+    """The integer matrix whose row i is the normal form modulo the ideal of
+    the packed monomial cols[i], all rows scaled by the lcm of their
+    denominators; the packed standard monomials labelling its columns,
+    descending; and the largest l1 norm of a column.  The normal form is
+    linear, so a row vector over `cols` times the matrix is a positive
+    multiple of the vector's normal form.  A standard monomial, one that no
+    leading monomial of the basis divides, is its own normal form."""
+    powers = [base ** i for i in range(nvars - 1, -1, -1)]
+    digits = (_exact(np.array(cols, dtype=object), powers[0] * base)[:, None]
+              // _exact(np.array(powers, dtype=object), powers[0]) % base)
+    leading = np.array([g.leading_term()[0] for g in ideal.groebner()])
+    reducible = (digits[:, None, :] >= leading).all(axis=2).any(axis=1).tolist()
+    forms = [{pack_monomial(s, base): c for s, c in
+              ideal.normal_form(Polynomial.monomial(nvars, tuple(b))).terms.items()}
+             if r else {key: 1} for key, b, r in zip(cols, digits.tolist(), reducible)]
+    std = sorted({s for f in forms for s in f}, reverse=True)
+    at = {s: i for i, s in enumerate(std)}
+    den = lcm(*(c.denominator for f in forms for c in f.values()))
+    rows = [[0] * len(std) for _ in forms]
+    norms = [0] * len(std)
+    for row, f in zip(rows, forms):
+        for s, c in f.items():
+            i = at[s]
+            row[i] = c.numerator * (den // c.denominator)
+            norms[i] += abs(row[i])
+    scale = max(norms, default=0)
+    N = _exact(np.array(rows, dtype=object).reshape(len(forms), len(std)), scale)
+    return N, std, scale
 
 
 def hilbert_function(arr: Arrangement, m: int) -> HilbertData:
@@ -441,8 +543,6 @@ def hilbert_function(arr: Arrangement, m: int) -> HilbertData:
     descending over the exponent vectors).  For a positive-dimensional
     variety H(m) >= m+1 is enforced.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     exponents, vectors = _degree_m_vectors(arr, m)
     ech = Echelon()
     basis = [exponents[i] for i, v in enumerate(vectors) if ech.insert(v)]

@@ -6,12 +6,11 @@ feeding position checks must never see floating point.  The term order is
 degree-reverse-lexicographic throughout: leading terms, division, Groebner
 bases and printed term order all use `key_degrevlex`.
 
-Families of products (`products_of_degree`, behind the Hilbert rows) are
-built over the integers: `pack_terms` scales a polynomial to a content-free
-integer one and packs each monomial into one integer (`pack_monomial`), and
-`mul_packed` multiplies.  Each product is a positive multiple of the
-rational one, so `Fraction` appears only at the boundary: where forms come
-in, and where a product is reduced modulo a variety by `normal_form`.
+Integer arithmetic on packed monomials serves the exact callers outside
+this module: `pack_monomial` writes a monomial as one integer, adding keys
+multiplies monomials, and `mul_packed` multiplies integer polynomials keyed
+that way.  `products_of_degree` walks the products of a family of factors
+of a fixed degree in `monomials_of_degree` order.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ParseError, ResourceBudgetError, VerificationError
-from .linalg import primitive
 from .univar import _join_signed
 
 Monomial = tuple[int, ...]
@@ -72,17 +70,16 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
 
 def products_of_degree(factors: Sequence, degree: int, mul: Callable) -> list:
     """The products of `degree` factors, one per exponent vector of
-    `monomials_of_degree(len(factors), degree)` and in its order.
+    `monomials_of_degree(len(factors), degree)` and in its order; curve
+    lifting takes the products of the Q(i)[z] coordinates of the composed
+    forms this way, with `UnivariatePoly` multiplication as `mul`.
 
     Each product is mul(prefix, factor): a depth-first walk over
     non-decreasing factor-index sequences holds only `degree` partial
-    products at a time.  Callers bring their own representation and `mul`
-    (see `mul_packed`).  A `mul` may fold in a normal form modulo a Groebner
-    basis, taken up to a nonzero scalar; the factors must then be reduced
-    already, as the walk returns each one unchanged when `degree` is 1.
-    The walk keeps an explicit stack, not a recursive closure: a nested
-    function that refers to itself is a reference cycle, and it would keep
-    the products alive until the next full garbage collection.
+    products at a time.  The walk keeps an explicit stack, not a recursive
+    closure: a nested function that refers to itself is a reference cycle,
+    and it would keep the products alive until the next full garbage
+    collection.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -394,15 +391,6 @@ def unpack_monomial(key: int, base: int, nvars: int) -> Monomial:
     for i in range(nvars - 1, -1, -1):
         key, digits[i] = divmod(key, base)
     return tuple(digits)
-
-
-def pack_terms(p: Polynomial, base: int) -> dict[int, int]:
-    """p times the positive rational that makes it a content-free integer
-    polynomial, as a dict from packed monomial (`pack_monomial`) to `int`.
-    Every exponent of p must be below `base`, or two monomials may share a
-    key."""
-    return dict(zip((pack_monomial(m, base) for m in p.terms),
-                    primitive(list(p.terms.values()))))
 
 
 def mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

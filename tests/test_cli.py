@@ -192,6 +192,13 @@ class TestGeometryCommands:
         assert "Groebner step budget 0 exceeded" in capsys.readouterr().err
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    @pytest.mark.parametrize("extra", [["hilbert"], ["hilbert-weight", "--c", "1,0,0,0,0,0,0,0,0"]],
+                             ids=["hilbert", "hilbert-weight"])
+    def test_hilbert_m_below_one_exit_2(self, capsys, pencil_file, extra, m):
+        assert main([extra[0], "--arr", pencil_file, "--m", m, *extra[1:]]) == 2
+        assert capsys.readouterr().err == "invalid input: m must be >= 1\n"
+
     def test_hilbert_weight(self, capsys, tmp_path):
         from nochka.fixtures import conic_presentation_arrangement
         path = tmp_path / "conic.arrangement"

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,9 +17,10 @@ from nochka.fixtures import (conic_presentation_arrangement, generate_intro_fixt
 from nochka.geometry import (Arrangement, check_subgeneral_position, codim_oracle,
                              format_arrangement, hilbert_function, hilbert_weight,
                              parse_arrangement, verify_hilbert_lower_bound)
-from nochka.linalg import Echelon
+from nochka.linalg import Echelon, primitive
 from nochka.poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension,
-                         monomials_of_degree, parse_polynomial)
+                         monomials_of_degree, mul_packed, pack_monomial, parse_polynomial,
+                         products_of_degree, unpack_monomial)
 from nochka.rank_core import validate_rank_oracle
 from nochka.univar import UnivariatePoly, poly_gcd_many
 
@@ -403,6 +405,41 @@ def fraction_rows(arr: Arrangement, m: int) -> list[dict]:
     return rows
 
 
+def walk_degree_m_vectors(arr: Arrangement, m: int) -> tuple[list, list]:
+    """Reference: the product-by-product walk that the level matrices of
+    `_degree_m_vectors` replaced.  Each product is a dict from packed
+    monomial to integer coefficient, built by `mul_packed` from its prefix
+    and reduced modulo the variety (then made content-free) at every step;
+    the rows are indexed by every monomial some product holds, descending."""
+    base = m * arr.lcm_degree + 1
+
+    def packed(p: Polynomial) -> dict:
+        return dict(zip((pack_monomial(mono, base) for mono in p.terms),
+                        primitive(list(p.terms.values()))))
+
+    forms = [packed(f) for f in arr.normalized_forms()]
+    if arr.variety_generators:
+        ideal, nvars = arr.variety_ideal(), arr.M + 1
+
+        def reduce(p: dict) -> dict:
+            unpacked = {unpack_monomial(k, base, nvars): c for k, c in p.items()}
+            return packed(ideal.normal_form(Polynomial(nvars, unpacked)))
+
+        forms = [reduce(f) for f in forms]
+        products = products_of_degree(forms, m, lambda a, b: reduce(mul_packed(a, b)))
+    else:
+        products = products_of_degree(forms, m, mul_packed)
+    support = sorted({k for p in products for k in p}, reverse=True)
+    index = {k: i for i, k in enumerate(support)}
+    vectors = []
+    for p in products:
+        row = [0] * len(support)
+        for k, c in p.items():
+            row[index[k]] = c
+        vectors.append(tuple(row))
+    return list(monomials_of_degree(arr.q, m)), vectors
+
+
 class TestHilbertFunction:
     def test_three_point_m2(self):
         data = hilbert_function(three_point_arrangement(), 2)
@@ -484,6 +521,128 @@ class TestHilbertFunction:
         for m in range(1, 5):
             data = hilbert_function(arr, m)
             assert data.H == 2 * m + 1
+
+
+def assert_rows_match_walk(arr: Arrangement, m: int) -> None:
+    exps, vectors = geometry._degree_m_vectors(arr, m)
+    assert (exps, vectors) == walk_degree_m_vectors(arr, m)
+    assert all(type(x) is int for row in vectors for x in row)
+
+
+def level_dtypes(arr: Arrangement, m: int) -> set:
+    """The dtypes `_degree_m_vectors` builds its levels in, with its rows
+    checked against the walk."""
+    seen = set()
+    level_rows = geometry._level_rows
+
+    def recording(P, *args):
+        seen.add(P.dtype)
+        return level_rows(P, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_level_rows", recording)
+        assert_rows_match_walk(arr, m)
+    return seen
+
+
+@st.composite
+def small_arrangements(draw) -> tuple[Arrangement, int]:
+    """Forms with coefficients in -2..2 (lines, and on the plane a quadric
+    too) on the plane, the conic or the twisted cubic, with 2 <= m <= 4."""
+    kind = draw(st.sampled_from(["plane", "conic", "twisted-cubic"]))
+    M = 3 if kind == "twisted-cubic" else 2
+    forms = [_form(draw, M + 1, 1) for _ in range(draw(st.integers(1, 3)))]
+    if kind == "plane":
+        if draw(st.booleans()):
+            forms.append(_form(draw, 3, 2))
+        arr = _arrangement(2, 2, 1, (), forms)
+    else:
+        arr = (_arrangement(2, 1, 2, CONIC, forms) if kind == "conic"
+               else _arrangement(3, 1, 3, TWISTED_CUBIC, forms))
+    return arr, draw(st.integers(2, 4))
+
+
+@st.composite
+def wide_lines(draw) -> Arrangement:
+    """Two or three lines a*x0 + b*x1 +- x2 with 2^20 <= a <= 2^21 and
+    |b| <= 2^21, on the plane or on the conic.  The +-1 keeps each line
+    content-free, and no reduction modulo the conic reaches x0^k or x2^k,
+    so the degree-k rows stay content-free with an x0^k entry, a product
+    of k values of a, of at least 2^(20k)."""
+    V = ("x0", "x1", "x2")
+    lines = [Polynomial(3, {(1, 0, 0): draw(st.integers(2 ** 20, 2 ** 21)),
+                            (0, 1, 0): draw(st.integers(-2 ** 21, 2 ** 21)),
+                            (0, 0, 1): draw(st.sampled_from([-1, 1]))})
+             for _ in range(draw(st.integers(2, 3)))]
+    if draw(st.booleans()):
+        return _arrangement(2, 1, 2, CONIC, lines)
+    return Arrangement(2, 2, 1, 2, (), tuple((f"H{i}", p) for i, p in enumerate(lines, 1)), V)
+
+
+class TestDegreeMVectors:
+    """The level matrices of `_degree_m_vectors` against the product walk."""
+
+    @pytest.mark.parametrize("make, top", [
+        (pencil_lines_arrangement, 6),
+        *((lambda s=s: generate_intro_fixture(s).arrangement, 3) for s in range(1, 6)),
+        (three_point_arrangement, 6),
+        (conic_presentation_arrangement, 6),
+        (conic_lines_arrangement, 6),
+        (lambda: conic_lines_arrangement("2*x0*x2 - 3*x1^2"), 6),
+        (twisted_cubic_arrangement, 6),
+    ], ids=["pencil", *(f"intro-{s}" for s in range(1, 6)), "three-point",
+            "conic-presentation", "conic", "scaled-conic", "twisted-cubic"])
+    def test_fixtures_match_walk(self, make, top):
+        arr = make()
+        for m in range(1, top + 1):
+            assert_rows_match_walk(arr, m)
+
+    def test_cancelled_column_dropped(self):
+        # x0^2 x1^2 is reached twice in (x0^2 + 2 x0 x1 - 2 x1^2)^2, with
+        # coefficients 1 * (-2) * 2 and 2^2 that cancel
+        V = ("x0", "x1", "x2")
+        arr = Arrangement(2, 2, 1, 2, (),
+                          (("Q", parse_polynomial("x0^2 + 2*x0*x1 - 2*x1^2", V)),), V)
+        exps, vectors = geometry._degree_m_vectors(arr, 2)
+        assert vectors == [(1, 4, -8, 4)]  # x0^4, x0^3 x1, x0 x1^3, x1^4
+        assert_rows_match_walk(arr, 2)
+
+    def test_forms_vanishing_modulo_the_variety(self):
+        # the ideal (x0^2) is not radical: A = x0 does not contain V, but its
+        # normalized form x0^2 reduces to zero, and so does every product
+        # that holds it
+        V = ("x0", "x1", "x2")
+        arr = Arrangement(2, 1, 2, 1, (parse_polynomial("x0^2", V),),
+                          (("A", parse_polynomial("x0", V)),
+                           ("B", parse_polynomial("x1*x2 + x0*x1", V))), V)
+        for m in range(1, 4):
+            exps, vectors = geometry._degree_m_vectors(arr, m)
+            assert not any(vectors[0])
+            assert_rows_match_walk(arr, m)
+
+    def test_normal_form_scale_counts_in_the_bound(self):
+        # modulo 2 x0 x2 = 3 x1^2, with A = 3 * 2^29, the degree-2 products
+        # have entries near 2 A^2, within max|row| * max l1 norm = 3 A^2 <
+        # 2^63; reducing x1^2 to 2/3 x0 x2 sums them into 8 A^2 > 2^63
+        A = 3 * 2 ** 29
+        V = ("x0", "x1", "x2")
+        lines = (("f", Polynomial(3, {(1, 0, 0): A, (0, 1, 0): A, (0, 0, 1): A + 1})),
+                 ("g", Polynomial(3, {(1, 0, 0): A + 1, (0, 1, 0): A, (0, 0, 1): A})))
+        arr = Arrangement(2, 1, 2, 2, (parse_polynomial("2*x0*x2 - 3*x1^2", V),), lines, V)
+        assert level_dtypes(arr, 2) == {np.dtype(object)}
+
+    @given(small_arrangements())
+    @settings(max_examples=40, deadline=None)
+    def test_int64_levels_match_walk(self, case):
+        arr, m = case
+        assert level_dtypes(arr, m) == {np.dtype(np.int64)}
+
+    @given(wide_lines())
+    @settings(max_examples=25, deadline=None)
+    def test_levels_past_int64_match_walk(self, arr):
+        # level 2 is bounded by 2^21 * (2^22 + 1) * 2 < 2^63; level 4 by at
+        # least 2^60 * 2^20, so the build crosses to Python ints between them
+        assert level_dtypes(arr, 4) == {np.dtype(np.int64), np.dtype(object)}
 
 
 def brute_force_max_weight(arr: Arrangement, m: int, costs) -> Fraction:

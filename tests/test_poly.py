@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nochka.errors import ParseError, ResourceBudgetError
+from nochka.linalg import primitive
 from nochka.poly import (Ideal, Polynomial, degree_m_slice_rank, groebner_basis,
                          ideal_dimension, key_degrevlex, mono_divides, monomials_of_degree,
-                         mul_packed, normal_form, pack_monomial, pack_terms, parse_polynomial,
+                         mul_packed, normal_form, pack_monomial, parse_polynomial,
                          products_of_degree, unpack_monomial)
 from nochka.univar import QQi
 
@@ -360,6 +361,12 @@ def unpack_terms(packed: dict, base: int, nvars: int) -> dict:
     return {unpack_monomial(k, base, nvars): c for k, c in packed.items()}
 
 
+def pack_primitive(p: Polynomial, base: int) -> dict:
+    """The content-free integer multiple of p, keyed by packed monomial."""
+    return dict(zip((pack_monomial(m, base) for m in p.terms),
+                    primitive(list(p.terms.values()))))
+
+
 def positive_ratio(scaled: dict, reference: Polynomial) -> Fraction | None:
     """r > 0 when `scaled` holds r times the terms of `reference`, else None."""
     if scaled.keys() != reference.terms.keys():
@@ -390,7 +397,7 @@ class TestPackedIntegerKernels:
         if a.is_zero or b.is_zero:
             return
         base = a.degree + b.degree + 1
-        product = mul_packed(pack_terms(a, base), pack_terms(b, base))
+        product = mul_packed(pack_primitive(a, base), pack_primitive(b, base))
         assert positive_ratio(unpack_terms(product, base, a.nvars), a * b) is not None
         assert gcd(*product.values()) == 1  # Gauss's lemma
         assert 0 not in product.values()
