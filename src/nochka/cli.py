@@ -34,24 +34,28 @@ def _jsonable(value):
         return str(value)
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
     raise TypeError(f"not JSON-serializable: {type(value).__name__}")
 
 
+def _json(value) -> str:
+    return json.dumps(value, indent=2, default=_jsonable) + "\n"
+
+
+def _payload(args, body: dict) -> dict:
+    """A command's report: the schema and the command name, then its body."""
+    return {"schema": SCHEMA, "command": args.command, **body}
+
+
 def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "tsv":
-        if "tsv" in payload:
-            sys.stdout.write(payload["tsv"])
-            return
+    tsv = payload.pop("tsv", None)
+    if fmt == "json":
+        sys.stdout.write(_json(payload))
+    elif tsv is not None:
+        sys.stdout.write(tsv)
+    else:
         for key, value in payload.items():
-            if key == "schema":
-                continue
-            sys.stdout.write(f"{key}\t{json.dumps(value, default=_jsonable)}\n")
-        return
-    payload.pop("tsv", None)
-    json.dump(payload, sys.stdout, indent=2, default=_jsonable)
-    sys.stdout.write("\n")
+            if key != "schema":
+                sys.stdout.write(f"{key}\t{json.dumps(value, default=_jsonable)}\n")
 
 
 def _read(path: str) -> str:
@@ -59,6 +63,20 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"expected a rational, got {text!r}") from None
 
 
 def _list(text: str, convert, kind: str) -> list:
@@ -69,27 +87,23 @@ def _list(text: str, convert, kind: str) -> list:
         raise ParseError(f"expected a comma-separated {kind} list, got {text!r}") from None
 
 
+# Each handler returns (body, ok): `main` prints the body under the schema and
+# command name, or nothing when the body is None; `ok` False exits 4.
+
 def _cmd_validate_rank(args) -> tuple[dict, bool]:
     oracle = parse_oracle(_read(args.oracle))
     report = validate_rank_oracle(oracle)
-    return {"schema": SCHEMA, "command": "validate-rank",
-            "q": oracle.q, "n": oracle.n, "N": oracle.N,
-            **report.as_dict()}, report.ok
+    return {"q": oracle.q, "n": oracle.n, "N": oracle.N, **report.as_dict()}, report.ok
 
 
 def _cmd_weights(args) -> tuple[dict, bool]:
     oracle = parse_oracle(_read(args.oracle))
     weights = nochka_weights(oracle)
-    return {"schema": SCHEMA, "command": "weights",
-            "q": oracle.q, "n": oracle.n, "N": oracle.N,
-            **weights.as_dict()}, True
+    return {"q": oracle.q, "n": oracle.n, "N": oracle.N, **weights.as_dict()}, True
 
 
 def _cmd_filtration(args) -> tuple[dict, bool]:
-    oracle = parse_oracle(_read(args.oracle))
-    filtration = build_filtration(oracle)
-    return {"schema": SCHEMA, "command": "filtration",
-            **filtration.as_dict()}, True
+    return build_filtration(parse_oracle(_read(args.oracle))).as_dict(), True
 
 
 def _cmd_greedy(args) -> tuple[dict, bool]:
@@ -102,8 +116,7 @@ def _cmd_greedy(args) -> tuple[dict, bool]:
     chosen = greedy_select(oracle, weights, subset, costs)
     lhs = sum((weights.omega[j - 1] * costs[j - 1] for j in subset), Fraction(0))
     rhs = sum((costs[j - 1] for j in chosen), Fraction(0))
-    return {"schema": SCHEMA, "command": "greedy", "subset": subset,
-            "selected": list(chosen), "weighted_sum": str(lhs),
+    return {"subset": subset, "selected": list(chosen), "weighted_sum": str(lhs),
             "selected_sum": str(rhs)}, True
 
 
@@ -114,69 +127,54 @@ def _arrangement(args):
 def _cmd_position_check(args) -> tuple[dict, bool]:
     arr = _arrangement(args)
     report = check_subgeneral_position(arr)
-    return {"schema": SCHEMA, "command": "position-check",
-            "q": arr.q, "n": arr.n, "degrees": list(arr.degrees),
+    return {"q": arr.q, "n": arr.n, "degrees": list(arr.degrees),
             **report.as_dict()}, report.ok
 
 
-def _cmd_oracle_dump(args) -> tuple[dict, bool]:
-    oracle = codim_oracle(_arrangement(args))
-    text = format_oracle(oracle)
+def _cmd_oracle_dump(args) -> tuple[dict | None, bool]:
+    text = format_oracle(codim_oracle(_arrangement(args)))
     if args.out:
-        Path(args.out).write_text(text)
-        return {"schema": SCHEMA, "command": "oracle-dump", "written": args.out}, True
+        _write(args.out, text)
+        return {"written": args.out}, True
     sys.stdout.write(text)
-    return {}, True
+    return None, True
 
 
 def _cmd_hilbert(args) -> tuple[dict, bool]:
-    data = hilbert_function(_arrangement(args), args.m)
-    return {"schema": SCHEMA, "command": "hilbert", **data.as_dict()}, True
+    return hilbert_function(_arrangement(args), args.m).as_dict(), True
 
 
 def _cmd_hilbert_weight(args) -> tuple[dict, bool]:
     costs = _list(args.c, Fraction, "rational")
     result = hilbert_weight(_arrangement(args), args.m, costs)
-    return {"schema": SCHEMA, "command": "hilbert-weight",
-            "c": [str(c) for c in costs], **result.as_dict()}, True
+    return {"c": [str(c) for c in costs], **result.as_dict()}, True
 
 
 def _cmd_bounds(args) -> tuple[dict, bool]:
     params = bounds_mod.ParamSet(args.n, args.degV, args.N, args.q,
-                                 tuple(_list(args.degrees, int, "integer")), Fraction(args.epsilon))
+                                 tuple(_list(args.degrees, int, "integer")),
+                                 _rational(args.epsilon))
     result = bounds_mod.truncation_levels(params, hilbert_value=args.H, hilbert_m=args.m)
-    return {"schema": SCHEMA, "command": "bounds",
-            "epsilon": str(params.epsilon), **result.as_dict()}, True
+    return {"epsilon": str(params.epsilon), **result.as_dict()}, True
 
 
 def _cmd_jensen(args) -> tuple[dict, bool]:
     phi = parse_coordinate(args.phi)
     report = jensen_check(phi, _list(args.radii, float, "number"), tol=args.quad_tol)
-    return {"schema": SCHEMA, "command": "jensen", "phi": args.phi,
-            "quad_tol": args.quad_tol, **report.as_dict()}, True
+    return {"phi": args.phi, "quad_tol": args.quad_tol, **report.as_dict()}, True
 
 
 def _cmd_wronskian_check(args) -> tuple[dict, bool]:
-    curve = parse_curve(_read(args.curve))
-    report = wronskian_divisor_check(curve.coordinates)
-    return {"schema": SCHEMA, "command": "wronskian-check",
-            **report.as_dict()}, report.ok
+    report = wronskian_divisor_check(parse_curve(_read(args.curve)).coordinates)
+    return report.as_dict(), report.ok
 
 
 def _cmd_cartan_check(args) -> tuple[dict, bool]:
     arr = _arrangement(args)
     curve = parse_curve(_read(args.curve))
-    report = cartan_ru_check(curve, arr.forms, Fraction(args.epsilon),
+    report = cartan_ru_check(curve, arr.forms, _rational(args.epsilon),
                              _list(args.radii, float, "number"), tol=args.quad_tol)
-    payload = {"schema": SCHEMA, "command": "cartan-check",
-               "quad_tol": args.quad_tol, **report.as_dict()}
-    lines = ["r\tT\tmax_sum_integral\twronskian_counting\tlhs\trhs\tslack"]
-    for row in report.rows:
-        lines.append(f"{row.r:.6g}\t{row.T:.12g}\t{row.max_sum_integral:.12g}"
-                     f"\t{row.wronskian_counting:.12g}\t{row.lhs:.12g}"
-                     f"\t{row.rhs:.12g}\t{row.slack:.12g}")
-    payload["tsv"] = "\n".join(lines) + "\n"
-    return payload, True
+    return {"quad_tol": args.quad_tol, **report.as_dict(), "tsv": report.as_tsv()}, True
 
 
 def _cmd_smt_report(args) -> tuple[dict, bool]:
@@ -187,29 +185,27 @@ def _cmd_smt_report(args) -> tuple[dict, bool]:
         truncations = int(args.truncation)
     elif args.truncation == "inf":
         truncations = math.inf
-    report = smt_report(curve, arr, Fraction(args.epsilon), _list(args.radii, float, "number"),
+    report = smt_report(curve, arr, _rational(args.epsilon), _list(args.radii, float, "number"),
                         truncations=truncations, tol=args.quad_tol)
-    payload = {"schema": SCHEMA, "command": "smt-report", **report.as_dict()}
-    payload["tsv"] = report.as_tsv()
+    body = report.as_dict()
     if args.out:
-        Path(args.out).write_text(json.dumps(
-            {k: v for k, v in payload.items() if k != "tsv"},
-            indent=2, default=_jsonable) + "\n")
-        payload["written"] = args.out
-    return payload, True
+        _write(args.out, _json(_payload(args, body)))
+        body["written"] = args.out
+    return {**body, "tsv": report.as_tsv()}, True
 
 
 def _cmd_gen_fixture(args) -> tuple[dict, bool]:
     fixture = generate_intro_fixture(args.seed)
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out_dir}: {exc}") from None
     arr_path = out_dir / f"intro-{args.seed}.arrangement"
     manifest_path = out_dir / f"intro-{args.seed}.manifest.json"
-    arr_path.write_text(format_arrangement(fixture.arrangement))
-    manifest_path.write_text(json.dumps(fixture.manifest, indent=2,
-                                        default=_jsonable) + "\n")
-    return {"schema": SCHEMA, "command": "gen-fixture", "seed": args.seed,
-            "attempts": fixture.attempts,
+    _write(arr_path, format_arrangement(fixture.arrangement))
+    _write(manifest_path, _json(fixture.manifest))
+    return {"seed": args.seed, "attempts": fixture.attempts,
             "arrangement": str(arr_path), "manifest": str(manifest_path),
             "coefficient": fixture.manifest["coefficient"]}, True
 
@@ -321,7 +317,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        payload, ok = args.handler(args)
+        body, ok = args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -334,8 +330,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    if payload:
-        _emit(payload, args.format)
+    if body is not None:
+        _emit(_payload(args, body), args.format)
     return 0 if ok else 4
 
 

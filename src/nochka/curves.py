@@ -257,11 +257,8 @@ class ProjectiveCurve:
 
 def _parse_complex_atom(sc: _Scanner, sign: int) -> QQi:
     """rational ['i'] or bare 'i'."""
-    if sc.peek() == "i" and not sc.text.startswith("i", sc.pos + 1):
-        nxt = sc.text[sc.pos + 1] if sc.pos + 1 < len(sc.text) else ""
-        if not (nxt.isalnum() or nxt == "_"):
-            sc.take()
-            return QQi(0, sign)
+    if sc.match_word("i"):
+        return QQi(0, sign)
     value = sc.rational() * sign
     if sc.peek() == "i":
         sc.take()
@@ -269,48 +266,19 @@ def _parse_complex_atom(sc: _Scanner, sign: int) -> QQi:
     return QQi(value)
 
 
-def _parse_paren_complex(sc: _Scanner) -> QQi:
-    sc.take()  # (
-    total = QQi(0)
-    sign = 1
-    if sc.peek() in "+-":
-        sign = -1 if sc.take() == "-" else 1
-    total = total + _parse_complex_atom(sc, sign)
-    while sc.peek() in "+-":
-        sign = -1 if sc.take() == "-" else 1
-        total = total + _parse_complex_atom(sc, sign)
-    if sc.peek() != ")":
-        raise sc.error("expected ')'")
-    sc.take()
-    return total
-
-
-def _parse_term(sc: _Scanner, sign: int) -> tuple[QQi, int, UnivariatePoly]:
+def _parse_term(sc: _Scanner, sign: int) -> ExpTerm:
     coef = QQi(sign)
     power = 0
     exponent = UnivariatePoly()
-    saw_factor = False
-    while True:
-        ch = sc.peek()
+    for ch in sc.factors():
         if sc.match_word("exp"):
             if sc.peek() != "(":
                 raise sc.error("expected '(' after exp")
             sc.take()
-            depth = 1
             start = sc.pos
-            while sc.pos < len(sc.text) and depth:
-                c = sc.text[sc.pos]
-                if c == "(":
-                    depth += 1
-                elif c == ")":
-                    depth -= 1
-                sc.pos += 1
-            if depth:
-                raise sc.error("unbalanced parentheses in exp(...)")
-            inner = sc.text[start:sc.pos - 1]
-            arg = parse_coordinate(inner, line=sc.line)
+            arg = _parse_sum(sc, "exponent", ")")
             if not arg.is_polynomial:
-                raise sc.error("exp argument must be a polynomial in z")
+                raise sc.error("exp argument must be a polynomial in z", start)
             exponent = exponent + arg.poly
         elif ch == "z":
             sc.take()
@@ -318,23 +286,22 @@ def _parse_term(sc: _Scanner, sign: int) -> tuple[QQi, int, UnivariatePoly]:
             if sc.peek() == "^":
                 sc.take()
                 k = sc.integer()
-                if k < 0:
-                    raise sc.error("exponent must be nonnegative")
             power += k
         elif ch == "(":
-            coef = coef * _parse_paren_complex(sc)
+            sc.take()
+            total = QQi(0)
+            for s in sc.terms("complex constant", ")"):
+                total = total + _parse_complex_atom(sc, s)
+            coef = coef * total
         elif ch.isdigit() or ch == "i":
             coef = coef * _parse_complex_atom(sc, 1)
         else:
             raise sc.error(f"expected a factor, found {ch!r}" if ch else "expected a factor")
-        saw_factor = True
-        if sc.peek() == "*":
-            sc.take()
-            continue
-        break
-    if not saw_factor:
-        raise sc.error("empty term")
-    return coef, power, exponent
+    return ExpTerm(coef, power, exponent)
+
+
+def _parse_sum(sc: _Scanner, what: str, end: str = "") -> CurveCoordinate:
+    return CurveCoordinate.from_terms([_parse_term(sc, sign) for sign in sc.terms(what, end)])
 
 
 def parse_coordinate(text: str, *, line: int | None = None) -> CurveCoordinate:
@@ -342,26 +309,9 @@ def parse_coordinate(text: str, *, line: int | None = None) -> CurveCoordinate:
 
     Complex literals use rational parts with an `i` suffix; signed
     complex constants must be parenthesized, e.g. `(1-1/2i)*z^2`.
+    Errors carry the column within `text` and `line`, when given.
     """
-    sc = _Scanner(text, line)
-    terms: list[ExpTerm] = []
-    first = True
-    while True:
-        ch = sc.peek()
-        if not ch:
-            if first:
-                raise sc.error("empty coordinate")
-            break
-        sign = 1
-        if ch in "+-":
-            sc.take()
-            sign = -1 if ch == "-" else 1
-        elif not first:
-            raise sc.error(f"expected '+' or '-', found {ch!r}")
-        coef, power, exponent = _parse_term(sc, sign)
-        terms.append(ExpTerm(coef, power, exponent))
-        first = False
-    return CurveCoordinate.from_terms(terms)
+    return _parse_sum(_Scanner(text, line), "coordinate")
 
 
 def parse_curve(text: str) -> ProjectiveCurve:

@@ -699,24 +699,17 @@ def parse_arrangement(text: str, *, gb_steps: int = DEFAULT_GB_STEPS) -> Arrange
         elif section == "variety":
             if not var_names:
                 raise ParseError("[vars] must precede polynomials", line=ln)
-            try:
-                variety.append(parse_polynomial(line, var_names,
-                                                require_homogeneous=True,
-                                                require_nonzero=True))
-            except ParseError as exc:
-                raise ParseError(str(exc), line=ln) from None
+            variety.append(parse_polynomial(line, var_names, require_homogeneous=True,
+                                            require_nonzero=True, line=ln))
         elif section == "hypersurfaces":
             if not var_names:
                 raise ParseError("[vars] must precede polynomials", line=ln)
             if ":" not in line:
                 raise ParseError("expected `name : polynomial`", line=ln)
             name, _, body = line.partition(":")
-            try:
-                p = parse_polynomial(body.strip(), var_names,
-                                     require_homogeneous=True, require_nonzero=True)
-            except ParseError as exc:
-                raise ParseError(str(exc), line=ln) from None
-            hypersurfaces.append((name.strip(), p))
+            hypersurfaces.append((name.strip(), parse_polynomial(
+                body.strip(), var_names, require_homogeneous=True, require_nonzero=True,
+                line=ln)))
         else:
             raise ParseError(f"unexpected content {line!r}", line=ln)
     if header is None:

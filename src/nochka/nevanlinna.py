@@ -432,6 +432,14 @@ class CartanReport:
             "rows": [vars(r) | {} for r in self.rows],
         }
 
+    def as_tsv(self) -> str:
+        lines = ["r\tT\tmax_sum_integral\twronskian_counting\tlhs\trhs\tslack"]
+        for row in self.rows:
+            lines.append(f"{row.r:.6g}\t{row.T:.12g}\t{row.max_sum_integral:.12g}"
+                         f"\t{row.wronskian_counting:.12g}\t{row.lhs:.12g}"
+                         f"\t{row.rhs:.12g}\t{row.slack:.12g}")
+        return "\n".join(lines) + "\n"
+
 
 def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
                     epsilon, radii: Sequence[float], *,

@@ -601,6 +601,7 @@ def degree_m_slice_rank(ideal: Ideal, m: int) -> int:
 class _Scanner:
     """Character scanner shared by the polynomial and curve parsers.
 
+    Both grammars are sums of products, read through `terms` and `factors`.
     `line`, when given, goes into every ParseError; errors without it
     report the character position only.
     """
@@ -609,6 +610,7 @@ class _Scanner:
         self.text = text
         self.pos = 0
         self.line = line
+        self.start = 0  # where the last integer or name began
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -623,8 +625,46 @@ class _Scanner:
         self.pos += 1
         return ch
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, line=self.line, column=self.pos + 1)
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at character index `at`, by default the current one."""
+        return ParseError(message, line=self.line,
+                          column=(self.pos if at is None else at) + 1)
+
+    def terms(self, what: str, end: str = "") -> Iterator[int]:
+        """Yield the sign of each term of `[+|-] term ((+|-) term)*`, then
+        consume `end` (the end of the text when empty).
+
+        The caller reads each term before asking for the next sign.
+        """
+        first = True
+        while True:
+            ch = self.peek()
+            if ch == end:
+                if first:
+                    raise self.error(f"empty {what}")
+                self.pos += len(end)
+                return
+            if not ch:
+                raise self.error(f"expected {end!r}")
+            if ch == "+" or ch == "-":
+                sign_at = self.pos
+                self.pos += 1
+                if self.peek() in (end, ""):
+                    raise self.error("dangling sign", sign_at)
+                yield -1 if ch == "-" else 1
+            elif first:
+                yield 1
+            else:
+                raise self.error(f"expected '+' or '-', found {ch!r}")
+            first = False
+
+    def factors(self) -> Iterator[str]:
+        """Yield the next character once before each factor of
+        `factor ('*' factor)*`; the caller reads the factor."""
+        yield self.peek()
+        while self.peek() == "*":
+            self.pos += 1
+            yield self.peek()
 
     def match_word(self, word: str) -> bool:
         """Consume `word` if it comes next and is not the prefix of a longer name."""
@@ -639,12 +679,12 @@ class _Scanner:
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
+        self.start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if start == self.pos:
+        if self.start == self.pos:
             raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        return int(self.text[self.start:self.pos])
 
     def rational(self) -> Fraction:
         """`a` or `a/b` with nonnegative integers."""
@@ -653,76 +693,57 @@ class _Scanner:
             self.take()
             den = self.integer()
             if den == 0:
-                raise self.error("zero denominator")
+                raise self.error("zero denominator", self.start)
             return Fraction(num, den)
         return Fraction(num)
 
     def name(self) -> str:
         self.skip_ws()
-        start = self.pos
+        self.start = self.pos
         while (self.pos < len(self.text)
                and (self.text[self.pos].isalnum() or self.text[self.pos] == "_")):
             self.pos += 1
-        if start == self.pos:
+        if self.start == self.pos:
             raise self.error("expected a name")
-        return self.text[start:self.pos]
+        return self.text[self.start:self.pos]
 
 
 def parse_polynomial(text: str, varnames: Sequence[str], *,
                      require_homogeneous: bool = False,
-                     require_nonzero: bool = False) -> Polynomial:
+                     require_nonzero: bool = False,
+                     line: int | None = None) -> Polynomial:
     """Parse `terms` separated by +/-; term = [rational] factors joined by `*`.
 
     A factor is a variable with optional `^power` or a rational `a` / `a/b`.
-    Whitespace is insignificant.  Errors carry the character position.
+    Whitespace is insignificant.  Errors carry the column of the offending
+    token and `line`, when given.
     """
     index = {name: i for i, name in enumerate(varnames)}
     nvars = len(varnames)
-    sc = _Scanner(text)
+    sc = _Scanner(text, line)
     result = Polynomial.zero(nvars)
-    sign = 1
-    first = True
-    while True:
-        ch = sc.peek()
-        if not ch:
-            if first:
-                raise sc.error("empty polynomial")
-            break
-        if ch in "+-":
-            sc.take()
-            sign = -1 if ch == "-" else 1
-            ch = sc.peek()
-        elif not first:
-            raise sc.error(f"expected '+' or '-', found {ch!r}")
-        if not ch:
-            raise sc.error("dangling sign")
+    for sign in sc.terms("polynomial"):
         coeff = Fraction(sign)
         mono = [0] * nvars
-        while True:
-            ch = sc.peek()
+        for ch in sc.factors():
             if ch.isdigit():
                 coeff *= sc.rational()
             elif ch.isalpha() or ch == "_":
                 name = sc.name()
                 if name not in index:
-                    raise ParseError(f"unknown variable {name!r}", column=sc.pos)
+                    raise sc.error(f"unknown variable {name!r}", sc.start)
                 power = 1
                 if sc.peek() == "^":
                     sc.take()
                     power = sc.integer()
                     if power < 1:
-                        raise sc.error("exponent must be a positive integer")
+                        raise sc.error("exponent must be a positive integer", sc.start)
                 mono[index[name]] += power
             else:
                 raise sc.error(f"expected a factor, found {ch!r}" if ch else "expected a factor")
-            if sc.peek() == "*":
-                sc.take()
-                continue
-            break
         result = result + Polynomial.monomial(nvars, tuple(mono), coeff)
-        first = False
     if require_nonzero and result.is_zero:
-        raise ParseError("polynomial must be nonzero")
+        raise ParseError("polynomial must be nonzero", line=line)
     if require_homogeneous and not result.is_homogeneous:
-        raise ParseError("polynomial must be homogeneous")
+        raise ParseError("polynomial must be homogeneous", line=line)
     return result

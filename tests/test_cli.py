@@ -290,6 +290,37 @@ class TestAnalyticCommands:
         assert code == 0
         assert set(payload["truncations"]) == {"inf"}
 
+    @pytest.mark.parametrize("command", ["bounds", "cartan-check", "smt-report"])
+    def test_zero_denominator_epsilon_exit_2(self, capsys, pencil_file, parabola_file, command):
+        if command == "bounds":
+            argv = ["bounds", "--n", "2", "--degV", "1", "--N", "3", "--q", "12",
+                    "--degrees", "2,2,2,1,1,1,1,1,1,1,1,1"]
+        else:
+            argv = [command, "--arr", pencil_file, "--curve", parabola_file, "--radii", "10"]
+        assert main(argv + ["--epsilon", "1/0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: expected a rational, got '1/0'\n"
+
+    def test_cartan_check_tsv(self, capsys, pencil_file, parabola_file):
+        code = main(["cartan-check", "--arr", pencil_file, "--curve", parabola_file,
+                     "--epsilon", "1", "--radii", "10,100", "--format", "tsv"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0] == "r\tT\tmax_sum_integral\twronskian_counting\tlhs\trhs\tslack"
+        assert [line.split("\t")[0] for line in lines[1:]] == ["10", "100"]
+
+    def test_smt_report_out_holds_the_stdout_report(self, capsys, tmp_path, pencil_file,
+                                                    parabola_file):
+        out = tmp_path / "smt.json"
+        code, payload = run_json(capsys, [
+            "smt-report", "--arr", pencil_file, "--curve", parabola_file,
+            "--epsilon", "1/2", "--radii", "10", "--out", str(out)])
+        assert code == 0
+        assert payload.pop("written") == str(out)
+        assert json.loads(out.read_text()) == payload
+        assert list(payload)[:2] == ["schema", "command"]
+
 
 class TestGenFixture:
     def test_deterministic_and_reparseable(self, capsys, tmp_path):
@@ -307,3 +338,23 @@ class TestGenFixture:
 
         manifest = json.load(open(payload["manifest"]))
         assert manifest["q"] == 12 and manifest["position"]["ok"]
+
+
+class TestUnwritableOut:
+    def _assert_cannot_write(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: cannot write ")
+
+    def test_oracle_dump_missing_directory(self, capsys, tmp_path, pencil_file):
+        self._assert_cannot_write(capsys, ["oracle-dump", "--arr", pencil_file,
+                                           "--out", str(tmp_path / "missing" / "p.oracle")])
+
+    def test_smt_report_missing_directory(self, capsys, tmp_path, pencil_file, parabola_file):
+        self._assert_cannot_write(capsys, [
+            "smt-report", "--arr", pencil_file, "--curve", parabola_file,
+            "--epsilon", "1/2", "--radii", "10", "--out", str(tmp_path / "missing" / "s.json")])
+
+    def test_gen_fixture_out_is_a_file(self, capsys, parabola_file):
+        self._assert_cannot_write(capsys, ["gen-fixture", "--seed", "1", "--out", parabola_file])

@@ -757,3 +757,14 @@ class TestArrangementFormat:
         with pytest.raises(ParseError):
             parse_arrangement("[space] M=1 n=1 degV=1 N=1\n[vars] x0 x1\n"
                               "[hypersurfaces]\nH : x0 + \n")
+
+    def test_polynomial_error_gives_line_and_column(self):
+        text = ("[space] M=2 n=2 degV=1 N=3\n[vars] x0 x1 x2\n[variety]\n"
+                "[hypersurfaces]\nA1 : x0 + y1\n")
+        with pytest.raises(ParseError) as err:
+            parse_arrangement(text)
+        assert (err.value.line, err.value.column) == (5, 6)
+        assert str(err.value) == "unknown variable 'y1' (line 5, column 6)"
+        with pytest.raises(ParseError) as err:
+            parse_arrangement(text.replace("x0 + y1", "x0 - x0"))
+        assert str(err.value) == "polynomial must be nonzero (line 5)"

@@ -708,6 +708,23 @@ class TestCurveParsing:
             parse_curve("[curve] M=2\n1\nexp(z\nz\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("text, message, column", [
+        ("(1-2i", "expected ')'", 6),
+        ("z +", "dangling sign", 3),
+        ("2*exp(z -)", "dangling sign", 9),
+        ("exp(2*exp(z))", "exp argument must be a polynomial in z", 5),
+        ("z z", "expected '+' or '-', found 'z'", 3),
+    ])
+    def test_error_column_within_the_coordinate(self, text, message, column):
+        from nochka.errors import ParseError
+        with pytest.raises(ParseError) as err:
+            parse_coordinate(text, line=4)
+        assert str(err.value) == f"{message} (line 4, column {column})"
+
+    def test_bare_i_is_a_word(self):
+        assert parse_coordinate("i*z").poly == UnivariatePoly([0, QQi(0, 1)])
+        assert parse_coordinate("(-i) + 2i").poly == UnivariatePoly([QQi(0, 1)])
+
     def test_coordinate_text_round_trip(self):
         import random
         rng = random.Random(5)

@@ -55,6 +55,17 @@ class TestParsing:
             p3("x0 + + x1")
         assert "position" in str(err.value) or "found" in str(err.value)
 
+    def test_unknown_variable_at_its_first_column(self):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial("x0 + y1", V3, line=5)
+        assert (err.value.line, err.value.column) == (5, 6)
+        assert str(err.value) == "unknown variable 'y1' (line 5, column 6)"
+
+    @pytest.mark.parametrize("text", ["x0 +", "x0 + x1 -", "-"])
+    def test_trailing_sign_is_dangling(self, text):
+        with pytest.raises(ParseError, match="dangling sign"):
+            p3(text)
+
     def test_round_trip(self):
         for text in ("x0*x2 - x1^2", "1/2*x0^3 + x1*x2^2", "x0^2 - 2*x0*x1 + x1^2"):
             p = p3(text)
