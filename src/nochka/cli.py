@@ -181,10 +181,16 @@ def _cmd_smt_report(args) -> tuple[dict, bool]:
     arr = _arrangement(args)
     curve = parse_curve(_read(args.curve))
     truncations = None
-    if args.truncation not in (None, "", "inf"):
-        truncations = int(args.truncation)
-    elif args.truncation == "inf":
+    if args.truncation == "inf":
         truncations = math.inf
+    elif args.truncation:
+        try:
+            truncations = int(args.truncation)
+        except ValueError:
+            truncations = 0
+        if truncations < 1:
+            raise ParseError("--truncation must be an integer >= 1 or `inf`, "
+                             f"got {args.truncation!r}")
     report = smt_report(curve, arr, _rational(args.epsilon), _list(args.radii, float, "number"),
                         truncations=truncations, tol=args.quad_tol)
     body = report.as_dict()

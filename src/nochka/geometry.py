@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ParseError, ResourceBudgetError, VerificationError
 from .linalg import Echelon, primitive
 from .poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension, monomials_of_degree,
-                   mul_packed, pack_monomial, parse_polynomial, unpack_monomial)
+                   mul_packed, next_level, pack_monomial, parse_polynomial, unpack_monomial)
 from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle, ValidationReport,
                         _set_str, check_costs, linear_matroid_oracle, validate_rank_oracle)
 
@@ -256,8 +256,9 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
     - otherwise the Groebner dimension of the restricted ideal in M + 1 - k
       variables, under the arrangement's step budget.
 
-    No Groebner run sees a hyperplane.  Subsets are filled in order of size
-    with monotone pruning: supersets of a spanning subset are spanning.
+    No Groebner run sees a hyperplane.  Subsets are filled in mask order
+    with monotone pruning: supersets of a spanning subset are spanning, and
+    every immediate subset of a mask is a smaller mask, filled before it.
     """
     q, n, M = arr.q, arr.n, arr.M
     forms = arr.forms
@@ -276,62 +277,58 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
     int_terms = [list(zip(p.terms, primitive(list(p.terms.values())))) for p in polys]
     point_zeros: dict[int, int] = {}
     table = [0] * (1 << q)
-    by_size: list[list[int]] = [[] for _ in range(q + 1)]
     for mask in range(1, 1 << q):
-        by_size[mask.bit_count()].append(mask)
-    for size in range(1, q + 1):
-        for mask in by_size[size]:
-            pruned = False
-            m = mask
-            while m:
-                low = m & -m
-                if table[mask ^ low] == n + 1:
-                    pruned = True
-                    break
-                m ^= low
-            if pruned:
-                table[mask] = n + 1
-                continue
-            hmask = mask & line_mask
-            space = spaces.get(hmask)
-            if space is None:
-                # mask is unpruned, so mask minus one hyperplane was computed
-                # before it and its hyperplane subset already has a space
-                low = hmask & -hmask
-                space = spaces[hmask] = _linear_space(
-                    spaces[hmask ^ low][0], lines[low.bit_length() - 1],
-                    [lines[j] for j in lines if hmask >> j & 1], M + 1)
-            ech, basis = space
-            if ech.rank == M + 1:
-                dim = -1
-            elif len(basis) == 1:
-                # L is the point basis[0]: V cut by R is that point when
-                # every generator left vanishes there, and empty otherwise
-                zeros = point_zeros.get(hmask)
-                if zeros is None:
-                    zeros = point_zeros[hmask] = sum(
-                        1 << i for i, terms in enumerate(int_terms)
-                        if not _value_at(terms, basis[0]))
-                needed = ((1 << g) - 1) | ((mask ^ hmask) << g)
-                dim = 0 if needed & ~zeros == 0 else -1
+        # a superset of a spanning subset spans; every immediate subset of
+        # mask is a smaller mask, so its entry is filled already
+        m = mask
+        while m:
+            low = m & -m
+            if table[mask ^ low] == n + 1:
+                break
+            m ^= low
+        if m:
+            table[mask] = n + 1
+            continue
+        hmask = mask & line_mask
+        space = spaces.get(hmask)
+        if space is None:
+            # mask is unpruned, so mask minus one hyperplane was computed
+            # before it and its hyperplane subset already has a space
+            low = hmask & -hmask
+            space = spaces[hmask] = _linear_space(
+                spaces[hmask ^ low][0], lines[low.bit_length() - 1],
+                [lines[j] for j in lines if hmask >> j & 1], M + 1)
+        ech, basis = space
+        if ech.rank == M + 1:
+            dim = -1
+        elif len(basis) == 1:
+            # L is the point basis[0]: V cut by R is that point when
+            # every generator left vanishes there, and empty otherwise
+            zeros = point_zeros.get(hmask)
+            if zeros is None:
+                zeros = point_zeros[hmask] = sum(
+                    1 << i for i, terms in enumerate(int_terms)
+                    if not _value_at(terms, basis[0]))
+            needed = ((1 << g) - 1) | ((mask ^ hmask) << g)
+            dim = 0 if needed & ~zeros == 0 else -1
+        else:
+            rest = mask ^ hmask
+            gens = []
+            for i in [*range(g), *(g + j for j in range(q) if rest >> j & 1)]:
+                r = restricted.get((hmask, i))
+                if r is None:
+                    r = restricted[hmask, i] = _restrict(polys[i], basis)
+                if not r.is_zero:
+                    gens.append(r)
+            if not gens:
+                dim = M - ech.rank
             else:
-                rest = mask ^ hmask
-                gens = []
-                for i in [*range(g), *(g + j for j in range(q) if rest >> j & 1)]:
-                    r = restricted.get((hmask, i))
-                    if r is None:
-                        r = restricted[hmask, i] = _restrict(polys[i], basis)
-                    if not r.is_zero:
-                        gens.append(r)
-                if not gens:
-                    dim = M - ech.rank
-                else:
-                    dim = _forms_dimension(gens, len(basis), arr.gb_steps)
-            c = n - dim
-            if not 0 <= c <= n + 1:
-                raise VerificationError(
-                    f"subset {_set_str(mask)} yields dimension {dim}, outside the declared range")
-            table[mask] = c
+                dim = _forms_dimension(gens, len(basis), arr.gb_steps)
+        c = n - dim
+        if not 0 <= c <= n + 1:
+            raise VerificationError(
+                f"subset {_set_str(mask)} yields dimension {dim}, outside the declared range")
+        table[mask] = c
     return RankOracle(q, n, arr.N, tuple(table))
 
 
@@ -420,13 +417,13 @@ def _degree_m_vectors(arr: Arrangement,
     order, and one column per monomial of degree k*d that its rows can
     reach, lexicographically descending; columns are labelled by packed
     monomials (`pack_monomial`), whose descending order is that order.  The
-    children of a row are (parent, j) for j >= its last index.  Modulo a
-    variety, the forms and each level's rows are reduced, and the rows made
-    content-free again, as in a walk that reduces every partial product
-    (`_normal_form_matrix`).  A level is computed in int64 only when the
-    triangle inequality bounds every partial sum on it below 2^63, and in
-    Python ints otherwise.  The top level is built and converted to tuples
-    a block of rows at a time, and its all-zero columns are dropped.
+    children of a row are (parent, j) for j >= its last index (`next_level`).
+    Modulo a variety, the forms and each level's rows are reduced, and the
+    rows made content-free again, as in a walk that reduces every partial
+    product (`_normal_form_matrix`).  A level is computed in int64 only when
+    the triangle inequality bounds every partial sum on it below 2^63, and
+    in Python ints otherwise.  The top level is built and converted to
+    tuples a block of rows at a time, and its all-zero columns are dropped.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -454,10 +451,7 @@ def _degree_m_vectors(arr: Arrangement,
     U = [pack_monomial(u, base) for u in monos]
     P, cols, last = C, U, np.arange(q)
     for k in range(2, m + 1):
-        counts = q - last
-        parent = np.repeat(np.arange(len(last)), counts)
-        # the children of a row run from its last index to q - 1
-        last = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - q, counts)
+        parent, last = next_level(last, q)
         sums = [c + u for c in cols for u in U]
         shape = (len(cols), len(U))
         cols = sorted(set(sums), reverse=True)

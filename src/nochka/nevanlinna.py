@@ -19,7 +19,6 @@ record slack per radius.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -30,7 +29,7 @@ from .curves import CurveCoordinate, ProjectiveCurve, compose
 from .errors import QuadratureError, VerificationError
 from .geometry import Arrangement, PositionReport, check_subgeneral_position
 from .linalg import Echelon
-from .poly import Polynomial, products_of_degree
+from .poly import Polynomial, next_level
 from .rootfind import CLUSTER_TOL, poly_roots_with_multiplicity, root_key, zeros_in_disk
 from .univar import QQI_ZERO, QQi, UnivariatePoly, poly_gcd_many
 
@@ -131,6 +130,19 @@ def _checked_radii(radii: Sequence[float], tol: float) -> list[float]:
     if not 0 < tol < math.inf:
         raise ValueError(f"quadrature tolerance must be a positive finite number, got {tol}")
     return radii
+
+
+def _checked_epsilon(epsilon) -> float:
+    """epsilon as a float, checked to be finite and > 0; a rational past the
+    float range counts as infinite.  The bound epsilon <= 1 belongs to the
+    explicit m0 of `bounds`, not here."""
+    try:
+        eps = float(epsilon)
+    except OverflowError:
+        eps = math.inf
+    if not 0 < eps < math.inf:
+        raise ValueError("epsilon must be finite and > 0")
+    return eps
 
 
 def _log_max(values) -> np.ndarray:
@@ -454,7 +466,7 @@ def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
     if not curve.all_polynomial:
         raise ValueError("this check needs a polynomial curve")
     n = curve.ambient_dim
-    eps = float(epsilon)
+    eps = _checked_epsilon(epsilon)
     radii = _checked_radii(radii, tol)
     for h in hyperplanes:
         if h.is_zero or h.degree != 1 or not h.is_homogeneous:
@@ -516,9 +528,11 @@ def lift_curve(curve: ProjectiveCurve, arr: Arrangement, m: int) -> LiftResult:
     """Compose all degree-m monomials in the normalized forms with the curve and
     measure the space of linear forms vanishing on the lifted coordinates.
 
-    The products are `UnivariatePoly` products, integer convolutions over
-    one denominator, so each realified row is read from a product's
-    integer numerators `re` and `im`."""
+    The products are built a level at a time in `monomials_of_degree`
+    order, each one its parent's product times one more composed form
+    (`next_level`), as the Hilbert rows are.  They are `UnivariatePoly`
+    products, integer convolutions over one denominator, so each realified
+    row is read from a product's integer numerators `re` and `im`."""
     if not curve.all_polynomial:
         raise ValueError("lifting needs a polynomial curve")
     if curve.ambient_dim != arr.M:
@@ -526,7 +540,10 @@ def lift_curve(curve: ProjectiveCurve, arr: Arrangement, m: int) -> LiftResult:
     if m < 1:
         raise ValueError("m must be >= 1")
     composed = [compose(f, curve).poly for f in arr.normalized_forms()]
-    coords = products_of_degree(composed, m, operator.mul)
+    coords, last = composed, np.arange(len(composed))
+    for _ in range(1, m):
+        parent, last = next_level(last, len(composed))
+        coords = [coords[i] * composed[j] for i, j in zip(parent.tolist(), last.tolist())]
     width = max(len(p.re) for p in coords)
     # Rank over Q(i) by realification: w -> [Re w ; Im w] is Q-linear and
     # injective and carries the Q(i)-span of the coordinates onto the Q-span
@@ -628,7 +645,10 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
     consistency values d_j T(r) - N(r) - m(r), whose constancy across radii
     is the first-main-theorem check, and explicit caveat notes.
     """
+    eps = _checked_epsilon(epsilon)
     radii = _checked_radii(radii, tol)
+    if truncations is not None and truncations < 1:
+        raise ValueError("truncation level must be >= 1")
     if position is None:
         position = check_subgeneral_position(arr)
     if not position.ok:
@@ -636,7 +656,6 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
     if curve.ambient_dim != arr.M:
         raise ValueError("curve and arrangement ambient dimensions differ")
     q, n, N = arr.q, arr.n, arr.N
-    eps = float(epsilon)
     mode = "hyperplane" if arr.is_linear else "hypersurface"
     if truncations is None:
         trunc_list: list[int | None] = [n if mode == "hyperplane" else None] * q

@@ -9,8 +9,9 @@ bases and printed term order all use `key_degrevlex`.
 Integer arithmetic on packed monomials serves the exact callers outside
 this module: `pack_monomial` writes a monomial as one integer, adding keys
 multiplies monomials, and `mul_packed` multiplies integer polynomials keyed
-that way.  `products_of_degree` walks the products of a family of factors
-of a fixed degree in `monomials_of_degree` order.
+that way.  `next_level` steps the products of a family of factors from one
+degree to the next in `monomials_of_degree` order; the Hilbert rows and the
+curve lifts are both built with it, one level at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 from operator import add, le, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,8 +60,8 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
 
     Each is counted from a non-decreasing sequence of `degree` variable
     indices; those come in increasing lexicographic order, which is the
-    descending order of their exponent tuples and the order
-    `products_of_degree` walks."""
+    descending order of their exponent tuples and the order in which
+    `next_level` lays out each level of products."""
     for indices in combinations_with_replacement(range(nvars), degree):
         exponents = [0] * nvars
         for i in indices:
@@ -68,40 +69,17 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
         yield tuple(exponents)
 
 
-def products_of_degree(factors: Sequence, degree: int, mul: Callable) -> list:
-    """The products of `degree` factors, one per exponent vector of
-    `monomials_of_degree(len(factors), degree)` and in its order; curve
-    lifting takes the products of the Q(i)[z] coordinates of the composed
-    forms this way, with `UnivariatePoly` multiplication as `mul`.
-
-    Each product is mul(prefix, factor): a depth-first walk over
-    non-decreasing factor-index sequences holds only `degree` partial
-    products at a time.  The walk keeps an explicit stack, not a recursive
-    closure: a nested function that refers to itself is a reference cycle,
-    and it would keep the products alive until the next full garbage
-    collection.
-    """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    last = len(factors) - 1
-    if last < 0:
-        return []
-    index = [0] * degree
-    prefix = [factors[0]] * degree
-    for level in range(1, degree):
-        prefix[level] = mul(prefix[level - 1], factors[0])
-    products = []
-    while True:
-        products.append(prefix[-1])
-        level = degree - 1
-        while index[level] == last:
-            level -= 1
-            if level < 0:
-                return products
-        j = index[level] + 1
-        for t in range(level, degree):
-            index[t] = j
-            prefix[t] = factors[j] if t == 0 else mul(prefix[t - 1], factors[j])
+def next_level(last: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """One level step of the products of q factors: given the last factor
+    index of each product of degree k, in `monomials_of_degree(q, k)` order,
+    the parent row and the last factor index of each product of degree
+    k + 1, in `monomials_of_degree(q, k + 1)` order.  The children of row i
+    are (i, j) for j >= last[i]; level 1 is `last = arange(q)`."""
+    counts = q - last
+    parent = np.repeat(np.arange(len(last)), counts)
+    # the children of a row run from its last index to q - 1
+    last = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - q, counts)
+    return parent, last
 
 
 class Polynomial:

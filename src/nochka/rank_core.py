@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -569,7 +568,9 @@ def format_oracle(oracle: RankOracle) -> str:
 
 def parse_oracle(text: str) -> RankOracle:
     """Read the interchange text; subset lines may come in any order and
-    spacing.  Text as `format_oracle` writes it is read column-wise."""
+    spacing, one line at a time.  A label equal to the next one
+    `format_oracle` writes gets that mask directly; any other is looked up
+    among all the labels, and one not found there is parsed as indices."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty oracle file")
@@ -582,54 +583,25 @@ def parse_oracle(text: str) -> RankOracle:
         raise ParseError("header must hold three integers", line=1) from None
     if not 1 <= q <= MAX_GROUND_SET:
         raise ParseError(f"q out of range 1..{MAX_GROUND_SET}", line=1)
-    table = _canonical_table(lines, q)
-    if table is None:
-        table = _table_of_lines(lines, q)
-    try:
-        return RankOracle(q, n, N, tuple(table))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-
-
-def _canonical_table(lines: list[str], q: int) -> list[int] | None:
-    """The c-values when the subset lines are exactly `format_oracle`'s, else None."""
-    if len(lines) != (1 << q) + 1:
-        return None
-    left, _, right = zip(*map(str.partition, lines[1:], repeat(" : ")))
-    if list(left) != subset_labels(q):
-        return None
-    try:
-        return list(map(int, right))
-    except ValueError:
-        return None
-
-
-def _table_of_lines(lines: list[str], q: int) -> list[int]:
-    """The c-values of subset lines in any order, one line at a time; the
-    source of every ParseError about the body."""
-    table: list[int | None] = [None] * (1 << q)
-    bits = {str(j): 1 << (j - 1) for j in range(1, q + 1)}
+    size = 1 << q
+    labels = subset_labels(q)
+    masks: dict[str, int] | None = None  # built at the first label out of order
+    table: list[int | None] = [None] * size
     count = 0
     for ln, raw in enumerate(lines[1:], 2):
-        stripped = raw.strip()
-        if not stripped:
+        left, colon, right = raw.partition(":")
+        if not colon:
+            if raw.strip():
+                raise ParseError("expected `subset : c-value`", line=ln)
             continue
-        if ":" not in stripped:
-            raise ParseError("expected `subset : c-value`", line=ln)
-        left, _, right = stripped.partition(":")
         left = left.strip()
-        mask = 0
-        if left != "-":
-            try:
-                for token in left.split(","):
-                    bit = bits[token]
-                    # in increasing order each bit exceeds the mask of the ones before it
-                    if bit <= mask:
-                        raise ParseError(f"subset {left} must list distinct indices "
-                                         "in increasing order", line=ln)
-                    mask |= bit
-            except KeyError:
-                # not a canonical index: parse and check it the long way
+        if count < size and left == labels[count]:
+            mask = count
+        else:
+            if masks is None:
+                masks = dict(zip(labels, range(size)))
+            mask = masks.get(left)
+            if mask is None:
                 try:
                     indices = [int(p) for p in left.split(",")]
                     mask = mask_of(indices, q)
@@ -637,15 +609,18 @@ def _table_of_lines(lines: list[str], q: int) -> list[int]:
                     raise ParseError(str(exc), line=ln) from None
                 if any(a >= b for a, b in zip(indices, indices[1:])):
                     raise ParseError(f"subset {left} must list distinct indices "
-                                     "in increasing order", line=ln) from None
+                                     "in increasing order", line=ln)
         try:
-            value = int(right.strip())
+            value = int(right)
         except ValueError:
             raise ParseError(f"bad c-value {right.strip()!r}", line=ln) from None
         if table[mask] is not None:
             raise ParseError(f"duplicate subset {left}", line=ln)
         table[mask] = value
         count += 1
-    if count != 1 << q:
-        raise ParseError(f"expected {1 << q} subset lines, got {count}")
-    return table  # type: ignore[return-value]
+    if count != size:
+        raise ParseError(f"expected {size} subset lines, got {count}")
+    try:
+        return RankOracle(q, n, N, tuple(table))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

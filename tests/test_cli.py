@@ -302,6 +302,26 @@ class TestAnalyticCommands:
         assert captured.out == ""
         assert captured.err == "parse error: expected a rational, got '1/0'\n"
 
+    @pytest.mark.parametrize("command", ["cartan-check", "smt-report"])
+    @pytest.mark.parametrize("epsilon", ["0", "-1", "1e400"])
+    def test_epsilon_not_positive_and_finite_exit_2(self, capsys, pencil_file, parabola_file,
+                                                    command, epsilon):
+        assert main([command, "--arr", pencil_file, "--curve", parabola_file, "--radii", "10",
+                      "--epsilon", epsilon]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: epsilon must be finite and > 0\n"
+
+    @pytest.mark.parametrize("level", ["abc", "0", "2.5"])
+    def test_bad_truncation_names_the_flag_exit_2(self, capsys, pencil_file, parabola_file,
+                                                  level):
+        assert main(["smt-report", "--arr", pencil_file, "--curve", parabola_file,
+                     "--epsilon", "1/2", "--radii", "10", "--truncation", level]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("parse error: --truncation must be an integer >= 1 or `inf`, "
+                                f"got {level!r}\n")
+
     def test_cartan_check_tsv(self, capsys, pencil_file, parabola_file):
         code = main(["cartan-check", "--arr", pencil_file, "--curve", parabola_file,
                      "--epsilon", "1", "--radii", "10,100", "--format", "tsv"])

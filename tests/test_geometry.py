@@ -20,7 +20,7 @@ from nochka.geometry import (Arrangement, check_subgeneral_position, codim_oracl
 from nochka.linalg import Echelon, primitive
 from nochka.poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension,
                          monomials_of_degree, mul_packed, pack_monomial, parse_polynomial,
-                         products_of_degree, unpack_monomial)
+                         unpack_monomial)
 from nochka.rank_core import validate_rank_oracle
 from nochka.univar import UnivariatePoly, poly_gcd_many
 
@@ -410,7 +410,9 @@ def walk_degree_m_vectors(arr: Arrangement, m: int) -> tuple[list, list]:
     `_degree_m_vectors` replaced.  Each product is a dict from packed
     monomial to integer coefficient, built by `mul_packed` from its prefix
     and reduced modulo the variety (then made content-free) at every step;
-    the rows are indexed by every monomial some product holds, descending."""
+    a level is a list of (product, last form index) pairs, and the children
+    of a pair take every form from its last index on.  The rows are indexed
+    by every monomial some product holds, descending."""
     base = m * arr.lcm_degree + 1
 
     def packed(p: Polynomial) -> dict:
@@ -426,9 +428,13 @@ def walk_degree_m_vectors(arr: Arrangement, m: int) -> tuple[list, list]:
             return packed(ideal.normal_form(Polynomial(nvars, unpacked)))
 
         forms = [reduce(f) for f in forms]
-        products = products_of_degree(forms, m, lambda a, b: reduce(mul_packed(a, b)))
+        step = lambda a, b: reduce(mul_packed(a, b))
     else:
-        products = products_of_degree(forms, m, mul_packed)
+        step = mul_packed
+    level = [(f, j) for j, f in enumerate(forms)]
+    for _ in range(1, m):
+        level = [(step(p, forms[j]), j) for p, last in level for j in range(last, len(forms))]
+    products = [p for p, _ in level]
     support = sorted({k for p in products for k in p}, reverse=True)
     index = {k: i for i, k in enumerate(support)}
     vectors = []

@@ -11,6 +11,7 @@ import pytest
 
 from nochka.curves import (CurveCoordinate, ExpTerm, ProjectiveCurve, compose,
                            parse_coordinate, parse_curve)
+import nochka.nevanlinna as nevanlinna
 import nochka.rootfind as rootfind
 from nochka.errors import QuadratureError, ResourceBudgetError
 from nochka.fixtures import (exp_curve, generate_intro_fixture, parabola_curve,
@@ -523,6 +524,13 @@ class TestCartan:
         with pytest.raises(ValueError):
             cartan_ru_check(f, [h], 1, [10])
 
+    @pytest.mark.parametrize("epsilon", [0, -1, Fraction(-1, 2), math.nan, math.inf,
+                                         Fraction(10 ** 400)])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        hyps = [parse_polynomial(t, V3) for t in ("x0", "x1", "x2", "x0 + x1 + x2")]
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            cartan_ru_check(parabola_curve(), hyps, epsilon, [100])
+
 
 class TestLift:
     def test_three_point_identity(self):
@@ -544,6 +552,11 @@ class TestLift:
         lifted = lift_curve(const, arr, 2)
         assert lifted.relation_dim == lifted.q_m - 1
         assert lifted.degenerate
+
+    def test_rejects_degree_zero(self):
+        line = poly_curve(up(1), up(0, 1))
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            lift_curve(line, three_point_arrangement(), 0)
 
     def test_identity_on_curved_variety(self):
         # (1 : z : z^2) parametrizes the plane conic; lifting through the
@@ -645,6 +658,23 @@ class TestSMTReport:
         with pytest.raises(ValueError):
             smt_report(parabola_curve(), pencil_lines_arrangement(),
                        Fraction(1, 2), [0.5, 10])
+
+    @pytest.mark.parametrize("epsilon", [0, -1, Fraction(-1, 2), math.nan, math.inf,
+                                         Fraction(10 ** 400)])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            smt_report(parabola_curve(), pencil_lines_arrangement(), epsilon, [10])
+
+    @pytest.mark.parametrize("level", [0, -1])
+    def test_truncation_below_one_rejected_before_root_finding(self, monkeypatch, level):
+        def refuse(*args, **kwargs):
+            raise AssertionError("root finding ran")
+
+        monkeypatch.setattr(nevanlinna, "zeros_in_disk", refuse)
+        monkeypatch.setattr(nevanlinna, "zero_divisor", refuse)
+        with pytest.raises(ValueError, match="truncation level must be >= 1"):
+            smt_report(exp_curve(), generate_intro_fixture(1).arrangement, Fraction(1, 2), [2],
+                       truncations=level)
 
     def test_caveats_present_for_polynomial_hypersurface_mode(self):
         hyps = tuple((f"Q{i}", parse_polynomial(f"x{i}^2", V3)) for i in range(3))

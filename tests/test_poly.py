@@ -13,8 +13,8 @@ from nochka.errors import ParseError, ResourceBudgetError
 from nochka.linalg import primitive
 from nochka.poly import (Ideal, Polynomial, degree_m_slice_rank, groebner_basis,
                          ideal_dimension, key_degrevlex, mono_divides, monomials_of_degree,
-                         mul_packed, normal_form, pack_monomial, parse_polynomial,
-                         products_of_degree, unpack_monomial)
+                         mul_packed, next_level, normal_form, pack_monomial,
+                         parse_polynomial, unpack_monomial)
 from nochka.univar import QQi
 
 V2 = ("x0", "x1")
@@ -414,14 +414,17 @@ class TestPackedIntegerKernels:
         assert 0 not in product.values()
 
     @given(st.integers(1, 4), st.integers(1, 4))
-    def test_walk_order_is_monomial_order(self, q, degree):
+    def test_next_level_order_is_monomial_order(self, q, degree):
+        # products of the unit exponent vectors are the exponent vectors
+        # themselves; each row's last index is its largest variable
         units = [tuple(int(i == j) for i in range(q)) for j in range(q)]
-        add = lambda a, b: tuple(x + y for x, y in zip(a, b))
-        assert list(products_of_degree(units, degree, add)) == list(monomials_of_degree(q, degree))
-
-    def test_walk_rejects_degree_zero(self):
-        with pytest.raises(ValueError):
-            products_of_degree([1, 2], 0, int.__mul__)
+        products, last = units, np.arange(q)
+        for _ in range(1, degree):
+            parent, last = next_level(last, q)
+            products = [tuple(x + y for x, y in zip(products[i], units[j]))
+                        for i, j in zip(parent.tolist(), last.tolist())]
+        assert products == list(monomials_of_degree(q, degree))
+        assert last.tolist() == [max(j for j in range(q) if e[j]) for e in products]
 
 
 def recursive_monomials(nvars: int, degree: int):

@@ -415,9 +415,9 @@ def _with_line(i: int, line: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# every malformed text with its message and line number, as the per-line
-# reader reports them; text laid out as `format_oracle` writes it is read
-# column-wise first and must fall back to that reader unchanged
+# every malformed text with its message and line number, as the one
+# per-line reader reports them, whether the lines before the bad one come
+# in `format_oracle`'s order or not
 MALFORMED = [
     ("", "empty oracle file", None),
     ("\n", "header must be `q n N`", 1),
@@ -473,6 +473,32 @@ class TestCanonicalOracleText:
         assert parse_oracle("\n".join([header, *padded])) == oracle
         blanks = [header, ""] + [x for line in body for x in (line, "")]
         assert parse_oracle("\n".join(blanks)) == oracle
+
+    @given(random_tables(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_moved_line_and_unpadded_label_read_the_same(self, oracle, data):
+        header, *body = format_oracle(oracle).splitlines()
+        if oracle.q >= 2:
+            body[3] = "01, 2" + body[3].removeprefix("1,2")
+        i = data.draw(st.integers(0, len(body) - 1))
+        j = data.draw(st.integers(0, len(body) - 1))
+        body.insert(j, body.pop(i))
+        assert parse_oracle("\n".join([header, *body])) == oracle
+
+    def test_malformed_line_after_a_move_keeps_its_line(self):
+        lines = format_oracle(SMALL).splitlines()
+        lines.insert(1, lines.pop(5))  # `3 : 1` first
+        assert lines[5] == "1,2 : 2"
+        lines[5] = "01, 2 : 2"
+        assert parse_oracle("\n".join(lines)) == SMALL
+        lines[7] = "2,3 : x"
+        with pytest.raises(ParseError) as err:
+            parse_oracle("\n".join(lines))
+        assert (str(err.value), err.value.line) == ("bad c-value 'x' (line 8)", 8)
+        lines[7] = "3,2 : 2"
+        with pytest.raises(ParseError) as err:
+            parse_oracle("\n".join(lines))
+        assert err.value.line == 8
 
     @pytest.mark.parametrize("text, message, line", MALFORMED)
     def test_malformed_text_keeps_its_error(self, text, message, line):
