@@ -34,7 +34,8 @@ from .linalg import Echelon, primitive
 from .poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension, monomials_of_degree,
                    mul_packed, next_level, pack_monomial, parse_polynomial, unpack_monomial)
 from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle, ValidationReport,
-                        _set_str, check_costs, linear_matroid_oracle, validate_rank_oracle)
+                        _popcounts, _set_str, check_costs, linear_matroid_oracle,
+                        validate_rank_oracle)
 
 QM_BUDGET = 5000
 _INT64_BOUND = 1 << 63  # an int64 array holds every integer of absolute value below this
@@ -329,7 +330,7 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
             raise VerificationError(
                 f"subset {_set_str(mask)} yields dimension {dim}, outside the declared range")
         table[mask] = c
-    return RankOracle(q, n, arr.N, tuple(table))
+    return RankOracle(q, n, arr.N, table)
 
 
 @dataclass(frozen=True)
@@ -369,11 +370,11 @@ def check_subgeneral_position(arr: Arrangement, *,
     """
     if oracle is None:
         oracle = codim_oracle(arr)
+    bad = np.flatnonzero((_popcounts(arr.q) == arr.N + 1) & (oracle.table != arr.n + 1))
     witness = None
-    for mask in range(1 << arr.q):
-        if mask.bit_count() == arr.N + 1 and oracle.table[mask] != arr.n + 1:
-            witness = f"{_set_str(mask)} meets V (c = {oracle.table[mask]})"
-            break
+    if bad.size:
+        mask = int(bad[0])
+        witness = f"{_set_str(mask)} meets V (c = {oracle.c_mask(mask)})"
     cond_i = AxiomCheck("empty-(N+1)-intersections", witness is None, witness)
     cond_ii = validate_rank_oracle(oracle)
     return PositionReport(arr.N, cond_i, cond_ii, oracle)

@@ -145,6 +145,15 @@ def _checked_epsilon(epsilon) -> float:
     return eps
 
 
+def _check_truncation(level, *, infinite: bool = False) -> None:
+    """Refuse a truncation level other than None (untruncated), an int >= 1
+    (a bool is not one) or, when `infinite`, math.inf."""
+    if not (level is None or isinstance(level, int) and not isinstance(level, bool)
+            and level >= 1 or infinite and level == math.inf):
+        kinds = "an int or math.inf" if infinite else "an int"
+        raise ValueError(f"truncation level must be >= 1 and {kinds}, got {level!r}")
+
+
 def _log_max(values) -> np.ndarray:
     """Integrand of T(r) from `circle_values` output: log max_i |f_i|."""
     return values[0]
@@ -225,8 +234,7 @@ def counting_function(divisor: ZeroDivisor, r: float, truncation: int | None = N
         raise ValueError("radius must be finite and >= 1")
     if r > divisor.radius_of_validity * (1 + 1e-12):
         raise ValueError(f"radius {r} exceeds divisor validity {divisor.radius_of_validity}")
-    if truncation is not None and truncation < 1:
-        raise ValueError("truncation level must be >= 1")
+    _check_truncation(truncation)
     total = 0.0
     for z, k in divisor.entries:
         if truncation is not None:
@@ -647,8 +655,7 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
     """
     eps = _checked_epsilon(epsilon)
     radii = _checked_radii(radii, tol)
-    if truncations is not None and truncations < 1:
-        raise ValueError("truncation level must be >= 1")
+    _check_truncation(truncations, infinite=True)
     if position is None:
         position = check_subgeneral_position(arr)
     if not position.ok:
@@ -660,7 +667,7 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
     if truncations is None:
         trunc_list: list[int | None] = [n if mode == "hyperplane" else None] * q
     else:
-        trunc_list = [None if truncations == math.inf else int(truncations)] * q
+        trunc_list = [None if truncations == math.inf else truncations] * q
 
     # the exponential targets' zeros come from one box-tree walk; the first
     # target in order that vanishes identically or is refused raises

@@ -70,11 +70,13 @@ def _popcounts(q: int) -> np.ndarray:
     return pc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankOracle:
     """Codimension function c: 2^{1..q} -> {0..n+1}, materialized as a table.
 
-    `table[mask]` holds c of the subset encoded by `mask`.  Constructing an
+    `table[mask]` holds c of the subset encoded by `mask`.  The constructor
+    takes any integer sequence and keeps it as one read-only int64 array
+    (an int64 array it is handed becomes that array).  Constructing an
     oracle only checks shape and value range; `validate_rank_oracle` checks
     the combinatorial axioms.
     """
@@ -82,7 +84,7 @@ class RankOracle:
     q: int
     n: int
     N: int
-    table: tuple[int, ...]
+    table: np.ndarray
 
     def __post_init__(self):
         if not 1 <= self.q <= MAX_GROUND_SET:
@@ -91,23 +93,33 @@ class RankOracle:
             raise ValueError("n must be >= 1")
         if self.N < self.n:
             raise ValueError(f"N must be >= n, got N={self.N} < n={self.n}")
-        if len(self.table) != 1 << self.q:
-            raise ValueError(f"table must have 2^{self.q} entries, got {len(self.table)}")
-        table = self.table
-        # one pass in C for the usual all-int table; the loop names the first bad value
-        if not (set(map(type, table)) == {int} and 0 <= min(table) and max(table) <= self.n + 1):
-            for mask, value in enumerate(table):
+        table = np.asarray(self.table)
+        if table.shape != (1 << self.q,):
+            raise ValueError(f"table must have 2^{self.q} entries, got {len(table)}")
+        if np.can_cast(table.dtype, np.int64) and 0 <= table.min() and table.max() <= self.n + 1:
+            table = table.astype(np.int64, copy=False)
+        else:
+            # the loop names the first bad value; an int past int64 that it
+            # passes makes np.array raise OverflowError, never wrap
+            values = table.tolist() if isinstance(self.table, np.ndarray) else self.table
+            for mask, value in enumerate(values):
                 if not isinstance(value, int) or not 0 <= value <= self.n + 1:
                     raise ValueError(f"c{_set_str(mask)} = {value!r} outside 0..{self.n + 1}")
+            table = np.array(values, dtype=np.int64)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    def __eq__(self, other):
+        if not isinstance(other, RankOracle):
+            return NotImplemented
+        return ((self.q, self.n, self.N) == (other.q, other.n, other.N)
+                and np.array_equal(self.table, other.table))
 
     def c_mask(self, mask: int) -> int:
-        return self.table[mask]
+        return int(self.table[mask])
 
     def c(self, subset: Iterable[int]) -> int:
-        return self.table[mask_of(subset, self.q)]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.int64)
+        return self.c_mask(mask_of(subset, self.q))
 
 
 @dataclass(frozen=True)
@@ -152,7 +164,7 @@ def validate_rank_oracle(oracle: RankOracle) -> ValidationReport:
     intermediate independent set of rank c(R).
     """
     q, n, N = oracle.q, oracle.n, oracle.N
-    t = oracle.as_array()
+    t = oracle.table
     pc = _popcounts(q)
     masks = np.arange(1 << q, dtype=np.int64)
     checks: list[AxiomCheck] = []
@@ -288,7 +300,7 @@ def build_filtration(oracle: RankOracle) -> Filtration:
     if q < 2 * N - n + 1:
         raise ValueError(f"need q >= 2N-n+1 = {2 * N - n + 1}, got q = {q}")
 
-    t = oracle.as_array()
+    t = oracle.table
     pc = _popcounts(q)
     masks = np.arange(1 << q, dtype=np.int64)
 
@@ -323,7 +335,7 @@ def _verify_filtration(oracle: RankOracle, chain: list[int],
                        ratios: list[Fraction], theta: Fraction) -> None:
     """Exhaustive post-check of the four chain conditions."""
     q, n, N = oracle.q, oracle.n, oracle.N
-    t = oracle.as_array()
+    t = oracle.table
     pc = _popcounts(q)
     masks = np.arange(1 << q, dtype=np.int64)
     s = len(chain) - 1
@@ -431,13 +443,13 @@ def verify_weight_conditions(oracle: RankOracle, weights: WeightAssignment) -> V
     sums = np.zeros(1 << q, dtype=object)
     for b, wb in enumerate(omega):
         sums[1 << b:2 << b] = sums[:1 << b] + int(wb * denom)
-    caps = np.array(oracle.table, dtype=object) * denom
+    caps = oracle.table.astype(object) * denom
     over = np.nonzero((_popcounts(q) <= N + 1) & (sums > caps))[0]
     w = None
     if over.size:
         mask = int(over[0])
         w = (f"R={_set_str(mask)}: sum = {Fraction(sums[mask], denom)}"
-             f" > c(R) = {oracle.table[mask]}")
+             f" > c(R) = {oracle.c_mask(mask)}")
     checks.append(AxiomCheck("subset-cap", w is None, w))
 
     return ValidationReport(all(c.ok for c in checks), tuple(checks))
@@ -543,7 +555,7 @@ def linear_matroid_oracle(vectors: Sequence[Sequence], N: int) -> RankOracle:
     for b in range(q):
         pairs = table.reshape(-1, 2, 1 << b)
         np.maximum(pairs[:, 0, :], pairs[:, 1, :], out=pairs[:, 1, :])
-    return RankOracle(q, n, N, tuple(table.tolist()))
+    return RankOracle(q, n, N, table)
 
 
 def subset_labels(q: int) -> list[str]:
@@ -562,7 +574,7 @@ def subset_labels(q: int) -> list[str]:
 def format_oracle(oracle: RankOracle) -> str:
     """Interchange text: header `q n N`, then one `subset : c` line per subset,
     in bitmask order."""
-    body = map(" : ".join, zip(subset_labels(oracle.q), map(str, oracle.table)))
+    body = map(" : ".join, zip(subset_labels(oracle.q), map(str, oracle.table.tolist())))
     return f"{oracle.q} {oracle.n} {oracle.N}\n" + "\n".join(body) + "\n"
 
 
@@ -621,6 +633,6 @@ def parse_oracle(text: str) -> RankOracle:
     if count != size:
         raise ParseError(f"expected {size} subset lines, got {count}")
     try:
-        return RankOracle(q, n, N, tuple(table))
+        return RankOracle(q, n, N, table)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

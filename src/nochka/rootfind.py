@@ -103,13 +103,13 @@ def poly_roots_with_multiplicity(p: UnivariatePoly) -> list[tuple[complex, int]]
     return out
 
 
-def winding_numbers(fd: ValueAndDerivative | Sequence[ValueAndDerivative],
+def winding_numbers(fds: Sequence[ValueAndDerivative],
                     gamma: Callable[[np.ndarray, np.ndarray], np.ndarray], m: int, *,
-                    n0: int = 64, owner: np.ndarray | None = None) -> list[int | None]:
+                    owner: np.ndarray, n0: int = 64) -> list[int | None]:
     """Winding numbers of f along the closed contours k = 0..m-1 of gamma(k, t), t in [0, 1).
 
-    `fd(z)` returns (f(z), f'(z)).  With `owner`, `fd` is a sequence of such
-    evaluators and contour k winds around the zeros of fd[owner[k]].  Each
+    `fds[u](z)` returns (f(z), f'(z)), and contour k winds around the zeros
+    of the evaluator fds[owner[k]], which the contour is tagged with.  Each
     contour starts from n0 samples and refines on its own: a segment is
     halved unless the argument and the log-magnitude of f each move by at
     most 0.9 across it and max |f'/f| at its ends times its length is at most
@@ -127,7 +127,7 @@ def winding_numbers(fd: ValueAndDerivative | Sequence[ValueAndDerivative],
     t = np.tile(np.linspace(0.0, 1.0, n0, endpoint=False), m)
     k = np.repeat(ids, n0)
     z = gamma(k, t)
-    f, df = _evaluate(fd, owner, k, z)
+    f, df = _evaluate(fds, owner, k, z)
     for _ in range(WINDING_MAX_PASSES):
         # samples are sorted by (contour, t); nxt closes each contour on itself
         last = np.cumsum(sizes) - 1
@@ -161,7 +161,7 @@ def winding_numbers(fd: ValueAndDerivative | Sequence[ValueAndDerivative],
         mids = ((t[left] + t_next[left]) / 2.0) % 1.0
         k = np.repeat(ids[open_], nbad[open_])
         z_mids = gamma(k, mids)
-        f_mids, df_mids = _evaluate(fd, owner, k, z_mids)
+        f_mids, df_mids = _evaluate(fds, owner, k, z_mids)
         # Each midpoint goes right after its left endpoint, which keeps the
         # samples sorted by t.  A midpoint of the closing segment that rounds
         # to t = 1.0 wraps to 0.0: it repeats its contour's first sample
@@ -187,24 +187,22 @@ def winding_numbers(fd: ValueAndDerivative | Sequence[ValueAndDerivative],
     return counts
 
 
-def _evaluate(fd: ValueAndDerivative | Sequence[ValueAndDerivative], owner: np.ndarray | None,
+def _evaluate(fds: Sequence[ValueAndDerivative], owner: np.ndarray,
               k: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, f') at z, where z[i] belongs to item k[i]: by fd alone when owner
-    is None, else by fd[owner[k[i]]], each evaluator called once on its own
-    points (in order), so every point gets the bits of a one-function call."""
-    if owner is None:
-        return fd(z)
-    if len(fd) == 1:
-        return fd[0](z)
+    """(f, f') at z, where z[i] belongs to item k[i], by fds[owner[k[i]]]:
+    each evaluator is called once on its own points (in order), so every
+    point gets the bits of a one-function call."""
+    if len(fds) == 1:
+        return fds[0](z)
     tags = owner[k]
     order = np.argsort(tags, kind="stable")
-    bounds = np.searchsorted(tags[order], np.arange(len(fd) + 1))
+    bounds = np.searchsorted(tags[order], np.arange(len(fds) + 1))
     f = np.empty(z.shape, dtype=np.complex128)
     df = np.empty(z.shape, dtype=np.complex128)
     for u, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if lo < hi:
             i = order[lo:hi]
-            f[i], df[i] = fd[u](z[i])
+            f[i], df[i] = fds[u](z[i])
     return f, df
 
 
@@ -215,7 +213,8 @@ def winding_number(fd: ValueAndDerivative, gamma: Callable[[np.ndarray], np.ndar
     The rules are those of `winding_numbers`; a contour near a zero raises
     ContourNearZero.
     """
-    [count] = winding_numbers(fd, lambda k, t: gamma(t), 1, n0=n0)
+    [count] = winding_numbers([fd], lambda k, t: gamma(t), 1,
+                              owner=np.zeros(1, dtype=np.intp), n0=n0)
     if count is None:
         raise ContourNearZero
     return count
@@ -505,10 +504,11 @@ def _split(fds, level: np.ndarray, owner: np.ndarray,
             np.array(child_counts, dtype=np.intp)[keep], refused)
 
 
-def _newton(fd, z0: np.ndarray, owner: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _newton(fds: Sequence[ValueAndDerivative], z0: np.ndarray,
+            owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration from every start point; returns (points, strict).
 
-    `fd` and `owner` are as in `winding_numbers`, with owner[j] the function
+    `fds` and `owner` are as in `winding_numbers`, with owner[j] the function
     of start j.  `strict` marks full-tolerance convergence.  Near a multiple
     zero the iteration stalls on evaluation noise, so a point whose final
     step is merely small is still returned (strict=False) for the caller to
@@ -525,7 +525,7 @@ def _newton(fd, z0: np.ndarray, owner: np.ndarray | None = None) -> tuple[np.nda
     for _ in range(NEWTON_ITERATIONS):
         if not active.size:
             break
-        f, d = _evaluate(fd, owner, active, z[active])
+        f, d = _evaluate(fds, owner, active, z[active])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = f / d
         failed = (d == 0) | ~np.isfinite(d) | ~np.isfinite(step)

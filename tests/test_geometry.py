@@ -106,7 +106,7 @@ class TestCodimOracle:
         monkeypatch.setattr(geometry, "ideal_dimension", _forbidden)
         for (arr, pinned), table in zip(cases, expected):
             oracle = codim_oracle(arr)
-            assert oracle.table == table
+            assert oracle.table.tolist() == list(table)
             for subset, c in pinned.items():
                 assert oracle.c(subset) == c
 
@@ -123,7 +123,7 @@ class TestCodimOracle:
 
         monkeypatch.setattr(geometry, "ideal_dimension", counted)
         oracle = codim_oracle(arr)
-        assert oracle.table == expected
+        assert oracle.table.tolist() == list(expected)
         # the conic alone, and the conic on each of the five line subsets of
         # rank 1 ({x0, 2*x0} among them), are one form each; a subset of rank
         # 2 cuts out a point, which the restriction decides with no basis, and
@@ -162,7 +162,7 @@ class TestCodimOracle:
                    for ideal in calls)
         monkeypatch.undo()
         # every subset, the all-line ones included
-        assert oracle.table == groebner_codims(arr, pruned=True)
+        assert oracle.table.tolist() == list(groebner_codims(arr, pruned=True))
 
     def test_lines_on_a_variety_use_groebner(self, monkeypatch):
         # the twisted cubic's three quadrics, restricted to a plane, still
@@ -181,7 +181,7 @@ class TestCodimOracle:
         monkeypatch.setattr(geometry, "linear_matroid_oracle", _forbidden)
         oracle = codim_oracle(arr)
         assert calls
-        assert oracle.table == groebner_codims(arr)
+        assert oracle.table.tolist() == list(groebner_codims(arr))
 
     def test_oracle_on_variety(self):
         conic = parse_polynomial("x0*x2 - x1^2", V3)
@@ -262,7 +262,7 @@ class TestRestrictedOracle:
         "x0 - x1", "x1 - x2", "x2 - x3", "x0 - 2*x3")]))
     @settings(max_examples=40, deadline=None)
     def test_matches_one_groebner_basis_per_subset(self, arr):
-        assert codim_oracle(arr).table == groebner_codims(arr)
+        assert codim_oracle(arr).table.tolist() == list(groebner_codims(arr))
 
 
 def _random_form(rng: random.Random, nvars: int, degree: int) -> Polynomial:
@@ -354,7 +354,16 @@ class TestPositionCheck:
         arr = plane_lines("x1", "x2", "x1 + x2", "x1 + 2*x2", N=3)
         report = check_subgeneral_position(arr)
         assert not report.condition_i.ok
+        assert report.condition_i.witness == "{1,2,3,4} meets V (c = 2)"
         assert not report.ok
+
+    def test_condition_i_witness_is_first_in_mask_order(self):
+        # lines 1, 2, 3, 7 meet at (1 : 0 : 0) and lines 3..6 at (0 : 0 : 1);
+        # {3,4,5,6} (mask 60) comes before {1,2,3,7} (mask 71)
+        arr = plane_lines("x2", "x1 + x2", "x1", "x0", "x0 + x1", "x0 + 2*x1",
+                          "x1 + 2*x2", N=3)
+        report = check_subgeneral_position(arr)
+        assert report.condition_i.witness == "{3,4,5,6} meets V (c = 2)"
 
     def test_pencil_fixture(self):
         report = check_subgeneral_position(pencil_lines_arrangement())

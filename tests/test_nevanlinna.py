@@ -317,6 +317,12 @@ class TestCounting:
         with pytest.raises(ValueError, match="finite and >= 1"):
             counting_function(zero_divisor(up(-2, 1)), r)
 
+    @pytest.mark.parametrize("level", [2.5, True, "3", 0])
+    def test_truncation_must_be_an_int_at_least_one(self, level):
+        div = zero_divisor(up(-2, 1) ** 3 * up(3, 1))
+        with pytest.raises(ValueError, match="truncation level must be >= 1 and an int, got"):
+            counting_function(div, 10, level)
+
     def test_monotone_in_radius_and_truncation(self):
         div = zero_divisor(up(-2, 1) ** 3 * up(3, 1) * up(-5, 1))
         values = [counting_function(div, r) for r in (1.0, 2.0, 4.0, 8.0, 16.0)]
@@ -674,6 +680,12 @@ class TestSMTReport:
         monkeypatch.setattr(nevanlinna, "zero_divisor", refuse)
         with pytest.raises(ValueError, match="truncation level must be >= 1"):
             smt_report(exp_curve(), generate_intro_fixture(1).arrangement, Fraction(1, 2), [2],
+                       truncations=level)
+
+    @pytest.mark.parametrize("level", [2.5, True, "3", -math.inf])
+    def test_truncation_must_be_an_int_or_inf(self, level):
+        with pytest.raises(ValueError, match="an int or math.inf, got"):
+            smt_report(parabola_curve(), pencil_lines_arrangement(), Fraction(1, 2), [10],
                        truncations=level)
 
     def test_caveats_present_for_polynomial_hypersurface_mode(self):

@@ -116,6 +116,36 @@ class TestValidation:
             assert exchange_ok == brute
 
 
+class TestOracleTable:
+    def test_tuple_list_and_int8_array_give_equal_oracles(self):
+        values = [min(mask.bit_count(), 3) for mask in range(1 << 3)]
+        oracles = [RankOracle(3, 2, 2, tuple(values)), RankOracle(3, 2, 2, values),
+                   RankOracle(3, 2, 2, np.array(values, dtype=np.int8))]
+        assert oracles[0] == oracles[1] == oracles[2]
+        assert oracles[0] != RankOracle(3, 2, 3, values)
+        assert all(type(o.c_mask(7)) is int and type(o.c([1, 2])) is int for o in oracles)
+        assert parse_oracle(format_oracle(oracles[2])) == oracles[0]
+
+    @pytest.mark.parametrize("table, message", [
+        ((0, 1, 1.5, 2), "c{2} = 1.5 outside 0..2"),
+        ((0, 1, "3", 2), "c{2} = '3' outside 0..2"),
+        ([0, 1, 1, 3], "c{1,2} = 3 outside 0..2"),
+        (np.array([0, 1, 1, 3]), "c{1,2} = 3 outside 0..2"),
+        ((0, 1, 10**30, 2), f"c{{2}} = {10**30} outside 0..2"),
+        ((0, 1, 1), "table must have 2^2 entries, got 3"),
+    ])
+    def test_bad_tables_keep_their_messages(self, table, message):
+        with pytest.raises(ValueError) as err:
+            RankOracle(2, 1, 1, table)
+        assert str(err.value) == message
+
+    def test_table_is_read_only(self):
+        oracle = free_oracle(3, 2, 2)
+        with pytest.raises((TypeError, ValueError)):
+            oracle.table[0] = 1
+        assert oracle.c_mask(0) == 0
+
+
 class TestRho:
     def test_fixture_value(self, fixture_oracle):
         assert rho(fixture_oracle, [], [1, 2, 3]) == Fraction(1, 3)
@@ -264,7 +294,7 @@ class TestGreedy:
 class TestLinearMatroid:
     def test_standard_basis_free(self):
         oracle = linear_matroid_oracle([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2)
-        assert oracle.table == free_oracle(3, 2, 2).table
+        assert oracle.table.tolist() == free_oracle(3, 2, 2).table.tolist()
 
     def test_collinear_fails_spanning(self):
         oracle = linear_matroid_oracle([(1, 0), (2, 0), (3, 0), (1, 1)], 2)
@@ -334,12 +364,12 @@ class TestLinearMatroidReference:
             for N in sorted({dim - 1, rng.randint(dim - 1, dim + 3), max(q, dim - 1)}):
                 oracle = linear_matroid_oracle(vectors, N)
                 assert (oracle.q, oracle.n, oracle.N) == (q, dim - 1, N)
-                assert oracle.table == _reference_matroid_table(vectors), vectors
+                assert oracle.table.tolist() == list(_reference_matroid_table(vectors)), vectors
 
     def test_twenty_vectors_in_three_dimensions(self):
         vectors = _vector_family(random.Random(20), 20, 3)
         oracle = linear_matroid_oracle(vectors, 19)
-        assert oracle.table == _reference_matroid_table(vectors)
+        assert oracle.table.tolist() == list(_reference_matroid_table(vectors))
         assert set(oracle.table) == {0, 1, 2, 3}
 
     def test_sampled_subsets_match_sympy_rank(self):
@@ -513,7 +543,7 @@ def _reference_validate(oracle: RankOracle) -> ValidationReport:
     """The axiom checks as they were written, one Python pass per pair of
     elements for submodularity and per independent set for exchange."""
     q, n, N = oracle.q, oracle.n, oracle.N
-    t = oracle.as_array()
+    t = oracle.table
     pc = _popcounts(q)
     masks = np.arange(1 << q, dtype=np.int64)
     checks = []
@@ -629,9 +659,9 @@ def _reference_subset_cap(oracle: RankOracle, omega) -> str | None:
     for mask in range(1, 1 << oracle.q):
         low_bit = mask & -mask
         sums[mask] = sums[mask ^ low_bit] + w_int[low_bit.bit_length() - 1]
-        if mask.bit_count() <= oracle.N + 1 and sums[mask] > oracle.table[mask] * denom:
+        if mask.bit_count() <= oracle.N + 1 and sums[mask] > oracle.c_mask(mask) * denom:
             return (f"R={_set_str(mask)}: sum = {Fraction(sums[mask], denom)}"
-                    f" > c(R) = {oracle.table[mask]}")
+                    f" > c(R) = {oracle.c_mask(mask)}")
     return None
 
 

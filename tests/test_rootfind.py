@@ -42,9 +42,9 @@ class TestBatchInvariance:
         fd = fused("exp(3*z) - exp(2*z) - exp(z) + 1")
         starts = np.array([0.1 + 3.0j, 0.05 + 0.02j, 0j, -0.2 - 3.3j, 2.5 + 9.0j,
                            1.0 + 6.0j, -4.0 + 1.0j, 0.3 - 6.4j])
-        z, strict = _newton(fd, starts)
+        z, strict = _newton([fd], starts, np.zeros(starts.size, dtype=np.intp))
         for j in range(starts.size):
-            zj, sj = _newton(fd, starts[j:j + 1])
+            zj, sj = _newton([fd], starts[j:j + 1], np.zeros(1, dtype=np.intp))
             assert zj.tobytes() == z[j:j + 1].tobytes()
             assert sj[0] == strict[j]
         failed = np.isnan(z)
@@ -64,7 +64,8 @@ class TestBatchInvariance:
             return np.where(k < nb, box_gamma(np.minimum(k, nb - 1), t),
                             circle_gamma(np.maximum(k - nb, 0), t))
 
-        batch = winding_numbers(fd, mixed, nb + len(centers))
+        batch = winding_numbers([fd], mixed, nb + len(centers),
+                                owner=np.zeros(nb + len(centers), dtype=np.intp))
         for k, count in enumerate(batch):
             try:
                 alone = winding_number(fd, single(mixed, k))
@@ -204,7 +205,8 @@ def test_winding_numbers_match_lexsort_reference_bit_for_bit(zero, gamma, m, n0)
         return gamma(k, t)
 
     ours, theirs = [], []
-    counts = winding_numbers(recorded(ours), traced, m, n0=n0)
+    counts = winding_numbers([recorded(ours)], traced, m, owner=np.zeros(m, dtype=np.intp),
+                             n0=n0)
     assert counts == lexsort_winding_numbers(recorded(theirs), gamma, m, n0=n0)
     assert [z.tobytes() for z in ours] == [z.tobytes() for z in theirs]
     if n0 == 1024:
