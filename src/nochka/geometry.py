@@ -25,14 +25,14 @@ from fractions import Fraction
 from itertools import compress
 from math import comb, lcm, prod
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ParseError, ResourceBudgetError, VerificationError
-from .linalg import Echelon, primitive
-from .poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension, monomials_of_degree,
-                   mul_packed, next_level, pack_monomial, parse_polynomial, unpack_monomial)
+from .linalg import Echelon, _units, primitive
+from .poly import (DEFAULT_GB_STEPS, Ideal, Monomial, Polynomial, ideal_dimension,
+                   monomials_of_degree, mono_mul, next_level, parse_polynomial)
 from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle, ValidationReport,
                         _popcounts, _set_str, check_costs, linear_matroid_oracle,
                         validate_rank_oracle)
@@ -164,38 +164,31 @@ def _linear_space(parent: Echelon, line: Sequence, lines: Sequence[Sequence],
     return ech, basis
 
 
-def _restrict(p: Polynomial, basis: Sequence[tuple[int, ...]]) -> Polynomial:
+def _restrict(p: Polynomial, basis: Sequence[tuple[int, ...]],
+              powers: dict[int, tuple[list[Monomial], np.ndarray]]) -> Polynomial:
     """p(B t) in the variables t = (t_0, ..., t_{len(B)-1}), where column c of
     B is basis[c], scaled to a content-free integer polynomial; zero when p
     vanishes on the span of B.
 
-    The products are taken on packed integer monomials (`mul_packed`), with
-    the powers of each substituted coordinate built once."""
-    nvars = len(basis)
-    base = p.degree + 1
-    units = [pack_monomial(tuple(int(c == i) for i in range(nvars)), base)
-             for c in range(nvars)]
-    coords = [{units[c]: b[i] for c, b in enumerate(basis) if b[i]}
-              for i in range(p.nvars)]
-    powers: dict[tuple[int, int], dict[int, int]] = {}
-    total: dict[int, int] = {}
-    for mono, coeff in zip(p.terms, primitive(list(p.terms.values()))):
-        term = {0: coeff}
-        for i, e in enumerate(mono):
-            if e:
-                power = powers.get((i, e))
-                if power is None:
-                    power = coords[i]
-                    for _ in range(e - 1):
-                        power = mul_packed(power, coords[i])
-                    powers[i, e] = power
-                term = mul_packed(term, power)
-        for k, c in term.items():
-            total[k] = total.get(k, 0) + c
-    keys = [k for k, c in total.items() if c]
-    coeffs = primitive([total[k] for k in keys]) if keys else ()
-    return Polynomial._clean(nvars, {unpack_monomial(k, base, nvars): Fraction(c)
-                                     for k, c in zip(keys, coeffs)})
+    p(B t) is linear in p: it is the content-free integer coefficients of p
+    times the rows of the degree-deg(p) products of the coordinate forms
+    x_i = sum_c basis[c][i] t_c (`_level_products`), summed in int64 only
+    when the triangle inequality bounds every sum below 2^63.  `powers`
+    keeps those products by degree for the next polynomial restricted to
+    the span of B."""
+    d = p.degree
+    if d not in powers:
+        coords = [[b[i] for b in basis] for i in range(p.nvars)]
+        cols, blocks = _level_products(coords, _units(len(basis)), d)
+        powers[d] = cols, np.concatenate(list(blocks))
+    cols, rows = powers[d]
+    terms = dict(zip(p.terms, primitive(list(p.terms.values()))))
+    coeffs = [terms.get(e, 0) for e in monomials_of_degree(p.nvars, d)]
+    bound = sum(map(abs, coeffs)) * int(np.abs(rows).max(initial=0))
+    total = (_exact(np.array(coeffs, dtype=object), bound) @ _exact(rows, bound)).tolist()
+    keys = [k for k, c in zip(cols, total) if c]
+    return Polynomial._clean(len(basis), dict(zip(keys, map(Fraction, primitive(
+        [c for c in total if c])))))
 
 
 def _value_at(terms: Sequence[tuple[tuple[int, ...], int]], point: Sequence[int]) -> int:
@@ -244,7 +237,9 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
     their coefficient vectors (`Echelon.kernel`, one per hyperplane subset)
     makes t -> B t an isomorphism from projective (M - k)-space onto L.  So
     V cut by R has the projective dimension of the zero set of the variety
-    generators and the other members of R, each restricted to p(B t):
+    generators and the other members of R, each restricted to p(B t) as its
+    coefficients times the degree-d products of B's coordinate forms, built
+    once per hyperplane subset and degree d by the Hilbert level step:
 
     - k = M + 1: L is empty;
     - L is a point b: the point when every generator vanishes at b, decided
@@ -272,6 +267,8 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
     polys = arr.variety_generators + forms
     g = len(arr.variety_generators)
     spaces = {0: (Echelon(), Echelon().kernel(M + 1))}
+    # by hyperplane subset, then by degree, the products of its coordinate forms
+    products: dict[int, dict[int, tuple[list[Monomial], np.ndarray]]] = {}
     restricted: dict[tuple[int, int], Polynomial] = {}
     # the polynomials' integer terms, and by hyperplane subset that cuts out
     # a point, the bitmask of the polynomials vanishing there
@@ -318,7 +315,8 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
             for i in [*range(g), *(g + j for j in range(q) if rest >> j & 1)]:
                 r = restricted.get((hmask, i))
                 if r is None:
-                    r = restricted[hmask, i] = _restrict(polys[i], basis)
+                    r = restricted[hmask, i] = _restrict(polys[i], basis,
+                                                         products.setdefault(hmask, {}))
                 if not r.is_zero:
                     gens.append(r)
             if not gens:
@@ -413,18 +411,11 @@ def _degree_m_vectors(arr: Arrangement,
     product is a positive multiple of the rational one, which leaves every
     rank and every greedy choice made on the rows unchanged, and is
     content-free itself (Gauss's lemma).  The products are built level by
-    level as integer matrices (`_level_rows`).  Level k has one row per
-    non-decreasing index sequence of length k, in `monomials_of_degree(q, k)`
-    order, and one column per monomial of degree k*d that its rows can
-    reach, lexicographically descending; columns are labelled by packed
-    monomials (`pack_monomial`), whose descending order is that order.  The
-    children of a row are (parent, j) for j >= its last index (`next_level`).
-    Modulo a variety, the forms and each level's rows are reduced, and the
-    rows made content-free again, as in a walk that reduces every partial
-    product (`_normal_form_matrix`).  A level is computed in int64 only when
-    the triangle inequality bounds every partial sum on it below 2^63, and
-    in Python ints otherwise.  The top level is built and converted to
-    tuples a block of rows at a time, and its all-zero columns are dropped.
+    level (`_level_products`), in `monomials_of_degree(q, m)` order, over
+    the monomials they reach, lexicographically descending.  Modulo a
+    variety, the forms and each level's rows are reduced, and the rows made
+    content-free again, as in a walk that reduces every partial product.
+    The top level's all-zero columns are dropped.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -433,40 +424,15 @@ def _degree_m_vectors(arr: Arrangement,
     if total > QM_BUDGET:
         raise ResourceBudgetError(f"q_m = {total} exceeds budget {QM_BUDGET}")
     exponents = list(monomials_of_degree(q, m))
-    nvars = arr.M + 1
-    base = m * arr.lcm_degree + 1  # a digit holds any exponent of a degree-md monomial
     forms = arr.normalized_forms()
     ideal = arr.variety_ideal() if arr.variety_generators else None
     if ideal is not None:
         forms = [ideal.normal_form(f) for f in forms]
-    # the multipliers C: one content-free integer row per form over the
-    # monomials U of the forms, which is also level 1
-    monos = sorted({u for f in forms for u in f.terms}, reverse=True)
-    at = {u: i for i, u in enumerate(monos)}
-    rows = [[0] * len(monos) for _ in forms]
-    for row, f in zip(rows, forms):
-        for u, c in zip(f.terms, primitive(list(f.terms.values()))):
-            row[at[u]] = c
-    norm = max(sum(map(abs, row)) for row in rows)
-    C = _exact(np.array(rows, dtype=object).reshape(q, len(monos)), norm)
-    U = [pack_monomial(u, base) for u in monos]
-    P, cols, last = C, U, np.arange(q)
-    for k in range(2, m + 1):
-        parent, last = next_level(last, q)
-        sums = [c + u for c in cols for u in U]
-        shape = (len(cols), len(U))
-        cols = sorted(set(sums), reverse=True)
-        at = {c: i for i, c in enumerate(cols)}
-        shift = np.array([at[s] for s in sums], dtype=np.intp).reshape(shape)
-        width, N, scale = len(cols), None, 1
-        if ideal is not None:
-            N, cols, scale = _normal_form_matrix(cols, ideal, base, nvars)
-        P = _exact(P, max(int(np.abs(P).max(initial=0)), 1) * norm * scale)
-        if k < m:
-            P = _level_rows(P, parent, last, C, shift, width, N)
-    blocks = [C] if m == 1 else (
-        _level_rows(P, parent[i:i + _ROW_CHUNK], last[i:i + _ROW_CHUNK], C, shift, width, N)
-        for i in range(0, len(parent), _ROW_CHUNK))
+    # one content-free integer row per form over the monomials of the forms
+    terms = [dict(zip(f.terms, primitive(list(f.terms.values())))) for f in forms]
+    monos = sorted({u for t in terms for u in t}, reverse=True)
+    rows = [[t.get(u, 0) for u in monos] for t in terms]
+    cols, blocks = _level_products(rows, monos, m, ideal)
     vectors = []
     nonzero = np.zeros(len(cols), dtype=bool)
     for block in blocks:
@@ -476,6 +442,45 @@ def _degree_m_vectors(arr: Arrangement,
         keep = nonzero.tolist()
         vectors = [tuple(compress(v, keep)) for v in vectors]
     return exponents, vectors
+
+
+def _level_products(rows: list[list[int]], monos: list[Monomial], m: int,
+                    ideal: Ideal | None = None) -> tuple[list[Monomial], Iterable[np.ndarray]]:
+    """The degree-m products of the integer forms whose coefficients over
+    the monomials `monos` (descending) are `rows`: the monomials labelling
+    their columns, descending, and their rows, a block of `_ROW_CHUNK` at a
+    time, built as integer matrices level by level.
+
+    Level k has one row per non-decreasing index sequence of length k, in
+    `monomials_of_degree(len(rows), k)` order, and one column per monomial
+    its rows can reach.  The children of a row are (parent, j) for j >= its
+    last index (`next_level`), built by `_level_rows`.  Given an ideal, each
+    level's rows are reduced through `_normal_form_matrix` and made
+    content-free.  A level is computed in int64 only when the triangle
+    inequality bounds every partial sum on it below 2^63, and in Python
+    ints otherwise."""
+    q = len(rows)
+    norm = max(sum(map(abs, row)) for row in rows)
+    C = _exact(np.array(rows, dtype=object).reshape(q, len(monos)), norm)
+    P, cols, last = C, monos, np.arange(q)
+    for k in range(2, m + 1):
+        parent, last = next_level(last, q)
+        sums = [mono_mul(c, u) for c in cols for u in monos]
+        shape = (len(cols), len(monos))
+        cols = sorted(set(sums), reverse=True)
+        at = {c: i for i, c in enumerate(cols)}
+        shift = np.array([at[s] for s in sums], dtype=np.intp).reshape(shape)
+        width, N, scale = len(cols), None, 1
+        if ideal is not None:
+            N, cols, scale = _normal_form_matrix(cols, ideal)
+        P = _exact(P, max(int(np.abs(P).max(initial=0)), 1) * norm * scale)
+        if k < m:
+            P = _level_rows(P, parent, last, C, shift, width, N)
+    if m == 1:
+        return cols, [C]
+    return cols, (
+        _level_rows(P, parent[i:i + _ROW_CHUNK], last[i:i + _ROW_CHUNK], C, shift, width, N)
+        for i in range(0, len(parent), _ROW_CHUNK))
 
 
 def _level_rows(P: np.ndarray, parent: np.ndarray, last: np.ndarray, C: np.ndarray,
@@ -499,23 +504,20 @@ def _level_rows(P: np.ndarray, parent: np.ndarray, last: np.ndarray, C: np.ndarr
     return out
 
 
-def _normal_form_matrix(cols: list[int], ideal: Ideal, base: int,
-                        nvars: int) -> tuple[np.ndarray, list[int], int]:
+def _normal_form_matrix(cols: list[Monomial],
+                        ideal: Ideal) -> tuple[np.ndarray, list[Monomial], int]:
     """The integer matrix whose row i is the normal form modulo the ideal of
-    the packed monomial cols[i], all rows scaled by the lcm of their
-    denominators; the packed standard monomials labelling its columns,
-    descending; and the largest l1 norm of a column.  The normal form is
-    linear, so a row vector over `cols` times the matrix is a positive
-    multiple of the vector's normal form.  A standard monomial, one that no
-    leading monomial of the basis divides, is its own normal form."""
-    powers = [base ** i for i in range(nvars - 1, -1, -1)]
-    digits = (_exact(np.array(cols, dtype=object), powers[0] * base)[:, None]
-              // _exact(np.array(powers, dtype=object), powers[0]) % base)
+    the monomial cols[i], all rows scaled by the lcm of their denominators;
+    the standard monomials labelling its columns, descending; and the
+    largest l1 norm of a column.  The normal form is linear, so a row vector
+    over `cols` times the matrix is a positive multiple of the vector's
+    normal form.  A standard monomial, one that no leading monomial of the
+    basis divides, is its own normal form."""
+    digits = np.array(cols, dtype=np.int64).reshape(len(cols), ideal.nvars)
     leading = np.array([g.leading_term()[0] for g in ideal.groebner()])
     reducible = (digits[:, None, :] >= leading).all(axis=2).any(axis=1).tolist()
-    forms = [{pack_monomial(s, base): c for s, c in
-              ideal.normal_form(Polynomial.monomial(nvars, tuple(b))).terms.items()}
-             if r else {key: 1} for key, b, r in zip(cols, digits.tolist(), reducible)]
+    forms = [ideal.normal_form(Polynomial.monomial(ideal.nvars, b)).terms if r else {b: 1}
+             for b, r in zip(cols, reducible)]
     std = sorted({s for f in forms for s in f}, reverse=True)
     at = {s: i for i, s in enumerate(std)}
     den = lcm(*(c.denominator for f in forms for c in f.values()))

@@ -6,12 +6,10 @@ feeding position checks must never see floating point.  The term order is
 degree-reverse-lexicographic throughout: leading terms, division, Groebner
 bases and printed term order all use `key_degrevlex`.
 
-Integer arithmetic on packed monomials serves the exact callers outside
-this module: `pack_monomial` writes a monomial as one integer, adding keys
-multiplies monomials, and `mul_packed` multiplies integer polynomials keyed
-that way.  `next_level` steps the products of a family of factors from one
-degree to the next in `monomials_of_degree` order; the Hilbert rows and the
-curve lifts are both built with it, one level at a time.
+`next_level` steps the products of a family of factors from one degree to
+the next in `monomials_of_degree` order; the Hilbert rows, the forms
+restricted to a linear space and the curve lifts are all built with it, one
+level at a time.
 """
 
 from __future__ import annotations
@@ -349,42 +347,6 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
         else:
             remainder[m] = c
     return Polynomial._clean(p.nvars, remainder)
-
-
-def pack_monomial(mono: Monomial, base: int) -> int:
-    """The exponents as digits in `base`, x0 the most significant digit.
-
-    When every exponent is below `base`, packing is injective, adding packed
-    keys multiplies monomials, and descending packed order is descending
-    exponent-tuple order.
-    """
-    key = 0
-    for e in mono:
-        key = key * base + e
-    return key
-
-
-def unpack_monomial(key: int, base: int, nvars: int) -> Monomial:
-    digits = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        key, digits[i] = divmod(key, base)
-    return tuple(digits)
-
-
-def mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Product of two packed integer polynomials; every exponent of the
-    product must stay below the packing base.  The product of content-free
-    polynomials is content-free (Gauss's lemma)."""
-    out: dict[int, int] = {}
-    get = out.get
-    right = list(b.items())
-    for ka, ca in a.items():
-        for kb, cb in right:
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-    if 0 in out.values():
-        out = {k: c for k, c in out.items() if c}
-    return out
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

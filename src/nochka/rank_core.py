@@ -63,10 +63,11 @@ def _set_str(mask: int) -> str:
 
 
 def _popcounts(q: int) -> np.ndarray:
-    masks = np.arange(1 << q, dtype=np.int64)
+    """The size of every subset of {1..q}, by mask, built by doubling: a
+    mask with highest bit b holds one element more than the mask less b."""
     pc = np.zeros(1 << q, dtype=np.int64)
     for b in range(q):
-        pc += (masks >> b) & 1
+        pc[1 << b:2 << b] = pc[:1 << b] + 1
     return pc
 
 
@@ -99,12 +100,12 @@ class RankOracle:
         if np.can_cast(table.dtype, np.int64) and 0 <= table.min() and table.max() <= self.n + 1:
             table = table.astype(np.int64, copy=False)
         else:
-            # the loop names the first bad value; an int past int64 that it
-            # passes makes np.array raise OverflowError, never wrap
+            # the loop names the first bad value, one past int64 included
+            top = min(self.n + 1, int(np.iinfo(np.int64).max))
             values = table.tolist() if isinstance(self.table, np.ndarray) else self.table
             for mask, value in enumerate(values):
-                if not isinstance(value, int) or not 0 <= value <= self.n + 1:
-                    raise ValueError(f"c{_set_str(mask)} = {value!r} outside 0..{self.n + 1}")
+                if not isinstance(value, int) or not 0 <= value <= top:
+                    raise ValueError(f"c{_set_str(mask)} = {value!r} outside 0..{top}")
             table = np.array(values, dtype=np.int64)
         table.flags.writeable = False
         object.__setattr__(self, "table", table)

@@ -115,6 +115,16 @@ class TestRankCommands:
         bad.write_text("not an oracle\n")
         assert main(["weights", "--oracle", str(bad)]) == 2
 
+    def test_entry_past_int64_exit_2(self, capsys, tmp_path):
+        # n + 1 = 2^63 admits the entry 2^63, which no int64 table holds
+        path = tmp_path / "wide.oracle"
+        path.write_text("1 9223372036854775807 9223372036854775807\n- : 0\n"
+                        "1 : 9223372036854775808\n")
+        assert main(["validate-rank", "--oracle", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "c{1} = 9223372036854775808 outside 0..9223372036854775807" in captured.err
+
     def test_flag_of_another_subcommand_exit_2(self, capsys, oracle_file):
         assert main(["weights", "--oracle", oracle_file, "--seed", "3"]) == 2
 

@@ -19,8 +19,7 @@ from nochka.geometry import (Arrangement, check_subgeneral_position, codim_oracl
                              parse_arrangement, verify_hilbert_lower_bound)
 from nochka.linalg import Echelon, primitive
 from nochka.poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension,
-                         monomials_of_degree, mul_packed, pack_monomial, parse_polynomial,
-                         unpack_monomial)
+                         monomials_of_degree, parse_polynomial)
 from nochka.rank_core import validate_rank_oracle
 from nochka.univar import UnivariatePoly, poly_gcd_many
 
@@ -265,6 +264,58 @@ class TestRestrictedOracle:
         assert codim_oracle(arr).table.tolist() == list(groebner_codims(arr))
 
 
+def substituted(p: Polynomial, basis: list[tuple[int, ...]]) -> Polynomial:
+    """Reference restriction: p evaluated in `Fraction`s at the `Polynomial`
+    forms x_i = sum_c basis[c][i] t_c, made content-free."""
+    r = len(basis)
+    units = [tuple(int(c == k) for k in range(r)) for c in range(r)]
+    coords = [Polynomial(r, {u: b[i] for u, b in zip(units, basis)}) for i in range(p.nvars)]
+    value = p.evaluate_exact(coords, Polynomial.constant(r, 1))
+    return Polynomial(r, dict(zip(value.terms, primitive(list(value.terms.values())))))
+
+
+@st.composite
+def restrictions(draw) -> tuple[Polynomial, list[tuple[int, ...]]]:
+    """A form of degree 1 to 3 in 3 or 4 variables, and 1 to 4 integer
+    vectors with entries small or up to 2^22 in size."""
+    nvars = draw(st.integers(3, 4))
+    p = _form(draw, nvars, draw(st.integers(1, 3)))
+    entry = st.one_of(COEFF, st.integers(-2 ** 22, 2 ** 22))
+    basis = draw(st.lists(st.tuples(*[entry] * nvars).filter(any), min_size=1, max_size=4))
+    return p, basis
+
+
+# (form, basis, dtype of the products, restriction is zero): p vanishes on
+# the span; the products reach 2^66; the products fit int64 but the sum
+# 2^62 * 2^3 does not
+RESTRICTION_CASES = [
+    (parse_polynomial("x0 - x1", V3), [(1, 1, 0), (2, 2, 5)], np.int64, True),
+    (parse_polynomial("x0^3 - x0*x1*x2 + x2^3", V3),
+     [(2 ** 22, 3, -1), (1, -2 ** 22, 2 ** 21)], object, False),
+    (Polynomial(3, {(3, 0, 0): 2 ** 62, (0, 3, 0): 1}), [(2, 1, 0), (1, 0, 1)], np.int64, False),
+]
+
+
+class TestRestrict:
+    """`_restrict` through the level products against substitution."""
+
+    @given(restrictions())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_substitution(self, case):
+        p, basis = case
+        assert geometry._restrict(p, basis, {}) == substituted(p, basis)
+
+    @pytest.mark.parametrize("p, basis, dtype, zero", RESTRICTION_CASES,
+                             ids=["zero", "products-past-int64", "sums-past-int64"])
+    def test_edge_cases(self, p, basis, dtype, zero):
+        powers = {}
+        restricted = geometry._restrict(p, basis, powers)
+        assert restricted == substituted(p, basis)
+        assert restricted.is_zero == zero
+        assert powers[p.degree][1].dtype == dtype
+        assert geometry._restrict(p, basis, powers) == restricted
+
+
 def _random_form(rng: random.Random, nvars: int, degree: int) -> Polynomial:
     monos = list(monomials_of_degree(nvars, degree))
     coeffs = [rng.randint(-3, 3) for _ in monos]
@@ -416,41 +467,31 @@ def fraction_rows(arr: Arrangement, m: int) -> list[dict]:
 
 def walk_degree_m_vectors(arr: Arrangement, m: int) -> tuple[list, list]:
     """Reference: the product-by-product walk that the level matrices of
-    `_degree_m_vectors` replaced.  Each product is a dict from packed
-    monomial to integer coefficient, built by `mul_packed` from its prefix
-    and reduced modulo the variety (then made content-free) at every step;
-    a level is a list of (product, last form index) pairs, and the children
-    of a pair take every form from its last index on.  The rows are indexed
-    by every monomial some product holds, descending."""
-    base = m * arr.lcm_degree + 1
+    `_degree_m_vectors` replaced.  Each product is a `Polynomial`, the
+    product of its prefix and a form, reduced modulo the variety and made
+    content-free (`primitive`) at every step; a level is a list of
+    (product, last form index) pairs, and the children of a pair take every
+    form from its last index on.  The rows are indexed by every monomial
+    some product holds, descending."""
+    ideal = arr.variety_ideal() if arr.variety_generators else None
 
-    def packed(p: Polynomial) -> dict:
-        return dict(zip((pack_monomial(mono, base) for mono in p.terms),
-                        primitive(list(p.terms.values()))))
+    def step(p: Polynomial) -> Polynomial:
+        if ideal is not None:
+            p = ideal.normal_form(p)
+        return Polynomial(p.nvars, dict(zip(p.terms, primitive(list(p.terms.values())))))
 
-    forms = [packed(f) for f in arr.normalized_forms()]
-    if arr.variety_generators:
-        ideal, nvars = arr.variety_ideal(), arr.M + 1
-
-        def reduce(p: dict) -> dict:
-            unpacked = {unpack_monomial(k, base, nvars): c for k, c in p.items()}
-            return packed(ideal.normal_form(Polynomial(nvars, unpacked)))
-
-        forms = [reduce(f) for f in forms]
-        step = lambda a, b: reduce(mul_packed(a, b))
-    else:
-        step = mul_packed
+    forms = [step(f) for f in arr.normalized_forms()]
     level = [(f, j) for j, f in enumerate(forms)]
     for _ in range(1, m):
-        level = [(step(p, forms[j]), j) for p, last in level for j in range(last, len(forms))]
-    products = [p for p, _ in level]
+        level = [(step(p * forms[j]), j) for p, last in level for j in range(last, len(forms))]
+    products = [p.terms for p, _ in level]
     support = sorted({k for p in products for k in p}, reverse=True)
     index = {k: i for i, k in enumerate(support)}
     vectors = []
     for p in products:
         row = [0] * len(support)
         for k, c in p.items():
-            row[index[k]] = c
+            row[index[k]] = int(c)
         vectors.append(tuple(row))
     return list(monomials_of_degree(arr.q, m)), vectors
 

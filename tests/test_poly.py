@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nochka.errors import ParseError, ResourceBudgetError
-from nochka.linalg import primitive
 from nochka.poly import (Ideal, Polynomial, degree_m_slice_rank, groebner_basis,
                          ideal_dimension, key_degrevlex, mono_divides, monomials_of_degree,
-                         mul_packed, next_level, normal_form, pack_monomial,
-                         parse_polynomial, unpack_monomial)
+                         next_level, normal_form, parse_polynomial)
 from nochka.univar import QQi
 
 V2 = ("x0", "x1")
@@ -368,50 +366,8 @@ class TestPolyCoreProperties:
         assert {frozenset(g.terms.items()) for g in gb} == {from_sympy(e) for e in expected.exprs}
 
 
-def unpack_terms(packed: dict, base: int, nvars: int) -> dict:
-    return {unpack_monomial(k, base, nvars): c for k, c in packed.items()}
-
-
-def pack_primitive(p: Polynomial, base: int) -> dict:
-    """The content-free integer multiple of p, keyed by packed monomial."""
-    return dict(zip((pack_monomial(m, base) for m in p.terms),
-                    primitive(list(p.terms.values()))))
-
-
-def positive_ratio(scaled: dict, reference: Polynomial) -> Fraction | None:
-    """r > 0 when `scaled` holds r times the terms of `reference`, else None."""
-    if scaled.keys() != reference.terms.keys():
-        return None
-    ratios = {Fraction(c) / reference.terms[m] for m, c in scaled.items()}
-    if len(ratios) > 1:
-        return None
-    r = ratios.pop() if ratios else Fraction(1)
-    return r if r > 0 else None
-
-
 class TestPackedIntegerKernels:
-    """The integer product kernels against `Polynomial` arithmetic in `Fraction`s."""
-
-    @given(st.integers(1, 4), st.integers(0, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_packed_order_is_descending_tuple_order(self, nvars, top):
-        monos = [m for d in range(top + 1) for m in monomials_of_degree(nvars, d)]
-        base = top + 1
-        assert (sorted(monos, key=lambda m: pack_monomial(m, base), reverse=True)
-                == sorted(monos, reverse=True))
-        assert [unpack_monomial(pack_monomial(m, base), base, nvars) for m in monos] == monos
-
-    @given(poly_families(2, max_terms=5, max_degree=4))
-    @settings(max_examples=150, deadline=None)
-    def test_packed_product_is_a_positive_multiple(self, family):
-        a, b = family
-        if a.is_zero or b.is_zero:
-            return
-        base = a.degree + b.degree + 1
-        product = mul_packed(pack_primitive(a, base), pack_primitive(b, base))
-        assert positive_ratio(unpack_terms(product, base, a.nvars), a * b) is not None
-        assert gcd(*product.values()) == 1  # Gauss's lemma
-        assert 0 not in product.values()
+    """The level step that lays out integer products of factors."""
 
     @given(st.integers(1, 4), st.integers(1, 4))
     def test_next_level_order_is_monomial_order(self, q, degree):

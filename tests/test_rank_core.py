@@ -139,6 +139,12 @@ class TestOracleTable:
             RankOracle(2, 1, 1, table)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("q", [1, 5, 12])
+    def test_popcounts_are_bit_counts(self, q):
+        pc = _popcounts(q)
+        assert pc.dtype == np.int64
+        assert pc.tolist() == [mask.bit_count() for mask in range(1 << q)]
+
     def test_table_is_read_only(self):
         oracle = free_oracle(3, 2, 2)
         with pytest.raises((TypeError, ValueError)):
