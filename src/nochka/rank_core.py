@@ -206,7 +206,7 @@ def validate_rank_oracle(oracle: RankOracle) -> ValidationReport:
     add("unit-increment", None if hit is None else
         f"c{_set_str(hit[1] | 1 << hit[0])} - c{_set_str(hit[1])} = {int(inc[hit])}")
 
-    bad = np.nonzero(t > np.minimum(pc, n + 1))[0]
+    bad = np.nonzero(t > np.minimum(pc, min(n + 1, q)))[0]  # pc <= q: n + 1 may pass int64
     capped_w = None
     if bad.size:
         m = int(bad[0])
@@ -580,10 +580,73 @@ def format_oracle(oracle: RankOracle) -> str:
 
 
 def parse_oracle(text: str) -> RankOracle:
-    """Read the interchange text; subset lines may come in any order and
-    spacing, one line at a time.  A label equal to the next one
-    `format_oracle` writes gets that mask directly; any other is looked up
-    among all the labels, and one not found there is parsed as indices."""
+    """Read the interchange text.  Text laid out exactly as `format_oracle`
+    writes it, with every value one digit, is read as one byte array; any
+    other layout, and every error, goes to the per-line reader.  Both read
+    the one list of labels."""
+    labels = None
+    header = _exact_header(text)
+    if header is not None:
+        labels = subset_labels(header[0])
+        oracle = _read_canonical(text, labels)
+        if oracle is not None:
+            return oracle
+    return _read_lines(text, labels)
+
+
+def _exact_header(text: str) -> tuple[int, int, int] | None:
+    """(q, n, N) when the first line of text is the header `format_oracle`
+    writes, with q in 1..MAX_GROUND_SET, and a newline ends it; else None."""
+    head, newline, _ = text.partition("\n")
+    try:
+        q, n, N = map(int, head.split(" "))
+    except ValueError:
+        return None
+    if not newline or head != f"{q} {n} {N}" or not 1 <= q <= MAX_GROUND_SET:
+        return None
+    return q, n, N
+
+
+def _read_canonical(text: str, labels: list[str]) -> RankOracle | None:
+    """The oracle of text written byte for byte as `format_oracle` writes it,
+    with every value one digit, read as one array; None for any other text.
+
+    `labels` is `subset_labels(q)` for the header's q.  After the header the
+    text must be the canonical body, the lines `label : 0` in mask order,
+    but for a digit in place of each `0`.  The only error raised is the
+    constructor's, as the per-line reader raises it.
+    """
+    header = _exact_header(text)
+    if header is None or not text.isascii():
+        return None
+    q, n, N = header
+    canon = bytearray("".join([f"{q} {n} {N}\n", " : 0\n".join(labels), " : 0\n"]), "ascii")
+    if len(text) != len(canon):
+        return None
+    raw = text.encode("ascii")
+    skeleton = np.frombuffer(canon, dtype=np.uint8)
+    # line m is `labels[m] : 0\n`, so its value is the byte before its newline;
+    # the first newline ends the header
+    at = np.flatnonzero(skeleton == ord("\n"))[1:] - 1
+    values = np.frombuffer(raw, dtype=np.uint8)[at]
+    digits = values - ord("0")  # uint8: a byte below `0` wraps past 9
+    if not (digits <= 9).all():
+        return None
+    skeleton[at] = values  # the text's digits in place of the zeros
+    if canon != raw:
+        return None
+    try:
+        return RankOracle(q, n, N, digits.astype(np.int64))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _read_lines(text: str, labels: list[str] | None) -> RankOracle:
+    """Read the interchange text one line at a time; subset lines may come in
+    any order and spacing.  A label equal to the next one `format_oracle`
+    writes gets that mask directly; any other is looked up among all the
+    labels, and one not found there is parsed as indices.  `labels` is
+    `subset_labels(q)` when the caller built it already."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty oracle file")
@@ -597,7 +660,8 @@ def parse_oracle(text: str) -> RankOracle:
     if not 1 <= q <= MAX_GROUND_SET:
         raise ParseError(f"q out of range 1..{MAX_GROUND_SET}", line=1)
     size = 1 << q
-    labels = subset_labels(q)
+    if labels is None:
+        labels = subset_labels(q)
     masks: dict[str, int] | None = None  # built at the first label out of order
     table: list[int | None] = [None] * size
     count = 0

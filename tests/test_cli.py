@@ -13,7 +13,8 @@ import nochka
 from nochka.cli import build_parser, main
 from nochka.fixtures import pencil_lines_arrangement, three_point_arrangement
 from nochka.geometry import format_arrangement, parse_arrangement
-from nochka.rank_core import format_oracle, linear_matroid_oracle
+from nochka.rank_core import (_read_canonical, format_oracle, linear_matroid_oracle,
+                              subset_labels)
 
 FIXTURE_VECTORS = [(1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1),
                    (1, 1, 1), (1, 2, 3)]
@@ -24,6 +25,13 @@ def oracle_file(tmp_path):
     path = tmp_path / "fixture7.oracle"
     path.write_text(format_oracle(linear_matroid_oracle(FIXTURE_VECTORS, 4)))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def intro_oracle_text():
+    from nochka.fixtures import generate_intro_fixture
+    from nochka.geometry import codim_oracle
+    return format_oracle(codim_oracle(generate_intro_fixture(1).arrangement))
 
 
 @pytest.fixture()
@@ -124,6 +132,41 @@ class TestRankCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "c{1} = 9223372036854775808 outside 0..9223372036854775807" in captured.err
+
+    def test_n_plus_one_past_int64(self, capsys, tmp_path):
+        # n + 1 = 2^63 is no int64, but the cap min(#S, n + 1) never passes q
+        path = tmp_path / "wide.oracle"
+        path.write_text("1 9223372036854775807 9223372036854775807\n- : 0\n1 : 1\n")
+        code, payload = run_json(capsys, ["validate-rank", "--oracle", str(path)])
+        assert code == 0 and payload["ok"]
+        assert [check["ok"] for check in payload["checks"]] == [True] * 8
+        assert main(["weights", "--oracle", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid input: need q >= 2N-n+1 = 9223372036854775808,"
+                                " got q = 1\n")
+
+    def test_layouts_of_one_oracle_print_the_same(self, capsys, tmp_path, intro_oracle_text):
+        # the canonical file and its CRLF copy (read_text turns CRLF into LF)
+        # take the canonical read, the reversed copy the per-line reader
+        header, *body = intro_oracle_text.splitlines()
+        layouts = {"canonical": intro_oracle_text,
+                   "reversed": "\n".join([header, *body[::-1]]) + "\n",
+                   "crlf": intro_oracle_text.replace("\n", "\r\n")}
+        paths = []
+        for name, text in layouts.items():
+            paths.append(tmp_path / f"{name}.oracle")
+            paths[-1].write_bytes(text.encode("ascii"))
+        labels = subset_labels(12)
+        assert [_read_canonical(path.read_text(), labels) is not None
+                for path in paths] == [True, False, True]
+        for extra in (["validate-rank"], ["weights"],
+                      ["greedy", "--subset", "1,2,3,4", "--costs", "4,3,2,1,0,0,0,0,0,0,0,0"]):
+            outs = []
+            for path in paths:
+                code = main([extra[0], "--oracle", str(path), *extra[1:]])
+                outs.append((code, capsys.readouterr().out))
+            assert outs[0][0] == 0 and outs[1:] == [outs[0]] * 2, extra[0]
 
     def test_flag_of_another_subcommand_exit_2(self, capsys, oracle_file):
         assert main(["weights", "--oracle", oracle_file, "--seed", "3"]) == 2

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nochka import rank_core
 from nochka.errors import ParseError, VerificationError
 from nochka.linalg import Echelon, primitive
 from nochka.rank_core import (AXIOM_NAMES, AxiomCheck, Filtration, RankOracle,
-                              ValidationReport, WeightAssignment, _popcounts, _set_str,
-                              build_filtration, format_oracle, greedy_select, indices_of,
-                              linear_matroid_oracle, mask_of, nochka_weights, parse_oracle,
-                              rho, subset_labels, validate_rank_oracle,
-                              verify_weight_conditions)
+                              ValidationReport, WeightAssignment, _popcounts,
+                              _read_canonical, _set_str, build_filtration, format_oracle,
+                              greedy_select, indices_of, linear_matroid_oracle, mask_of,
+                              nochka_weights, parse_oracle, rho, subset_labels,
+                              validate_rank_oracle, verify_weight_conditions)
 
 FIXTURE_VECTORS = [(1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1),
                    (1, 1, 1), (1, 2, 3)]
@@ -434,9 +435,9 @@ def _reference_format(oracle: RankOracle) -> str:
 
 
 @st.composite
-def random_tables(draw) -> RankOracle:
+def random_tables(draw, ns=st.one_of(st.integers(1, 4), st.just(150))) -> RankOracle:
     q = draw(st.integers(1, 8))
-    n = draw(st.one_of(st.integers(1, 4), st.just(150)))  # c = 151 is past int8
+    n = draw(ns)  # n = 150: c = 151 is past int8
     N = draw(st.integers(n, n + 3))
     table = draw(st.lists(st.integers(0, n + 1), min_size=1 << q, max_size=1 << q))
     return RankOracle(q, n, N, tuple(table))
@@ -451,9 +452,9 @@ def _with_line(i: int, line: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# every malformed text with its message and line number, as the one
-# per-line reader reports them, whether the lines before the bad one come
-# in `format_oracle`'s order or not
+# every malformed text with its message and line number, as `parse_oracle`
+# reports them, whether the lines before the bad one come in
+# `format_oracle`'s order or not
 MALFORMED = [
     ("", "empty oracle file", None),
     ("\n", "header must be `q n N`", 1),
@@ -475,9 +476,25 @@ MALFORMED = [
     (_with_line(1, "- :"), "bad c-value ''", 2),
     (_with_line(1, "-"), "expected `subset : c-value`", 2),
     (format_oracle(SMALL) + "1 : 1\n", "duplicate subset 1", 10),
-    (_with_line(8, "1,2,3 : 4"), "c{1,2,3} = 4 outside 0..2", None),
     (_with_line(8, "1,2,3 : -1"), "c{1,2,3} = -1 outside 0..2", None),
 ]
+
+# malformed texts in `format_oracle`'s exact layout with one-digit values:
+# the canonical read reaches them, and only the constructor refuses them
+CANONICAL_MALFORMED = [
+    (_with_line(8, "1,2,3 : 4"), "c{1,2,3} = 4 outside 0..2", None),
+    (_with_line(1, "- : 3"), "c{} = 3 outside 0..2", None),
+    (_with_line(0, "3 1 0"), "N must be >= n, got N=0 < n=1", None),
+]
+MALFORMED += CANONICAL_MALFORMED
+
+
+def _canonical_read(text: str) -> RankOracle | None:
+    """`_read_canonical` handed the labels of the q its header declares,
+    or of q = 1 when that q is no ground set size."""
+    fields = text.split("\n", 1)[0].split()
+    q = int(fields[0]) if fields and fields[0].isdigit() else 0
+    return _read_canonical(text, subset_labels(q if 1 <= q <= 20 else 1))
 
 
 class TestCanonicalOracleText:
@@ -509,6 +526,37 @@ class TestCanonicalOracleText:
         assert parse_oracle("\n".join([header, *padded])) == oracle
         blanks = [header, ""] + [x for line in body for x in (line, "")]
         assert parse_oracle("\n".join(blanks)) == oracle
+        first_label, _, first_value = body[0].partition(" : ")
+        arabic = first_value.translate({ord("0") + d: chr(0x660 + d) for d in range(10)})
+        variants = [
+            "\r\n".join([header, *body]) + "\r\n",
+            "\n".join([header, *body]) + "\n\n",
+            "\n".join([header, f"{first_label} : 0{first_value}", *body[1:]]) + "\n",
+            "\n".join([header.replace(" ", "  ", 1), *body]) + "\n",
+            "\n".join([header, f"{first_label} : {arabic}", *body[1:]]) + "\n",
+        ]
+        for text in variants:
+            assert _canonical_read(text) is None
+            assert parse_oracle(text) == oracle
+
+    @given(random_tables(st.integers(1, 8)))
+    @settings(max_examples=60, deadline=None)
+    def test_one_digit_tables_take_the_canonical_read(self, oracle):
+        assert _canonical_read(format_oracle(oracle)) == oracle
+
+    def test_parse_oracle_reads_canonical_text_without_the_per_line_reader(self, monkeypatch):
+        def per_line(text, labels):
+            raise AssertionError("canonical text reached the per-line reader")
+        monkeypatch.setattr(rank_core, "_read_lines", per_line)
+        assert parse_oracle(format_oracle(SMALL)) == SMALL
+
+    @given(random_tables(st.just(150)))
+    @settings(max_examples=30, deadline=None)
+    def test_multi_digit_tables_take_the_per_line_reader(self, oracle):
+        assume(oracle.table.max() > 9)
+        text = format_oracle(oracle)
+        assert _canonical_read(text) is None
+        assert parse_oracle(text) == oracle
 
     @given(random_tables(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -543,6 +591,15 @@ class TestCanonicalOracleText:
         assert err.value.line == line
         suffix = "" if line is None else f" (line {line})"
         assert str(err.value) == message + suffix
+
+    @pytest.mark.parametrize("text, message, line", MALFORMED)
+    def test_canonical_read_raises_only_the_constructor_error(self, text, message, line):
+        if (text, message, line) in CANONICAL_MALFORMED:
+            with pytest.raises(ParseError) as err:
+                _canonical_read(text)
+            assert (str(err.value), err.value.line) == (message, None)
+        else:
+            assert _canonical_read(text) is None
 
 
 def _reference_validate(oracle: RankOracle) -> ValidationReport:
