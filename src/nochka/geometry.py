@@ -11,11 +11,15 @@ kernel, then t -> B t is a linear isomorphism from projective (M - k)-space
 onto the linear space L they cut out.  It maps the zero set of the other
 polynomials restricted to p(B t) onto V cut by R, so both have the same
 projective dimension, and only the restricted ideal, in M + 1 - k
-variables, needs a Groebner basis.  None is needed when L is empty or
-inside every other zero set, when one restricted polynomial is left, when
-L is a point (each generator is evaluated there in integers), or when L is
-a line (one rank of the degree-(2d - 1) multiples of the binary forms
-decides it).
+variables, can need a Groebner basis.  None is needed when L is empty or
+inside every other zero set, or when L is a point (each generator is
+evaluated there in integers).  Otherwise exact ranks certify the dimension
+of the restricted zero set where they can: the projective dimension theorem
+bounds it from below, and a linear section of the right dimension that
+misses it bounds it from above, where Macaulay's theorem decides by one
+rank whether forms in at most 3 variables have a common zero.  That settles
+one restricted polynomial, any forms on a line or in a plane, and up to
+three forms in any space, unless the probe section meets the zero set.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from math import comb, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -94,12 +98,13 @@ class Arrangement:
             if p.is_zero or not p.is_homogeneous or p.degree < 1:
                 raise ValueError(f"hypersurface {name} must be homogeneous of degree >= 1")
         if not self.variety_generators:
+            # V is the whole space, which no nonzero form contains
             if self.n != self.M or self.deg_v != 1:
                 raise ValueError("with no variety generators, V is the whole space: n = M, degV = 1")
-        else:
-            dim = ideal_dimension(self.variety_ideal())
-            if dim != self.n:
-                raise ValueError(f"declared n = {self.n} but the variety ideal has dimension {dim}")
+            return
+        dim = ideal_dimension(self.variety_ideal())
+        if dim != self.n:
+            raise ValueError(f"declared n = {self.n} but the variety ideal has dimension {dim}")
         for name, p in self.hypersurfaces:
             if self.variety_ideal().normal_form(p).is_zero:
                 raise ValueError(f"hypersurface {name} contains the variety")
@@ -196,33 +201,88 @@ def _value_at(terms: Sequence[tuple[tuple[int, ...], int]], point: Sequence[int]
     return sum(c * prod(map(pow, point, mono)) for mono, c in terms)
 
 
-def _forms_dimension(gens: Sequence[Polynomial], nvars: int, gb_steps: int) -> int:
-    """Projective dimension of the common zero set of nonzero forms of
-    positive degree in nvars >= 2 variables.
+def _no_common_zero(gens: Sequence[Polynomial], nvars: int) -> bool:
+    """Whether nonzero forms of positive degree at most d in nvars variables
+    have no common zero in projective (nvars - 1)-space.
 
-    One form cuts a hypersurface, of dimension nvars - 2.  Binary forms of
-    degree at most d with no common zero in P^1 generate every form of
-    degree 2d - 1: their degree-d multiples have no base point, so two
-    general members are coprime, and for two coprime forms of degree d
-    Sylvester's map onto degree 2d - 1 is a bijection.  Forms with a common
-    zero generate none that misses it.  So they meet in a point exactly when
-    one rank, that of their degree-(2d - 1) monomial multiples, is below 2d.
-    Other ideals take a Groebner basis under `gb_steps`."""
-    if len(gens) == 1:
-        return nvars - 2
-    if nvars == 2:
-        width = 2 * max(g.degree for g in gens)
-        ech = Echelon()
-        for g in gens:
-            # coefficients by the exponent of t0, shifted by each multiplier t0^a t1^b
-            coeffs = [0] * (g.degree + 1)
-            for (e0, _), c in zip(g.terms, primitive(list(g.terms.values()))):
-                coeffs[e0] = c
-            for a in range(width - g.degree):
-                ech.insert([0] * a + coeffs + [0] * (width - g.degree - 1 - a))
-                if ech.rank == width:
-                    return -1
-        return 0
+    Macaulay's theorem decides it by one rank: they have none exactly when
+    their monomial multiples of degree D = nvars (d - 1) + 1 span every form
+    of degree D.  If they have none, neither have their multiples of degree
+    d, so nvars general combinations of those multiples are a regular
+    sequence of forms of degree d, whose ideal holds every form of degree
+    past nvars (d - 1).  A common zero p is a zero of every multiple, but
+    not of the power x_i^D of a coordinate with p_i != 0.  Binary forms
+    (nvars = 2) take degree 2d - 1."""
+    degrees = [g.degree for g in gens]
+    D = nvars * (max(degrees) - 1) + 1
+    at = {u: i for i, u in enumerate(monomials_of_degree(nvars, D))}
+    width = len(at)
+    if sum(comb(D - d + nvars - 1, nvars - 1) for d in degrees) < width:
+        return False  # too few multiples to span
+    # the multiples by their first column, the multiplier times the form's
+    # largest monomial, so the rows come in echelon-like order, in which the
+    # elimination keeps its integers small
+    multiples = []
+    for g, d in zip(gens, degrees):
+        terms = list(zip(g.terms, primitive(list(g.terms.values()))))
+        lead = max(g.terms)
+        multiples.extend((at[mono_mul(a, lead)], a, terms)
+                         for a in monomials_of_degree(nvars, D - d))
+    multiples.sort(key=itemgetter(0))
+    ech = Echelon()
+    for _, a, terms in multiples:
+        row = [0] * width
+        for u, c in terms:
+            row[at[mono_mul(a, u)]] = c
+        if ech.insert(row) and ech.rank == width:
+            return True
+    return False
+
+
+def _probe(nvars: int, c: int) -> list[tuple[int, ...]]:
+    """c + 1 points (1, t, t^2, ..., t^(nvars - 1)) of the moment curve, for
+    t = 3, 5, ..., 2c + 3: independent (their Vandermonde minor is nonzero),
+    so they span a linear space of projective dimension c.  Small t would
+    put the probe on the small integer points that hand-made forms favour."""
+    return [tuple(t ** i for i in range(nvars)) for t in range(3, 2 * c + 4, 2)]
+
+
+def _forms_dimension(gens: Sequence[Polynomial], nvars: int, gb_steps: int,
+                     probes: dict[tuple[int, int], dict]) -> int:
+    """Projective dimension of the common zero set Z of s nonzero forms of
+    positive degree in nvars >= 2 variables, in P^k with k = nvars - 1.
+
+    Z is a proper subset of P^k, so dim Z <= k - 1.  By the projective
+    dimension theorem each form cuts a dimension by at most 1, so
+    dim Z >= k - s when s <= k; when s > k and nvars <= 3, one Macaulay rank
+    (`_no_common_zero`) says whether Z is empty (-1) or not (>= 0).  Where
+    this lower bound differs from k - 1, a linear space of dimension
+    c = k - 1 - lower <= 2, spanned by the points `_probe(nvars, c)`, that
+    misses Z forces dim Z <= k - 1 - c, since it would meet any subset of
+    P^k of dimension k - c or more; the forms restricted to it (`_restrict`,
+    with the products kept in `probes` by (nvars, c)) missing each other is
+    one more Macaulay rank in c + 1 variables.  That proves dim Z = lower.
+    A probe space that meets Z, and an emptiness question in more than 3
+    variables, take a Groebner basis under `gb_steps`."""
+    k, s = nvars - 1, len(gens)
+    if s <= k:
+        lower = k - s
+    elif nvars > 3:
+        lower = None
+    elif _no_common_zero(gens, nvars):
+        return -1
+    else:
+        lower = 0
+    if lower is not None:
+        c = k - 1 - lower
+        if c == 0:
+            return lower
+        if c <= 2:
+            basis = _probe(nvars, c)
+            powers = probes.setdefault((nvars, c), {})
+            section = [r for r in (_restrict(g, basis, powers) for g in gens) if not r.is_zero]
+            if section and _no_common_zero(section, c + 1):
+                return lower
     return ideal_dimension(Ideal(gens, nvars=nvars, max_steps=gb_steps))
 
 
@@ -246,15 +306,22 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
       by evaluating each there in integers with no restriction, and empty
       otherwise;
     - no restricted generator is left nonzero: V contains L, dim = M - k;
-    - one restricted generator left: a hypersurface of L, dim = M - k - 1;
-    - L is a line: binary forms, decided by one rank of their
-      degree-(2d - 1) monomial multiples (`_forms_dimension`);
-    - otherwise the Groebner dimension of the restricted ideal in M + 1 - k
-      variables, under the arrangement's step budget.
+    - otherwise the restricted forms go to `_forms_dimension`, which
+      certifies their dimension by exact ranks: one form cuts a hypersurface
+      of L, dim = M - k - 1; on a line, or for three or more forms on a
+      plane, one Macaulay rank decides whether they meet; a lower bound
+      below M - k - 1 is proved by a probe section of L of dimension at most
+      2 that misses their zero set, by one more Macaulay rank;
+    - only a probe section that meets the zero set, or an emptiness
+      question in more than 3 variables, takes the Groebner dimension of
+      the restricted ideal under the arrangement's step budget.
 
-    No Groebner run sees a hyperplane.  Subsets are filled in mask order
-    with monotone pruning: supersets of a spanning subset are spanning, and
-    every immediate subset of a mask is a smaller mask, filled before it.
+    No Groebner run sees a hyperplane, and none sees a plane unless a probe
+    line meets the zero set.  The products of the probe spaces' coordinate
+    forms are kept for the call, like those of the hyperplane subsets.
+    Subsets are filled in mask order with monotone pruning: supersets of a
+    spanning subset are spanning, and every immediate subset of a mask is a
+    smaller mask, filled before it.
     """
     q, n, M = arr.q, arr.n, arr.M
     forms = arr.forms
@@ -270,6 +337,8 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
     # by hyperplane subset, then by degree, the products of its coordinate forms
     products: dict[int, dict[int, tuple[list[Monomial], np.ndarray]]] = {}
     restricted: dict[tuple[int, int], Polynomial] = {}
+    # by (variables, dimension), the products of a probe space's coordinate forms
+    probes: dict[tuple[int, int], dict[int, tuple[list[Monomial], np.ndarray]]] = {}
     # the polynomials' integer terms, and by hyperplane subset that cuts out
     # a point, the bitmask of the polynomials vanishing there
     int_terms = [list(zip(p.terms, primitive(list(p.terms.values())))) for p in polys]
@@ -322,7 +391,7 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
             if not gens:
                 dim = M - ech.rank
             else:
-                dim = _forms_dimension(gens, len(basis), arr.gb_steps)
+                dim = _forms_dimension(gens, len(basis), arr.gb_steps, probes)
         c = n - dim
         if not 0 <= c <= n + 1:
             raise VerificationError(

@@ -236,14 +236,30 @@ class TestGeometryCommands:
         assert main(argv) == 0
 
     def test_oracle_budget_bounds_the_restricted_runs(self, capsys, tmp_path):
-        # the restricted ideals of conic pairs still need S-pairs
+        # on the twisted cubic the quadric H1 alone, with no hyperplane to
+        # restrict to, is an emptiness question in 4 variables: it needs 3
+        # S-pair steps, and the variety's own basis, built on parsing, 2
+        text = ("[space] M=3 n=1 degV=3 N=2\n[vars] x0 x1 x2 x3\n[variety]\n"
+                "-x1^2 + x0*x2\n-x2^2 + x1*x3\n-x1*x2 + x0*x3\n[hypersurfaces]\n"
+                "H0 : 1/2*x0 - 3*x2\nH1 : -2/3*x1*x2 + x3^2\nH2 : x0 + x1 + x3\n")
+        path = tmp_path / "twisted-cubic.arrangement"
+        path.write_text(text)
+        parse_arrangement(text, gb_steps=2)
+        argv = ["oracle-dump", "--arr", str(path), "--out", str(tmp_path / "cubic.oracle")]
+        for budget in ("0", "2"):
+            assert main(argv + ["--budget-gb-steps", budget]) == 3
+            assert f"Groebner step budget {budget} exceeded" in capsys.readouterr().err
+        assert main(argv + ["--budget-gb-steps", "3"]) == 0
+
+    def test_intro_oracle_needs_no_groebner_step(self, capsys, tmp_path, intro_oracle_text):
         from nochka.fixtures import generate_intro_fixture
         path = tmp_path / "intro-1.arrangement"
         path.write_text(format_arrangement(generate_intro_fixture(1).arrangement))
-        argv = ["oracle-dump", "--arr", str(path)]
-        assert main(argv + ["--budget-gb-steps", "0"]) == 3
-        assert "Groebner step budget 0 exceeded" in capsys.readouterr().err
-        assert main(argv) == 0
+        argv = ["oracle-dump", "--arr", str(path), "--out"]
+        assert main(argv + [str(tmp_path / "zero.oracle"), "--budget-gb-steps", "0"]) == 0
+        assert main(argv + [str(tmp_path / "default.oracle")]) == 0
+        zero = (tmp_path / "zero.oracle").read_text()
+        assert zero == (tmp_path / "default.oracle").read_text() == intro_oracle_text
 
     @pytest.mark.parametrize("m", ["0", "-1"])
     @pytest.mark.parametrize("extra", [["hilbert"], ["hilbert-weight", "--c", "1,0,0,0,0,0,0,0,0"]],

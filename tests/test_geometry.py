@@ -155,20 +155,21 @@ class TestCodimOracle:
         oracle = codim_oracle(arr)
         # 169 when each subset with a conic ran on all M+1 variables, 298
         # before all-line subsets took exact ranks, 61 before one restricted
-        # form and binary forms were decided without a basis
-        assert len(calls) == 4
-        assert all(ideal.nvars < arr.M + 1 or all(g.degree > 1 for g in ideal.generators)
-                   for ideal in calls)
+        # form and binary forms were decided without a basis, 4 (the conic
+        # pairs and triple) before plane forms were certified by a probe line
+        assert calls == []
         monkeypatch.undo()
         # every subset, the all-line ones included
         assert oracle.table.tolist() == list(groebner_codims(arr, pruned=True))
 
     def test_lines_on_a_variety_use_groebner(self, monkeypatch):
-        # the twisted cubic's three quadrics, restricted to a plane, still
-        # need a basis
+        # the twisted cubic's three quadrics restricted to a plane are
+        # certified by ranks; with the quadric H5 and no hyperplane, four
+        # forms in 3-space still need a basis
         cubic = tuple(parse_polynomial(t, V4) for t in TWISTED_CUBIC)
         hyps = tuple((f"H{i}", parse_polynomial(t, V4))
-                     for i, t in enumerate(("x0", "x3", "x1 + x2", "x1"), 1))
+                     for i, t in enumerate(("x0", "x3", "x1 + x2", "x1",
+                                            "-2/3*x1*x2 + x3^2"), 1))
         arr = Arrangement(3, 1, 3, 3, cubic, hyps, V4)
         calls = []
 
@@ -180,7 +181,19 @@ class TestCodimOracle:
         monkeypatch.setattr(geometry, "linear_matroid_oracle", _forbidden)
         oracle = codim_oracle(arr)
         assert calls
+        assert all(ideal.nvars == 4 and len(ideal.generators) == 4 for ideal in calls)
         assert oracle.table.tolist() == list(groebner_codims(arr))
+
+    @pytest.mark.parametrize("make", [
+        *(lambda seed=seed: generate_intro_fixture(seed).arrangement for seed in range(1, 5)),
+        conic_presentation_arrangement,
+        lambda: _arrangement(3, 1, 3, TWISTED_CUBIC, [parse_polynomial(t, V4) for t in (
+            "1/2*x0 - 3*x2", "-2/3*x1*x2 + x3^2", "x0 + x1 + x3")]),
+    ], ids=["intro-1", "intro-2", "intro-3", "intro-4", "conic-presentation",
+            "twisted-cubic"])
+    def test_tables_match_one_groebner_basis_per_subset(self, make):
+        arr = make()
+        assert codim_oracle(arr).table.tolist() == list(groebner_codims(arr, pruned=True))
 
     def test_oracle_on_variety(self):
         conic = parse_polynomial("x0*x2 - x1^2", V3)
@@ -362,13 +375,63 @@ def _gcd_dimension(forms: list[Polynomial]) -> int:
     return 0 if poly_gcd_many(dehomogenised).degree > 0 else -1
 
 
+def _through(rng: random.Random, nvars: int, degree: int,
+             points: list[tuple[int, ...]]) -> Polynomial:
+    """A seeded nonzero form of the degree vanishing at the integer points:
+    a random combination of an integer basis of the forms that do."""
+    monos = list(monomials_of_degree(nvars, degree))
+    ech = Echelon()
+    for p in points:
+        ech.insert([math.prod(map(pow, p, u)) for u in monos])
+    basis = ech.kernel(len(monos))
+    while True:
+        weights = [rng.randint(-2, 2) for _ in basis]
+        coeffs = [sum(w * b[i] for w, b in zip(weights, basis)) for i in range(len(monos))]
+        if any(coeffs):
+            return Polynomial(nvars, dict(zip(monos, coeffs)))
+
+
+def _point(rng: random.Random, nvars: int) -> tuple[int, ...]:
+    while True:
+        p = tuple(rng.randint(-4, 4) for _ in range(nvars))
+        if any(p):
+            return p
+
+
+def _plane_families(seed: int) -> list[list[Polynomial]]:
+    """Families of 2 to 4 forms in 2 or 3 variables, of degrees 1 to 4
+    mixed: at random, through one or two planted points, and (in the
+    plane) sharing a factor, so that they meet in a curve."""
+    rng = random.Random(seed)
+    out = []
+    for nvars in (2, 3):
+        for _ in range(2):
+            degrees = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+            out.append([_random_form(rng, nvars, d) for d in degrees])
+            points = [_point(rng, nvars) for _ in range(rng.randint(1, 2))]
+            out.append([_through(rng, nvars, max(d, len(points)), points) for d in degrees])
+        if nvars == 3:
+            factor = _random_form(rng, 3, rng.randint(1, 2))
+            out.append([_random_form(rng, 3, rng.randint(1, 4 - factor.degree)) * factor
+                        for _ in range(rng.randint(2, 3))])
+    return out
+
+
+def _counted(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(geometry, "ideal_dimension",
+                        lambda ideal: calls.append(ideal) or ideal_dimension(ideal))
+    return calls
+
+
 class TestFormsDimension:
     def test_binary_forms_match_groebner(self):
         seen = set()
         for seed in range(40):
             for forms in _binary_families(seed):
-                dim = geometry._forms_dimension(forms, 2, DEFAULT_GB_STEPS)
+                dim = geometry._forms_dimension(forms, 2, DEFAULT_GB_STEPS, {})
                 assert dim == _gcd_dimension(forms) == ideal_dimension(Ideal(forms, nvars=2)), forms
+                assert geometry._no_common_zero(forms, 2) == (dim == -1)
                 seen.add(dim)
         assert seen == {-1, 0}
 
@@ -377,16 +440,77 @@ class TestFormsDimension:
         for nvars in (2, 3, 4):
             for _ in range(6):
                 form = _random_form(rng, nvars, rng.randint(1, 3))
-                assert (geometry._forms_dimension([form], nvars, DEFAULT_GB_STEPS)
+                assert (geometry._forms_dimension([form], nvars, DEFAULT_GB_STEPS, {})
                         == ideal_dimension(Ideal([form], nvars=nvars)) == nvars - 2)
 
+    def test_macaulay_rank_matches_groebner(self):
+        seen = set()
+        for seed in range(12):
+            for forms in _plane_families(seed):
+                nvars = forms[0].nvars
+                dim = ideal_dimension(Ideal(forms, nvars=nvars))
+                assert geometry._no_common_zero(forms, nvars) == (dim == -1), forms
+                seen.add((nvars, dim))
+        assert seen == {(2, -1), (2, 0), (3, -1), (3, 0), (3, 1)}
+
+    def test_ladder_matches_groebner(self, monkeypatch):
+        families = [(forms, ideal_dimension(Ideal(forms, nvars=forms[0].nvars)))
+                    for seed in range(12) for forms in _plane_families(seed)]
+        calls = _counted(monkeypatch)
+        probes = {}
+        for forms, dim in families:
+            before = len(calls)
+            assert geometry._forms_dimension(forms, forms[0].nvars, DEFAULT_GB_STEPS,
+                                             probes) == dim, forms
+            # a probe line meets every plane curve, so only a curve needs a basis
+            assert len(calls) - before == (dim == 1)
+        assert set(probes) == {(3, 1)}
+
+    def test_space_sections_match_groebner(self, monkeypatch):
+        rng = random.Random(11)
+        families = []
+        for s in (2, 3):
+            for _ in range(4):
+                forms = [_random_form(rng, 4, rng.randint(1, 2)) for _ in range(s)]
+                families.append((forms, ideal_dimension(Ideal(forms, nvars=4))))
+        calls = _counted(monkeypatch)
+        probes = {}
+        for forms, dim in families:
+            assert geometry._forms_dimension(forms, 4, DEFAULT_GB_STEPS, probes) == dim == 3 - len(forms)
+        # a line and a plane of 3-space, each built once
+        assert calls == [] and set(probes) == {(4, 1), (4, 2)}
+
     def test_other_ideals_take_a_basis(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(geometry, "ideal_dimension",
-                            lambda ideal: calls.append(ideal) or ideal_dimension(ideal))
-        forms = [parse_polynomial(t, V3) for t in ("x0*x2 - x1^2", "x0")]
-        assert geometry._forms_dimension(forms, 3, DEFAULT_GB_STEPS) == 0
-        assert len(calls) == 1 and calls[0].nvars == 3
+        rng = random.Random(3)
+        point = geometry._probe(3, 1)[0]
+        # forms of 3-space containing the probe line: combinations of the
+        # two linear forms that vanish on it
+        ech = Echelon()
+        for b in geometry._probe(4, 1):
+            ech.insert(b)
+        l1, l2 = (Polynomial(4, dict(zip(monomials_of_degree(4, 1), k))) for k in ech.kernel(4))
+        cases = [
+            # plane forms through the first point of the probe line
+            ([_through(rng, 3, d, [point]) for d in (2, 3)], 0),
+            ([_through(rng, 3, d, [point]) for d in (2, 3, 2)], 0),
+            ([l1 * _random_form(rng, 4, 1) + l2 * _random_form(rng, 4, 1) for _ in range(2)], 1),
+            # an emptiness question in 4 variables
+            ([_random_form(rng, 4, 2) for _ in range(4)], -1),
+        ]
+        for forms, dim in cases:
+            nvars = forms[0].nvars
+            assert ideal_dimension(Ideal(forms, nvars=nvars)) == dim
+            calls = _counted(monkeypatch)
+            assert geometry._forms_dimension(forms, nvars, DEFAULT_GB_STEPS, {}) == dim
+            assert len(calls) == 1 and calls[0].nvars == nvars
+
+    def test_probe_points_span(self):
+        for nvars in (3, 4, 5):
+            for c in (1, 2):
+                ech = Echelon()
+                for b in geometry._probe(nvars, c):
+                    ech.insert(b)
+                assert ech.rank == c + 1
 
 
 class TestPositionCheck:
