@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .curves import CurveCoordinate, ExpTerm, ProjectiveCurve
 from .geometry import Arrangement, check_subgeneral_position
@@ -77,8 +78,8 @@ _MONOS2 = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
 
 
 def _eval_point(p: Polynomial, point: tuple[int, ...]) -> Fraction:
-    values = [Fraction(x) for x in point]
-    return p.evaluate_exact(values, Fraction(1))
+    """p at an integer point: each coefficient times its monomial's integer value."""
+    return sum(c * prod(map(pow, point, mono)) for mono, c in p.terms.items())
 
 
 def _cross(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

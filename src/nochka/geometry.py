@@ -12,24 +12,29 @@ onto the linear space L they cut out.  It maps the zero set of the other
 polynomials restricted to p(B t) onto V cut by R, so both have the same
 projective dimension, and only the restricted ideal, in M + 1 - k
 variables, can need a Groebner basis.  None is needed when L is empty or
-inside every other zero set, or when L is a point (each generator is
-evaluated there in integers).  Otherwise exact ranks certify the dimension
-of the restricted zero set where they can: the projective dimension theorem
-bounds it from below, and a linear section of the right dimension that
-misses it bounds it from above, where Macaulay's theorem decides by one
-rank whether forms in at most 3 variables have a common zero.  That settles
-one restricted polynomial, any forms on a line or in a plane, and up to
-three forms in any space, unless the probe section meets the zero set.
+inside every other zero set, or when L is a point (the variety generators
+and the forms that are not hyperplanes are evaluated there in integers).
+Otherwise exact ranks certify the dimension of the restricted zero set
+where they can: the projective dimension theorem bounds it from below, and
+a linear section of the right dimension that misses it bounds it from
+above, where Macaulay's theorem decides by one rank whether forms in at
+most 3 variables have a common zero.  That settles one restricted
+polynomial, any forms on a line or in a plane, and up to three forms in
+any space, unless the probe section meets the zero set.  The polynomials
+stay content-free integer terms throughout; only a Groebner run sees them
+as `Polynomial`s.  The subsets are decided level by level, and only those
+whose immediate subsets were all decided and are not spanning: the rest
+span, by monotone pruning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from math import comb, lcm, prod
+from itertools import compress, repeat
+from math import comb, gcd, lcm, prod
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -37,12 +42,11 @@ from .errors import ParseError, ResourceBudgetError, VerificationError
 from .linalg import Echelon, _units, primitive
 from .poly import (DEFAULT_GB_STEPS, Ideal, Monomial, Polynomial, ideal_dimension,
                    monomials_of_degree, mono_mul, next_level, parse_polynomial)
-from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle, ValidationReport,
-                        _popcounts, _set_str, check_costs, linear_matroid_oracle,
-                        validate_rank_oracle)
+from .rank_core import (_INT64_BOUND, MAX_GROUND_SET, AxiomCheck, RankOracle,
+                        ValidationReport, _popcounts, _set_str, check_costs,
+                        linear_matroid_oracle, validate_rank_oracle)
 
 QM_BUDGET = 5000
-_INT64_BOUND = 1 << 63  # an int64 array holds every integer of absolute value below this
 _ROW_CHUNK = 256  # top-level Hilbert rows built and converted to tuples at a time
 
 
@@ -151,14 +155,29 @@ class Arrangement:
         return tuple(p ** (d // p.degree) for p in self.forms)
 
 
-def _linear_space(parent: Echelon, line: Sequence, lines: Sequence[Sequence],
-                  width: int) -> tuple[Echelon, list[tuple[int, ...]]]:
-    """`parent` with `line` inserted, and the integer basis B of the common
-    kernel of `lines` (the coefficient vectors of every hyperplane it holds,
-    `line` included) that it stores.  Both defining properties of B are
-    checked exactly: each row of `lines` times B is 0, and B has full column
-    rank width - rank."""
-    ech = parent.extended(line) or parent
+def _integer_terms(p: Polynomial) -> dict[Monomial, int]:
+    """The terms of the content-free integer multiple of p."""
+    return dict(zip(p.terms, primitive(list(p.terms.values()))))
+
+
+def _linear_space(parent: tuple[Echelon, list[tuple[int, ...]]], line: Sequence,
+                  lines: Iterable[Sequence], width: int) -> tuple[Echelon, list[tuple[int, ...]]]:
+    """The Echelon and the integer basis B of the common kernel of a linear
+    space's hyperplanes, given those of the space `parent` and the one
+    hyperplane `line` more; `lines` yields the coefficient vectors of every
+    hyperplane the new space holds, `line` included.
+
+    A line that `Echelon.extended` rejects has line . x = 0 for every x in
+    the parent's checked basis, so the parent's (Echelon, B) is returned.
+    A line that raises the rank to `width` cuts out the empty space, whose
+    basis is empty.  Otherwise both defining properties of B are checked
+    exactly: each row of `lines` times B is 0, and B has full column rank
+    width - rank."""
+    ech = parent[0].extended(line)
+    if ech is None:
+        return parent
+    if ech.rank == width:
+        return ech, []
     basis = ech.kernel(width)
     columns = Echelon()
     for b in basis:
@@ -169,41 +188,46 @@ def _linear_space(parent: Echelon, line: Sequence, lines: Sequence[Sequence],
     return ech, basis
 
 
-def _restrict(p: Polynomial, basis: Sequence[tuple[int, ...]],
-              powers: dict[int, tuple[list[Monomial], np.ndarray]]) -> Polynomial:
-    """p(B t) in the variables t = (t_0, ..., t_{len(B)-1}), where column c of
-    B is basis[c], scaled to a content-free integer polynomial; zero when p
+def _restrict(terms: dict[Monomial, int], basis: Sequence[tuple[int, ...]],
+              powers: dict[int, tuple]) -> dict[Monomial, int]:
+    """The content-free integer terms of p(B t) in the variables
+    t = (t_0, ..., t_{len(B)-1}), where p is the nonzero form with the
+    integer terms `terms` and column c of B is basis[c]; empty when p
     vanishes on the span of B.
 
-    p(B t) is linear in p: it is the content-free integer coefficients of p
-    times the rows of the degree-deg(p) products of the coordinate forms
+    p(B t) is linear in p: it is the coefficients of p times the rows of
+    the degree-deg(p) products of the coordinate forms
     x_i = sum_c basis[c][i] t_c (`_level_products`), summed in int64 only
     when the triangle inequality bounds every sum below 2^63.  `powers`
-    keeps those products by degree for the next polynomial restricted to
-    the span of B."""
-    d = p.degree
+    keeps by degree those products, the row of each monomial and their
+    largest absolute entry, for the next form restricted to the span of B."""
+    d = sum(next(iter(terms)))
     if d not in powers:
-        coords = [[b[i] for b in basis] for i in range(p.nvars)]
+        nvars = len(basis[0])
+        coords = [[b[i] for b in basis] for i in range(nvars)]
         cols, blocks = _level_products(coords, _units(len(basis)), d)
-        powers[d] = cols, np.concatenate(list(blocks))
-    cols, rows = powers[d]
-    terms = dict(zip(p.terms, primitive(list(p.terms.values()))))
-    coeffs = [terms.get(e, 0) for e in monomials_of_degree(p.nvars, d)]
-    bound = sum(map(abs, coeffs)) * int(np.abs(rows).max(initial=0))
-    total = (_exact(np.array(coeffs, dtype=object), bound) @ _exact(rows, bound)).tolist()
-    keys = [k for k, c in zip(cols, total) if c]
-    return Polynomial._clean(len(basis), dict(zip(keys, map(Fraction, primitive(
-        [c for c in total if c])))))
+        rows = np.concatenate(list(blocks))
+        powers[d] = ({u: i for i, u in enumerate(monomials_of_degree(nvars, d))}, cols,
+                     rows, int(np.abs(rows).max(initial=0)))
+    at, cols, rows, top = powers[d]
+    coeffs = list(terms.values())
+    bound = sum(map(abs, coeffs)) * top
+    total = (_exact(np.array(coeffs, dtype=object), bound)
+             @ _exact(rows[[at[u] for u in terms]], bound)).tolist()
+    g = gcd(*total)
+    return {u: c // g for u, c in zip(cols, total) if c}
 
 
-def _value_at(terms: Sequence[tuple[tuple[int, ...], int]], point: Sequence[int]) -> int:
-    """The integer polynomial with these (monomial, coefficient) terms at an integer point."""
-    return sum(c * prod(map(pow, point, mono)) for mono, c in terms)
+def _value_at(terms: dict[Monomial, int], point: Sequence[int]) -> int:
+    """The form with these integer terms at an integer point."""
+    return sum(c * prod(map(pow, point, mono)) for mono, c in terms.items())
 
 
-def _no_common_zero(gens: Sequence[Polynomial], nvars: int) -> bool:
-    """Whether nonzero forms of positive degree at most d in nvars variables
-    have no common zero in projective (nvars - 1)-space.
+def _no_common_zero(gens: Sequence[dict[Monomial, int]], nvars: int,
+                    layouts: dict[tuple[int, int, int], dict]) -> bool:
+    """Whether nonzero integer forms (their terms) of positive degree at
+    most d in nvars variables have no common zero in projective
+    (nvars - 1)-space.
 
     Macaulay's theorem decides it by one rank: they have none exactly when
     their monomial multiples of degree D = nvars (d - 1) + 1 span every form
@@ -212,11 +236,12 @@ def _no_common_zero(gens: Sequence[Polynomial], nvars: int) -> bool:
     sequence of forms of degree d, whose ideal holds every form of degree
     past nvars (d - 1).  A common zero p is a zero of every multiple, but
     not of the power x_i^D of a coordinate with p_i != 0.  Binary forms
-    (nvars = 2) take degree 2d - 1."""
-    degrees = [g.degree for g in gens]
+    (nvars = 2) take degree 2d - 1.  `layouts` keeps by (nvars, D, degree)
+    the column of each multiple a u of a monomial u of the degree: for each
+    u, one column per multiplier a, in `monomials_of_degree` order."""
+    degrees = [sum(next(iter(g))) for g in gens]
     D = nvars * (max(degrees) - 1) + 1
-    at = {u: i for i, u in enumerate(monomials_of_degree(nvars, D))}
-    width = len(at)
+    width = comb(D + nvars - 1, nvars - 1)
     if sum(comb(D - d + nvars - 1, nvars - 1) for d in degrees) < width:
         return False  # too few multiples to span
     # the multiples by their first column, the multiplier times the form's
@@ -224,16 +249,22 @@ def _no_common_zero(gens: Sequence[Polynomial], nvars: int) -> bool:
     # elimination keeps its integers small
     multiples = []
     for g, d in zip(gens, degrees):
-        terms = list(zip(g.terms, primitive(list(g.terms.values()))))
-        lead = max(g.terms)
-        multiples.extend((at[mono_mul(a, lead)], a, terms)
-                         for a in monomials_of_degree(nvars, D - d))
+        layout = layouts.get((nvars, D, d))
+        if layout is None:
+            at = {u: i for i, u in enumerate(monomials_of_degree(nvars, D))}
+            multipliers = list(monomials_of_degree(nvars, D - d))
+            layout = layouts[nvars, D, d] = {
+                u: [at[mono_mul(a, u)] for a in multipliers]
+                for u in monomials_of_degree(nvars, d)}
+        # per multiplier a, the column of a u for each monomial u of g
+        columns = zip(*(layout[u] for u in g))
+        multiples.extend(zip(layout[max(g)], columns, repeat(list(g.values()))))
     multiples.sort(key=itemgetter(0))
     ech = Echelon()
-    for _, a, terms in multiples:
+    for _, columns, coeffs in multiples:
         row = [0] * width
-        for u, c in terms:
-            row[at[mono_mul(a, u)]] = c
+        for i, c in zip(columns, coeffs):
+            row[i] = c
         if ech.insert(row) and ech.rank == width:
             return True
     return False
@@ -247,29 +278,32 @@ def _probe(nvars: int, c: int) -> list[tuple[int, ...]]:
     return [tuple(t ** i for i in range(nvars)) for t in range(3, 2 * c + 4, 2)]
 
 
-def _forms_dimension(gens: Sequence[Polynomial], nvars: int, gb_steps: int,
-                     probes: dict[tuple[int, int], dict]) -> int:
-    """Projective dimension of the common zero set Z of s nonzero forms of
-    positive degree in nvars >= 2 variables, in P^k with k = nvars - 1.
+def _forms_dimension(gens: Sequence[dict[Monomial, int]], nvars: int, gb_steps: int,
+                     probes: dict[tuple[int, int], dict], layouts: dict) -> int:
+    """Projective dimension of the common zero set Z of s nonzero integer
+    forms (their terms) of positive degree in nvars >= 2 variables, in P^k
+    with k = nvars - 1.
 
     Z is a proper subset of P^k, so dim Z <= k - 1.  By the projective
     dimension theorem each form cuts a dimension by at most 1, so
     dim Z >= k - s when s <= k; when s > k and nvars <= 3, one Macaulay rank
-    (`_no_common_zero`) says whether Z is empty (-1) or not (>= 0).  Where
-    this lower bound differs from k - 1, a linear space of dimension
-    c = k - 1 - lower <= 2, spanned by the points `_probe(nvars, c)`, that
-    misses Z forces dim Z <= k - 1 - c, since it would meet any subset of
-    P^k of dimension k - c or more; the forms restricted to it (`_restrict`,
-    with the products kept in `probes` by (nvars, c)) missing each other is
-    one more Macaulay rank in c + 1 variables.  That proves dim Z = lower.
-    A probe space that meets Z, and an emptiness question in more than 3
-    variables, take a Groebner basis under `gb_steps`."""
+    (`_no_common_zero`, with its layouts kept in `layouts`) says whether Z
+    is empty (-1) or not (>= 0).  Where this lower bound differs from
+    k - 1, a linear space of dimension c = k - 1 - lower <= 2, spanned by
+    the points `_probe(nvars, c)`, that misses Z forces
+    dim Z <= k - 1 - c, since it would meet any subset of P^k of dimension
+    k - c or more; the forms restricted to it (`_restrict`, with the
+    products kept in `probes` by (nvars, c)) missing each other is one more
+    Macaulay rank in c + 1 variables.  That proves dim Z = lower.  A probe
+    space that meets Z, and an emptiness question in more than 3 variables,
+    take a Groebner basis under `gb_steps`, the one place the forms become
+    `Polynomial`s."""
     k, s = nvars - 1, len(gens)
     if s <= k:
         lower = k - s
     elif nvars > 3:
         lower = None
-    elif _no_common_zero(gens, nvars):
+    elif _no_common_zero(gens, nvars, layouts):
         return -1
     else:
         lower = 0
@@ -280,10 +314,11 @@ def _forms_dimension(gens: Sequence[Polynomial], nvars: int, gb_steps: int,
         if c <= 2:
             basis = _probe(nvars, c)
             powers = probes.setdefault((nvars, c), {})
-            section = [r for r in (_restrict(g, basis, powers) for g in gens) if not r.is_zero]
-            if section and _no_common_zero(section, c + 1):
+            section = [r for r in (_restrict(g, basis, powers) for g in gens) if r]
+            if section and _no_common_zero(section, c + 1, layouts):
                 return lower
-    return ideal_dimension(Ideal(gens, nvars=nvars, max_steps=gb_steps))
+    return ideal_dimension(Ideal([Polynomial(nvars, g) for g in gens], nvars=nvars,
+                                 max_steps=gb_steps))
 
 
 def codim_oracle(arr: Arrangement) -> RankOracle:
@@ -299,12 +334,14 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
     V cut by R has the projective dimension of the zero set of the variety
     generators and the other members of R, each restricted to p(B t) as its
     coefficients times the degree-d products of B's coordinate forms, built
-    once per hyperplane subset and degree d by the Hilbert level step:
+    once per hyperplane subset and degree d by the Hilbert level step.
+    Every polynomial is taken as its content-free integer terms, and so is
+    every restriction:
 
     - k = M + 1: L is empty;
-    - L is a point b: the point when every generator vanishes at b, decided
-      by evaluating each there in integers with no restriction, and empty
-      otherwise;
+    - L is a point b: the point when every generator and every other member
+      of R vanishes at b, decided by evaluating each there in integers with
+      no restriction, and empty otherwise;
     - no restricted generator is left nonzero: V contains L, dim = M - k;
     - otherwise the restricted forms go to `_forms_dimension`, which
       certifies their dimension by exact ranks: one form cuts a hypersurface
@@ -318,10 +355,15 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
 
     No Groebner run sees a hyperplane, and none sees a plane unless a probe
     line meets the zero set.  The products of the probe spaces' coordinate
-    forms are kept for the call, like those of the hyperplane subsets.
-    Subsets are filled in mask order with monotone pruning: supersets of a
-    spanning subset are spanning, and every immediate subset of a mask is a
-    smaller mask, filled before it.
+    forms and the Macaulay layouts are kept for the call, like the products
+    of the hyperplane subsets.  Subsets are decided level by level, by size
+    and then in mask order (`_level_walk`), with monotone pruning: a
+    superset of a spanning subset spans, so a mask is decided only when
+    every immediate subset of it was decided and is not spanning, and every
+    other entry is n + 1.  A hyperplane subset's space is built from that of
+    the subset less its lowest hyperplane, decided a level before; a
+    hyperplane that adds nothing to it keeps its space.  A
+    `VerificationError` names the first subset out of range in that order.
     """
     q, n, M = arr.q, arr.n, arr.M
     forms = arr.forms
@@ -331,40 +373,30 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
              if p.degree == 1}
     line_mask = sum(1 << j for j in lines)
     # the polynomials to restrict, by index: the variety generators, then the forms
-    polys = arr.variety_generators + forms
+    polys = [_integer_terms(p) for p in arr.variety_generators + forms]
     g = len(arr.variety_generators)
+    # the polynomials evaluated at a point: all but the lines
+    curved = [i for i in range(len(polys)) if i - g not in lines]
     spaces = {0: (Echelon(), Echelon().kernel(M + 1))}
     # by hyperplane subset, then by degree, the products of its coordinate forms
-    products: dict[int, dict[int, tuple[list[Monomial], np.ndarray]]] = {}
-    restricted: dict[tuple[int, int], Polynomial] = {}
+    products: dict[int, dict[int, tuple]] = {}
+    restricted: dict[tuple[int, int], dict[Monomial, int]] = {}
     # by (variables, dimension), the products of a probe space's coordinate forms
-    probes: dict[tuple[int, int], dict[int, tuple[list[Monomial], np.ndarray]]] = {}
-    # the polynomials' integer terms, and by hyperplane subset that cuts out
-    # a point, the bitmask of the polynomials vanishing there
-    int_terms = [list(zip(p.terms, primitive(list(p.terms.values())))) for p in polys]
+    probes: dict[tuple[int, int], dict[int, tuple]] = {}
+    layouts: dict[tuple[int, int, int], dict] = {}
+    # by hyperplane subset that cuts out a point, the bitmask of the
+    # polynomials vanishing there
     point_zeros: dict[int, int] = {}
-    table = [0] * (1 << q)
-    for mask in range(1, 1 << q):
-        # a superset of a spanning subset spans; every immediate subset of
-        # mask is a smaller mask, so its entry is filled already
-        m = mask
-        while m:
-            low = m & -m
-            if table[mask ^ low] == n + 1:
-                break
-            m ^= low
-        if m:
-            table[mask] = n + 1
-            continue
+
+    def decide(mask: int) -> int:
         hmask = mask & line_mask
         space = spaces.get(hmask)
         if space is None:
-            # mask is unpruned, so mask minus one hyperplane was computed
-            # before it and its hyperplane subset already has a space
+            # mask less its lowest hyperplane was decided a level before
             low = hmask & -hmask
             space = spaces[hmask] = _linear_space(
-                spaces[hmask ^ low][0], lines[low.bit_length() - 1],
-                [lines[j] for j in lines if hmask >> j & 1], M + 1)
+                spaces[hmask ^ low], lines[low.bit_length() - 1],
+                (lines[j] for j in lines if hmask >> j & 1), M + 1)
         ech, basis = space
         if ech.rank == M + 1:
             dim = -1
@@ -374,8 +406,7 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
             zeros = point_zeros.get(hmask)
             if zeros is None:
                 zeros = point_zeros[hmask] = sum(
-                    1 << i for i, terms in enumerate(int_terms)
-                    if not _value_at(terms, basis[0]))
+                    1 << i for i in curved if not _value_at(polys[i], basis[0]))
             needed = ((1 << g) - 1) | ((mask ^ hmask) << g)
             dim = 0 if needed & ~zeros == 0 else -1
         else:
@@ -386,18 +417,42 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
                 if r is None:
                     r = restricted[hmask, i] = _restrict(polys[i], basis,
                                                          products.setdefault(hmask, {}))
-                if not r.is_zero:
+                if r:
                     gens.append(r)
             if not gens:
                 dim = M - ech.rank
             else:
-                dim = _forms_dimension(gens, len(basis), arr.gb_steps, probes)
+                dim = _forms_dimension(gens, len(basis), arr.gb_steps, probes, layouts)
         c = n - dim
         if not 0 <= c <= n + 1:
             raise VerificationError(
                 f"subset {_set_str(mask)} yields dimension {dim}, outside the declared range")
-        table[mask] = c
-    return RankOracle(q, n, arr.N, table)
+        return c
+
+    return RankOracle(q, n, arr.N, _level_walk(q, n, decide))
+
+
+def _level_walk(q: int, n: int, decide: Callable[[int], int]) -> np.ndarray:
+    """The int64 table of c by mask over q elements, under monotone pruning:
+    c(R) = decide(mask of R) for each R whose immediate subsets were all
+    decided and are not spanning (c <= n), 0 for the empty set, and n + 1
+    for every other R, which holds a spanning subset and so spans.  Masks
+    are decided level by level, by size and then in mask order, so each
+    after every subset of it that is decided."""
+    table = np.full(1 << q, n + 1, dtype=np.int64)
+    table[0] = 0
+    bits = 1 << np.arange(q, dtype=np.int64)
+    level = np.zeros(1, dtype=np.int64)  # the open masks of the last level: decided, not spanning
+    while level.size:
+        # each mask of the next level once, as an open mask plus a bit
+        # above its highest, kept when every immediate subset is open (a
+        # mask xor a bit it lacks is larger, and not a subset)
+        masks = np.sort((level[:, None] | bits)[level[:, None] < bits])
+        subsets = masks[:, None] ^ bits
+        masks = masks[((subsets > masks[:, None]) | (table[subsets] <= n)).all(axis=1)]
+        table[masks] = [decide(mask) for mask in masks.tolist()]
+        level = masks[table[masks] <= n]
+    return table
 
 
 @dataclass(frozen=True)
@@ -498,7 +553,7 @@ def _degree_m_vectors(arr: Arrangement,
     if ideal is not None:
         forms = [ideal.normal_form(f) for f in forms]
     # one content-free integer row per form over the monomials of the forms
-    terms = [dict(zip(f.terms, primitive(list(f.terms.values())))) for f in forms]
+    terms = [_integer_terms(f) for f in forms]
     monos = sorted({u for t in terms for u in t}, reverse=True)
     rows = [[t.get(u, 0) for u in monos] for t in terms]
     cols, blocks = _level_products(rows, monos, m, ideal)

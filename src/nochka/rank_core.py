@@ -25,6 +25,7 @@ from .errors import ParseError, VerificationError
 from .linalg import Echelon, primitive
 
 MAX_GROUND_SET = 20
+_INT64_BOUND = 1 << 63  # an int64 array holds every integer of absolute value below this
 
 AXIOM_NAMES = (
     "empty-set",
@@ -439,17 +440,21 @@ def verify_weight_conditions(oracle: RankOracle, weights: WeightAssignment) -> V
     checks.append(AxiomCheck("theta-range", w is None, w))
 
     denom = lcm(*(x.denominator for x in omega)) if omega else 1
-    # subset sums of the integer weights omega * denom, built by doubling;
-    # Python ints in an object array, so no size of denom can overflow
-    sums = np.zeros(1 << q, dtype=object)
-    for b, wb in enumerate(omega):
-        sums[1 << b:2 << b] = sums[:1 << b] + int(wb * denom)
-    caps = oracle.table.astype(object) * denom
+    scaled = [int(wb * denom) for wb in omega]
+    # subset sums of the integer weights omega * denom, built by doubling,
+    # and the caps c(R) * denom: in int64 when the triangle inequality bounds
+    # every one below 2^63, and in Python ints in object arrays otherwise
+    small = sum(map(abs, scaled)) < _INT64_BOUND and (n + 1) * denom < _INT64_BOUND
+    dtype = np.int64 if small else object
+    sums = np.zeros(1 << q, dtype=dtype)
+    for b, wb in enumerate(scaled):
+        sums[1 << b:2 << b] = sums[:1 << b] + wb
+    caps = oracle.table.astype(dtype) * denom
     over = np.nonzero((_popcounts(q) <= N + 1) & (sums > caps))[0]
     w = None
     if over.size:
         mask = int(over[0])
-        w = (f"R={_set_str(mask)}: sum = {Fraction(sums[mask], denom)}"
+        w = (f"R={_set_str(mask)}: sum = {Fraction(int(sums[mask]), denom)}"
              f" > c(R) = {oracle.c_mask(mask)}")
     checks.append(AxiomCheck("subset-cap", w is None, w))
 

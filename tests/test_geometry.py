@@ -20,7 +20,7 @@ from nochka.geometry import (Arrangement, check_subgeneral_position, codim_oracl
 from nochka.linalg import Echelon, primitive
 from nochka.poly import (DEFAULT_GB_STEPS, Ideal, Polynomial, ideal_dimension,
                          monomials_of_degree, parse_polynomial)
-from nochka.rank_core import validate_rank_oracle
+from nochka.rank_core import RankOracle, linear_matroid_oracle, validate_rank_oracle
 from nochka.univar import UnivariatePoly, poly_gcd_many
 
 V3 = ("x0", "x1", "x2")
@@ -50,6 +50,25 @@ def groebner_codims(arr: Arrangement, pruned: bool = False) -> tuple[int, ...]:
 
 def _forbidden(*args):
     raise AssertionError("this route must not be taken")
+
+
+def conic_and_lines() -> Arrangement:
+    """The largest ground set: the conic G and the 19 lines
+    L_t : x0 + t x1 + t^2 x2, no three concurrent, whose meeting points
+    (t s : -(t + s) : 1) are off G."""
+    forms = [("G", "x0^2 + x1^2 - 3*x2^2")] + [
+        (f"L{t}", f"x0 + {t}*x1 + {t * t}*x2") for t in range(1, 20)]
+    return Arrangement(2, 2, 1, 2, (), tuple((name, parse_polynomial(t, V3))
+                                             for name, t in forms), V3)
+
+
+def decided_masks(monkeypatch, arr: Arrangement) -> tuple[list[int], RankOracle]:
+    """The masks `codim_oracle` decides, in the order it decides them, and its oracle."""
+    decided = []
+    walk = geometry._level_walk
+    monkeypatch.setattr(geometry, "_level_walk", lambda q, n, decide: walk(
+        q, n, lambda mask: decided.append(mask) or decide(mask)))
+    return decided, codim_oracle(arr)
 
 
 class TestArrangement:
@@ -128,6 +147,49 @@ class TestCodimOracle:
         # 2 cuts out a point, which the restriction decides with no basis, and
         # all-line subsets need none either
         assert calls == []
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: generate_intro_fixture(1).arrangement, 298),
+        # the 20 singletons, the 190 pairs, and the 1,140 triples, all spanning
+        (conic_and_lines, 1350),
+    ], ids=["intro-1", "conic-and-19-lines"])
+    def test_decides_only_the_open_subsets(self, monkeypatch, make, count):
+        arr = make()
+        decided, oracle = decided_masks(monkeypatch, arr)
+        # the masks whose immediate subsets are all non-spanning, read off
+        # the final table
+        masks = np.arange(1, 1 << arr.q)
+        open_ = np.ones(len(masks), dtype=bool)
+        for j in range(arr.q):
+            open_ &= (masks >> j & 1 == 0) | (oracle.table[masks ^ 1 << j] <= arr.n)
+        assert len(decided) == count == open_.sum()
+        # each once, level by level and then in mask order
+        assert decided == sorted(masks[open_].tolist(), key=lambda m: (m.bit_count(), m))
+
+    def test_lines_of_the_largest_ground_set_match_the_matroid(self, monkeypatch):
+        arr = conic_and_lines()
+        monkeypatch.setattr(geometry, "ideal_dimension", _forbidden)
+        oracle = codim_oracle(arr)
+        # G is bit 0, so the even masks are the subsets of the lines
+        lines = [p.linear_coefficients() for p in arr.forms[1:]]
+        assert (oracle.table[::2].tolist()
+                == linear_matroid_oracle(lines, arr.N).table.tolist())
+        # G meets each line in two points, and no two lines on G
+        sizes = np.array([m.bit_count() for m in range(1, 1 << arr.q, 2)])
+        assert (oracle.table[1::2] == np.minimum(sizes, arr.n + 1)).all()
+
+    @pytest.mark.parametrize("make", [lambda: generate_intro_fixture(1).arrangement,
+                                      lambda: conic_lines_arrangement()],
+                             ids=["intro-1", "lines-on-a-conic"])
+    def test_points_evaluate_no_line(self, monkeypatch, make):
+        arr = make()
+        lines = [geometry._integer_terms(p) for p in arr.forms if p.degree == 1]
+        evaluated = []
+        value_at = geometry._value_at
+        monkeypatch.setattr(geometry, "_value_at", lambda terms, point: (
+            evaluated.append(terms) or value_at(terms, point)))
+        codim_oracle(arr)
+        assert evaluated and not any(terms in lines for terms in evaluated)
 
     @pytest.mark.parametrize("damage", [lambda b: b[:-1], lambda b: b + b[:1],
                                         lambda b: [tuple(x + 1 for x in v) for v in b]],
@@ -316,17 +378,19 @@ class TestRestrict:
     @settings(max_examples=80, deadline=None)
     def test_matches_substitution(self, case):
         p, basis = case
-        assert geometry._restrict(p, basis, {}) == substituted(p, basis)
+        restricted = geometry._restrict(geometry._integer_terms(p), basis, {})
+        assert Polynomial(len(basis), restricted) == substituted(p, basis)
 
     @pytest.mark.parametrize("p, basis, dtype, zero", RESTRICTION_CASES,
                              ids=["zero", "products-past-int64", "sums-past-int64"])
     def test_edge_cases(self, p, basis, dtype, zero):
         powers = {}
-        restricted = geometry._restrict(p, basis, powers)
-        assert restricted == substituted(p, basis)
-        assert restricted.is_zero == zero
-        assert powers[p.degree][1].dtype == dtype
-        assert geometry._restrict(p, basis, powers) == restricted
+        terms = geometry._integer_terms(p)
+        restricted = geometry._restrict(terms, basis, powers)
+        assert Polynomial(len(basis), restricted) == substituted(p, basis)
+        assert (not restricted) == zero
+        assert powers[p.degree][2].dtype == dtype
+        assert geometry._restrict(terms, basis, powers) == restricted
 
 
 def _random_form(rng: random.Random, nvars: int, degree: int) -> Polynomial:
@@ -417,6 +481,10 @@ def _plane_families(seed: int) -> list[list[Polynomial]]:
     return out
 
 
+def _terms(forms: list[Polynomial]) -> list[dict]:
+    return [geometry._integer_terms(f) for f in forms]
+
+
 def _counted(monkeypatch) -> list:
     calls = []
     monkeypatch.setattr(geometry, "ideal_dimension",
@@ -429,9 +497,10 @@ class TestFormsDimension:
         seen = set()
         for seed in range(40):
             for forms in _binary_families(seed):
-                dim = geometry._forms_dimension(forms, 2, DEFAULT_GB_STEPS, {})
+                terms = _terms(forms)
+                dim = geometry._forms_dimension(terms, 2, DEFAULT_GB_STEPS, {}, {})
                 assert dim == _gcd_dimension(forms) == ideal_dimension(Ideal(forms, nvars=2)), forms
-                assert geometry._no_common_zero(forms, 2) == (dim == -1)
+                assert geometry._no_common_zero(terms, 2, {}) == (dim == -1)
                 seen.add(dim)
         assert seen == {-1, 0}
 
@@ -440,7 +509,7 @@ class TestFormsDimension:
         for nvars in (2, 3, 4):
             for _ in range(6):
                 form = _random_form(rng, nvars, rng.randint(1, 3))
-                assert (geometry._forms_dimension([form], nvars, DEFAULT_GB_STEPS, {})
+                assert (geometry._forms_dimension(_terms([form]), nvars, DEFAULT_GB_STEPS, {}, {})
                         == ideal_dimension(Ideal([form], nvars=nvars)) == nvars - 2)
 
     def test_macaulay_rank_matches_groebner(self):
@@ -449,7 +518,7 @@ class TestFormsDimension:
             for forms in _plane_families(seed):
                 nvars = forms[0].nvars
                 dim = ideal_dimension(Ideal(forms, nvars=nvars))
-                assert geometry._no_common_zero(forms, nvars) == (dim == -1), forms
+                assert geometry._no_common_zero(_terms(forms), nvars, {}) == (dim == -1), forms
                 seen.add((nvars, dim))
         assert seen == {(2, -1), (2, 0), (3, -1), (3, 0), (3, 1)}
 
@@ -460,8 +529,8 @@ class TestFormsDimension:
         probes = {}
         for forms, dim in families:
             before = len(calls)
-            assert geometry._forms_dimension(forms, forms[0].nvars, DEFAULT_GB_STEPS,
-                                             probes) == dim, forms
+            assert geometry._forms_dimension(_terms(forms), forms[0].nvars, DEFAULT_GB_STEPS,
+                                             probes, {}) == dim, forms
             # a probe line meets every plane curve, so only a curve needs a basis
             assert len(calls) - before == (dim == 1)
         assert set(probes) == {(3, 1)}
@@ -476,7 +545,8 @@ class TestFormsDimension:
         calls = _counted(monkeypatch)
         probes = {}
         for forms, dim in families:
-            assert geometry._forms_dimension(forms, 4, DEFAULT_GB_STEPS, probes) == dim == 3 - len(forms)
+            assert (geometry._forms_dimension(_terms(forms), 4, DEFAULT_GB_STEPS, probes, {})
+                    == dim == 3 - len(forms))
         # a line and a plane of 3-space, each built once
         assert calls == [] and set(probes) == {(4, 1), (4, 2)}
 
@@ -501,7 +571,7 @@ class TestFormsDimension:
             nvars = forms[0].nvars
             assert ideal_dimension(Ideal(forms, nvars=nvars)) == dim
             calls = _counted(monkeypatch)
-            assert geometry._forms_dimension(forms, nvars, DEFAULT_GB_STEPS, {}) == dim
+            assert geometry._forms_dimension(_terms(forms), nvars, DEFAULT_GB_STEPS, {}, {}) == dim
             assert len(calls) == 1 and calls[0].nvars == nvars
 
     def test_probe_points_span(self):

@@ -740,6 +740,28 @@ class TestSubsetCapDifferential:
         cap = next(c for c in report.checks if c.axiom == "subset-cap")
         assert cap.witness == _reference_subset_cap(oracle, omega)
 
+    PRIMES = (2 ** 31 - 1, 2 ** 31 - 19, 2 ** 31 - 61, 2 ** 31 + 11, 2 ** 31 + 45,
+              2 ** 31 + 65, 2 ** 31 + 95)
+
+    @pytest.mark.parametrize("omega, witness", [
+        # the lcm of the denominators is past 2^63, and so are the caps c(R) * denom
+        (tuple(Fraction(p - 1, p) for p in PRIMES), "R={1,2}"),
+        (tuple(Fraction(1, p) for p in PRIMES), None),
+        # whole weights whose sums pass 2^63: in int64, -3 * 2^62 would wrap
+        # to 2^62 and make {1,2,3} a false witness
+        ((Fraction(-2 ** 62),) * 7, None),
+    ], ids=["caps-past-int64", "caps-past-int64-ok", "sums-past-int64"])
+    def test_sums_past_int64_take_python_ints(self, fixture_oracle, omega, witness):
+        denom = math.lcm(*(x.denominator for x in omega))
+        assert max((fixture_oracle.n + 1) * denom,
+                   sum(abs(x * denom) for x in omega)) >= 2 ** 63
+        weights = WeightAssignment(omega, Fraction(1), Filtration((), (), Fraction(1)))
+        report = verify_weight_conditions(fixture_oracle, weights)
+        cap = next(c for c in report.checks if c.axiom == "subset-cap")
+        assert cap.witness == _reference_subset_cap(fixture_oracle, omega)
+        assert (cap.witness or "").startswith(witness or "")
+        assert cap.ok == (witness is None)
+
 
 def _random_matroid(draw) -> RankOracle:
     n = draw(st.integers(1, 3))
