@@ -13,10 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .curves import CurveCoordinate, ExpTerm, ProjectiveCurve
-from .geometry import Arrangement, check_subgeneral_position
+from .geometry import Arrangement, _value_at, check_subgeneral_position
 from .linalg import primitive
 from .poly import Polynomial, parse_polynomial
 from .univar import QQi, UnivariatePoly
@@ -75,11 +74,6 @@ def exp_curve() -> ProjectiveCurve:
 
 
 _MONOS2 = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
-
-
-def _eval_point(p: Polynomial, point: tuple[int, ...]) -> Fraction:
-    """p at an integer point: each coefficient times its monomial's integer value."""
-    return sum(c * prod(map(pow, point, mono)) for mono, c in p.terms.items())
 
 
 def _cross(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -159,11 +153,11 @@ def _second_intersection(rng: random.Random, conic: Polynomial,
                          base: tuple[int, ...]) -> tuple[int, ...] | None:
     """Second meeting point of a random rational line through `base` with the conic."""
     direction = _rand_point(rng)
-    alpha = _eval_point(conic, direction)
+    alpha = _value_at(conic.terms, direction)
     if alpha == 0:
         return None
     shifted = tuple(b + d for b, d in zip(base, direction))
-    beta = _eval_point(conic, shifted) - alpha  # polar term, conic(base) = 0
+    beta = _value_at(conic.terms, shifted) - alpha  # polar term, conic(base) = 0
     if beta == 0:
         return None
     t = -beta / alpha
@@ -185,7 +179,7 @@ def _try_build(rng: random.Random):
     def off_all_conics() -> tuple[int, ...] | None:
         for _ in range(20):
             p = _rand_point(rng)
-            if all(_eval_point(c, p) != 0 for c in conics):
+            if all(_value_at(c.terms, p) != 0 for c in conics):
                 return p
         return None
 
@@ -202,7 +196,7 @@ def _try_build(rng: random.Random):
             cand = _second_intersection(rng, conic, a1)
             if cand is None:
                 continue
-            if all(_eval_point(c, cand) != 0 for c in others):
+            if all(_value_at(c.terms, cand) != 0 for c in others):
                 point = cand
                 break
         if point is None:
@@ -220,8 +214,8 @@ def _try_build(rng: random.Random):
     a4 = None
     for _ in range(20):
         p = _rand_point(rng)
-        if all(_eval_point(c, p) != 0 for c in conics) \
-                and all(_eval_point(l, p) != 0 for _, l in lines):
+        if all(_value_at(c.terms, p) != 0 for c in conics) \
+                and all(_value_at(l.terms, p) != 0 for _, l in lines):
             a4 = p
             break
     if a4 is None:

@@ -42,8 +42,8 @@ from .errors import ParseError, ResourceBudgetError, VerificationError
 from .linalg import Echelon, _units, primitive
 from .poly import (DEFAULT_GB_STEPS, Ideal, Monomial, Polynomial, ideal_dimension,
                    monomials_of_degree, mono_mul, next_level, parse_polynomial)
-from .rank_core import (_INT64_BOUND, MAX_GROUND_SET, AxiomCheck, RankOracle,
-                        ValidationReport, _popcounts, _set_str, check_costs,
+from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle,
+                        ValidationReport, _exact, _popcounts, _set_str, check_costs,
                         linear_matroid_oracle, validate_rank_oracle)
 
 QM_BUDGET = 5000
@@ -218,8 +218,8 @@ def _restrict(terms: dict[Monomial, int], basis: Sequence[tuple[int, ...]],
     return {u: c // g for u, c in zip(cols, total) if c}
 
 
-def _value_at(terms: dict[Monomial, int], point: Sequence[int]) -> int:
-    """The form with these integer terms at an integer point."""
+def _value_at(terms: dict[Monomial, int | Fraction], point: Sequence[int]) -> int | Fraction:
+    """The form with these integer or rational terms at an integer point."""
     return sum(c * prod(map(pow, point, mono)) for mono, c in terms.items())
 
 
@@ -516,13 +516,6 @@ class HilbertData:
         return {"m": self.m, "H": self.H, "q_m": self.q_m,
                 "basis": [list(b) for b in self.basis],
                 "matrix_provenance": self.matrix_provenance}
-
-
-def _exact(a: np.ndarray, bound: int) -> np.ndarray:
-    """The integer array `a` as int64 when `bound`, a bound on every
-    absolute value the next computation on it reaches, is below 2^63, and
-    as Python ints in an object array otherwise."""
-    return a.astype(np.int64 if bound < _INT64_BOUND else object, copy=False)
 
 
 def _degree_m_vectors(arr: Arrangement,

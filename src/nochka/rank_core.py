@@ -27,6 +27,14 @@ from .linalg import Echelon, primitive
 MAX_GROUND_SET = 20
 _INT64_BOUND = 1 << 63  # an int64 array holds every integer of absolute value below this
 
+
+def _exact(a: np.ndarray, bound: int) -> np.ndarray:
+    """The integer array `a` as int64 when `bound`, a bound on every
+    absolute value the next computation on it reaches, is below 2^63, and
+    as Python ints in an object array otherwise."""
+    return a.astype(np.int64 if bound < _INT64_BOUND else object, copy=False)
+
+
 AXIOM_NAMES = (
     "empty-set",
     "nonzero-singletons",
@@ -442,14 +450,12 @@ def verify_weight_conditions(oracle: RankOracle, weights: WeightAssignment) -> V
     denom = lcm(*(x.denominator for x in omega)) if omega else 1
     scaled = [int(wb * denom) for wb in omega]
     # subset sums of the integer weights omega * denom, built by doubling,
-    # and the caps c(R) * denom: in int64 when the triangle inequality bounds
-    # every one below 2^63, and in Python ints in object arrays otherwise
-    small = sum(map(abs, scaled)) < _INT64_BOUND and (n + 1) * denom < _INT64_BOUND
-    dtype = np.int64 if small else object
-    sums = np.zeros(1 << q, dtype=dtype)
+    # and the caps c(R) * denom, each bounded by the triangle inequality
+    bound = max(sum(map(abs, scaled)), (n + 1) * denom)
+    sums = _exact(np.zeros(1 << q, dtype=np.int64), bound)
     for b, wb in enumerate(scaled):
         sums[1 << b:2 << b] = sums[:1 << b] + wb
-    caps = oracle.table.astype(dtype) * denom
+    caps = _exact(oracle.table, bound) * denom
     over = np.nonzero((_popcounts(q) <= N + 1) & (sums > caps))[0]
     w = None
     if over.size:

@@ -7,13 +7,14 @@ adaptive argument-principle counting on a subdivided box covering the disk,
 with certified integer rounding of every winding number.  A contour segment
 is halved until three tests pass: the argument of f and log|f| each move by
 at most 0.9 across it, and max |f'/f| at its ends times its length is at
-most 0.9.  `zeros_in_disk` walks the box trees of all its functions
-together, one level at a time: the level's Newton starts run as one batch,
-and the child contours of every box it splits are counted as one batch,
-each refinement pass evaluating every function once over the new points of
-its own open contours.  Every contour and Newton start is tagged by its
-function, so each function's result is the one it gets alone, and budgets
-are counted per function.  The first cut of the origin-centred covering
+most 0.9.  A segment that passes is final, and only the halves of a
+failing one are tested again.  `zeros_in_disk` walks the box trees of all
+its functions together, one level at a time: the level's Newton starts run
+as one batch, and the child contours of every box it splits are counted as
+one batch, each refinement pass evaluating every function once over the
+new points of its own open contours.  Every contour and Newton start is
+tagged by its function, so each function's result is the one it gets
+alone, and budgets are counted per function.  The first cut of the origin-centred covering
 box stays off the coordinate axes, where the zeros of real data lie.  A
 multiple zero is taken at the point where Newton stalls once a small circle
 around it winds its box's count (and, if that circle leaves the box, a
@@ -122,68 +123,55 @@ def winding_numbers(fds: Sequence[ValueAndDerivative],
     on the contours it is batched with.
     """
     counts: list[int | None] = [None] * m
-    ids = np.arange(m)  # the open contours, in order, and their sample counts
+    open_ = np.ones(m, dtype=bool)  # per contour: still refining, its samples, its sum so far
     sizes = np.full(m, n0)
-    t = np.tile(np.linspace(0.0, 1.0, n0, endpoint=False), m)
-    k = np.repeat(ids, n0)
-    z = gamma(k, t)
+    total = np.zeros(m)
+    # the segments still to test, in (contour, start) order; row 0 holds their
+    # start, row 1 their end, and t runs over [0, 1], sampled at t mod 1
+    grid = np.linspace(0.0, 1.0, n0 + 1)
+    k = np.repeat(np.arange(m), n0)
+    t = np.stack([np.tile(grid[:-1], m), np.tile(grid[1:], m)])
+    z = gamma(k, t[0])
     f, df = _evaluate(fds, owner, k, z)
+
+    def closed(v: np.ndarray) -> np.ndarray:
+        # each contour's last segment ends at its first sample
+        return np.stack([v, np.roll(v.reshape(m, n0), -1, axis=1).ravel()])
+
+    def halved(v: np.ndarray, v_mid: np.ndarray) -> np.ndarray:
+        # each segment's left half, then its right half
+        return np.array([[v[0], v_mid], [v_mid, v[1]]]).transpose(0, 2, 1).reshape(2, -1)
+
+    z, f, df = closed(z), closed(f), closed(df)
     for _ in range(WINDING_MAX_PASSES):
-        # samples are sorted by (contour, t); nxt closes each contour on itself
-        last = np.cumsum(sizes) - 1
-        first = last - (sizes - 1)
-        nxt = np.arange(1, t.size + 1)
-        nxt[last] = first
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             absf = np.abs(f)
-            singular = ~np.isfinite(f) | ~np.isfinite(df) | (absf < 1e-280)
+            singular = (~np.isfinite(f) | ~np.isfinite(df) | (absf < 1e-280)).any(axis=0)
             logmag = np.log(absf)
             rate = np.abs(df) / absf
-            dphi = np.angle(f[nxt] * np.conj(f))
-            bad = ((np.abs(dphi) > 0.9) | (np.abs(logmag[nxt] - logmag) > 0.9)
-                   | (np.maximum(rate, rate[nxt]) * np.abs(z[nxt] - z) > 0.9))
-        near = np.logical_or.reduceat(singular, first)
-        nbad = np.add.reduceat(bad, first, dtype=np.intp)
-        turns = np.add.reduceat(dphi, first) / (2 * np.pi)
-        for j in np.flatnonzero(~near & (nbad == 0)):
-            total = float(turns[j])
-            count = round(total)
-            if abs(total - count) < WINDING_CERT:
-                counts[ids[j]] = count
-        open_ = ~near & (nbad > 0) & (sizes + nbad <= WINDING_MAX_POINTS)
+            dphi = np.angle(f[1] * np.conj(f[0]))
+            bad = ((np.abs(dphi) > 0.9) | (np.abs(logmag[1] - logmag[0]) > 0.9)
+                   | (rate.max(axis=0) * np.abs(z[1] - z[0]) > 0.9))
+        # a segment that passes is final: only its increment is kept
+        total += np.bincount(k[~bad], weights=dphi[~bad], minlength=m)
+        near = np.bincount(k[singular], minlength=m) > 0
+        nbad = np.bincount(k[bad], minlength=m)
+        for j in np.flatnonzero(open_ & ~near & (nbad == 0)):
+            turns = float(total[j]) / (2 * np.pi)
+            count = round(turns)
+            if abs(turns - count) < WINDING_CERT:
+                counts[j] = count
+        open_ &= ~near & (nbad > 0) & (sizes + nbad <= WINDING_MAX_POINTS)
         if not open_.any():
             return counts
-        keep = np.repeat(open_, sizes)
-        refine = bad & keep
-        left = np.flatnonzero(refine)
-        t_next = t[nxt]
-        t_next[last] += 1.0
-        mids = ((t[left] + t_next[left]) / 2.0) % 1.0
-        k = np.repeat(ids[open_], nbad[open_])
-        z_mids = gamma(k, mids)
-        f_mids, df_mids = _evaluate(fds, owner, k, z_mids)
-        # Each midpoint goes right after its left endpoint, which keeps the
-        # samples sorted by t.  A midpoint of the closing segment that rounds
-        # to t = 1.0 wraps to 0.0: it repeats its contour's first sample
-        # (t = 0.0), so it goes right after that one instead.
-        step = keep + refine.astype(np.intp)
-        wrapped = np.flatnonzero(mids == 0.0)
-        starts = first[np.searchsorted(last, left[wrapped])]
-        step[left[wrapped]] -= 1
-        step[starts] += 1
-        end = np.cumsum(step)
-        at_kept = (end - step)[keep]
-        at_mids = end[left] - 1
-        at_mids[wrapped] = end[starts] - step[starts] + 1
-
-        def merged(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-            out = np.empty(end[-1], dtype=old.dtype)
-            out[at_kept] = old[keep]
-            out[at_mids] = new
-            return out
-
-        t, z, f, df = merged(t, mids), merged(z, z_mids), merged(f, f_mids), merged(df, df_mids)
-        ids, sizes = ids[open_], sizes[open_] + nbad[open_]
+        sizes += nbad
+        s = np.flatnonzero(bad & open_[k])
+        k, t, z, f, df = k[s], t[:, s], z[:, s], f[:, s], df[:, s]
+        mid = (t[0] + t[1]) / 2.0
+        z_mid = gamma(k, mid % 1.0)
+        f_mid, df_mid = _evaluate(fds, owner, k, z_mid)
+        k = np.repeat(k, 2)
+        t, z, f, df = halved(t, mid), halved(z, z_mid), halved(f, f_mid), halved(df, df_mid)
     return counts
 
 

@@ -190,13 +190,14 @@ def _winding_cases():
     return cases
 
 
-@pytest.mark.parametrize("zero, gamma, m, n0", _winding_cases())
-def test_winding_numbers_match_lexsort_reference_bit_for_bit(zero, gamma, m, n0):
+def matched_reference(fd, gamma, m, n0):
+    """The counts of `winding_numbers` and the t of every gamma call it made,
+    once its counts and every evaluation batch match the reference's."""
     def recorded(calls):
-        def fd(z):
+        def evaluate(z):
             calls.append(z.copy())
-            return z - zero, np.ones_like(z)
-        return fd
+            return fd(z)
+        return evaluate
 
     ts = []
 
@@ -209,10 +210,45 @@ def test_winding_numbers_match_lexsort_reference_bit_for_bit(zero, gamma, m, n0)
                              n0=n0)
     assert counts == lexsort_winding_numbers(recorded(theirs), gamma, m, n0=n0)
     assert [z.tobytes() for z in ours] == [z.tobytes() for z in theirs]
+    return counts, ts
+
+
+@pytest.mark.parametrize("zero, gamma, m, n0", _winding_cases())
+def test_winding_numbers_match_lexsort_reference_bit_for_bit(zero, gamma, m, n0):
+    _, ts = matched_reference(lambda z: (z - zero, np.ones_like(z)), gamma, m, n0)
     if n0 == 1024:
         # a midpoint wrapped to t = 0.0, and later passes ran on it
         wraps = [i for i, t in enumerate(ts) if i and (t == 0.0).any()]
         assert wraps and wraps[0] < len(ts) - 1
+
+
+@pytest.mark.parametrize("text, gamma, want", [
+    ("exp(z^2) + exp(z) + 2", _boxes(np.array([[-5.1, 5.1, -5.1, 5.1], [-2.0, 2.0, -2.0, 2.0]])),
+     [32, 4]),
+    ("-exp(z^2) + exp(z) + 2", _circles(np.zeros(3), np.array([2.0, 4.0, 6.0])), [2, 12, 24]),
+    ("exp(z^2) - 3", _circles(np.array([0.3 + 0.1j, 1.0]), np.array([3.0, 6.5])), [6, 28]),
+], ids=["boxes", "circles-about-0", "circles-off-0"])
+def test_exponential_sums_match_lexsort_reference_bit_for_bit(text, gamma, want):
+    # these contours refine many segments over four or five passes
+    counts, _ = matched_reference(fused(text), gamma, len(want), 64)
+    assert counts == want
+
+
+@pytest.mark.parametrize("n, want", [(16000, 16000), (20000, None)])
+def test_winding_numbers_stop_at_the_point_cap(n, want):
+    # every segment of z^n on the unit circle fails until 131,072 samples,
+    # 64 doubled 11 times; z^20000 needs the next doubling, past the cap
+    sizes = []
+
+    def fd(z):
+        sizes.append(z.size)
+        return z ** n, n * z ** (n - 1)
+
+    counts = winding_numbers([fd], _circles(np.zeros(1), np.ones(1)), 1,
+                             owner=np.zeros(1, dtype=np.intp))
+    assert counts == [want]
+    assert len(sizes) == 12 < WINDING_MAX_PASSES
+    assert sum(sizes) == 64 << 11 <= WINDING_MAX_POINTS < 64 << 12
 
 
 class TestManyZerosNearTheEdge:
