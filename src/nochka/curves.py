@@ -38,6 +38,7 @@ from .univar import (QQi, UnivariatePoly, _join_signed, _signed_monomials,
                      poly_gcd_many)
 
 _ZERO = UnivariatePoly()
+_ONE = UnivariatePoly.constant(1)
 
 
 @dataclass(frozen=True)
@@ -347,5 +348,9 @@ def compose(target: Polynomial, curve: ProjectiveCurve) -> CurveCoordinate:
     """Exact composition Q(f_0, ..., f_M), collected; zero exactly when Q vanishes on f."""
     if target.nvars != curve.ambient_dim + 1:
         raise ValueError(f"target has {target.nvars} variables, curve has {curve.ambient_dim + 1}")
+    if curve.all_polynomial:
+        # the same canonical polynomial, without the exponent-keyed terms
+        return CurveCoordinate.from_poly(target.evaluate_exact(
+            [c.poly for c in curve.coordinates], _ONE))
     return target.evaluate_exact(curve.coordinates,
-                                 CurveCoordinate.from_poly(UnivariatePoly.constant(1)))
+                                 CurveCoordinate.from_poly(_ONE))

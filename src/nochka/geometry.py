@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import combinations_with_replacement, compress, repeat
 from math import comb, gcd, lcm, prod
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
@@ -152,7 +152,7 @@ class Arrangement:
     def normalized_forms(self) -> tuple[Polynomial, ...]:
         """The hypersurface forms raised to d/d_j, all of common degree d."""
         d = self.lcm_degree
-        return tuple(p ** (d // p.degree) for p in self.forms)
+        return tuple(p if p.degree == d else p ** (d // p.degree) for p in self.forms)
 
 
 def _integer_terms(p: Polynomial) -> dict[Monomial, int]:
@@ -696,14 +696,19 @@ def hilbert_weight(arr: Arrangement, m: int, costs: Sequence) -> HilbertWeightRe
     # integer weights: the costs times the lcm of their denominators
     den = lcm(*(c.denominator for c in costs))
     scaled = [c.numerator * (den // c.denominator) for c in costs]
-    weights = [sum(map(mul, exp, scaled)) for exp in exponents]
+    # an exponent vector's weight is the sum of the scaled costs over its
+    # index sequence, and `exponents` lists those sequences in this order
+    weights = list(map(sum, combinations_with_replacement(scaled, m)))
     # a stable descending sort keeps ties in ascending index order
     order = sorted(range(len(exponents)), key=weights.__getitem__, reverse=True)
     ech = Echelon()
     chosen: list[int] = []
+    width = len(vectors[0]) if vectors else 0
     for i in order:
         if ech.insert(vectors[i]):
             chosen.append(i)
+            if ech.rank == width:
+                break  # no later row can raise the rank
     S = Fraction(sum(weights[i] for i in chosen), den)
     return HilbertWeightResult(m, len(chosen), S,
                                tuple(exponents[i] for i in sorted(chosen)))

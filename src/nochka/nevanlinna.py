@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import QuadratureError, VerificationError
 from .geometry import Arrangement, PositionReport, check_subgeneral_position
 from .linalg import Echelon
 from .poly import Polynomial, next_level
+from .rank_core import _popcounts, greedy_bases, linear_matroid_oracle
 from .rootfind import CLUSTER_TOL, poly_roots_with_multiplicity, root_key, zeros_in_disk
 from .univar import QQI_ZERO, QQi, UnivariatePoly, poly_gcd_many
 
@@ -467,9 +467,13 @@ def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
     """Evaluate max-sum proximity over general-position (n+1)-subsets plus the
     Wronskian counting function against (n+1+eps) T(r), per radius.
 
-    A vacuous max (no general-position subset) contributes zero.  Negative
-    slack at isolated radii is reported, not failed: the inequality allows
-    an exceptional radius set of finite measure.
+    The general-position subsets are the bases of the hyperplanes' linear
+    matroid, read from its rank table (`linear_matroid_oracle`), so at most
+    MAX_GROUND_SET hyperplanes are taken.  At each sample the max is the sum
+    over the basis `greedy_bases` takes in descending order of proximity,
+    added in index order.  A vacuous max (no general-position subset)
+    contributes zero.  Negative slack at isolated radii is reported, not
+    failed: the inequality allows an exceptional radius set of finite measure.
     """
     if not curve.all_polynomial:
         raise ValueError("this check needs a polynomial curve")
@@ -486,23 +490,28 @@ def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
         raise ValueError("degenerate curve: vanishing Wronskian")
     wdiv = zero_divisor(w)
 
-    vectors = [h.linear_coefficients() for h in hyperplanes]
-    ksets = []
-    for combo in combinations(range(len(hyperplanes)), n + 1):
-        ech = Echelon()
-        if all(ech.insert(vectors[i]) for i in combo):
-            ksets.append(combo)
+    q = len(hyperplanes)
+    bases = 0
+    if q:
+        table = linear_matroid_oracle([h.linear_coefficients() for h in hyperplanes], n).table
+        bases = int(np.count_nonzero((_popcounts(q) == n + 1) & (table == n + 1)))
     proximities = [_proximity_integrand(h) for h in hyperplanes]
 
     def max_sum(values):
-        if not ksets:
-            return np.zeros(values[0].shape)
-        stacked = np.stack([integrand(values) for integrand in proximities])
-        best = None
-        for combo in ksets:
-            s = stacked[list(combo)].sum(axis=0)
-            best = s if best is None else np.maximum(best, s)
-        return best
+        sums = np.zeros(values[0].shape)
+        if not bases:
+            return sums
+        # negated proximities, one row per sample: a stable ascending sort
+        # lists each sample's hyperplanes by descending proximity, ties by
+        # index.  A nan proximity comes only where log max |f_i| is not
+        # finite, and there no proximity is finite, so the sum is not either.
+        neg = np.empty((sums.size, q))
+        for j, integrand in enumerate(proximities):
+            np.negative(integrand(values), out=neg[:, j])
+        chosen = greedy_bases(table, np.argsort(neg, axis=1, kind="stable").T)
+        for j in range(q):
+            np.subtract(sums, neg[:, j], out=sums, where=(chosen & 1 << j) != 0)
+        return sums
 
     rows = []
     for r in radii:
@@ -514,7 +523,7 @@ def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
         lhs = integral + ncount
         rhs = (n + 1 + eps) * T
         rows.append(CartanRadiusRow(r, T, integral, ncount, lhs, rhs, rhs - lhs))
-    return CartanReport(eps, len(ksets), tuple(rows))
+    return CartanReport(eps, bases, tuple(rows))
 
 
 @dataclass(frozen=True)

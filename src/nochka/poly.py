@@ -236,14 +236,14 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: key_degrevlex(t[0]), reverse=True)
 
     def evaluate_exact(self, values: Sequence, one):
-        """Evaluate at field elements; `one` seeds the constant accumulator."""
+        """Evaluate at field elements; `one` is the value of the empty product."""
         total = None
         for mono, coeff in self.terms.items():
-            term = one
+            term = None
             for i, e in enumerate(mono):
                 for _ in range(e):
-                    term = term * values[i]
-            term = term * coeff
+                    term = values[i] if term is None else term * values[i]
+            term = (one if term is None else term) * coeff
             total = term if total is None else total + term
         return total if total is not None else one * 0
 

@@ -477,13 +477,34 @@ def check_costs(costs: Sequence, q: int) -> list[Fraction]:
     return costs
 
 
+def greedy_bases(table: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The matroid greedy, run once per column of `order`: the mask of the
+    elements it takes.
+
+    `order` is a (k, S) array of 0-based elements, each column listing its
+    elements best first; an element is taken when it raises the rank,
+    `table[chosen | bit] > table[chosen]`.  On a rank table that passes
+    `validate_rank_oracle` this is a basis of the listed elements, and one
+    whose weights, when the order is by descending weight, sum to the
+    largest total of any basis (Oxley, *Matroid Theory*, 1.8).
+    """
+    chosen = np.zeros(order.shape[1], dtype=np.int64)
+    rank = table[chosen]
+    for row in order:
+        grown = chosen | np.left_shift(1, row, dtype=np.int64)
+        up = table[grown]
+        np.copyto(chosen, grown, where=up > rank)
+        np.maximum(rank, up, out=rank)
+    return chosen
+
+
 def greedy_select(oracle: RankOracle, weights: WeightAssignment,
                   subset: Iterable[int], costs: Sequence) -> tuple[int, ...]:
     """Pick an ordered general-position subfamily of R dominating the weighted cost sum.
 
-    Scans R by descending cost (ties by ascending index); after choosing
-    j_1..j_i the elements of R not raising the rank are frozen and the next
-    pick is the best remaining one.  Returns (j_1, ..., j_{c(R)}); both
+    Runs `greedy_bases` on R by descending cost (ties by ascending index):
+    the picks, in that order, are the elements of R that raise the rank of
+    the picks before them.  Returns (j_1, ..., j_{c(R)}); both
     postconditions -- full rank of the selection and
     sum_{j in R} omega(j) E_j <= sum_i E_{j_i} -- are verified exactly.
     """
@@ -497,22 +518,10 @@ def greedy_select(oracle: RankOracle, weights: WeightAssignment,
     costs = check_costs(costs, q)
 
     order = sorted(members, key=lambda j: (-costs[j - 1], j))
-    cstar = oracle.c_mask(rmask)
-    chosen: list[int] = []
-    chosen_mask = 0
-    frozen = 0
-    for level in range(1, cstar + 1):
-        pick = next((j for j in order if not frozen >> (j - 1) & 1), None)
-        if pick is None:
-            raise VerificationError("selection exhausted R before reaching c(R)")
-        chosen.append(pick)
-        chosen_mask |= 1 << (pick - 1)
-        frozen = 0
-        for k in members:
-            if oracle.c_mask(chosen_mask | 1 << (k - 1)) == level:
-                frozen |= 1 << (k - 1)
+    [chosen_mask] = greedy_bases(oracle.table, np.array(order).reshape(-1, 1) - 1).tolist()
+    chosen = [j for j in order if chosen_mask >> (j - 1) & 1]
 
-    if oracle.c_mask(chosen_mask) != cstar:
+    if oracle.c_mask(chosen_mask) != oracle.c_mask(rmask):
         raise VerificationError("selected family does not reach the rank of R")
     lhs = sum((weights.omega[j - 1] * costs[j - 1] for j in members), Fraction(0))
     rhs = sum((costs[j - 1] for j in chosen), Fraction(0))
@@ -599,7 +608,7 @@ def parse_oracle(text: str) -> RankOracle:
     header = _exact_header(text)
     if header is not None:
         labels = subset_labels(header[0])
-        oracle = _read_canonical(text, labels)
+        oracle = _read_canonical(text, header, labels)
         if oracle is not None:
             return oracle
     return _read_lines(text, labels)
@@ -607,28 +616,33 @@ def parse_oracle(text: str) -> RankOracle:
 
 def _exact_header(text: str) -> tuple[int, int, int] | None:
     """(q, n, N) when the first line of text is the header `format_oracle`
-    writes, with q in 1..MAX_GROUND_SET, and a newline ends it; else None."""
-    head, newline, _ = text.partition("\n")
+    writes, with q in 1..MAX_GROUND_SET, and a newline ends it; else None.
+    Only the first line is copied out of text."""
+    end = text.find("\n")
+    if end < 0:
+        return None
+    head = text[:end]
     try:
         q, n, N = map(int, head.split(" "))
     except ValueError:
         return None
-    if not newline or head != f"{q} {n} {N}" or not 1 <= q <= MAX_GROUND_SET:
+    if head != f"{q} {n} {N}" or not 1 <= q <= MAX_GROUND_SET:
         return None
     return q, n, N
 
 
-def _read_canonical(text: str, labels: list[str]) -> RankOracle | None:
+def _read_canonical(text: str, header: tuple[int, int, int],
+                    labels: list[str]) -> RankOracle | None:
     """The oracle of text written byte for byte as `format_oracle` writes it,
     with every value one digit, read as one array; None for any other text.
 
-    `labels` is `subset_labels(q)` for the header's q.  After the header the
-    text must be the canonical body, the lines `label : 0` in mask order,
-    but for a digit in place of each `0`.  The only error raised is the
-    constructor's, as the per-line reader raises it.
+    `header` is `_exact_header(text)`, not None, and `labels` is
+    `subset_labels(q)` for its q.  After the header the text must be the
+    canonical body, the lines `label : 0` in mask order, but for a digit in
+    place of each `0`.  The only error raised is the constructor's, as the
+    per-line reader raises it.
     """
-    header = _exact_header(text)
-    if header is None or not text.isascii():
+    if not text.isascii():
         return None
     q, n, N = header
     canon = bytearray("".join([f"{q} {n} {N}\n", " : 0\n".join(labels), " : 0\n"]), "ascii")

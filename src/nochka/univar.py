@@ -26,8 +26,8 @@ class QQi:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @classmethod
     def of(cls, value) -> "QQi":
@@ -72,6 +72,8 @@ class QQi:
         if isinstance(other, (int, Fraction)):
             return QQi(self.re * other, self.im * other)
         other = QQi.of(other)
+        if not (self.im or other.im):
+            return QQi(self.re * other.re, self.im)
         return QQi(self.re * other.re - self.im * other.im,
                    self.re * other.im + self.im * other.re)
 
@@ -204,17 +206,29 @@ class UnivariatePoly:
         return UnivariatePoly._of([-x for x in self.re], [-y for y in self.im], self.den)
 
     def __mul__(self, other) -> "UnivariatePoly":
-        """Convolution of the integer numerators; a scalar factor is a constant polynomial."""
+        """Convolution of the integer numerators; a rational factor scales
+        them, any other scalar is a constant polynomial."""
+        if isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+            n = other.numerator
+            return UnivariatePoly._of([x * n for x in self.re], [y * n for y in self.im],
+                                      self.den * other.denominator)
         if not isinstance(other, UnivariatePoly):
             other = UnivariatePoly.constant(other)
         re = [0] * (len(self.re) + len(other.re) - 1)
         im = re.copy()
-        right = list(zip(other.re, other.im))
-        for i, (x, y) in enumerate(zip(self.re, self.im)):
-            if x or y:
-                for k, (u, v) in enumerate(right, i):
-                    re[k] += x * u - y * v
-                    im[k] += x * v + y * u
+        if any(self.im) or any(other.im):
+            right = list(zip(other.re, other.im))
+            for i, (x, y) in enumerate(zip(self.re, self.im)):
+                if x or y:
+                    for k, (u, v) in enumerate(right, i):
+                        re[k] += x * u - y * v
+                        im[k] += x * v + y * u
+        else:  # real numerators: the imaginary parts stay zero
+            for i, x in enumerate(self.re):
+                if x:
+                    for k, u in enumerate(other.re, i):
+                        re[k] += x * u
         return UnivariatePoly._of(re, im, self.den * other.den)
 
     __rmul__ = __mul__

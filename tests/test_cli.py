@@ -13,8 +13,8 @@ import nochka
 from nochka.cli import build_parser, main
 from nochka.fixtures import pencil_lines_arrangement, three_point_arrangement
 from nochka.geometry import format_arrangement, parse_arrangement
-from nochka.rank_core import (_read_canonical, format_oracle, linear_matroid_oracle,
-                              subset_labels)
+from nochka.rank_core import (_exact_header, _read_canonical, format_oracle,
+                              linear_matroid_oracle, subset_labels)
 
 FIXTURE_VECTORS = [(1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1),
                    (1, 1, 1), (1, 2, 3)]
@@ -157,8 +157,9 @@ class TestRankCommands:
         for name, text in layouts.items():
             paths.append(tmp_path / f"{name}.oracle")
             paths[-1].write_bytes(text.encode("ascii"))
-        labels = subset_labels(12)
-        assert [_read_canonical(path.read_text(), labels) is not None
+        exact = _exact_header(intro_oracle_text)
+        labels = subset_labels(exact[0])
+        assert [_read_canonical(path.read_text(), exact, labels) is not None
                 for path in paths] == [True, False, True]
         for extra in (["validate-rank"], ["weights"],
                       ["greedy", "--subset", "1,2,3,4", "--costs", "4,3,2,1,0,0,0,0,0,0,0,0"]):

@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nochka.curves import CurveCoordinate, compose
-from nochka.fixtures import exp_curve, generate_intro_fixture
+from nochka.curves import CurveCoordinate, ProjectiveCurve, compose
+from nochka.fixtures import (exp_curve, generate_intro_fixture, parabola_curve,
+                             pencil_lines_arrangement)
+from nochka.poly import Polynomial
 from nochka.univar import QQi, UnivariatePoly
 
 
@@ -100,3 +102,33 @@ def test_each_point_gets_the_bits_of_a_one_point_call(coord):
         fj, dfj = coord.value_and_derivative(z[j:j + 1])
         assert fj.tobytes() == f[j:j + 1].tobytes()
         assert dfj.tobytes() == df[j:j + 1].tobytes()
+
+
+def _polynomial_curves():
+    rng = random.Random(29)
+    curves = [parabola_curve()]
+    while len(curves) < 7:
+        # real integer coefficients for the first few, Gaussian-rational after
+        real = len(curves) < 4
+        coords = [UnivariatePoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 4))])
+                  if real else _poly(rng, rng.randint(0, 3)) for _ in range(3)]
+        try:
+            curves.append(ProjectiveCurve([CurveCoordinate.from_poly(c) for c in coords]))
+        except ValueError:
+            pass  # all zero, or a common factor
+    return curves
+
+
+@pytest.mark.parametrize("curve", _polynomial_curves(), ids=lambda c: repr(c)[16:60])
+def test_compose_on_a_polynomial_curve_matches_the_keyed_evaluation(curve):
+    # compose evaluates on the bare polynomials of a polynomial curve; the
+    # exponent-keyed CurveCoordinate arithmetic must give the same terms
+    one = CurveCoordinate.from_poly(UnivariatePoly.constant(1))
+    intro = generate_intro_fixture(2).arrangement
+    targets = [*intro.forms, *pencil_lines_arrangement().normalized_forms(),
+               intro.forms[0] * intro.forms[3] - intro.forms[1] ** 2, Polynomial.zero(3)]
+    for target in targets:
+        got = compose(target, curve)
+        want = target.evaluate_exact(curve.coordinates, one)
+        assert got.terms == want.terms
+        assert got.poly == want.poly

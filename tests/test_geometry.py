@@ -949,6 +949,31 @@ class TestHilbertWeight:
             costs = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(3)]
             assert hilbert_weight(arr, m, costs).S == brute_force_max_weight(arr, m, costs)
 
+    def test_matches_the_full_scan(self):
+        # the greedy stops once the rows span the slice, and sums the scaled
+        # costs over index sequences; the reference scans every row with
+        # exponent-vector dot products, as it did before
+        def full_scan(arr, m, costs):
+            costs = [Fraction(c) for c in costs]
+            exps, vectors = geometry._degree_m_vectors(arr, m)
+            weights = [sum((e * c for e, c in zip(exp, costs)), Fraction(0)) for exp in exps]
+            order = sorted(range(len(exps)), key=weights.__getitem__, reverse=True)
+            ech = Echelon()
+            chosen = [i for i in order if ech.insert(vectors[i])]
+            return (len(chosen), sum((weights[i] for i in chosen), Fraction(0)),
+                    tuple(exps[i] for i in sorted(chosen)))
+
+        rng = random.Random(11)
+        cases = [(pencil_lines_arrangement(), 4), (pencil_lines_arrangement(), 2),
+                 (conic_presentation_arrangement(), 3), (three_point_arrangement(), 4),
+                 (generate_intro_fixture(1).arrangement, 2)]
+        for arr, m in cases:
+            for _ in range(4):
+                # few distinct costs, so many weights tie
+                costs = [Fraction(rng.randint(0, 3), rng.choice((1, 2, 3))) for _ in range(arr.q)]
+                got = hilbert_weight(arr, m, costs)
+                assert (got.H, got.S, got.basis) == full_scan(arr, m, costs)
+
 
 class TestHilbertLowerBound:
     def test_zero_costs_zero_slack(self):

@@ -2,9 +2,10 @@
 
 import gc
 import math
+import random
 import weakref
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nochka.fixtures import (exp_curve, generate_intro_fixture, parabola_curve,
                              pencil_lines_arrangement, three_point_arrangement)
 from nochka.geometry import (Arrangement, codim_oracle, hilbert_function, hilbert_weight,
                              parse_arrangement)
+from nochka.linalg import Echelon
 from nochka.nevanlinna import (PERTURB_FACTOR, QUAD_K0, QUAD_KMAX, _averaged_with_perturbation,
                                _circle_average, _circle_averages,
                                cartan_ru_check, characteristic, counting_function,
@@ -508,7 +510,100 @@ class TestWronskianDivisorCheck:
             done += 1
 
 
+def _reference_cartan(curve, hyperplanes, epsilon, radii, *, tol=nevanlinna.DEFAULT_QUAD_TOL):
+    """`cartan_ru_check` as it was before the rank table: an `Echelon` on
+    every (n+1)-subset of the hyperplanes, and at every sample the max of
+    the sums over every subset that is in general position."""
+    n = curve.ambient_dim
+    wdiv = zero_divisor(wronskian([c.poly for c in curve.coordinates]))
+    vectors = [h.linear_coefficients() for h in hyperplanes]
+    ksets = []
+    for combo in combinations(range(len(hyperplanes)), n + 1):
+        ech = Echelon()
+        if all(ech.insert(vectors[i]) for i in combo):
+            ksets.append(combo)
+    proximities = [nevanlinna._proximity_integrand(h) for h in hyperplanes]
+
+    def max_sum(values):
+        if not ksets:
+            return np.zeros(values[0].shape)
+        stacked = np.stack([integrand(values) for integrand in proximities])
+        best = None
+        for combo in ksets:
+            s = stacked[list(combo)].sum(axis=0)
+            best = s if best is None else np.maximum(best, s)
+        return best
+
+    rows = []
+    for r in sorted(radii):
+        (T, _), (integral, r_eff) = _averaged_with_perturbation(
+            curve.circle_values, [nevanlinna._log_max, max_sum], r, tol=tol)
+        T = T if r_eff == r else characteristic(curve, r_eff, tol=tol)
+        ncount = counting_function(wdiv, r_eff)
+        lhs = integral + ncount
+        rhs = (n + 1 + float(epsilon)) * T
+        rows.append(nevanlinna.CartanRadiusRow(r, T, integral, ncount, lhs, rhs, rhs - lhs))
+    return nevanlinna.CartanReport(float(epsilon), len(ksets), tuple(rows))
+
+
+def _seeded_lines(rng: random.Random, q: int, dim: int) -> list[Polynomial]:
+    """q seeded linear forms in dim variables: about a fifth repeat an
+    earlier form up to a factor, and about a sixth are the sum of two
+    earlier ones, so the sets hold parallel and concurrent lines."""
+    vectors: list[list[int]] = []
+    while len(vectors) < q:
+        roll = rng.random()
+        if vectors and roll < 0.2:
+            v = [rng.choice([-2, 3]) * x for x in rng.choice(vectors)]
+        elif len(vectors) >= 2 and roll < 0.35:
+            a, b = rng.sample(vectors, 2)
+            v = [x + y for x, y in zip(a, b)]
+        else:
+            v = [rng.randint(-3, 3) for _ in range(dim)]
+        if any(v):
+            vectors.append(v)
+    return [Polynomial(dim, {tuple(int(i == j) for i in range(dim)): c for j, c in enumerate(v)})
+            for v in vectors]
+
+
 class TestCartan:
+    TANGENTS = [parse_polynomial(f"x0 + {t}*x1 + {t * t}*x2", V3) for t in range(1, 22)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_subset_enumeration_in_P2(self, seed):
+        rng = random.Random(seed)
+        lines = _seeded_lines(rng, rng.randint(3, 10), 3)
+        radii = [rng.choice([3.5, 10, 40]), 250]
+        assert cartan_ru_check(parabola_curve(), lines, Fraction(1, 2), radii) == \
+            _reference_cartan(parabola_curve(), lines, Fraction(1, 2), radii)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_subset_enumeration_in_P3(self, seed):
+        rng = random.Random(100 + seed)
+        cubic = poly_curve(up(1), up(0, 1), up(0, 0, 1), up(0, 0, 0, 1))
+        planes = _seeded_lines(rng, rng.randint(4, 9), 4)
+        assert cartan_ru_check(cubic, planes, 1, [5, 60]) == \
+            _reference_cartan(cubic, planes, 1, [5, 60])
+
+    def test_matches_the_subset_enumeration_at_a_perturbed_radius(self):
+        forms, _ = _lines_through_two()
+        report = cartan_ru_check(parabola_curve(), forms, 1, [2], tol=1e-5)
+        assert report == _reference_cartan(parabola_curve(), forms, 1, [2], tol=1e-5)
+        assert report.general_position_subsets == 4
+
+    def test_no_hyperplanes(self):
+        report = cartan_ru_check(parabola_curve(), [], 1, [10, 100])
+        assert report.general_position_subsets == 0
+        assert [row.max_sum_integral for row in report.rows] == [0, 0]
+
+    def test_twenty_tangent_lines(self):
+        report = cartan_ru_check(parabola_curve(), self.TANGENTS[:20], 1, [10])
+        assert report.general_position_subsets == math.comb(20, 3) == 1140
+
+    def test_more_hyperplanes_than_the_ground_set_refused(self):
+        with pytest.raises(ValueError, match="20"):
+            cartan_ru_check(parabola_curve(), self.TANGENTS, 1, [10])
+
     def test_parabola_with_four_lines(self):
         hyps = [parse_polynomial(t, V3) for t in ("x0", "x1", "x2", "x0 + x1 + x2")]
         report = cartan_ru_check(parabola_curve(), hyps, 1, [100])

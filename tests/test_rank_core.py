@@ -13,9 +13,9 @@ from nochka import rank_core
 from nochka.errors import ParseError, VerificationError
 from nochka.linalg import Echelon, primitive
 from nochka.rank_core import (AXIOM_NAMES, AxiomCheck, Filtration, RankOracle,
-                              ValidationReport, WeightAssignment, _popcounts,
-                              _read_canonical, _set_str, build_filtration, format_oracle,
-                              greedy_select, indices_of, linear_matroid_oracle, mask_of,
+                              ValidationReport, WeightAssignment, _exact_header,
+                              _popcounts, _read_canonical, _set_str, build_filtration,
+                              format_oracle, greedy_bases, greedy_select, indices_of, linear_matroid_oracle, mask_of,
                               nochka_weights, parse_oracle, rho, subset_labels,
                               validate_rank_oracle, verify_weight_conditions)
 
@@ -391,6 +391,62 @@ class TestLinearMatroidReference:
                 assert oracle.c_mask(mask) == sympy.Matrix(rows).rank(), (vectors, mask)
 
 
+def _best_basis_sum(table: np.ndarray, weights) -> float:
+    """The largest weight sum over the bases of the rank table, by trying
+    every mask."""
+    q = len(weights)
+    pc = _popcounts(q)
+    bases = np.flatnonzero((table == pc) & (table == table[-1]))
+    return max(sum(weights[j - 1] for j in indices_of(int(m))) for m in bases)
+
+
+class TestGreedyBases:
+    """`greedy_bases` on rank tables of families with loops (zero vectors),
+    parallel elements and three concurrent lines, against every basis."""
+
+    FAMILIES = [
+        [(0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 1, 1), (1, 1, 1)],
+        [(1, 2, 0), (2, 4, 0), (-1, -2, 0), (0, 0, 1), (1, 0, 1), (0, 0, 3)],
+        [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, -1, 0), (2, 2, 0)],
+        [(1, 0), (0, 0), (2, 0)],
+        [(0, 0, 0, 0)],
+    ]
+
+    @staticmethod
+    def families():
+        yield from TestGreedyBases.FAMILIES
+        rng = random.Random(11)
+        for _ in range(40):
+            q, dim = rng.randint(1, 9), rng.randint(2, 4)
+            vectors = _vector_family(rng, q, dim)
+            for _ in range(rng.randint(0, 2)):  # loops
+                vectors.insert(rng.randint(0, len(vectors)), (0,) * dim)
+            yield vectors
+
+    def test_matches_the_best_basis(self):
+        rng = random.Random(5)
+        for vectors in self.families():
+            q = len(vectors)
+            table = np.array(_reference_matroid_table(vectors), dtype=np.int64)
+            # integer-valued weights: every sum is exact, and ties are common
+            weights = np.array([[rng.choice([math.inf] + [float(k) for k in range(4)] * 3)
+                                 for _ in range(q)] for _ in range(25)])
+            masks = greedy_bases(table, np.argsort(-weights, axis=1, kind="stable").T)
+            assert masks.shape == (25,)
+            for w, mask in zip(weights.tolist(), masks.tolist()):
+                assert table[mask] == mask.bit_count() == table[-1], (vectors, w)
+                taken = sum(w[j - 1] for j in indices_of(mask))
+                assert taken == _best_basis_sum(table, w), (vectors, w)
+
+    def test_takes_only_the_listed_elements(self):
+        table = np.array(_reference_matroid_table(self.FAMILIES[2]), dtype=np.int64)
+        # elements 5, 3, 1, 2 of the plane x2 = 0: 5 and 3 span it, and 4,
+        # off the plane, is not listed
+        order = np.array([[4, 2, 0, 1]]).T
+        assert greedy_bases(table, order).tolist() == [0b10100]
+        assert greedy_bases(table, np.zeros((0, 3), dtype=np.int64)).tolist() == [0, 0, 0]
+
+
 class TestOracleFormat:
     def test_round_trip(self, fixture_oracle):
         text = format_oracle(fixture_oracle)
@@ -490,11 +546,10 @@ MALFORMED += CANONICAL_MALFORMED
 
 
 def _canonical_read(text: str) -> RankOracle | None:
-    """`_read_canonical` handed the labels of the q its header declares,
-    or of q = 1 when that q is no ground set size."""
-    fields = text.split("\n", 1)[0].split()
-    q = int(fields[0]) if fields and fields[0].isdigit() else 0
-    return _read_canonical(text, subset_labels(q if 1 <= q <= 20 else 1))
+    """`_read_canonical` handed the header and labels `parse_oracle` hands
+    it, or None when the text has no exact header."""
+    header = _exact_header(text)
+    return None if header is None else _read_canonical(text, header, subset_labels(header[0]))
 
 
 class TestCanonicalOracleText:
@@ -780,6 +835,25 @@ def matroid_oracles(draw):
     return _random_matroid(draw)
 
 
+def _reference_greedy_select(oracle: RankOracle, subset, costs) -> tuple[int, ...]:
+    """`greedy_select`'s picks as its freeze loop made them: after each
+    pick, the members that no longer raise the rank are frozen, and the
+    next pick is the best member, by descending cost then index, not frozen."""
+    members = tuple(sorted(set(subset)))
+    order = sorted(members, key=lambda j: (-costs[j - 1], j))
+    chosen: list[int] = []
+    chosen_mask = frozen = 0
+    for level in range(1, oracle.c(members) + 1):
+        pick = next(j for j in order if not frozen >> (j - 1) & 1)
+        chosen.append(pick)
+        chosen_mask |= 1 << (pick - 1)
+        frozen = 0
+        for k in members:
+            if oracle.c_mask(chosen_mask | 1 << (k - 1)) == level:
+                frozen |= 1 << (k - 1)
+    return tuple(chosen)
+
+
 class TestProperties:
     @given(matroid_oracles())
     @settings(max_examples=60, deadline=None)
@@ -807,6 +881,18 @@ class TestProperties:
         assert scale > 0
         rescaled = greedy_select(oracle, weights, subset, [c * scale for c in costs])
         assert rescaled == chosen
+
+    @given(matroid_oracles(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_matches_the_freeze_loop(self, oracle, data):
+        assume(validate_rank_oracle(oracle).ok)
+        weights = nochka_weights(oracle)
+        size = data.draw(st.integers(1, min(oracle.q, oracle.N + 1)))
+        subset = data.draw(st.permutations(range(1, oracle.q + 1)))[:size]
+        # costs from three values: most selections break ties by index
+        costs = data.draw(st.lists(st.integers(0, 2), min_size=oracle.q, max_size=oracle.q))
+        assert greedy_select(oracle, weights, subset, costs) == \
+            _reference_greedy_select(oracle, subset, costs)
 
     @given(matroid_oracles())
     @settings(max_examples=40, deadline=None)

@@ -270,3 +270,41 @@ class TestCanonicalForm:
         f = parse_coordinate("exp(1/2*z + 1/2*z) + exp(z)")
         assert list(f.terms.items()) == [(UnivariatePoly([0, 1]), UnivariatePoly([2]))]
         assert parse_coordinate("exp(1/2*z + 1/2*z) - exp(z)").is_zero
+
+
+def qqi_product(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
+    """The product convolved on the QQi coefficient view."""
+    out = [QQi(0)] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return UnivariatePoly(out)
+
+
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+real_polys = st.lists(rationals, max_size=6).map(UnivariatePoly)
+
+
+class TestProducts:
+    """Real numerators take their own convolution and rational scalars scale
+    the numerators; both must give the canonical form of the general path."""
+
+    @given(st.one_of(real_polys, gaussian_polys), st.one_of(real_polys, gaussian_polys))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_coefficient_convolution(self, a, b):
+        assert_same_canonical(a * b, qqi_product(a, b))
+
+    @given(st.one_of(real_polys, gaussian_polys), st.one_of(rationals, st.integers(-9, 9)))
+    @settings(max_examples=80, deadline=None)
+    def test_rational_scalar_is_the_constant_polynomial(self, a, c):
+        want = qqi_product(a, UnivariatePoly.constant(c))
+        assert_same_canonical(a * c, want)
+        assert_same_canonical(c * a, want)
+
+    @given(gaussian_rationals, gaussian_rationals)
+    @settings(max_examples=80, deadline=None)
+    def test_qqi_product(self, x, y):
+        for u, v in ((x, y), (QQi(x.re), QQi(y.re)), (QQi(x.re), y)):
+            got = u * v
+            assert (got.re, got.im) == (u.re * v.re - u.im * v.im, u.re * v.im + u.im * v.re)
+            assert type(got.re) is Fraction and type(got.im) is Fraction
