@@ -6,9 +6,10 @@ averages a report needs at one radius share one grid: each level's curve
 samples are computed once, and each integrand stops at its own level, so
 its value equals the one a separate run gives.  A sample is singular when
 the integrand is not finite there (for a proximity, also when |Q(w)| <
-1e-250); that integrand alone then runs again at the radius inflated by
-relative 1e-6 steps.  The zero it hit then lies within about 1e-6 r of the
-circle, so the rerun converges only under a loose tolerance.  Zero
+1e-250); that integrand alone then runs again at the same radius on a
+turned grid, whose nodes miss every dyadic angle.  A zero on the circle
+stays there, so the rerun converges only under a loose tolerance.  Every
+value a report gives is thus taken at the radius its row names.  Zero
 divisors are exact for polynomial data and argument-principle counts for
 exponential polynomials, with targets Q(f) composed exactly for every
 curve; counting functions are closed forms over divisors.
@@ -31,16 +32,17 @@ from .linalg import Echelon
 from .poly import Polynomial, next_level
 from .rank_core import _popcounts, greedy_bases, linear_matroid_oracle
 from .rootfind import CLUSTER_TOL, poly_roots_with_multiplicity, root_key, zeros_in_disk
-from .univar import QQI_ZERO, QQi, UnivariatePoly, poly_gcd_many
+from .univar import QQI_ZERO, QQi, UnivariatePoly, float_of, poly_gcd_many
 
 DEFAULT_QUAD_TOL = 1e-9
 QUAD_K0 = 6
 QUAD_KMAX = 20
-PERTURB_FACTOR = 1 + 1e-6
+GOLDEN = (math.sqrt(5) - 1) / 2
+MAX_TURNS = 5
 VALUE_FLOOR = 1e-250
 
 
-def _circle_averages(base, integrands, r: float, *, tol: float) -> list:
+def _circle_averages(base, integrands, r: float, *, tol: float, turn: float = 0.0) -> list:
     """Means over the circle of radius r of several integrands, by doubling uniform samples.
 
     `base(r, thetas)`, such as `ProjectiveCurve.circle_values`, is computed
@@ -49,9 +51,10 @@ def _circle_averages(base, integrands, r: float, *, tol: float) -> list:
     Each integrand keeps its own running mean and stops once two of its
     successive levels agree within `tol`, so its value is bit for bit the
     one a run with that integrand alone gives.  An integrand with a sample
-    that is not finite is singular at this radius and stops there.  Returns
+    that is not finite is singular on this grid and stops there.  Returns
     one outcome per integrand: its mean, None when it was singular, or a
-    `QuadratureError` when it did not converge.
+    `QuadratureError` when it did not converge.  `turn` moves every level's
+    angles, so each level still nests in the next.
     """
     outcomes: list = [None] * len(integrands)
     means = [0.0] * len(integrands)
@@ -63,7 +66,7 @@ def _circle_averages(base, integrands, r: float, *, tol: float) -> list:
         n = 1 << k
         first = k == QUAD_K0
         # the first level takes every point, each later one only the new odd points
-        thetas = (np.arange(n) if first else np.arange(1, n, 2)) * (2 * np.pi / n)
+        thetas = (np.arange(n) if first else np.arange(1, n, 2)) * (2 * np.pi / n) + turn
         values = base(r, thetas)
         still = []
         for i in active:
@@ -91,33 +94,32 @@ def _circle_averages(base, integrands, r: float, *, tol: float) -> list:
     return outcomes
 
 
-def _averaged_with_perturbation(base, integrands, r: float, *,
-                                tol: float) -> list[tuple[float, float]]:
-    """Run `_circle_averages`; an integrand that is singular at r runs
-    again alone at r inflated by relative 1e-6 steps.
-
-    Returns (value, radius actually used) per integrand, or raises the
-    error of the first integrand that failed.
-    """
+def _averages_off_zeros(base, integrands, r: float, *, tol: float) -> list[float]:
+    """Run `_circle_averages`; an integrand that is singular on the grid runs
+    again alone at r on grids turned by k * GOLDEN first-level spacings,
+    k = 1..MAX_TURNS: GOLDEN is irrational, so they miss every dyadic angle,
+    such as 0, where a real zero at an integer radius sits.  The trapezoid
+    rule holds on any rotation, so the value is still the mean at r.
+    Returns the value per integrand, or raises the first integrand's error."""
+    spacing = 2 * np.pi / (1 << QUAD_K0)
     results = []
     for integrand, outcome in zip(integrands, _circle_averages(base, integrands, r, tol=tol)):
-        r_eff = r
-        for _ in range(5):  # r and up to five inflations of it
+        for k in range(1, MAX_TURNS + 1):
             if outcome is not None:
                 break
-            r_eff *= PERTURB_FACTOR
-            [outcome] = _circle_averages(base, [integrand], r_eff, tol=tol)
+            [outcome] = _circle_averages(base, [integrand], r, tol=tol,
+                                         turn=k * GOLDEN * spacing)
         if outcome is None:
-            raise QuadratureError(f"integrand stayed singular near radius {r} after perturbations")
+            raise QuadratureError(f"integrand stayed singular at radius {r} on every turned grid")
         if isinstance(outcome, QuadratureError):
             raise outcome
-        results.append((outcome, r_eff))
+        results.append(outcome)
     return results
 
 
-def _circle_average(base, integrand, r: float, *, tol: float) -> tuple[float, float]:
-    """The one-integrand case: (value, radius actually used)."""
-    [result] = _averaged_with_perturbation(base, [integrand], r, tol=tol)
+def _circle_average(base, integrand, r: float, *, tol: float) -> float:
+    """The one-integrand case of `_averages_off_zeros`."""
+    [result] = _averages_off_zeros(base, [integrand], r, tol=tol)
     return result
 
 
@@ -166,7 +168,8 @@ def _proximity_integrand(target: Polynomial):
     equals ||Q|| / |Q(w)|.  A sample with |Q(w)| < VALUE_FLOOR is taken as
     a zero of Q(f) and gives +inf.
     """
-    log_norm = math.log(float(target.max_abs_coeff()))
+    norm = target.max_abs_coeff()
+    log_norm = math.log(float_of(norm.numerator, norm.denominator))
 
     def integrand(values):
         _, W = values
@@ -198,8 +201,7 @@ class ZeroDivisor:
 def characteristic(curve: ProjectiveCurve, r: float, *, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Circle average of log max_i |f_i| at radius r."""
     [r] = _checked_radii([r], tol)
-    value, _ = _circle_average(curve.circle_values, _log_max, r, tol=tol)
-    return value
+    return _circle_average(curve.circle_values, _log_max, r, tol=tol)
 
 
 def zero_divisor(obj, radius: float | None = None) -> ZeroDivisor:
@@ -257,16 +259,15 @@ def proximity(curve: ProjectiveCurve, target: Polynomial, r: float, *,
         raise ValueError("variable count mismatch between target and curve")
     if compose(target, curve).is_zero:
         raise ValueError("target vanishes identically on the curve")
-    value, _ = _circle_average(curve.circle_values, _proximity_integrand(target), r, tol=tol)
-    return value
+    return _circle_average(curve.circle_values, _proximity_integrand(target), r, tol=tol)
 
 
 @dataclass(frozen=True)
 class ConstancyReport:
-    """Per-radius difference between a circle integral and a counting function."""
+    """Per-radius difference between a circle integral and a counting function;
+    each integral is taken at its radius, so JSON `radii_used` repeats `radii`."""
 
     radii: tuple[float, ...]
-    radii_used: tuple[float, ...]
     integrals: tuple[float, ...]
     countings: tuple[float, ...]
     constant: float
@@ -275,7 +276,7 @@ class ConstancyReport:
     def as_dict(self) -> dict:
         return {
             "radii": list(self.radii),
-            "radii_used": list(self.radii_used),
+            "radii_used": list(self.radii),
             "integrals": list(self.integrals),
             "countings": list(self.countings),
             "constant": self.constant,
@@ -307,17 +308,12 @@ def jensen_check(phi: CurveCoordinate | UnivariatePoly, radii: Sequence[float], 
     def circle(rr, thetas):
         return rr * np.exp(1j * thetas)
 
-    used, integrals, countings, diffs = [], [], [], []
-    for r in radii:
-        integral, r_eff = _circle_average(circle, phi.log_abs_array, r, tol=tol)
-        used.append(r_eff)
-        integrals.append(integral)
-        countings.append(counting_function(divisor, r_eff))
-        diffs.append(integral - countings[-1])
+    integrals = [_circle_average(circle, phi.log_abs_array, r, tol=tol) for r in radii]
+    countings = [counting_function(divisor, r) for r in radii]
+    diffs = [i - c for i, c in zip(integrals, countings)]
     constant = sum(diffs) / len(diffs)
     max_dev = max(abs(d - constant) for d in diffs)
-    return ConstancyReport(tuple(radii), tuple(used), tuple(integrals),
-                           tuple(countings), constant, max_dev)
+    return ConstancyReport(tuple(radii), tuple(integrals), tuple(countings), constant, max_dev)
 
 
 def wronskian(functions: Sequence[UnivariatePoly | CurveCoordinate]) -> UnivariatePoly:
@@ -515,11 +511,8 @@ def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
 
     rows = []
     for r in radii:
-        (T, _), (integral, r_eff) = _averaged_with_perturbation(
-            curve.circle_values, [_log_max, max_sum], r, tol=tol)
-        # both sides at the radius the max-sum integral used
-        T = T if r_eff == r else characteristic(curve, r_eff, tol=tol)
-        ncount = counting_function(wdiv, r_eff)
+        T, integral = _averages_off_zeros(curve.circle_values, [_log_max, max_sum], r, tol=tol)
+        ncount = counting_function(wdiv, r)
         lhs = integral + ncount
         rhs = (n + 1 + eps) * T
         rows.append(CartanRadiusRow(r, T, integral, ncount, lhs, rhs, rhs - lhs))
@@ -586,7 +579,6 @@ class SMTTargetRow:
     N_full: float
     proximity: float
     fmt_value: float
-    r_used: float
 
 
 @dataclass(frozen=True)
@@ -634,7 +626,7 @@ class SMTReport:
                          "truncation": "inf" if t.truncation is None else t.truncation,
                          "N_truncated": t.N_truncated, "N_full": t.N_full,
                          "proximity": t.proximity, "fmt_value": t.fmt_value,
-                         "r_used": t.r_used}
+                         "r_used": row.r}
                         for t in row.targets
                     ],
                 }
@@ -697,21 +689,17 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
     integrands = [_log_max] + [_proximity_integrand(form) for _, form, _ in targets]
     for r in radii:
         # T(r) and every proximity converge on one shared grid per radius
-        (T, _), *proximities = _averaged_with_perturbation(curve.circle_values, integrands,
-                                                           r, tol=tol)
+        T, *proximities = _averages_off_zeros(curve.circle_values, integrands, r, tol=tol)
         target_rows = []
         rhs = 0.0
-        for (name, form, div), trunc, (prox, r_eff) in zip(targets, trunc_list, proximities):
+        for (name, form, div), trunc, prox in zip(targets, trunc_list, proximities):
             d = form.degree
-            n_full = counting_function(div, r_eff)
+            n_full = counting_function(div, r)
             n_trunc = counting_function(div, r, trunc)
-            # a perturbed proximity is checked against T at its own radius
-            T_eff = T if r_eff == r else characteristic(curve, r_eff, tol=tol)
-            fmt = d * T_eff - n_full - prox
+            fmt = d * T - n_full - prox
             fmt_values[name].append(fmt)
             rhs += n_trunc / d
-            target_rows.append(SMTTargetRow(name, d, trunc, n_trunc, n_full,
-                                            prox, fmt, r_eff))
+            target_rows.append(SMTTargetRow(name, d, trunc, n_trunc, n_full, prox, fmt))
         lhs = coefficient * T
         rows.append(SMTRadiusRow(r, T, lhs, rhs, rhs - lhs, tuple(target_rows)))
 

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ParseError, ResourceBudgetError, VerificationError
-from .univar import _join_signed
+from .univar import _join_signed, float_of
 
 Monomial = tuple[int, ...]
 
@@ -258,7 +258,7 @@ class Polynomial:
         total = np.zeros(np.broadcast_shapes(*(v.shape for v in values)), dtype=np.complex128)
         powers = [[None, v] for v in values]
         for mono, coeff in self.terms.items():
-            term = complex(coeff)
+            term = complex(float_of(coeff.numerator, coeff.denominator))
             for v, table, e in zip(values, powers, mono):
                 if e:
                     while len(table) <= e:

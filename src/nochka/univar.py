@@ -20,6 +20,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+def float_of(num: int, den: int = 1) -> float:
+    """num / den rounded to the nearest float, as float(Fraction) rounds; a value
+    past the float range raises ValueError naming it."""
+    try:
+        return num / den
+    except OverflowError:
+        raise ValueError(f"coefficient {Fraction(num, den)} is past the float range") from None
+
+
 class QQi:
     """Complex number with exact rational real and imaginary parts."""
 
@@ -93,7 +102,8 @@ class QQi:
         return self.re * self.re + self.im * self.im
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(float_of(self.re.numerator, self.re.denominator),
+                       float_of(self.im.numerator, self.im.denominator))
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -288,13 +298,11 @@ class UnivariatePoly:
 
     @property
     def complex_coeffs(self) -> tuple[complex, ...]:
-        """complex(c) for each coefficient, low to high, converted once per polynomial.
-
-        Integer true division rounds correctly, as float(Fraction) does.
-        """
+        """complex(c) for each coefficient, low to high, converted once per polynomial."""
         if self._complex is None:
             den = self.den
-            self._complex = tuple(complex(x / den, y / den) for x, y in zip(self.re, self.im))
+            self._complex = tuple(complex(float_of(x, den), float_of(y, den))
+                                  for x, y in zip(self.re, self.im))
         return self._complex
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:

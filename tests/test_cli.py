@@ -315,6 +315,30 @@ class TestAnalyticCommands:
         assert main(["jensen", "--phi", "z - 1/2", *extra]) == 2
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phi", [f"{10 ** 400}*z - 1", f"exp({10 ** 400}*z) + 1"])
+    def test_jensen_coefficient_past_the_float_range_exit_2(self, capsys, phi):
+        assert main(["jensen", "--phi", phi, "--radii", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: coefficient {10 ** 400} is past the float range\n"
+
+    @pytest.mark.parametrize("command", ["cartan-check", "smt-report"])
+    @pytest.mark.parametrize("h4, coordinate", [(f"x0 + x1 + {10 ** 400}*x2", "z"),
+                                                ("x0 + x1 + x2", f"{10 ** 400}*z")],
+                             ids=["hyperplane", "curve"])
+    def test_coefficient_past_the_float_range_exit_2(self, capsys, tmp_path, command,
+                                                     h4, coordinate):
+        arr = tmp_path / "lines.arrangement"
+        arr.write_text("[space] M=2 n=2 degV=1 N=2\n[vars] x0 x1 x2\n[variety]\n"
+                       f"[hypersurfaces]\nH1 : x0\nH2 : x2\nH3 : x1 - 2*x0\nH4 : {h4}\n")
+        curve = tmp_path / "parabola.curve"
+        curve.write_text(f"[curve] M=2\n1\n{coordinate}\nz^2\n")
+        assert main([command, "--arr", str(arr), "--curve", str(curve),
+                     "--epsilon", "1", "--radii", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: coefficient {10 ** 400} is past the float range\n"
+
     def test_wronskian_check(self, capsys, parabola_file):
         code, payload = run_json(capsys, ["wronskian-check", "--curve", parabola_file])
         assert code == 0 and payload["ok"]

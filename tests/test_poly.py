@@ -432,3 +432,8 @@ class TestEvaluateArray:
             assert (out == want).all()
         out = Polynomial(3, {(0, 1, 2): Fraction(1)}).evaluate_array(values)
         assert out.shape == (2, 3) and out.tolist() == [[0j, -1, -2]] * 2
+
+    def test_coefficient_past_the_float_range(self):
+        form = Polynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(10 ** 400)})
+        with pytest.raises(ValueError, match=f"coefficient {10 ** 400} is past the float range"):
+            form.evaluate_array([np.ones(3), np.ones(3)])

@@ -101,6 +101,15 @@ class TestComplexCoefficientCache:
         assert p.eval_array(POINTS).tobytes() == want  # second call reads the cache
         assert p.complex_coeffs == tuple(complex(c) for c in NON_REAL)
 
+    def test_coefficient_past_the_float_range(self):
+        big = Fraction(-10 ** 400, 3)
+        for convert in (lambda: UnivariatePoly([1, QQi(0, big)]).complex_coeffs,
+                        lambda: complex(QQi(big))):
+            with pytest.raises(ValueError, match=f"coefficient {big} is past the float range"):
+                convert()
+        # a huge numerator over a huge denominator is in range
+        assert UnivariatePoly([QQi(Fraction(10 ** 400 + 1, 10 ** 400))]).complex_coeffs == (1 + 0j,)
+
     def test_polynomials_built_from_an_evaluated_one(self):
         p = UnivariatePoly(NON_REAL)
         q = UnivariatePoly([QQi(2), QQi(0, 1)])
