@@ -3,8 +3,11 @@
 Characteristic and proximity are circle averages computed by doubling
 trapezoid quadrature (spectrally accurate for periodic integrands).  The
 averages a report needs at one radius share one grid: each level's curve
-samples are computed once, and each integrand stops at its own level, so
-its value equals the one a separate run gives.  A sample is singular when
+samples are computed once, block by block of at most QUAD_BLOCK nodes, and
+each integrand stops at its own level, so its value equals the one a
+separate run gives.  An integrand keeps one sum per block, not its samples,
+and its means are those of whole-level samples bit for bit, so memory does
+not grow with the level.  A sample is singular when
 the integrand is not finite there (for a proximity, also when |Q(w)| <
 1e-250); that integrand alone then runs again at the same radius on a
 turned grid, whose nodes miss every dyadic angle.  A zero on the circle
@@ -37,24 +40,43 @@ from .univar import QQI_ZERO, QQi, UnivariatePoly, float_of, poly_gcd_many
 DEFAULT_QUAD_TOL = 1e-9
 QUAD_K0 = 6
 QUAD_KMAX = 20
+# nodes per block: a power of two of at least 128 (numpy's pairwise-sum
+# leaf), so the halves numpy splits a level into are whole blocks
+QUAD_BLOCK = 1 << 12
 GOLDEN = (math.sqrt(5) - 1) / 2
 MAX_TURNS = 5
 VALUE_FLOOR = 1e-250
 
 
+def _pairwise_total(sums: list[float]) -> float:
+    """The total of a power-of-two count of block sums, added as a binary tree
+    of neighbours: the order in which numpy's pairwise summation adds the
+    halves of a power-of-two array, so the total is bit for bit np.sum of
+    the blocks joined."""
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
 def _circle_averages(base, integrands, r: float, *, tol: float, turn: float = 0.0) -> list:
     """Means over the circle of radius r of several integrands, by doubling uniform samples.
 
-    `base(r, thetas)`, such as `ProjectiveCurve.circle_values`, is computed
-    once per level and shared; each integrand maps it to its own samples.
+    Each level's new nodes are taken in consecutive blocks of at most
+    QUAD_BLOCK.  `base(r, thetas)`, such as `ProjectiveCurve.circle_values`,
+    is computed once per block and shared; each integrand maps it to its
+    own float64 samples and keeps only their sum, and a block's samples are
+    released before the next block is computed, so memory does not grow
+    with the level.  A level's mean is its block sums added by
+    `_pairwise_total`, over its node count: bit for bit the np.mean of the
+    whole level's samples.
     Uniform-sample means on a periodic integrand are the trapezoid rule.
     Each integrand keeps its own running mean and stops once two of its
     successive levels agree within `tol`, so its value is bit for bit the
-    one a run with that integrand alone gives.  An integrand with a sample
-    that is not finite is singular on this grid and stops there.  Returns
-    one outcome per integrand: its mean, None when it was singular, or a
-    `QuadratureError` when it did not converge.  `turn` moves every level's
-    angles, so each level still nests in the next.
+    one a run with that integrand alone gives.  An integrand with a block
+    sum that is not finite is singular on this grid and reads no further
+    block.  Returns one outcome per integrand: its mean, None when it was
+    singular, or a `QuadratureError` when it did not converge.  `turn`
+    moves every level's angles, so each level still nests in the next.
     """
     outcomes: list = [None] * len(integrands)
     means = [0.0] * len(integrands)
@@ -66,15 +88,27 @@ def _circle_averages(base, integrands, r: float, *, tol: float, turn: float = 0.
         n = 1 << k
         first = k == QUAD_K0
         # the first level takes every point, each later one only the new odd points
-        thetas = (np.arange(n) if first else np.arange(1, n, 2)) * (2 * np.pi / n) + turn
-        values = base(r, thetas)
+        start, step = (0, 1) if first else (1, 2)
+        sums = {i: [] for i in active}
+        for lo in range(start, n, step * QUAD_BLOCK):
+            thetas = np.arange(lo, min(lo + step * QUAD_BLOCK, n), step) * (2 * np.pi / n) + turn
+            values = base(r, thetas)
+            for i in list(sums):
+                # each integrand's array goes once it is summed
+                block = float(np.sum(integrands[i](values)))
+                if math.isfinite(block):
+                    sums[i].append(block)
+                else:
+                    del sums[i]  # singular: its outcome stays None
+            # release this block's samples before the next one is computed
+            del values
+            if not sums:
+                break
         still = []
-        for i in active:
-            # an inf or nan sample makes the mean inf or nan; the samples are
-            # bound to no name here, so each integrand's array goes at once
-            mean = float(np.mean(integrands[i](values)))
+        for i, blocks in sums.items():
+            mean = _pairwise_total(blocks) / (n // step)
             if not math.isfinite(mean):
-                continue  # singular: its outcome stays None
+                continue  # finite blocks whose total overflows
             if first:
                 means[i] = mean
                 still.append(i)
@@ -86,8 +120,6 @@ def _circle_averages(base, integrands, r: float, *, tol: float, turn: float = 0.
                 outcomes[i] = nxt
             else:
                 still.append(i)
-        # release this level's samples before the next, larger level is computed
-        del values
         active = still
     for i in active:
         outcomes[i] = QuadratureError("circle quadrature did not converge", achieved=diffs[i])
@@ -145,6 +177,19 @@ def _checked_epsilon(epsilon) -> float:
     if not 0 < eps < math.inf:
         raise ValueError("epsilon must be finite and > 0")
     return eps
+
+
+def _check_float_range(coordinates: Sequence[CurveCoordinate],
+                       forms: Sequence[Polynomial] = ()) -> None:
+    """Convert every coefficient of the coordinates and forms to a float once,
+    so that `float_of` names one past or below the float range as written,
+    before root finding converts a monic factor made from it."""
+    for coordinate in coordinates:
+        for exponent, coefficient in coordinate.terms.items():
+            exponent.complex_coeffs, coefficient.complex_coeffs
+    for form in forms:
+        for x in form.terms.values():
+            float_of(x.numerator, x.denominator)
 
 
 def _check_truncation(level, *, infinite: bool = False) -> None:
@@ -303,6 +348,7 @@ def jensen_check(phi: CurveCoordinate | UnivariatePoly, radii: Sequence[float], 
         at_zero[key] = at_zero.get(key, QQI_ZERO) + c.coeffs[0]
     if all(v.is_zero for v in at_zero.values()):
         raise ValueError("phi(0) = 0: factor out the vanishing power of z first")
+    _check_float_range([phi])
     divisor = zero_divisor(phi, radii[-1] * 1.001)
 
     def circle(rr, thetas):
@@ -481,6 +527,7 @@ def cartan_ru_check(curve: ProjectiveCurve, hyperplanes: Sequence[Polynomial],
             raise ValueError("hyperplanes must be nonzero linear forms")
         if h.nvars != n + 1:
             raise ValueError("hyperplane variable count mismatch")
+    _check_float_range(curve.coordinates, hyperplanes)
     w = wronskian([c.poly for c in curve.coordinates])
     if w.is_zero:
         raise ValueError("degenerate curve: vanishing Wronskian")
@@ -663,6 +710,7 @@ def smt_report(curve: ProjectiveCurve, arr: Arrangement, epsilon, radii: Sequenc
         raise VerificationError("arrangement fails the subgeneral-position check")
     if curve.ambient_dim != arr.M:
         raise ValueError("curve and arrangement ambient dimensions differ")
+    _check_float_range(curve.coordinates, [form for _, form in arr.hypersurfaces])
     q, n, N = arr.q, arr.n, arr.N
     mode = "hyperplane" if arr.is_linear else "hypersurface"
     if truncations is None:

@@ -22,11 +22,15 @@ import numpy as np
 
 def float_of(num: int, den: int = 1) -> float:
     """num / den rounded to the nearest float, as float(Fraction) rounds; a value
-    past the float range raises ValueError naming it."""
+    past the float range, or a nonzero one that rounds to 0.0, raises
+    ValueError naming it."""
     try:
-        return num / den
+        value = num / den
     except OverflowError:
         raise ValueError(f"coefficient {Fraction(num, den)} is past the float range") from None
+    if num and not value:
+        raise ValueError(f"coefficient {Fraction(num, den)} is below the float range")
+    return value
 
 
 class QQi:

@@ -339,6 +339,29 @@ class TestAnalyticCommands:
         assert captured.out == ""
         assert captured.err == f"invalid input: coefficient {10 ** 400} is past the float range\n"
 
+    def test_jensen_coefficient_below_the_float_range_exit_2(self, capsys):
+        # a nonzero multiple of z + 1 whose coefficients would round to 0.0
+        tiny = f"1/{10 ** 400}"
+        assert main(["jensen", "--phi", f"{tiny}*z + {tiny}", "--radii", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: coefficient {tiny} is below the float range\n"
+
+    @pytest.mark.parametrize("command", ["cartan-check", "smt-report"])
+    def test_coefficient_below_the_float_range_exit_2(self, capsys, tmp_path, command):
+        tiny = f"1/{10 ** 400}"
+        arr = tmp_path / "lines.arrangement"
+        arr.write_text("[space] M=2 n=2 degV=1 N=2\n[vars] x0 x1 x2\n[variety]\n"
+                       f"[hypersurfaces]\nH1 : x0\nH2 : x2\nH3 : {tiny}*x1 - {tiny}*x0\n"
+                       "H4 : x0 + x1 + x2\n")
+        curve = tmp_path / "parabola.curve"
+        curve.write_text("[curve] M=2\n1\nz\nz^2\n")
+        assert main([command, "--arr", str(arr), "--curve", str(curve),
+                     "--epsilon", "1/2", "--radii", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: coefficient {tiny} is below the float range\n"
+
     def test_wronskian_check(self, capsys, parabola_file):
         code, payload = run_json(capsys, ["wronskian-check", "--curve", parabola_file])
         assert code == 0 and payload["ok"]

@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -20,8 +21,8 @@ from nochka.fixtures import (exp_curve, generate_intro_fixture, parabola_curve,
 from nochka.geometry import (Arrangement, codim_oracle, hilbert_function, hilbert_weight,
                              parse_arrangement)
 from nochka.linalg import Echelon
-from nochka.nevanlinna import (GOLDEN, MAX_TURNS, QUAD_K0, QUAD_KMAX, _averages_off_zeros,
-                               _circle_average, _circle_averages,
+from nochka.nevanlinna import (GOLDEN, MAX_TURNS, QUAD_BLOCK, QUAD_K0, QUAD_KMAX,
+                               _averages_off_zeros, _circle_average, _circle_averages,
                                cartan_ru_check, characteristic, counting_function,
                                jensen_check, lift_curve, proximity, smt_report,
                                wronskian, wronskian_divisor_check, zero_divisor)
@@ -82,15 +83,72 @@ class TestCharacteristic:
 
 
 class _Counted:
-    """A synthetic integrand that counts the levels it sees."""
+    """A synthetic integrand that counts the levels it sees.  It is called
+    once per block, so it counts nodes: after the levels QUAD_K0..k it has
+    seen the 2^k nodes of level k's grid, and a level it left after some
+    of its blocks still counts."""
 
     def __init__(self, fn):
         self.fn = fn
-        self.levels = 0
+        self.nodes = 0
+
+    @property
+    def levels(self) -> int:
+        return (self.nodes - 1).bit_length() - QUAD_K0 + 1
 
     def __call__(self, values):
-        self.levels += 1
+        self.nodes += len(values[1])
         return self.fn(values)
+
+
+def _blocks_per_level() -> list[int]:
+    """The number of blocks of each level QUAD_K0..QUAD_KMAX: the first level
+    has 2^QUAD_K0 nodes, level k > QUAD_K0 has 2^(k-1) new ones."""
+    nodes = [1 << QUAD_K0] + [1 << (k - 1) for k in range(QUAD_K0 + 1, QUAD_KMAX + 1)]
+    return [-(-m // QUAD_BLOCK) for m in nodes]
+
+
+def _reference_circle_averages(base, integrands, r, *, tol, turn=0.0):
+    """`_circle_averages` as it was before blocks: each level's samples
+    computed at once, and each integrand's level mean its np.mean."""
+    outcomes = [None] * len(integrands)
+    means = [0.0] * len(integrands)
+    diffs = [math.inf] * len(integrands)
+    active = range(len(integrands))
+    for k in range(QUAD_K0, QUAD_KMAX + 1):
+        if not active:
+            break
+        n = 1 << k
+        first = k == QUAD_K0
+        thetas = (np.arange(n) if first else np.arange(1, n, 2)) * (2 * np.pi / n) + turn
+        values = base(r, thetas)
+        still = []
+        for i in active:
+            mean = float(np.mean(integrands[i](values)))
+            if not math.isfinite(mean):
+                continue
+            if first:
+                means[i] = mean
+                still.append(i)
+                continue
+            nxt = 0.5 * (means[i] + mean)
+            diffs[i] = abs(nxt - means[i])
+            means[i] = nxt
+            if diffs[i] < tol:
+                outcomes[i] = nxt
+            else:
+                still.append(i)
+        del values
+        active = still
+    for i in active:
+        outcomes[i] = QuadratureError("circle quadrature did not converge", achieved=diffs[i])
+    return outcomes
+
+
+def _comparable(outcomes) -> list:
+    """Outcomes as values `==` compares bit for bit: a mean, None, or an
+    error's message and `achieved`."""
+    return [(str(o), o.achieved) if isinstance(o, QuadratureError) else o for o in outcomes]
 
 
 # synthetic integrands map the shared samples (r, thetas) to values
@@ -186,7 +244,8 @@ class TestSharedQuadrature:
             return integrand
 
         _circle_averages(base, [watched(_singular_at_two), watched(_sawtooth)], 2.0, tol=1e-9)
-        assert alive == [0] * (QUAD_KMAX - QUAD_K0 + 1)
+        # `_sawtooth` runs every level: one 0 per block
+        assert alive == [0] * sum(_blocks_per_level())
 
     def test_turned_levels_nest(self):
         seen = []
@@ -241,6 +300,122 @@ class TestSharedQuadrature:
 
         with pytest.raises(QuadratureError, match="stayed singular"):
             _averages_off_zeros(_samples, [_smooth, always], 2.0, tol=1e-9)
+
+
+
+# a node of level 15's third block of four: the new nodes are the odd j < 2^15,
+# and block b holds j = 2 * QUAD_BLOCK * b + 1 .. 2 * QUAD_BLOCK * (b + 1) - 1
+LATE_NODE = 20001 * (2 * np.pi / (1 << 15))
+
+
+def _infinite_late(values):
+    # the sawtooth, which never converges, with its only inf at LATE_NODE
+    _, thetas = values
+    return np.where(thetas == LATE_NODE, np.inf, thetas)
+
+
+@pytest.fixture
+def against_reference(monkeypatch):
+    """Run every `_circle_averages` call of the code under test by the
+    whole-level reference too, and assert the same outcomes.  Returns a
+    list that gets one (integrand count, largest level's new nodes, turn)
+    per call."""
+    calls = []
+
+    def checked(base, integrands, r, *, tol, turn=0.0):
+        sizes = []
+
+        def recording(rr, thetas):
+            sizes.append(len(thetas))
+            return base(rr, thetas)
+
+        reference = _reference_circle_averages(recording, integrands, r, tol=tol, turn=turn)
+        outcomes = _circle_averages(base, integrands, r, tol=tol, turn=turn)
+        assert _comparable(outcomes) == _comparable(reference)
+        calls.append((len(integrands), max(sizes), turn))
+        return outcomes
+
+    monkeypatch.setattr(nevanlinna, "_circle_averages", checked)
+    return calls
+
+
+class TestBlockedQuadrature:
+    """Blocks of QUAD_BLOCK nodes give the whole-level outcomes bit for bit."""
+
+    def test_log_max_on_the_exp_curve(self, against_reference):
+        characteristic(exp_curve(), 2)
+        # the last level's 2^17 new nodes are 32 blocks
+        assert against_reference == [(1, 32 * QUAD_BLOCK, 0.0)]
+
+    def test_smt_report_shared_integrands(self, against_reference):
+        smt_report(exp_curve(), generate_intro_fixture(1).arrangement, Fraction(1, 2), [2])
+        # T and the twelve proximities on one grid, to a last level of 32 blocks
+        assert against_reference == [(13, 32 * QUAD_BLOCK, 0.0)]
+
+    def test_cartan_max_sum(self, against_reference):
+        forms = [form for _, form in pencil_lines_arrangement().hypersurfaces]
+        cartan_ru_check(parabola_curve(), forms, 1, [5])
+        # the last level's 2^14 new nodes are 4 blocks
+        assert against_reference == [(2, 4 * QUAD_BLOCK, 0.0)]
+
+    def test_turned_grid(self, against_reference):
+        forms, _ = _lines_through_two()
+        proximity(parabola_curve(), forms[2], 2, tol=1e-5)
+        [(_, _, unturned), (_, nodes, turn)] = against_reference
+        assert unturned == 0 and turn == FIRST_TURN and nodes > QUAD_BLOCK
+
+    def test_sawtooth_to_the_last_level(self):
+        assert _blocks_per_level()[-1] == 128
+        outcomes = _circle_averages(_samples, [_sawtooth], 2.0, tol=1e-9)
+        assert isinstance(outcomes[0], QuadratureError)
+        assert _comparable(outcomes) == _comparable(
+            _reference_circle_averages(_samples, [_sawtooth], 2.0, tol=1e-9))
+
+    def test_an_inf_in_a_late_block(self):
+        late, sawtooth = _Counted(_infinite_late), _Counted(_sawtooth)
+        outcomes = _circle_averages(_samples, [late, sawtooth], 2.0, tol=1e-9)
+        assert outcomes[0] is None
+        assert _comparable(outcomes) == _comparable(
+            _reference_circle_averages(_samples, [_infinite_late, _sawtooth], 2.0, tol=1e-9))
+        # the singular integrand reads no block after the one holding the inf
+        assert late.nodes == (1 << 14) + 3 * QUAD_BLOCK
+        assert sawtooth.levels == QUAD_KMAX - QUAD_K0 + 1
+
+    def test_base_sees_each_node_once_in_order(self):
+        seen = []
+
+        def base(r, thetas):
+            assert len(thetas) <= QUAD_BLOCK
+            seen.append(thetas)
+            return r, thetas
+
+        _circle_averages(base, [_sawtooth], 2.0, tol=1e-9)
+        blocks = iter(seen)
+        for k, count in zip(range(QUAD_K0, QUAD_KMAX + 1), _blocks_per_level()):
+            n = 1 << k
+            level = np.concatenate([next(blocks) for _ in range(count)])
+            nodes = np.arange(n) if k == QUAD_K0 else np.arange(1, n, 2)
+            assert level.tobytes() == (nodes * (2 * np.pi / n)).tobytes()
+        assert next(blocks, None) is None
+
+    def test_memory_does_not_grow_with_the_level(self, monkeypatch):
+        sizes = []
+        circle_values = ProjectiveCurve.circle_values
+
+        def recording(curve, r, thetas):
+            sizes.append(len(thetas))
+            return circle_values(curve, r, thetas)
+
+        monkeypatch.setattr(ProjectiveCurve, "circle_values", recording)
+        tracemalloc.start()
+        try:
+            characteristic(exp_curve(), 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # level 19 has 2^18 new nodes; whole-level samples peaked at 56 MiB
+        assert sum(sizes) == 1 << 19
+        assert peak < 8 * 2 ** 20
 
 
 def _lines_through_two():

@@ -437,3 +437,8 @@ class TestEvaluateArray:
         form = Polynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(10 ** 400)})
         with pytest.raises(ValueError, match=f"coefficient {10 ** 400} is past the float range"):
             form.evaluate_array([np.ones(3), np.ones(3)])
+
+    def test_coefficient_below_the_float_range(self):
+        form = Polynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(1, 10 ** 400)})
+        with pytest.raises(ValueError, match=f"coefficient 1/{10 ** 400} is below the float range"):
+            form.evaluate_array([np.ones(3), np.ones(3)])

@@ -110,6 +110,16 @@ class TestComplexCoefficientCache:
         # a huge numerator over a huge denominator is in range
         assert UnivariatePoly([QQi(Fraction(10 ** 400 + 1, 10 ** 400))]).complex_coeffs == (1 + 0j,)
 
+    def test_coefficient_below_the_float_range(self):
+        tiny = Fraction(-1, 3 * 10 ** 400)
+        for convert in (lambda: UnivariatePoly([1, QQi(0, tiny)]).complex_coeffs,
+                        lambda: complex(QQi(tiny))):
+            with pytest.raises(ValueError, match=f"coefficient {tiny} is below the float range"):
+                convert()
+        # zero is exact, and a subnormal value still rounds to a nonzero float
+        assert complex(QQi(0)) == 0
+        assert complex(QQi(Fraction(1, 10 ** 320))) == 1e-320
+
     def test_polynomials_built_from_an_evaluated_one(self):
         p = UnivariatePoly(NON_REAL)
         q = UnivariatePoly([QQi(2), QQi(0, 1)])
