@@ -2,7 +2,7 @@
 second-main-theorem numerics for hypersurface arrangements."""
 
 from .bounds import BoundsResult, ParamSet, m_zero, q_m, truncation_levels
-from .curves import (CurveCoordinate, ExpTerm, ProjectiveCurve, compose, parse_coordinate,
+from .curves import (CurveCoordinate, ProjectiveCurve, compose, parse_coordinate,
                      parse_curve)
 from .errors import ParseError, QuadratureError, ResourceBudgetError, VerificationError
 from .geometry import (Arrangement, HilbertData, HilbertSlackReport, HilbertWeightResult,

@@ -13,6 +13,10 @@ are linearly independent over the algebraic numbers (Lindemann-Weierstrass);
 comparing coefficients of each power of z leaves no relation with
 coefficients in Q(i).  Keys are therefore full exponent polynomials,
 constant term included: exp(z + 1) = e * exp(z) must stay a separate key.
+This is the only form a coordinate takes: the parser adds each term
+c * z^k * exp(p) it reads to the coefficient under the key p, keys in order
+of first appearance, and that order is the order of every float sum over
+the keys.
 
 For root finding each coordinate compiles once, on first use, into stacked
 complex coefficient arrays of its exponents, coefficients and derivative
@@ -27,27 +31,17 @@ w = f * exp(-log||f||).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParseError
 from .poly import Polynomial, _Scanner
-from .univar import (QQi, UnivariatePoly, _join_signed, _signed_monomials,
+from .univar import (QQI_ZERO, QQi, UnivariatePoly, _join_signed, _signed_monomials,
                      poly_gcd_many)
 
 _ZERO = UnivariatePoly()
 _ONE = UnivariatePoly.constant(1)
-
-
-@dataclass(frozen=True)
-class ExpTerm:
-    """One exponential term c * z^power * exp(exponent(z))."""
-
-    coef: QQi
-    power: int
-    exponent: UnivariatePoly
 
 
 class CurveCoordinate:
@@ -75,14 +69,6 @@ class CurveCoordinate:
     @classmethod
     def from_poly(cls, poly: UnivariatePoly) -> "CurveCoordinate":
         return cls({_ZERO: poly})
-
-    @classmethod
-    def from_terms(cls, terms: Sequence[ExpTerm]) -> "CurveCoordinate":
-        """Collect terms by exponent, summing their coefficients."""
-        pairs: dict[UnivariatePoly, list] = {}
-        for t in terms:
-            pairs.setdefault(t.exponent, []).append((t.coef, t.power))
-        return cls({p: UnivariatePoly.from_pairs(cp) for p, cp in pairs.items()})
 
     @property
     def is_polynomial(self) -> bool:
@@ -267,7 +253,8 @@ def _parse_complex_atom(sc: _Scanner, sign: int) -> QQi:
     return QQi(value)
 
 
-def _parse_term(sc: _Scanner, sign: int) -> ExpTerm:
+def _parse_term(sc: _Scanner, sign: int) -> tuple[UnivariatePoly, UnivariatePoly]:
+    """One product of factors as (exponent, coefficient): c * z^k * exp(p) is (p, c*z^k)."""
     coef = QQi(sign)
     power = 0
     exponent = UnivariatePoly()
@@ -298,11 +285,18 @@ def _parse_term(sc: _Scanner, sign: int) -> ExpTerm:
             coef = coef * _parse_complex_atom(sc, 1)
         else:
             raise sc.error(f"expected a factor, found {ch!r}" if ch else "expected a factor")
-    return ExpTerm(coef, power, exponent)
+    return exponent, UnivariatePoly([QQI_ZERO] * power + [coef])
 
 
 def _parse_sum(sc: _Scanner, what: str, end: str = "") -> CurveCoordinate:
-    return CurveCoordinate.from_terms([_parse_term(sc, sign) for sign in sc.terms(what, end)])
+    """Terms joined by +/-, collected as they are read: coefficients that share
+    an exponent add up under the key of its first term, and a key whose sum is
+    zero drops out in CurveCoordinate."""
+    out: dict[UnivariatePoly, UnivariatePoly] = {}
+    for sign in sc.terms(what, end):
+        p, c = _parse_term(sc, sign)
+        out[p] = out[p] + c if p in out else c
+    return CurveCoordinate(out)
 
 
 def parse_coordinate(text: str, *, line: int | None = None) -> CurveCoordinate:

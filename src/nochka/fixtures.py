@@ -14,11 +14,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import CurveCoordinate, ExpTerm, ProjectiveCurve
+from .curves import CurveCoordinate, ProjectiveCurve
 from .geometry import Arrangement, _value_at, check_subgeneral_position
 from .linalg import primitive
 from .poly import Polynomial, parse_polynomial
-from .univar import QQi, UnivariatePoly
+from .univar import UnivariatePoly
 
 _VARS3 = ("x0", "x1", "x2")
 _VARS2 = ("x0", "x1")
@@ -65,11 +65,10 @@ def parabola_curve() -> ProjectiveCurve:
 
 def exp_curve() -> ProjectiveCurve:
     """(1 : e^z : e^{z^2})."""
-    one = QQi(1)
     return ProjectiveCurve([
         CurveCoordinate.from_poly(UnivariatePoly([1])),
-        CurveCoordinate.from_terms([ExpTerm(one, 0, UnivariatePoly([0, 1]))]),
-        CurveCoordinate.from_terms([ExpTerm(one, 0, UnivariatePoly([0, 0, 1]))]),
+        CurveCoordinate({UnivariatePoly([0, 1]): UnivariatePoly([1])}),
+        CurveCoordinate({UnivariatePoly([0, 0, 1]): UnivariatePoly([1])}),
     ])
 
 

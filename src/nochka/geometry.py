@@ -653,15 +653,14 @@ def _normal_form_matrix(cols: list[Monomial],
 def hilbert_function(arr: Arrangement, m: int) -> HilbertData:
     """H(m) = rank of the degree-m products of normalized forms modulo the variety.
 
-    The basis is chosen greedily in exponent order (lexicographically
-    descending over the exponent vectors).  For a positive-dimensional
-    variety H(m) >= m+1 is enforced.
+    The basis is `hilbert_weight`'s with equal costs, whose stable sort
+    leaves the greedy in exponent order (lexicographically descending over
+    the exponent vectors).  For a positive-dimensional variety H(m) >= m+1
+    is enforced.
     """
-    exponents, vectors = _degree_m_vectors(arr, m)
-    ech = Echelon()
-    basis = [exponents[i] for i, v in enumerate(vectors) if ech.insert(v)]
-    H = ech.rank
-    q_m = len(exponents)
+    greedy = hilbert_weight(arr, m, [0] * arr.q)
+    H = greedy.H
+    q_m = comb(arr.q + m - 1, m)
     if H > q_m:
         raise VerificationError("rank exceeded the family size")
     if arr.n >= 1 and H < m + 1:
@@ -669,7 +668,7 @@ def hilbert_function(arr: Arrangement, m: int) -> HilbertData:
     provenance = (f"rank over Q of the {q_m} degree-{m} monomials in the {arr.q} "
                   f"normalized forms (common degree {arr.lcm_degree}), reduced modulo "
                   f"the variety ideal")
-    return HilbertData(m, H, q_m, tuple(basis), provenance)
+    return HilbertData(m, H, q_m, greedy.basis, provenance)
 
 
 @dataclass(frozen=True)
@@ -815,20 +814,23 @@ def parse_arrangement(text: str, *, gb_steps: int = DEFAULT_GB_STEPS) -> Arrange
             section = "variety"
         elif line.startswith("[hypersurfaces]"):
             section = "hypersurfaces"
-        elif section == "variety":
+        elif section in ("variety", "hypersurfaces"):
             if not var_names:
                 raise ParseError("[vars] must precede polynomials", line=ln)
-            variety.append(parse_polynomial(line, var_names, require_homogeneous=True,
-                                            require_nonzero=True, line=ln))
-        elif section == "hypersurfaces":
-            if not var_names:
-                raise ParseError("[vars] must precede polynomials", line=ln)
-            if ":" not in line:
-                raise ParseError("expected `name : polynomial`", line=ln)
-            name, _, body = line.partition(":")
-            hypersurfaces.append((name.strip(), parse_polynomial(
-                body.strip(), var_names, require_homogeneous=True, require_nonzero=True,
-                line=ln)))
+            body = line
+            if section == "hypersurfaces":
+                if ":" not in line:
+                    raise ParseError("expected `name : polynomial`", line=ln)
+                name, _, body = line.partition(":")
+            poly = parse_polynomial(body.strip(), var_names, line=ln)
+            if poly.is_zero:
+                raise ParseError("polynomial must be nonzero", line=ln)
+            if not poly.is_homogeneous:
+                raise ParseError("polynomial must be homogeneous", line=ln)
+            if section == "variety":
+                variety.append(poly)
+            else:
+                hypersurfaces.append((name.strip(), poly))
         else:
             raise ParseError(f"unexpected content {line!r}", line=ln)
     if header is None:

@@ -649,8 +649,6 @@ class _Scanner:
 
 
 def parse_polynomial(text: str, varnames: Sequence[str], *,
-                     require_homogeneous: bool = False,
-                     require_nonzero: bool = False,
                      line: int | None = None) -> Polynomial:
     """Parse `terms` separated by +/-; term = [rational] factors joined by `*`.
 
@@ -682,8 +680,4 @@ def parse_polynomial(text: str, varnames: Sequence[str], *,
             else:
                 raise sc.error(f"expected a factor, found {ch!r}" if ch else "expected a factor")
         result = result + Polynomial.monomial(nvars, tuple(mono), coeff)
-    if require_nonzero and result.is_zero:
-        raise ParseError("polynomial must be nonzero", line=line)
-    if require_homogeneous and not result.is_homogeneous:
-        raise ParseError("polynomial must be homogeneous", line=line)
     return result

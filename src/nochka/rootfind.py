@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ResourceBudgetError, VerificationError
-from .univar import UnivariatePoly, squarefree_decomposition
+from .univar import UnivariatePoly, float_or_zero, squarefree_decomposition
 
 CLUSTER_TOL = 1e-8
 NEWTON_TOL = 1e-13
@@ -75,11 +75,21 @@ def _horner(coeffs: tuple[complex, ...], z: complex) -> complex:
     return acc
 
 
+def _factor_coeffs(factor: UnivariatePoly) -> tuple[complex, ...]:
+    """The coefficients of a monic factor as complexes, low to high.  One
+    below the float range is 0, which moves roots below it to 0, where every
+    counting function from radius 1 counts them the same; one past it raises
+    ValueError naming it."""
+    return tuple(complex(float_or_zero(x, factor.den), float_or_zero(y, factor.den))
+                 for x, y in zip(factor.re, factor.im))
+
+
 def poly_roots_with_multiplicity(p: UnivariatePoly) -> list[tuple[complex, int]]:
     """All complex roots with exact multiplicities from the square-free structure.
 
     The square-free factors are pairwise coprime and each has simple roots,
-    so every root found is a distinct zero, however close to another.
+    so every root found is a distinct zero, however close to another, unless
+    it lies below the float range (see `_factor_coeffs`).
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -87,8 +97,8 @@ def poly_roots_with_multiplicity(p: UnivariatePoly) -> list[tuple[complex, int]]
     for factor, mult in squarefree_decomposition(p):
         if factor.degree < 1:
             continue
-        coeffs = factor.complex_coeffs
-        dcoeffs = factor.derivative().complex_coeffs
+        coeffs = _factor_coeffs(factor)
+        dcoeffs = _factor_coeffs(factor.derivative())
         for root in np.roots(coeffs[::-1]):
             z = complex(root)
             for _ in range(4):

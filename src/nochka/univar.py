@@ -7,8 +7,8 @@ one positive denominator, (re + i*im) / den, in a canonical form:
 products are integer convolutions, sums align denominators by their lcm,
 and division is pseudo-division by the monic divisor, whose numerator has
 an integer leading coefficient.  `QQi` scalars appear only at the
-boundary: parsing, the coefficient view for text and tests, and
-conversion to complex.
+boundary: the parser's literals, and the coefficient view that text, the
+exact test of phi(0) = 0 and tests read.
 """
 
 from __future__ import annotations
@@ -20,14 +20,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-def float_of(num: int, den: int = 1) -> float:
-    """num / den rounded to the nearest float, as float(Fraction) rounds; a value
-    past the float range, or a nonzero one that rounds to 0.0, raises
-    ValueError naming it."""
+def float_or_zero(num: int, den: int = 1) -> float:
+    """num / den rounded to the nearest float, as float(Fraction) rounds, so
+    0.0 below the float range; a value past it raises ValueError naming it."""
     try:
-        value = num / den
+        return num / den
     except OverflowError:
         raise ValueError(f"coefficient {Fraction(num, den)} is past the float range") from None
+
+
+def float_of(num: int, den: int = 1) -> float:
+    """`float_or_zero`, except that a nonzero value that rounds to 0.0 raises
+    ValueError naming it."""
+    value = float_or_zero(num, den)
     if num and not value:
         raise ValueError(f"coefficient {Fraction(num, den)} is below the float range")
     return value
@@ -166,16 +171,6 @@ class UnivariatePoly:
     @classmethod
     def constant(cls, value) -> "UnivariatePoly":
         return cls([value])
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple]) -> "UnivariatePoly":
-        """Build from (coefficient, power) pairs, accumulating repeats."""
-        acc: dict[int, QQi] = {}
-        for coeff, power in pairs:
-            if power < 0:
-                raise ValueError("negative power")
-            acc[power] = acc.get(power, QQI_ZERO) + QQi.of(coeff)
-        return cls([acc.get(k, QQI_ZERO) for k in range(max(acc, default=-1) + 1)])
 
     @property
     def coeffs(self) -> tuple[QQi, ...]:

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from nochka.curves import CurveCoordinate, ExpTerm, ProjectiveCurve
+from nochka.curves import CurveCoordinate, ProjectiveCurve, parse_coordinate
 from nochka.fixtures import (conic_presentation_arrangement, exp_curve,
                              generate_intro_fixture, parabola_curve,
                              pencil_lines_arrangement, three_point_arrangement)
@@ -297,8 +297,7 @@ def test_criterion_12_bounds():
 
 
 def test_criterion_13_transcendental_pipeline():
-    g = CurveCoordinate.from_terms([ExpTerm(QQi(1), 0, UnivariatePoly([0, 1])),
-                                    ExpTerm(QQi(-1), 0, UnivariatePoly())])
+    g = parse_coordinate("exp(z) - 1")
     divisor = zero_divisor(g, 7.0)
     r = divisor.radius_of_validity
     boundary = winding_number(g.value_and_derivative, lambda t: r * np.exp(2j * np.pi * t),

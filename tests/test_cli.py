@@ -11,8 +11,10 @@ import pytest
 
 import nochka
 from nochka.cli import build_parser, main
+from nochka.curves import parse_coordinate
 from nochka.fixtures import pencil_lines_arrangement, three_point_arrangement
 from nochka.geometry import format_arrangement, parse_arrangement
+from nochka.nevanlinna import zero_divisor
 from nochka.rank_core import (_exact_header, _read_canonical, format_oracle,
                               linear_matroid_oracle, subset_labels)
 
@@ -346,6 +348,23 @@ class TestAnalyticCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"invalid input: coefficient {tiny} is below the float range\n"
+
+    def test_jensen_root_below_the_float_range_is_at_zero(self, capsys):
+        # the coefficients as written are floats, but the monic factor
+        # z - 1/10^400 is not: its root counts as log r, as a root at 0 does
+        big = 10 ** 200
+        phi = f"{big}*z - 1/{big}"
+        code, payload = run_json(capsys, ["jensen", "--phi", phi, "--radii", "2"])
+        assert code == 0
+        assert payload["integrals"][0] == pytest.approx(math.log(2 * big), abs=1e-9)
+        assert payload["integrals"][0] == pytest.approx(461.21, abs=5e-3)
+        assert payload["countings"] == [pytest.approx(math.log(2))]
+        assert zero_divisor(parse_coordinate(phi).poly).entries == ((0j, 1),)
+        # a monic-factor coefficient past the float range still refuses
+        assert main(["jensen", "--phi", f"1/{big}*z - {big}", "--radii", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: coefficient {-10 ** 400} is past the float range\n"
 
     @pytest.mark.parametrize("command", ["cartan-check", "smt-report"])
     def test_coefficient_below_the_float_range_exit_2(self, capsys, tmp_path, command):

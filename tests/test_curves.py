@@ -1,4 +1,6 @@
-"""Stacked evaluation of curve coordinates against the per-key loop it replaced."""
+"""Curve coordinates against the code they replaced: stacked evaluation
+against the per-key loop, and the parser's collection against grouping
+uncollected term records."""
 
 import random
 from fractions import Fraction
@@ -6,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nochka.curves import CurveCoordinate, ProjectiveCurve, compose
+from nochka.curves import CurveCoordinate, ProjectiveCurve, compose, parse_coordinate
 from nochka.fixtures import (exp_curve, generate_intro_fixture, parabola_curve,
                              pencil_lines_arrangement)
 from nochka.poly import Polynomial
@@ -132,3 +134,75 @@ def test_compose_on_a_polynomial_curve_matches_the_keyed_evaluation(curve):
         want = target.evaluate_exact(curve.coordinates, one)
         assert got.terms == want.terms
         assert got.poly == want.poly
+
+
+def collect_term_records(terms) -> CurveCoordinate:
+    """The collection the parser replaced: (coef, power, exponent) records
+    grouped by exponent in order of first appearance, then each group's
+    coefficients summed power by power."""
+    pairs: dict[UnivariatePoly, list] = {}
+    for coef, power, exponent in terms:
+        pairs.setdefault(exponent, []).append((coef, power))
+    out = {}
+    for p, cp in pairs.items():
+        acc: dict[int, QQi] = {}
+        for coef, power in cp:
+            acc[power] = acc.get(power, QQi(0)) + coef
+        out[p] = UnivariatePoly([acc.get(k, QQi(0)) for k in range(max(acc, default=-1) + 1)])
+    return CurveCoordinate(out)
+
+
+_EXPONENTS = [UnivariatePoly(), UnivariatePoly([0, 1]), UnivariatePoly([1, 1]),
+              UnivariatePoly([0, 0, 1]), UnivariatePoly([0, QQi(0, 1)]),
+              UnivariatePoly([Fraction(-1, 2), 0, Fraction(3, 2)])]
+
+
+def _term_text(rng: random.Random, coef: QQi, power: int, exponent: UnivariatePoly) -> str:
+    """'+ coef * z^power * exp(exponent)' as text, its factors split and shuffled."""
+    sign, factors = "+", []
+    if coef.im == 0 and rng.random() < 0.5:
+        sign = "-" if coef.re < 0 else "+"
+        factors.append(str(abs(coef.re)))
+    elif rng.random() < 0.3:
+        factors += ["2", f"({coef / 2})"]
+    else:
+        factors.append(f"({coef})")
+    if power == 1:
+        factors.append("z")
+    elif power > 1:
+        factors += ["z", f"z^{power - 1}"] if rng.random() < 0.3 else [f"z^{power}"]
+    if not exponent.is_zero or rng.random() < 0.2:
+        split = rng.choice(_EXPONENTS)
+        if rng.random() < 0.3:
+            factors += [f"exp({split.to_text()})", f"exp({(exponent - split).to_text()})"]
+        else:
+            factors.append(f"exp({exponent.to_text()})")
+    rng.shuffle(factors)
+    return f"{sign} {'*'.join(factors)}"
+
+
+def _seeded_term_texts(texts: int):
+    """(text, term records) with 1-6 terms each: Gaussian coefficients, powers of z,
+    and exponents drawn from a small pool, so they repeat and, some, cancel."""
+    rng = random.Random(31)
+    for _ in range(texts):
+        terms, count = [], rng.randint(1, 6)
+        while len(terms) < count:
+            if terms and rng.random() < 0.2:
+                coef, power, exponent = rng.choice(terms)
+                terms.append((-coef, power, exponent))
+                continue
+            coef = QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                       rng.choice([0, 0, Fraction(rng.randint(-5, 5), rng.randint(1, 3))]))
+            terms.append((coef, rng.randint(0, 3), rng.choice(_EXPONENTS)))
+        text = " ".join(_term_text(rng, *t) for t in terms)
+        yield text, terms
+
+
+def test_parser_collects_like_grouping_term_records():
+    # the collected keys fix the order of float sums in evaluation, and so
+    # the bits of every zero: the order must be the grouping's too
+    for text, terms in _seeded_term_texts(600):
+        got = parse_coordinate(text)
+        want = collect_term_records(terms)
+        assert list(got.terms.items()) == list(want.terms.items()), text

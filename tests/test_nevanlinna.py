@@ -5,13 +5,14 @@ import math
 import random
 import tracemalloc
 import weakref
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from nochka.curves import (CurveCoordinate, ExpTerm, ProjectiveCurve, compose,
+from nochka.curves import (CurveCoordinate, ProjectiveCurve, compose,
                            parse_coordinate, parse_curve)
 import nochka.nevanlinna as nevanlinna
 import nochka.rootfind as rootfind
@@ -53,7 +54,17 @@ def poly_curve(*polys) -> ProjectiveCurve:
 
 
 def single_exp(exponent: UnivariatePoly) -> CurveCoordinate:
-    return CurveCoordinate.from_terms([ExpTerm(QQi(1), 0, exponent)])
+    return CurveCoordinate({exponent: up(1)})
+
+
+# one term coef * z^power * exp(exponent), uncollected
+Term = namedtuple("Term", "coef power exponent")
+
+
+def term_sum(terms) -> CurveCoordinate:
+    """The sum of the terms, added one-term coordinate by one-term coordinate."""
+    return sum((CurveCoordinate({exponent: UnivariatePoly([0] * power + [coef])})
+                for coef, power, exponent in terms), CurveCoordinate({}))
 
 
 class TestCharacteristic:
@@ -504,8 +515,7 @@ class TestZeroDivisor:
         assert locs == [(0.0, -1.0), (0.0, 1.0)]
 
     def test_exp_minus_one(self):
-        g = CurveCoordinate.from_terms([ExpTerm(QQi(1), 0, up(0, 1)),
-                                        ExpTerm(QQi(-1), 0, UnivariatePoly())])
+        g = parse_coordinate("exp(z) - 1")
         div = zero_divisor(g, 7.0)
         assert div.total_multiplicity() == 3
         locations = sorted((round(z.real, 6), round(z.imag, 6)) for z, _ in div.entries)
@@ -515,9 +525,7 @@ class TestZeroDivisor:
 
     def test_exp_double_zeros(self):
         # e^{2z} - 2 e^z + 1 has double zeros exactly where e^z - 1 vanishes
-        g = CurveCoordinate.from_terms([ExpTerm(QQi(1), 0, up(0, 2)),
-                                        ExpTerm(QQi(-2), 0, up(0, 1)),
-                                        ExpTerm(QQi(1), 0, UnivariatePoly())])
+        g = parse_coordinate("exp(2*z) - 2*exp(z) + 1")
         div = zero_divisor(g, 7.0)
         assert sorted(k for _, k in div.entries) == [2, 2, 2]
         assert div.total_multiplicity() == 6
@@ -581,8 +589,7 @@ class TestCounting:
         assert counting_function(div, 10, 1) == pytest.approx(2 * math.log(10), abs=1e-6)
 
     def test_validity_radius_enforced(self):
-        g = CurveCoordinate.from_terms([ExpTerm(QQi(1), 0, up(0, 1)),
-                                        ExpTerm(QQi(-1), 0, UnivariatePoly())])
+        g = parse_coordinate("exp(z) - 1")
         div = zero_divisor(g, 7.0)
         with pytest.raises(ValueError):
             counting_function(div, 20.0)
@@ -678,8 +685,7 @@ class TestJensen:
                 jensen_check(parse_coordinate(text), [2, 4])
 
     def test_transcendental(self):
-        phi = CurveCoordinate.from_terms([ExpTerm(QQi(1), 0, up(0, 1)),
-                                          ExpTerm(QQi(2), 0, UnivariatePoly())])
+        phi = parse_coordinate("exp(z) + 2")
         report = jensen_check(phi, [2, 4])
         assert report.max_deviation < 1e-6
 
@@ -1131,14 +1137,14 @@ class TestCurveParsing:
                 if coord.is_zero:
                     continue
             else:
-                terms = [ExpTerm(QQi(rng.randint(-4, 4), rng.randint(-2, 2)),
-                                 rng.randint(0, 3),
-                                 UnivariatePoly([rng.randint(-3, 3)
-                                                 for _ in range(rng.randint(1, 3))]))
+                terms = [Term(QQi(rng.randint(-4, 4), rng.randint(-2, 2)),
+                              rng.randint(0, 3),
+                              UnivariatePoly([rng.randint(-3, 3)
+                                              for _ in range(rng.randint(1, 3))]))
                          for _ in range(rng.randint(1, 3))]
                 if all(t.coef.is_zero for t in terms):
                     continue
-                coord = CurveCoordinate.from_terms(terms)
+                coord = term_sum(terms)
             again = parse_coordinate(coord.to_text())
             z = np.array([0.37 + 0.21j, -0.64 + 0.88j, 1.13 - 0.29j])
             assert np.allclose(coord.value_and_derivative(z), again.value_and_derivative(z))
@@ -1150,8 +1156,8 @@ class TestCompose:
         rng = random.Random(11)
 
         def random_terms():
-            return [ExpTerm(QQi(rng.randint(-3, 3), rng.randint(-2, 2)), rng.randint(0, 2),
-                            UnivariatePoly([rng.randint(-1, 1) for _ in range(rng.randint(1, 3))]))
+            return [Term(QQi(rng.randint(-3, 3), rng.randint(-2, 2)), rng.randint(0, 2),
+                         UnivariatePoly([rng.randint(-1, 1) for _ in range(rng.randint(1, 3))]))
                     for _ in range(rng.randint(1, 3))]
 
         def term_sums(terms, z):
@@ -1171,7 +1177,7 @@ class TestCompose:
         while checked < 12:
             term_lists = [random_terms() for _ in range(3)]
             try:
-                curve = ProjectiveCurve([CurveCoordinate.from_terms(t) for t in term_lists])
+                curve = ProjectiveCurve([term_sum(t) for t in term_lists])
             except ValueError:
                 continue
             d = rng.randint(1, 3)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nochka.errors import ParseError, ResourceBudgetError
+from nochka.geometry import parse_arrangement
 from nochka.poly import (Ideal, Polynomial, degree_m_slice_rank, groebner_basis,
                          ideal_dimension, key_degrevlex, mono_divides, monomials_of_degree,
                          next_level, normal_form, parse_polynomial)
@@ -35,13 +36,26 @@ class TestParsing:
         assert p.terms[(3, 0, 0)] == Fraction(1, 2)
         assert p.terms[(0, 1, 2)] == 1
 
+    # an arrangement demands nonzero homogeneous polynomials, on both its
+    # variety lines (line 4) and its hypersurface lines (line 6)
+    ARRANGEMENT = ("[space] M=2 n=1 degV=2 N=2\n[vars] x0 x1 x2\n[variety]\n"
+                   "x0*x2 - x1^2\n[hypersurfaces]\nH : x0 + x1\n")
+
     def test_homogeneity_demanded(self):
-        with pytest.raises(ParseError):
-            parse_polynomial("x0 + x1^2", V3, require_homogeneous=True)
+        for old, ln in [("x0*x2 - x1^2", 4), ("x0 + x1", 6)]:
+            with pytest.raises(ParseError) as err:
+                parse_arrangement(self.ARRANGEMENT.replace(old, "x0 + x1^2"))
+            assert str(err.value) == f"polynomial must be homogeneous (line {ln})"
+            assert err.value.line == ln
+        assert parse_polynomial("x0 + x1^2", V3) == p3("x0") + p3("x1^2")
 
     def test_zero_where_nonzero_required(self):
-        with pytest.raises(ParseError):
-            parse_polynomial("x0 - x0", V3, require_nonzero=True)
+        for old, ln in [("x0*x2 - x1^2", 4), ("x0 + x1", 6)]:
+            with pytest.raises(ParseError) as err:
+                parse_arrangement(self.ARRANGEMENT.replace(old, "x0 - x0"))
+            assert str(err.value) == f"polynomial must be nonzero (line {ln})"
+            assert err.value.line == ln
+        assert parse_polynomial("x0 - x0", V3).is_zero
 
     def test_unknown_variable_with_position(self):
         with pytest.raises(ParseError) as err:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nochka.rootfind as rootfind
-from nochka.curves import CurveCoordinate, ExpTerm, compose, parse_coordinate
+from nochka.curves import CurveCoordinate, compose, parse_coordinate
 from nochka.errors import ResourceBudgetError, VerificationError
 from nochka.fixtures import exp_curve, generate_intro_fixture
 from nochka.rootfind import (_COVER_SCALES, _SPLIT_FRACTIONS, WINDING_CERT, WINDING_MAX_PASSES,
@@ -288,9 +288,9 @@ def exp_sums(count: int, *, real: bool):
             if not c.is_zero:
                 return c
 
-    return [CurveCoordinate.from_terms([ExpTerm(coefficient(), 0, UnivariatePoly([0, 0, 1])),
-                                        ExpTerm(coefficient(), 0, UnivariatePoly([0, 1])),
-                                        ExpTerm(coefficient(), 0, UnivariatePoly())])
+    return [CurveCoordinate({UnivariatePoly([0, 0, 1]): UnivariatePoly([coefficient()]),
+                             UnivariatePoly([0, 1]): UnivariatePoly([coefficient()]),
+                             UnivariatePoly(): UnivariatePoly([coefficient()])})
             for _ in range(count)]
 
 
@@ -507,3 +507,93 @@ def test_adversarial_zeros_certify_or_refuse(roots):
         [match] = [(w, j) for w, j in result.zeros if abs(w - z) < 1e-4]
         assert match[1] == k
     assert result.boundary_count == p.degree
+
+
+def _mpmath_sums(count: int):
+    """Seeded sum_{k <= 3} c_k e^{p_k(z)} with two or three keys: Gaussian-rational
+    c_k, negative and non-real among them, and deg p_k <= 2."""
+    rng = random.Random(16)
+    sums = []
+    while len(sums) < count:
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            p = UnivariatePoly([QQi(Fraction(rng.randint(-2, 2), 2), Fraction(rng.randint(-1, 1), 2))
+                                for _ in range(rng.randint(1, 3))])
+            c = QQi(Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
+                    rng.choice([0, Fraction(rng.randint(-6, 6), rng.randint(1, 3))]))
+            terms[p] = UnivariatePoly([c])
+        f = CurveCoordinate(terms)
+        if len(f.terms) >= 2:
+            sums.append(f)
+    return sums
+
+
+def _mpmath_value_and_derivative(mpmath, f: CurveCoordinate):
+    """(f(z), f'(z)) in mpmath arithmetic, from the exact coefficients."""
+    def mpc(q: QQi):
+        return mpmath.mpc(mpmath.mpf(q.re.numerator) / q.re.denominator,
+                          mpmath.mpf(q.im.numerator) / q.im.denominator)
+
+    def horner(coeffs, z):
+        value = slope = 0
+        for a in reversed(coeffs):
+            slope = slope * z + value
+            value = value * z + a
+        return value, slope
+
+    terms = [([mpc(x) for x in p.coeffs], [mpc(x) for x in c.coeffs]) for p, c in f.terms.items()]
+
+    def fd(z):
+        value = slope = 0
+        for p, c in terms:
+            pv, dp = horner(p, z)
+            cv, dc = horner(c, z)
+            e = mpmath.exp(pv)
+            value += cv * e
+            slope += (dc + cv * dp) * e
+        return value, slope
+    return fd
+
+
+def _mpmath_zero_count(mpmath, fd, radius) -> float:
+    """(1/2 pi i) times the contour integral of f'/f over |z| = radius, by
+    Gauss-Legendre quadrature in t on 16 arcs, each halved until mpmath's
+    error estimate is below 1e-8 per unit of t."""
+    def integrand(t):
+        z = radius * mpmath.expj(t)
+        f, df = fd(z)
+        return z * df / f
+
+    def arc(a, b):
+        value, error = mpmath.quad(integrand, [a, b], method="gauss-legendre", maxdegree=3,
+                                   error=True)
+        if error <= 1e-8 * (b - a):
+            return value
+        return arc(a, (a + b) / 2) + arc((a + b) / 2, b)
+
+    cuts = mpmath.linspace(0, 2 * mpmath.pi, 17)
+    return sum(arc(a, b) for a, b in zip(cuts, cuts[1:])) / (2 * mpmath.pi)
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+@pytest.mark.parametrize("index", range(8))
+def test_zeros_in_disk_against_mpmath(index, radius):
+    # independent references at 30 digits: each simple zero is where
+    # mpmath.findroot puts it, no two zeros are one, and the multiplicities
+    # add up to the argument-principle integral
+    mpmath = pytest.importorskip("mpmath")
+    f = _mpmath_sums(8)[index]
+    result = disk_zeros(f.value_and_derivative, radius)
+    with mpmath.workdps(30):
+        fd = _mpmath_value_and_derivative(mpmath, f)
+        polished = []
+        for z, k in result.zeros:
+            w = z
+            if k == 1:
+                w = mpmath.findroot(lambda x: fd(x)[0], mpmath.mpc(z), df=lambda x: fd(x)[1])
+                assert abs(w - z) <= 1e-9 * (1 + abs(z))
+            assert all(abs(w - v) > 1e-20 * (1 + abs(w)) for v in polished)
+            polished.append(w)
+        count = _mpmath_zero_count(mpmath, fd, mpmath.mpf(result.radius_used))
+    assert abs(count - round(count.real)) < 1e-3
+    assert sum(k for _, k in result.zeros) == round(count.real)

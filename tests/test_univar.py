@@ -277,7 +277,8 @@ class TestCanonicalForm:
         total = [QQi(0)] * 5
         for c, k in pairs:
             total[k] = total[k] + c
-        assert_same_canonical(UnivariatePoly.from_pairs(pairs), UnivariatePoly(total))
+        text = " + ".join(f"({c})*z^{k}" for c, k in pairs) or "0"
+        assert_same_canonical(parse_coordinate(text).poly, UnivariatePoly(total))
 
     @given(gaussian_polys, gaussian_polys)
     @settings(max_examples=60, deadline=None)
