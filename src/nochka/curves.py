@@ -26,7 +26,13 @@ one exp and a sum over the keys, however many keys the coordinate has.
 Circle evaluation returns log-magnitudes and max-rescaled values so that
 downstream quadrature never overflows on homogeneous targets: for a
 homogeneous Q of degree d, log|Q(f)| = d*log||f|| + log|Q(w)| with
-w = f * exp(-log||f||).
+w = f * exp(-log||f||).  It is compiled once per curve (and once per
+coordinate that `log_values` serves alone): the exponents of all the
+coordinates and the polynomial coordinates become stacked Horner rows, and
+each nonzero monomial a z^k of a coefficient one log row, so a block of
+points takes one Horner pass, a max, exp and sum per coordinate, and one
+log z if some monomial has k > 0, with the bits of the
+coordinate-by-coordinate loop.
 """
 
 from __future__ import annotations
@@ -51,14 +57,17 @@ class CurveCoordinate:
     `poly` is the coordinate as a UnivariatePoly when its only key is 0
     (the zero polynomial when it has none), else None.  `_dterms` holds the
     coordinate and its derivative compiled once into stacked coefficient
-    arrays (see `_compile`) when `value_and_derivative` first needs them.
+    arrays (see `_compile`) when `value_and_derivative` first needs them,
+    and `_log_rows` its log rows (see `_compile_log_rows`) when `log_values`
+    does.
     """
 
-    __slots__ = ("terms", "poly", "_dterms")
+    __slots__ = ("terms", "poly", "_dterms", "_log_rows")
 
     def __init__(self, terms: Mapping[UnivariatePoly, UnivariatePoly]):
         self.terms = {p: c for p, c in terms.items() if not c.is_zero}
         self._dterms = None
+        self._log_rows = None
         if not self.terms:
             self.poly = _ZERO
         elif len(self.terms) == 1:
@@ -160,23 +169,11 @@ class CurveCoordinate:
         For polynomial coordinates L = 0; for exponential sums L is the
         largest term log-magnitude, keeping w in floating range.
         """
+        if self._log_rows is None:
+            self._log_rows = _compile_log_rows([self])
         z = np.asarray(z, dtype=np.complex128)
-        if self.poly is not None:
-            return np.zeros(z.shape), self.poly.eval_array(z)
-        logs = []
-        with np.errstate(divide="ignore"):
-            log_z = np.log(z)
-            for p, c in self.terms.items():
-                pz = p.eval_array(z)
-                # log|a| drops the phase of a: w * exp(L) is the value only when
-                # every coefficient is positive real (open defect, see ROADMAP.md)
-                logs.extend(np.log(np.abs(ca)) + k * log_z + pz
-                            for k, (x, y, ca) in enumerate(zip(c.re, c.im, c.complex_coeffs))
-                            if x or y)
-        stacked = np.stack(logs)
-        L = np.max(stacked.real, axis=0)
-        w = np.sum(np.exp(stacked - L), axis=0)
-        return L, w
+        L, w = _log_values(self._log_rows, z.reshape(-1))
+        return L[0].reshape(z.shape), w[0].reshape(z.shape)
 
     def log_abs_array(self, z: np.ndarray) -> np.ndarray:
         L, w = self.log_values(z)
@@ -195,10 +192,93 @@ class CurveCoordinate:
         return f"CurveCoordinate({self.to_text()})"
 
 
+def _compile_log_rows(coordinates: Sequence[CurveCoordinate]):
+    """(Horner columns, key, log|a|, powered, power, spans) of the coordinates' log rows.
+
+    A coordinate with an exponential key gets one log row per nonzero
+    monomial a z^k of each coefficient c_p, keys in dict order and k
+    ascending: log|a| + k log z + p(z), the log of |a z^k exp(p)| when a is
+    positive real (log|a| drops the phase of a; open defect, see
+    ROADMAP.md).  One Horner row of p per key serves its log rows, which
+    hold its index in `key`; a polynomial coordinate is a Horner row of
+    itself.  `powered` lists the log rows with k > 0 and `power` their k.
+    `spans` gives, per coordinate, ("poly", Horner row) or ("exp", first
+    log row, end).  The Horner columns are the rows' coefficients of z^j as
+    (rows, 1) arrays, highest j first; `log_abs` and `power` are float
+    columns.
+    """
+    polys: list[UnivariatePoly] = []
+    key: list[int] = []
+    power: list[int] = []
+    log_abs: list[float] = []
+    spans = []
+    for coordinate in coordinates:
+        if coordinate.poly is not None:
+            spans.append(("poly", len(polys)))
+            polys.append(coordinate.poly)
+            continue
+        start = len(key)
+        for p, c in coordinate.terms.items():
+            for k, (x, y, a) in enumerate(zip(c.re, c.im, c.complex_coeffs)):
+                if x or y:
+                    key.append(len(polys))
+                    power.append(k)
+                    log_abs.append(np.log(np.abs(a)))
+            polys.append(p)
+        spans.append(("exp", start, len(key)))
+    coeffs = np.zeros((len(polys), max(len(p.re) for p in polys) or 1), dtype=np.complex128)
+    for row, p in zip(coeffs, polys):
+        row[:len(p.re)] = p.complex_coeffs
+    columns = [coeffs[:, j:j + 1] for j in reversed(range(coeffs.shape[1]))]
+    powered = np.flatnonzero(power)
+    return (columns, np.array(key, dtype=np.intp), np.array(log_abs, dtype=float).reshape(-1, 1),
+            powered, np.array(power, dtype=float)[powered].reshape(-1, 1), spans)
+
+
+def _log_values(rows, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, w), one row per coordinate, of the compiled log rows at the points z (1-D).
+
+    One Horner pass over every row starts from the leading column, which
+    gives the bits of a pass that starts from zero.  A log row with k = 0
+    is log|a| + p(z): at z != 0 its k log z term is a zero that leaves
+    every bit of the sum, so log z is taken only for the rows with k > 0,
+    once for all of them.  An exponential coordinate's L is the max of its
+    log rows' real parts and w the sum of their exp after subtracting L,
+    in row order; a polynomial coordinate has L = 0 and w its value.
+    """
+    columns, key, log_abs, powered, power, spans = rows
+    acc = np.empty((columns[0].shape[0], z.size), dtype=np.complex128)
+    acc[...] = columns[0]
+    for column in columns[1:]:
+        acc *= z
+        acc += column
+    if key.size:
+        logs = acc[key]
+        logs += log_abs
+    if powered.size:
+        with np.errstate(divide="ignore"):
+            terms = power * np.log(z)
+        terms += log_abs[powered]
+        terms += acc[key[powered]]
+        logs[powered] = terms
+    L = np.zeros((len(spans), z.size))
+    w = np.empty((len(spans), z.size), dtype=np.complex128)
+    for i, span in enumerate(spans):
+        if span[0] == "poly":
+            w[i] = acc[span[1]]
+            continue
+        part = logs[span[1]:span[2]]
+        np.max(part.real, axis=0, out=L[i])
+        part -= L[i]
+        np.exp(part, out=part)
+        np.sum(part, axis=0, out=w[i])
+    return L, w
+
+
 class ProjectiveCurve:
     """Reduced representation of a holomorphic curve by M+1 coordinates."""
 
-    __slots__ = ("coordinates",)
+    __slots__ = ("coordinates", "_log_rows")
 
     def __init__(self, coordinates: Sequence[CurveCoordinate]):
         coords = tuple(coordinates)
@@ -207,6 +287,7 @@ class ProjectiveCurve:
         if all(c.is_zero for c in coords):
             raise ValueError("all coordinates vanish")
         self.coordinates = coords
+        self._log_rows = None
         if self.all_polynomial and poly_gcd_many(
                 [c.poly for c in coords if not c.is_zero]).degree > 0:
             raise ValueError("coordinates share a common factor; representation is not reduced")
@@ -220,18 +301,24 @@ class ProjectiveCurve:
         return len(self.coordinates) - 1
 
     def circle_values(self, r: float, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (L, W): L = log max_i |f_i| on |z| = r, W the coordinates scaled by exp(-L)."""
-        z = r * np.exp(1j * thetas)
-        logs = []
-        scaled = []
-        for c in self.coordinates:
-            Lc, w = c.log_values(z)
-            with np.errstate(divide="ignore"):
-                logs.append(Lc + np.log(np.abs(w)))
-            scaled.append((Lc, w))
-        L = np.max(np.stack(logs), axis=0)
-        W = np.stack([w * np.exp(Lc - L) for Lc, w in scaled])
-        return L, W
+        """Return (L, W): L = log max_i |f_i| on |z| = r, W the coordinates scaled by exp(-L).
+
+        Every coordinate's log rows are compiled together once per curve
+        (`_compile_log_rows`), so a call evaluates all of them in one pass.
+        """
+        if self._log_rows is None:
+            self._log_rows = _compile_log_rows(self.coordinates)
+        Lc, w = _log_values(self._log_rows, r * np.exp(1j * thetas))
+        logs = np.abs(w)
+        with np.errstate(divide="ignore"):
+            np.log(logs, out=logs)
+        logs += Lc
+        L = np.max(logs, axis=0)
+        del logs
+        Lc -= L
+        np.exp(Lc, out=Lc)
+        w *= Lc
+        return L, w
 
     def to_text(self) -> str:
         lines = [f"[curve] M={self.ambient_dim}"]

@@ -211,14 +211,16 @@ def _proximity_integrand(target: Polynomial):
 
     With f = exp(L) w and Q homogeneous of degree d, ||f||^d ||Q|| / |Q(f)|
     equals ||Q|| / |Q(w)|.  A sample with |Q(w)| < VALUE_FLOOR is taken as
-    a zero of Q(f) and gives +inf.
+    a zero of Q(f) and gives +inf.  Q's coefficients are converted to
+    complex once, here, not per block.
     """
     norm = target.max_abs_coeff()
     log_norm = math.log(float_of(norm.numerator, norm.denominator))
+    evaluate = target.array_evaluator()
 
     def integrand(values):
         _, W = values
-        av = np.abs(target.evaluate_array(list(W)))
+        av = np.abs(evaluate(list(W)))
         av[av < VALUE_FLOOR] = 0
         with np.errstate(divide="ignore"):
             return log_norm - np.log(av)

@@ -248,24 +248,36 @@ class Polynomial:
         return total if total is not None else one * 0
 
     def evaluate_array(self, values: Sequence[np.ndarray]) -> np.ndarray:
-        """Numeric evaluation with complex128 arithmetic, vectorized over arrays.
+        """Numeric evaluation with complex128 arithmetic, vectorized over arrays."""
+        return self.array_evaluator()(values)
+
+    def array_evaluator(self):
+        """`evaluate_array` with the coefficients converted to complex once, here.
 
         Each variable's powers are formed once per call, by repeated
         multiplication and only as high as some term needs; a term is its
-        coefficient as a Python complex times entries of that table.
+        coefficient as a Python complex times entries of that table, one per
+        variable it contains, in variable order.
         """
-        values = [np.asarray(v, dtype=np.complex128) for v in values]
-        total = np.zeros(np.broadcast_shapes(*(v.shape for v in values)), dtype=np.complex128)
-        powers = [[None, v] for v in values]
-        for mono, coeff in self.terms.items():
-            term = complex(float_of(coeff.numerator, coeff.denominator))
-            for v, table, e in zip(values, powers, mono):
-                if e:
+        terms = [(complex(float_of(c.numerator, c.denominator)),
+                  [(i, e) for i, e in enumerate(mono) if e])
+                 for mono, c in self.terms.items()]
+
+        def evaluate(values: Sequence[np.ndarray]) -> np.ndarray:
+            values = [np.asarray(v, dtype=np.complex128) for v in values]
+            total = np.zeros(np.broadcast_shapes(*(v.shape for v in values)),
+                             dtype=np.complex128)
+            powers = [[None, v] for v in values]
+            for term, factors in terms:
+                for i, e in factors:
+                    table = powers[i]
                     while len(table) <= e:
-                        table.append(table[-1] * v)
+                        table.append(table[-1] * values[i])
                     term = term * table[e]
-            total += term
-        return total
+                total += term
+            return total
+
+        return evaluate
 
     def linear_coefficients(self) -> list[Fraction]:
         """Coefficient vector of a linear form, one entry per variable."""

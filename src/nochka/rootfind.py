@@ -8,7 +8,8 @@ with certified integer rounding of every winding number.  A contour segment
 is halved until three tests pass: the argument of f and log|f| each move by
 at most 0.9 across it, and max |f'/f| at its ends times its length is at
 most 0.9.  A segment that passes is final, and only the halves of a
-failing one are tested again.  `zeros_in_disk` walks the box trees of all
+failing one are tested again; each sample's f, log|f| and |f'/f| are
+worked out once, when it is taken.  `zeros_in_disk` walks the box trees of all
 its functions together, one level at a time: the level's Newton starts run
 as one batch, and the child contours of every box it splits are counted as
 one batch, each refinement pass evaluating every function once over the
@@ -16,6 +17,8 @@ new points of its own open contours.  Every contour and Newton start is
 tagged by its function, so each function's result is the one it gets
 alone, and budgets are counted per function.  The first cut of the origin-centred covering
 box stays off the coordinate axes, where the zeros of real data lie.  A
+Newton start stops, as failed, once a step takes it more than its box's
+size outside its box, since only a point inside its box is used.  A
 multiple zero is taken at the point where Newton stalls once a small circle
 around it winds its box's count (and, if that circle leaves the box, a
 circle around the whole box winds it too); a tree whose splits keep
@@ -142,29 +145,32 @@ def winding_numbers(fds: Sequence[ValueAndDerivative],
     k = np.repeat(np.arange(m), n0)
     t = np.stack([np.tile(grid[:-1], m), np.tile(grid[1:], m)])
     z = gamma(k, t[0])
-    f, df = _evaluate(fds, owner, k, z)
+    f, logmag, rate, singular = _samples(fds, owner, k, z)
 
     def closed(v: np.ndarray) -> np.ndarray:
         # each contour's last segment ends at its first sample
         return np.stack([v, np.roll(v.reshape(m, n0), -1, axis=1).ravel()])
 
-    def halved(v: np.ndarray, v_mid: np.ndarray) -> np.ndarray:
-        # each segment's left half, then its right half
-        return np.array([[v[0], v_mid], [v_mid, v[1]]]).transpose(0, 2, 1).reshape(2, -1)
+    def halved(v: np.ndarray, s: np.ndarray, v_mid: np.ndarray) -> np.ndarray:
+        # the segments s, each as its left half, then its right half
+        out = np.empty((2, 2 * s.size), dtype=v.dtype)
+        out[0, 0::2] = v[0, s]
+        out[0, 1::2] = out[1, 0::2] = v_mid
+        out[1, 1::2] = v[1, s]
+        return out
 
-    z, f, df = closed(z), closed(f), closed(df)
+    # every sample carries f, log|f| and |f'/f|, worked out once when it is taken
+    samples = [closed(v) for v in (z, f, logmag, rate, singular)]
     for _ in range(WINDING_MAX_PASSES):
+        z, f, logmag, rate, singular = samples
+        near_zero = singular.any(axis=0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            absf = np.abs(f)
-            singular = (~np.isfinite(f) | ~np.isfinite(df) | (absf < 1e-280)).any(axis=0)
-            logmag = np.log(absf)
-            rate = np.abs(df) / absf
             dphi = np.angle(f[1] * np.conj(f[0]))
             bad = ((np.abs(dphi) > 0.9) | (np.abs(logmag[1] - logmag[0]) > 0.9)
                    | (rate.max(axis=0) * np.abs(z[1] - z[0]) > 0.9))
         # a segment that passes is final: only its increment is kept
         total += np.bincount(k[~bad], weights=dphi[~bad], minlength=m)
-        near = np.bincount(k[singular], minlength=m) > 0
+        near = np.bincount(k[near_zero], minlength=m) > 0
         nbad = np.bincount(k[bad], minlength=m)
         for j in np.flatnonzero(open_ & ~near & (nbad == 0)):
             turns = float(total[j]) / (2 * np.pi)
@@ -176,13 +182,25 @@ def winding_numbers(fds: Sequence[ValueAndDerivative],
             return counts
         sizes += nbad
         s = np.flatnonzero(bad & open_[k])
-        k, t, z, f, df = k[s], t[:, s], z[:, s], f[:, s], df[:, s]
-        mid = (t[0] + t[1]) / 2.0
+        k = k[s]
+        mid = (t[0, s] + t[1, s]) / 2.0
         z_mid = gamma(k, mid % 1.0)
-        f_mid, df_mid = _evaluate(fds, owner, k, z_mid)
+        at_mid = (z_mid, *_samples(fds, owner, k, z_mid))
         k = np.repeat(k, 2)
-        t, z, f, df = halved(t, mid), halved(z, z_mid), halved(f, f_mid), halved(df, df_mid)
+        t = halved(t, s, mid)
+        samples = [halved(v, s, v_mid) for v, v_mid in zip(samples, at_mid)]
     return counts
+
+
+def _samples(fds: Sequence[ValueAndDerivative], owner: np.ndarray, k: np.ndarray,
+             z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """f, log|f|, |f'|/|f| and the near-a-zero flag (f or f' not finite, or
+    |f| < 1e-280) of `winding_numbers`' samples z, item k[i] owning z[i]."""
+    f, df = _evaluate(fds, owner, k, z)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        absf = np.abs(f)
+        singular = ~np.isfinite(f) | ~np.isfinite(df) | (absf < 1e-280)
+        return f, np.log(absf), np.abs(df) / absf, singular
 
 
 def _evaluate(fds: Sequence[ValueAndDerivative], owner: np.ndarray,
@@ -359,7 +377,7 @@ def zeros_in_disk(fds: Sequence[ValueAndDerivative], radius: float) -> list[Disk
         z = np.full(counts.size, np.nan, dtype=np.complex128)
         strict = np.zeros(counts.size, dtype=bool)
         if tried.any():
-            z[tried], strict[tried] = _newton(fds, centers[tried], owner[tried])
+            z[tried], strict[tried] = _newton(fds, centers[tried], owner[tried], level[tried])
         in_box = ((x0 - 1e-12 <= z.real) & (z.real <= x1 + 1e-12)
                   & (y0 - 1e-12 <= z.imag) & (z.imag <= y1 + 1e-12))
         done = (counts == 1) & strict & in_box
@@ -502,21 +520,29 @@ def _split(fds, level: np.ndarray, owner: np.ndarray,
             np.array(child_counts, dtype=np.intp)[keep], refused)
 
 
-def _newton(fds: Sequence[ValueAndDerivative], z0: np.ndarray,
-            owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton(fds: Sequence[ValueAndDerivative], z0: np.ndarray, owner: np.ndarray,
+            boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration from every start point; returns (points, strict).
 
     `fds` and `owner` are as in `winding_numbers`, with owner[j] the function
-    of start j.  `strict` marks full-tolerance convergence.  Near a multiple
-    zero the iteration stalls on evaluation noise, so a point whose final
-    step is merely small is still returned (strict=False) for the caller to
-    verify by a winding count.  A point is nan where the iteration failed: a
-    zero or non-finite derivative or step, or no small step within
-    NEWTON_ITERATIONS.  Each iteration evaluates the entries still running
-    in one call per evaluator; every entry gets the result of a one-entry
-    call.
+    of start j, and boxes[j] = (x0, x1, y0, y1) the box start j serves.
+    `strict` marks full-tolerance convergence.  Near a multiple zero the
+    iteration stalls on evaluation noise, so a point whose final step is
+    merely small is still returned (strict=False) for the caller to verify
+    by a winding count.  A point is nan where the iteration failed: a zero
+    or non-finite derivative or step, no small step within
+    NEWTON_ITERATIONS, or a step that lands more than the box's size,
+    max(x1 - x0, y1 - y0), outside its box on either axis.  Such an entry
+    stops there: `zeros_in_disk` uses only points inside their box, so
+    where it would have converged outside, nothing changes, and where it
+    would have come back, the box is split instead.  Each iteration
+    evaluates the entries still running in one call per evaluator; every
+    entry gets the result of a one-entry call.
     """
     z = np.array(z0, dtype=np.complex128)
+    x0, x1, y0, y1 = np.asarray(boxes, dtype=float).reshape(-1, 4).T
+    size = np.maximum(x1 - x0, y1 - y0)
+    left, right, bottom, top = x0 - size, x1 + size, y0 - size, y1 + size
     last = np.full(z.shape, np.inf)
     strict = np.zeros(z.shape, dtype=bool)
     active = np.arange(z.size)
@@ -530,6 +556,11 @@ def _newton(fds: Sequence[ValueAndDerivative], z0: np.ndarray,
         z[active[failed]] = np.nan
         active, step = active[~failed], step[~failed]
         z[active] -= step
+        x, y = z[active].real, z[active].imag
+        off = ((x < left[active]) | (x > right[active])
+               | (y < bottom[active]) | (y > top[active]))
+        z[active[off]] = np.nan
+        active, step = active[~off], step[~off]
         last[active] = np.abs(step)
         converged = last[active] < NEWTON_TOL * (1 + np.abs(z[active]))
         strict[active[converged]] = True

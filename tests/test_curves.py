@@ -1,6 +1,7 @@
 """Curve coordinates against the code they replaced: stacked evaluation
-against the per-key loop, and the parser's collection against grouping
-uncollected term records."""
+against the per-key loop, compiled circle evaluation against the
+per-coordinate, per-monomial loop, and the parser's collection against
+grouping uncollected term records."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nochka.curves import CurveCoordinate, ProjectiveCurve, compose, parse_coordinate
+from nochka.curves import (CurveCoordinate, ProjectiveCurve, compose, parse_coordinate,
+                           parse_curve)
 from nochka.fixtures import (exp_curve, generate_intro_fixture, parabola_curve,
                              pencil_lines_arrangement)
 from nochka.poly import Polynomial
@@ -104,6 +106,93 @@ def test_each_point_gets_the_bits_of_a_one_point_call(coord):
         fj, dfj = coord.value_and_derivative(z[j:j + 1])
         assert fj.tobytes() == f[j:j + 1].tobytes()
         assert dfj.tobytes() == df[j:j + 1].tobytes()
+
+
+def reference_log_values(coord: CurveCoordinate, z):
+    """`log_values` before compiling: one Horner pass per exponent and one log
+    row per nonzero monomial, coordinate by coordinate."""
+    z = np.asarray(z, dtype=np.complex128)
+    if coord.poly is not None:
+        return np.zeros(z.shape), coord.poly.eval_array(z)
+    logs = []
+    with np.errstate(divide="ignore"):
+        log_z = np.log(z)
+        for p, c in coord.terms.items():
+            pz = p.eval_array(z)
+            logs.extend(np.log(np.abs(ca)) + k * log_z + pz
+                        for k, (x, y, ca) in enumerate(zip(c.re, c.im, c.complex_coeffs))
+                        if x or y)
+    stacked = np.stack(logs)
+    L = np.max(stacked.real, axis=0)
+    return L, np.sum(np.exp(stacked - L), axis=0)
+
+
+def reference_circle_values(curve: ProjectiveCurve, r: float, thetas):
+    """`circle_values` before compiling, from `reference_log_values`."""
+    z = r * np.exp(1j * thetas)
+    logs, scaled = [], []
+    for c in curve.coordinates:
+        Lc, w = reference_log_values(c, z)
+        with np.errstate(divide="ignore"):
+            logs.append(Lc + np.log(np.abs(w)))
+        scaled.append((Lc, w))
+    L = np.max(np.stack(logs), axis=0)
+    return L, np.stack([w * np.exp(Lc - L) for Lc, w in scaled])
+
+
+CIRCLE_CURVES = {
+    "exp_curve": exp_curve(),
+    # a negative, a non-real and a z^k exp(p) coefficient, and keys that share
+    # their non-constant part
+    "signed": parse_curve("[curve] M=2\n-exp(z^2) + exp(z) + 2\n"
+                          "(1/2i)*exp(z) - 3*z + (2-i)*z^2*exp(-z + 1/3)\n"
+                          "z^3*exp(z^2 - 1) - 5/7*exp(z^2) + (1+i)\n"),
+    "parabola": parabola_curve(),
+    "gaussian-polynomial": ProjectiveCurve([
+        CurveCoordinate.from_poly(UnivariatePoly([QQi(1, 2), 0, QQi(-3, Fraction(1, 3))])),
+        CurveCoordinate.from_poly(UnivariatePoly([-2, QQi(0, 1)])),
+        CurveCoordinate.from_poly(UnivariatePoly([Fraction(5, 4)]))]),
+    "zero-coordinate": parse_curve("[curve] M=3\n1\n0\nexp(z)\nz*exp(-z^2)\n"),
+}
+
+
+@pytest.mark.parametrize("name", CIRCLE_CURVES)
+@pytest.mark.parametrize("r, n, turn", [(1.0, 64, 0.0), (2.5, 4096, 0.0), (7.3, 100, 0.3),
+                                        (40.0, 257, 1.1)])
+def test_circle_values_match_the_per_coordinate_loop_bit_for_bit(name, r, n, turn):
+    curve = CIRCLE_CURVES[name]
+    thetas = np.arange(n) * (2 * np.pi / n) + turn
+    want = reference_circle_values(curve, r, thetas)
+    for _ in range(2):  # the second call reads the compiled rows
+        got = curve.circle_values(r, thetas)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+
+LOG_COORDS = [c for curve in CIRCLE_CURVES.values() for c in curve.coordinates] + COORDS
+
+
+@pytest.mark.parametrize("coord", LOG_COORDS, ids=lambda c: f"{len(c.terms)}keys")
+@pytest.mark.parametrize("shape", [(7,), (2, 3)])
+def test_log_values_match_the_per_monomial_loop_bit_for_bit(coord, shape):
+    rng = np.random.default_rng(len(coord.terms) * 10 + len(shape))
+    z = 2.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, shape)) * rng.uniform(1, 2, shape)
+    want = reference_log_values(coord, z)
+    got = coord.log_values(z)
+    for g, w in zip(got, want):
+        assert g.shape == np.shape(z) and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("coord", LOG_COORDS, ids=lambda c: f"{len(c.terms)}keys")
+def test_log_values_of_a_scalar_are_those_of_a_one_point_array(coord):
+    # the per-monomial loop took numpy's scalar arithmetic on a 0-d point,
+    # whose last bits can differ from its array loops; every point now gets
+    # the bits it gets in an array
+    z = np.asarray(1.7 - 1.9j)
+    for g, w in zip(coord.log_values(z), coord.log_values(z.reshape(1))):
+        assert g.shape == () and g.tobytes() == w.tobytes()
 
 
 def _polynomial_curves():

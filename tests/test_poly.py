@@ -14,7 +14,7 @@ from nochka.geometry import parse_arrangement
 from nochka.poly import (Ideal, Polynomial, degree_m_slice_rank, groebner_basis,
                          ideal_dimension, key_degrevlex, mono_divides, monomials_of_degree,
                          next_level, normal_form, parse_polynomial)
-from nochka.univar import QQi
+from nochka.univar import QQi, float_of
 
 V2 = ("x0", "x1")
 V3 = ("x0", "x1", "x2")
@@ -417,7 +417,40 @@ def test_monomials_of_degree_match_recursive_reference(nvars):
         assert len(monos) == comb(nvars + degree - 1, degree)
 
 
+def reference_evaluate_array(form: Polynomial, values):
+    """`evaluate_array` as it was before `array_evaluator`: every call
+    converts each coefficient and zips each monomial with every variable."""
+    values = [np.asarray(v, dtype=np.complex128) for v in values]
+    total = np.zeros(np.broadcast_shapes(*(v.shape for v in values)), dtype=np.complex128)
+    powers = [[None, v] for v in values]
+    for mono, coeff in form.terms.items():
+        term = complex(float_of(coeff.numerator, coeff.denominator))
+        for v, table, e in zip(values, powers, mono):
+            if e:
+                while len(table) <= e:
+                    table.append(table[-1] * v)
+                term = term * table[e]
+        total += term
+    return total
+
+
 class TestEvaluateArray:
+    @pytest.mark.parametrize("nvars", [1, 3, 5])
+    def test_a_reused_evaluator_gives_the_bits_of_the_per_call_loop(self, nvars):
+        rng = random.Random(3200 + nvars)
+        nprng = np.random.default_rng(nvars)
+        for _ in range(10):
+            form = Polynomial(nvars, {tuple(rng.randint(0, 3) for _ in range(nvars)):
+                                      Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                                      for _ in range(rng.randint(1, 8))})
+            evaluate = form.array_evaluator()
+            for shape in [(5,), (2, 3), ()]:
+                values = [nprng.normal(size=shape) + 1j * nprng.normal(size=shape)
+                          for _ in range(nvars)]
+                got = evaluate(values)
+                want = reference_evaluate_array(form, values)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("nvars", [2, 3, 4])
     def test_matches_exact_evaluation_at_gaussian_rationals(self, nvars):
         rng = random.Random(1400 + nvars)

@@ -35,6 +35,12 @@ def single(gamma, k: int):
     return lambda t: gamma(np.full(t.shape, k), t)
 
 
+def boxes_around(starts: np.ndarray, half: float) -> np.ndarray:
+    """The boxes (x0, x1, y0, y1) of half-width `half` centred on the starts."""
+    return np.stack([starts.real - half, starts.real + half,
+                     starts.imag - half, starts.imag + half], axis=-1)
+
+
 class TestBatchInvariance:
     def test_newton_entries_match_one_entry_calls(self):
         # simple zeros at odd multiples of i*pi, double zeros at 2*pi*i*k, and
@@ -42,9 +48,10 @@ class TestBatchInvariance:
         fd = fused("exp(3*z) - exp(2*z) - exp(z) + 1")
         starts = np.array([0.1 + 3.0j, 0.05 + 0.02j, 0j, -0.2 - 3.3j, 2.5 + 9.0j,
                            1.0 + 6.0j, -4.0 + 1.0j, 0.3 - 6.4j])
-        z, strict = _newton([fd], starts, np.zeros(starts.size, dtype=np.intp))
+        boxes = boxes_around(starts, 0.5)
+        z, strict = _newton([fd], starts, np.zeros(starts.size, dtype=np.intp), boxes)
         for j in range(starts.size):
-            zj, sj = _newton([fd], starts[j:j + 1], np.zeros(1, dtype=np.intp))
+            zj, sj = _newton([fd], starts[j:j + 1], np.zeros(1, dtype=np.intp), boxes[j:j + 1])
             assert zj.tobytes() == z[j:j + 1].tobytes()
             assert sj[0] == strict[j]
         failed = np.isnan(z)
@@ -75,6 +82,78 @@ class TestBatchInvariance:
         assert batch[0] is None
         assert batch[4] == 1
         assert batch[nb] is not None
+
+
+def _reference_newton(fds, z0, owner):
+    """`_newton` before it took boxes: every entry runs until it converges,
+    fails or uses up NEWTON_ITERATIONS, wherever it goes."""
+    z = np.array(z0, dtype=np.complex128)
+    last = np.full(z.shape, np.inf)
+    strict = np.zeros(z.shape, dtype=bool)
+    active = np.arange(z.size)
+    for _ in range(rootfind.NEWTON_ITERATIONS):
+        if not active.size:
+            break
+        f, d = rootfind._evaluate(fds, owner, active, z[active])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = f / d
+        failed = (d == 0) | ~np.isfinite(d) | ~np.isfinite(step)
+        z[active[failed]] = np.nan
+        active, step = active[~failed], step[~failed]
+        z[active] -= step
+        last[active] = np.abs(step)
+        converged = last[active] < rootfind.NEWTON_TOL * (1 + np.abs(z[active]))
+        strict[active[converged]] = True
+        active = active[~converged]
+    stalled = last[active] >= 1e-6 * (1 + np.abs(z[active]))
+    z[active[stalled]] = np.nan
+    return z, strict
+
+
+class TestNewtonStopsOffItsBox:
+    def test_a_start_that_runs_off_is_nan_and_evaluated_no_further(self):
+        # Newton on z^2 + 1 from a real start stays real and never converges;
+        # its first step from 0.01 lands near -50, far off its box.  The other
+        # start converges to i inside its own box.
+        seen = []
+
+        def fd(z):
+            seen.append(z.copy())
+            return z * z + 1, 2 * z
+
+        starts = np.array([0.01 + 0j, 0.9j])
+        boxes = np.array([[-0.1, 0.1, -0.1, 0.1], [-0.5, 0.5, 0.5, 1.5]])
+        z, strict = _newton([fd], starts, np.zeros(2, dtype=np.intp), boxes)
+        assert np.isnan(z[0]) and not strict[0]
+        assert strict[1] and abs(z[1] - 1j) < 1e-15
+        assert seen[0].tolist() == starts.tolist()
+        assert all(points.tolist() == [points[0]] for points in seen[1:])
+        assert all(points[0].imag > 0.5 for points in seen[1:])
+        # the old loop reached the same nan only after every iteration
+        seen.clear()
+        z_ref, _ = _reference_newton([fd], starts[:1], np.zeros(1, dtype=np.intp))
+        assert np.isnan(z_ref[0]) and len(seen) == rootfind.NEWTON_ITERATIONS
+
+    @pytest.mark.parametrize("text", ["exp(3*z) - exp(2*z) - exp(z) + 1",
+                                      "-exp(z^2) + (1/2i)*exp(z) - 3", "z^5 - 2*z + 1/3"])
+    def test_entries_that_stay_match_the_old_loop_bit_for_bit(self, text):
+        fd = fused(text)
+        rng = np.random.default_rng(32)
+        starts = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200)
+        boxes = boxes_around(starts, rng.choice([0.02, 0.1, 0.3, 1.0], 200))
+        owner = np.zeros(starts.size, dtype=np.intp)
+        z, strict = _newton([fd], starts, owner, boxes)
+        z_ref, strict_ref = _reference_newton([fd], starts, owner)
+        stopped = np.isnan(z) & ~np.isnan(z_ref)
+        kept = ~stopped
+        assert z[kept].tobytes() == z_ref[kept].tobytes()
+        assert (strict[kept] == strict_ref[kept]).all()
+        # each stopped entry would have ended outside its box, where
+        # `zeros_in_disk` does not use it
+        x0, x1, y0, y1 = boxes[stopped].T + np.array([[-1e-12], [1e-12], [-1e-12], [1e-12]])
+        w = z_ref[stopped]
+        assert not ((x0 <= w.real) & (w.real <= x1) & (y0 <= w.imag) & (w.imag <= y1)).any()
+        assert stopped.sum() > 20 and (kept & ~np.isnan(z)).sum() > 20
 
 
 def select_boxes(boxes: np.ndarray):
