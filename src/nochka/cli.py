@@ -21,7 +21,8 @@ from .errors import ParseError, ResourceBudgetError, VerificationError
 from .fixtures import generate_intro_fixture
 from .geometry import (check_subgeneral_position, codim_oracle, format_arrangement,
                        hilbert_function, hilbert_weight, parse_arrangement)
-from .nevanlinna import cartan_ru_check, jensen_check, smt_report, wronskian_divisor_check
+from .nevanlinna import (DEFAULT_QUAD_TOL, cartan_ru_check, jensen_check, smt_report,
+                         wronskian_divisor_check)
 from .poly import DEFAULT_GB_STEPS
 from .rank_core import (build_filtration, format_oracle, greedy_select,
                         nochka_weights, parse_oracle, validate_rank_oracle)
@@ -312,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.choices[name].add_argument("--budget-gb-steps", type=int, default=DEFAULT_GB_STEPS,
                                        dest="budget_gb_steps")
     for name in ("jensen", "cartan-check", "smt-report"):
-        sub.choices[name].add_argument("--quad-tol", type=float, default=1e-9, dest="quad_tol")
+        sub.choices[name].add_argument("--quad-tol", type=float, default=DEFAULT_QUAD_TOL,
+                                       dest="quad_tol")
     return parser
 
 

@@ -18,21 +18,25 @@ c * z^k * exp(p) it reads to the coefficient under the key p, keys in order
 of first appearance, and that order is the order of every float sum over
 the keys.
 
-For root finding each coordinate compiles once, on first use, into stacked
-complex coefficient arrays of its exponents, coefficients and derivative
-coefficients, so that f and f' at any set of points take one Horner pass,
-one exp and a sum over the keys, however many keys the coordinate has.
+Every numeric evaluation of curve data goes through stacked Horner rows:
+one row builder (`_columns`) turns polynomials into coefficient columns and
+one Horner pass (`_horner`) takes every row at a block of points at once.
+For root finding each coordinate compiles once, on first use, into the rows
+of its exponents, coefficients and derivative coefficients, so that f and f'
+at any set of points take one Horner pass, one exp and a sum over the keys,
+however many keys the coordinate has.
 
 Circle evaluation returns log-magnitudes and max-rescaled values so that
 downstream quadrature never overflows on homogeneous targets: for a
 homogeneous Q of degree d, log|Q(f)| = d*log||f|| + log|Q(w)| with
-w = f * exp(-log||f||).  It is compiled once per curve (and once per
-coordinate that `log_values` serves alone): the exponents of all the
-coordinates and the polynomial coordinates become stacked Horner rows, and
-each nonzero monomial a z^k of a coefficient one log row, so a block of
-points takes one Horner pass, a max, exp and sum per coordinate, and one
-log z if some monomial has k > 0, with the bits of the
-coordinate-by-coordinate loop.
+w = f * exp(-log||f||).  Its rows (`_compile_log_rows`) are compiled once
+per curve by `ProjectiveCurve.circle_values`, and once per phi by
+`nevanlinna.jensen_check`, which reads log|phi| = L + log|w| from the same
+evaluator (`_log_values`): the exponents of all the coordinates and the
+polynomial coordinates become Horner rows, and each nonzero monomial a z^k
+of a coefficient one log row, so a block of points takes one Horner pass,
+a max, exp and sum per coordinate, and one log z if some monomial has
+k > 0, with the bits of the coordinate-by-coordinate loop.
 """
 
 from __future__ import annotations
@@ -57,17 +61,14 @@ class CurveCoordinate:
     `poly` is the coordinate as a UnivariatePoly when its only key is 0
     (the zero polynomial when it has none), else None.  `_dterms` holds the
     coordinate and its derivative compiled once into stacked coefficient
-    arrays (see `_compile`) when `value_and_derivative` first needs them,
-    and `_log_rows` its log rows (see `_compile_log_rows`) when `log_values`
-    does.
+    arrays (see `_compile`) when `value_and_derivative` first needs them.
     """
 
-    __slots__ = ("terms", "poly", "_dterms", "_log_rows")
+    __slots__ = ("terms", "poly", "_dterms")
 
     def __init__(self, terms: Mapping[UnivariatePoly, UnivariatePoly]):
         self.terms = {p: c for p, c in terms.items() if not c.is_zero}
         self._dterms = None
-        self._log_rows = None
         if not self.terms:
             self.poly = _ZERO
         elif len(self.terms) == 1:
@@ -129,12 +130,8 @@ class CurveCoordinate:
         nexp, nkeys, columns = self._dterms
         z = np.asarray(z, dtype=np.complex128)
         flat = z.reshape(-1)
-        acc = np.empty((columns[0].shape[0], flat.size), dtype=np.complex128)
-        acc[...] = columns[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            for column in columns[1:]:
-                acc *= flat
-                acc += column
+            acc = _horner(columns, flat)
             terms = acc[nexp:].reshape(2, nkeys, flat.size)
             terms[:, :nexp] *= np.exp(acc[:nexp])
             while nkeys > 1:
@@ -150,35 +147,14 @@ class CurveCoordinate:
         no exp, last; the zero coordinate gets the zero key).  The rows are
         each exponential key's exponent, then every key's coefficient, then
         every key's derivative coefficient (zero where the derivative drops
-        the key); the columns are the rows' coefficients of z^j as (rows, 1)
-        arrays, highest j first.
+        the key); the columns are those of `_columns`.
         """
         keys = sorted(self.terms, key=lambda p: not p.re) or [_ZERO]
         dterms = self.derivative().terms
         rows = [p for p in keys if p.re]
         nexp = len(rows)
         rows += [self.terms.get(p, _ZERO) for p in keys] + [dterms.get(p, _ZERO) for p in keys]
-        coeffs = np.zeros((len(rows), max(len(r.re) for r in rows) or 1), dtype=np.complex128)
-        for row, r in zip(coeffs, rows):
-            row[:len(r.re)] = r.complex_coeffs
-        return nexp, len(keys), [coeffs[:, j:j + 1] for j in reversed(range(coeffs.shape[1]))]
-
-    def log_values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (L, w) with the coordinate value equal to w * exp(L), |w| <= #terms.
-
-        For polynomial coordinates L = 0; for exponential sums L is the
-        largest term log-magnitude, keeping w in floating range.
-        """
-        if self._log_rows is None:
-            self._log_rows = _compile_log_rows([self])
-        z = np.asarray(z, dtype=np.complex128)
-        L, w = _log_values(self._log_rows, z.reshape(-1))
-        return L[0].reshape(z.shape), w[0].reshape(z.shape)
-
-    def log_abs_array(self, z: np.ndarray) -> np.ndarray:
-        L, w = self.log_values(z)
-        with np.errstate(divide="ignore"):
-            return L + np.log(np.abs(w))
+        return nexp, len(keys), _columns(rows)
 
     def to_text(self) -> str:
         if self.poly is not None:
@@ -192,6 +168,27 @@ class CurveCoordinate:
         return f"CurveCoordinate({self.to_text()})"
 
 
+def _columns(polys: Sequence[UnivariatePoly]) -> list[np.ndarray]:
+    """The Horner columns of the polynomials as rows: their coefficients of
+    z^j as (rows, 1) complex arrays, highest j first."""
+    coeffs = np.zeros((len(polys), max(len(p.re) for p in polys) or 1), dtype=np.complex128)
+    for row, p in zip(coeffs, polys):
+        row[:len(p.re)] = p.complex_coeffs
+    return [coeffs[:, j:j + 1] for j in reversed(range(coeffs.shape[1]))]
+
+
+def _horner(columns: list[np.ndarray], z: np.ndarray) -> np.ndarray:
+    """Every row of the columns at the points z (1-D), one row of values each,
+    in one Horner pass that starts from the leading column: the bits of a
+    pass that starts from zero."""
+    acc = np.empty((columns[0].shape[0], z.size), dtype=np.complex128)
+    acc[...] = columns[0]
+    for column in columns[1:]:
+        acc *= z
+        acc += column
+    return acc
+
+
 def _compile_log_rows(coordinates: Sequence[CurveCoordinate]):
     """(Horner columns, key, log|a|, powered, power, spans) of the coordinates' log rows.
 
@@ -203,9 +200,8 @@ def _compile_log_rows(coordinates: Sequence[CurveCoordinate]):
     hold its index in `key`; a polynomial coordinate is a Horner row of
     itself.  `powered` lists the log rows with k > 0 and `power` their k.
     `spans` gives, per coordinate, ("poly", Horner row) or ("exp", first
-    log row, end).  The Horner columns are the rows' coefficients of z^j as
-    (rows, 1) arrays, highest j first; `log_abs` and `power` are float
-    columns.
+    log row, end).  The Horner columns are those of `_columns`; `log_abs`
+    and `power` are float columns.
     """
     polys: list[UnivariatePoly] = []
     key: list[int] = []
@@ -226,32 +222,24 @@ def _compile_log_rows(coordinates: Sequence[CurveCoordinate]):
                     log_abs.append(np.log(np.abs(a)))
             polys.append(p)
         spans.append(("exp", start, len(key)))
-    coeffs = np.zeros((len(polys), max(len(p.re) for p in polys) or 1), dtype=np.complex128)
-    for row, p in zip(coeffs, polys):
-        row[:len(p.re)] = p.complex_coeffs
-    columns = [coeffs[:, j:j + 1] for j in reversed(range(coeffs.shape[1]))]
     powered = np.flatnonzero(power)
-    return (columns, np.array(key, dtype=np.intp), np.array(log_abs, dtype=float).reshape(-1, 1),
-            powered, np.array(power, dtype=float)[powered].reshape(-1, 1), spans)
+    return (_columns(polys), np.array(key, dtype=np.intp),
+            np.array(log_abs, dtype=float).reshape(-1, 1), powered,
+            np.array(power, dtype=float)[powered].reshape(-1, 1), spans)
 
 
 def _log_values(rows, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(L, w), one row per coordinate, of the compiled log rows at the points z (1-D).
 
-    One Horner pass over every row starts from the leading column, which
-    gives the bits of a pass that starts from zero.  A log row with k = 0
-    is log|a| + p(z): at z != 0 its k log z term is a zero that leaves
-    every bit of the sum, so log z is taken only for the rows with k > 0,
-    once for all of them.  An exponential coordinate's L is the max of its
+    One `_horner` pass covers every row.  A log row with k = 0 is
+    log|a| + p(z): at z != 0 its k log z term is a zero that leaves every
+    bit of the sum, so log z is taken only for the rows with k > 0, once
+    for all of them.  An exponential coordinate's L is the max of its
     log rows' real parts and w the sum of their exp after subtracting L,
     in row order; a polynomial coordinate has L = 0 and w its value.
     """
     columns, key, log_abs, powered, power, spans = rows
-    acc = np.empty((columns[0].shape[0], z.size), dtype=np.complex128)
-    acc[...] = columns[0]
-    for column in columns[1:]:
-        acc *= z
-        acc += column
+    acc = _horner(columns, z)
     if key.size:
         logs = acc[key]
         logs += log_abs

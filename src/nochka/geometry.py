@@ -122,10 +122,6 @@ class Arrangement:
         return tuple(p.degree for _, p in self.hypersurfaces)
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.hypersurfaces)
-
-    @property
     def forms(self) -> tuple[Polynomial, ...]:
         return tuple(p for _, p in self.hypersurfaces)
 
@@ -518,6 +514,13 @@ class HilbertData:
                 "matrix_provenance": self.matrix_provenance}
 
 
+def _check_qm_budget(q: int, m: int) -> None:
+    """Refuse degree-m products of q forms past QM_BUDGET, before any is built."""
+    total = comb(q + m - 1, m)
+    if total > QM_BUDGET:
+        raise ResourceBudgetError(f"q_m = {total} exceeds budget {QM_BUDGET}")
+
+
 def _degree_m_vectors(arr: Arrangement,
                       m: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Exponent vectors of degree m and, for each, the content-free integer
@@ -537,9 +540,7 @@ def _degree_m_vectors(arr: Arrangement,
     if m < 1:
         raise ValueError("m must be >= 1")
     q = arr.q
-    total = comb(q + m - 1, m)
-    if total > QM_BUDGET:
-        raise ResourceBudgetError(f"q_m = {total} exceeds budget {QM_BUDGET}")
+    _check_qm_budget(q, m)
     exponents = list(monomials_of_degree(q, m))
     forms = arr.normalized_forms()
     ideal = arr.variety_ideal() if arr.variety_generators else None

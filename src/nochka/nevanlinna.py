@@ -28,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import CurveCoordinate, ProjectiveCurve, compose
+from .curves import CurveCoordinate, ProjectiveCurve, _compile_log_rows, _log_values, compose
 from .errors import QuadratureError, VerificationError
-from .geometry import Arrangement, PositionReport, check_subgeneral_position
+from .geometry import Arrangement, PositionReport, _check_qm_budget, check_subgeneral_position
 from .linalg import Echelon
 from .poly import Polynomial, next_level
 from .rank_core import _popcounts, greedy_bases, linear_matroid_oracle
@@ -238,12 +238,6 @@ class ZeroDivisor:
     def total_multiplicity(self) -> int:
         return sum(k for _, k in self.entries)
 
-    def as_dict(self) -> dict:
-        return {
-            "entries": [{"z": [z.real, z.imag], "multiplicity": k} for z, k in self.entries],
-            "radius_of_validity": self.radius_of_validity,
-        }
-
 
 def characteristic(curve: ProjectiveCurve, r: float, *, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Circle average of log max_i |f_i| at radius r."""
@@ -352,11 +346,18 @@ def jensen_check(phi: CurveCoordinate | UnivariatePoly, radii: Sequence[float], 
         raise ValueError("phi(0) = 0: factor out the vanishing power of z first")
     _check_float_range([phi])
     divisor = zero_divisor(phi, radii[-1] * 1.001)
+    rows = _compile_log_rows([phi])
 
     def circle(rr, thetas):
         return rr * np.exp(1j * thetas)
 
-    integrals = [_circle_average(circle, phi.log_abs_array, r, tol=tol) for r in radii]
+    def log_abs_phi(z):
+        # log|phi| = L + log|w| from the evaluator `circle_values` uses
+        L, w = _log_values(rows, z)
+        with np.errstate(divide="ignore"):
+            return L[0] + np.log(np.abs(w[0]))
+
+    integrals = [_circle_average(circle, log_abs_phi, r, tol=tol) for r in radii]
     countings = [counting_function(divisor, r) for r in radii]
     diffs = [i - c for i, c in zip(integrals, countings)]
     constant = sum(diffs) / len(diffs)
@@ -589,15 +590,17 @@ def lift_curve(curve: ProjectiveCurve, arr: Arrangement, m: int) -> LiftResult:
 
     The products are built a level at a time in `monomials_of_degree`
     order, each one its parent's product times one more composed form
-    (`next_level`), as the Hilbert rows are.  They are `UnivariatePoly`
-    products, integer convolutions over one denominator, so each realified
-    row is read from a product's integer numerators `re` and `im`."""
+    (`next_level`), as the Hilbert rows are, and refused as they are past
+    `QM_BUDGET` products.  They are `UnivariatePoly` products, integer
+    convolutions over one denominator, so each realified row is read from a
+    product's integer numerators `re` and `im`."""
     if not curve.all_polynomial:
         raise ValueError("lifting needs a polynomial curve")
     if curve.ambient_dim != arr.M:
         raise ValueError("curve and arrangement ambient dimensions differ")
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check_qm_budget(arr.q, m)
     composed = [compose(f, curve).poly for f in arr.normalized_forms()]
     coords, last = composed, np.arange(len(composed))
     for _ in range(1, m):

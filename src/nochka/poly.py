@@ -247,12 +247,9 @@ class Polynomial:
             total = term if total is None else total + term
         return total if total is not None else one * 0
 
-    def evaluate_array(self, values: Sequence[np.ndarray]) -> np.ndarray:
-        """Numeric evaluation with complex128 arithmetic, vectorized over arrays."""
-        return self.array_evaluator()(values)
-
     def array_evaluator(self):
-        """`evaluate_array` with the coefficients converted to complex once, here.
+        """Numeric evaluation with complex128 arithmetic, vectorized over arrays,
+        with the coefficients converted to complex once, here.
 
         Each variable's powers are formed once per call, by repeated
         multiplication and only as high as some term needs; a term is its

@@ -17,8 +17,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 
 def float_or_zero(num: int, den: int = 1) -> float:
     """num / den rounded to the nearest float, as float(Fraction) rounds, so
@@ -303,13 +301,6 @@ class UnivariatePoly:
             self._complex = tuple(complex(float_of(x, den), float_of(y, den))
                                   for x, y in zip(self.re, self.im))
         return self._complex
-
-    def eval_array(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.complex128)
-        acc = np.zeros_like(z)
-        for c in reversed(self.complex_coeffs):
-            acc = acc * z + c
-        return acc
 
     def to_text(self) -> str:
         if self.is_zero:

@@ -1,7 +1,8 @@
 """Curve coordinates against the code they replaced: stacked evaluation
 against the per-key loop, compiled circle evaluation against the
 per-coordinate, per-monomial loop, and the parser's collection against
-grouping uncollected term records."""
+grouping uncollected term records.  The references evaluate each
+polynomial alone, by `np.polyval` over its complex coefficients."""
 
 import random
 from fractions import Fraction
@@ -9,12 +10,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nochka.curves import (CurveCoordinate, ProjectiveCurve, compose, parse_coordinate,
-                           parse_curve)
+from nochka.curves import (CurveCoordinate, ProjectiveCurve, _compile_log_rows, _log_values,
+                           compose, parse_coordinate, parse_curve)
 from nochka.fixtures import (exp_curve, generate_intro_fixture, parabola_curve,
                              pencil_lines_arrangement)
 from nochka.poly import Polynomial
 from nochka.univar import QQi, UnivariatePoly
+
+
+def polyval(p: UnivariatePoly, z):
+    """p at the points z by one Horner pass per polynomial, from zero."""
+    return np.polyval(p.complex_coeffs[::-1], z)
 
 
 def per_key_value_and_derivative(coord: CurveCoordinate, z):
@@ -25,11 +31,11 @@ def per_key_value_and_derivative(coord: CurveCoordinate, z):
     dtotal = np.zeros_like(z)
     with np.errstate(over="ignore", invalid="ignore"):
         for p, c in coord.terms.items():
-            e = np.exp(p.eval_array(z)) if p.re else 1.0
-            total = total + c.eval_array(z) * e
+            e = np.exp(polyval(p, z)) if p.re else 1.0
+            total = total + polyval(c, z) * e
             d = dterms.get(p)
             if d is not None:
-                dtotal = dtotal + d.eval_array(z) * e
+                dtotal = dtotal + polyval(d, z) * e
     return total, dtotal
 
 
@@ -109,16 +115,16 @@ def test_each_point_gets_the_bits_of_a_one_point_call(coord):
 
 
 def reference_log_values(coord: CurveCoordinate, z):
-    """`log_values` before compiling: one Horner pass per exponent and one log
-    row per nonzero monomial, coordinate by coordinate."""
+    """A coordinate's (L, w) before compiling: one Horner pass per exponent and
+    one log row per nonzero monomial, coordinate by coordinate."""
     z = np.asarray(z, dtype=np.complex128)
     if coord.poly is not None:
-        return np.zeros(z.shape), coord.poly.eval_array(z)
+        return np.zeros(z.shape), polyval(coord.poly, z)
     logs = []
     with np.errstate(divide="ignore"):
         log_z = np.log(z)
         for p, c in coord.terms.items():
-            pz = p.eval_array(z)
+            pz = polyval(p, z)
             logs.extend(np.log(np.abs(ca)) + k * log_z + pz
                         for k, (x, y, ca) in enumerate(zip(c.re, c.im, c.complex_coeffs))
                         if x or y)
@@ -173,13 +179,21 @@ def test_circle_values_match_the_per_coordinate_loop_bit_for_bit(name, r, n, tur
 LOG_COORDS = [c for curve in CIRCLE_CURVES.values() for c in curve.coordinates] + COORDS
 
 
+def compiled_log_values(coord: CurveCoordinate, z):
+    """(L, w) of one coordinate from its own compiled log rows, as `jensen_check`
+    takes them, in the shape of z."""
+    z = np.asarray(z, dtype=np.complex128)
+    L, w = _log_values(_compile_log_rows([coord]), z.reshape(-1))
+    return L[0].reshape(z.shape), w[0].reshape(z.shape)
+
+
 @pytest.mark.parametrize("coord", LOG_COORDS, ids=lambda c: f"{len(c.terms)}keys")
 @pytest.mark.parametrize("shape", [(7,), (2, 3)])
 def test_log_values_match_the_per_monomial_loop_bit_for_bit(coord, shape):
     rng = np.random.default_rng(len(coord.terms) * 10 + len(shape))
     z = 2.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, shape)) * rng.uniform(1, 2, shape)
     want = reference_log_values(coord, z)
-    got = coord.log_values(z)
+    got = compiled_log_values(coord, z)
     for g, w in zip(got, want):
         assert g.shape == np.shape(z) and g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
@@ -191,7 +205,7 @@ def test_log_values_of_a_scalar_are_those_of_a_one_point_array(coord):
     # whose last bits can differ from its array loops; every point now gets
     # the bits it gets in an array
     z = np.asarray(1.7 - 1.9j)
-    for g, w in zip(coord.log_values(z), coord.log_values(z.reshape(1))):
+    for g, w in zip(compiled_log_values(coord, z), compiled_log_values(coord, z.reshape(1))):
         assert g.shape == () and g.tobytes() == w.tobytes()
 
 

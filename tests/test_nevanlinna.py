@@ -523,6 +523,14 @@ class TestZeroDivisor:
         assert locations == [(0.0, -two_pi), (0.0, 0.0), (-0.0, two_pi)] or \
             locations == [(0.0, -two_pi), (0.0, 0.0), (0.0, two_pi)]
 
+    def test_exp_minus_one_with_zeros_on_the_circle(self):
+        # +-2 pi i lie on |z| = 2 pi; the certified radius grows past them
+        div = zero_divisor(parse_coordinate("exp(z) - 1"), 2 * math.pi)
+        assert div.radius_of_validity > 2 * math.pi
+        assert sorted(round(z.imag, 9) for z, _ in div.entries) == \
+            [round(-2 * math.pi, 9), 0.0, round(2 * math.pi, 9)]
+        assert all(abs(z) < div.radius_of_validity for z, _ in div.entries)
+
     def test_exp_double_zeros(self):
         # e^{2z} - 2 e^z + 1 has double zeros exactly where e^z - 1 vanishes
         g = parse_coordinate("exp(2*z) - 2*exp(z) + 1")
@@ -706,9 +714,9 @@ class TestJensenAgainstMpmath:
     @pytest.mark.parametrize("text, sign", [
         pytest.param("exp(z^2) + exp(z) + 2", 1, id="positive"),
         pytest.param("-exp(z^2) + exp(z) + 2", -1, id="negative", marks=pytest.mark.xfail(
-            strict=True, reason="CurveCoordinate.log_values drops the phase of each "
-                                "coefficient, so log|phi| is that of exp(z^2) + exp(z) + 2 "
-                                "(ROADMAP item 1b)")),
+            strict=True, reason="the log|a| row of curves._compile_log_rows drops the phase "
+                                "of each coefficient, so log|phi| is that of "
+                                "exp(z^2) + exp(z) + 2 (ROADMAP item 1b)")),
     ])
     def test_integrals(self, text, sign):
         mpmath = pytest.importorskip("mpmath")
@@ -971,6 +979,21 @@ class TestLift:
         assert (lifted.q_m, lifted.rank) == (45, 3)
         assert sum(c.is_zero for c in lifted.coordinates) == 9
 
+    @pytest.mark.parametrize("m, q_m", [(7, 6435), (8, 12870)])
+    def test_refuses_past_the_product_budget_before_building_any(self, monkeypatch, m, q_m):
+        # the pencil's nine lines give C(m + 8, m) products, as in `hilbert`,
+        # which refuses the same m with the same error
+        pencil = pencil_lines_arrangement()
+        with pytest.raises(ResourceBudgetError, match=f"q_m = {q_m} exceeds budget 5000"):
+            hilbert_function(pencil, m)
+
+        def no_compose(*args):
+            raise AssertionError("a form was composed with the curve")
+
+        monkeypatch.setattr(nevanlinna, "compose", no_compose)
+        with pytest.raises(ResourceBudgetError, match=f"q_m = {q_m} exceeds budget 5000"):
+            lift_curve(parabola_curve(), pencil, m)
+
 
 class TestNoGarbageCycles:
     def test_products_are_freed_without_the_cycle_collector(self):
@@ -1065,7 +1088,7 @@ class TestMaxTermIdentity:
         for r in (10.0, 1000.0):
             thetas = np.linspace(0, 2 * np.pi, 64, endpoint=False)
             _, W = curve.circle_values(r, thetas)
-            logs = np.stack([np.log(np.abs(f.evaluate_array(list(W))))
+            logs = np.stack([np.log(np.abs(f.array_evaluator()(list(W))))
                              for f in arr.forms])
             for J in combinations(range(arr.q), arr.N + 1):
                 gap = -np.max(logs[list(J)], axis=0)
@@ -1164,10 +1187,11 @@ class TestCompose:
             """f and f' summed term by term, independently of the collected form."""
             f, df = np.zeros_like(z), np.zeros_like(z)
             for t in terms:
-                e = complex(t.coef) * np.exp(t.exponent.eval_array(z))
+                p, dp = (np.polyval(q.complex_coeffs[::-1], z)
+                         for q in (t.exponent, t.exponent.derivative()))
+                e = complex(t.coef) * np.exp(p)
                 f = f + e * z ** t.power
-                df = df + e * (t.power * z ** max(t.power - 1, 0)
-                               + z ** t.power * t.exponent.derivative().eval_array(z))
+                df = df + e * (t.power * z ** max(t.power - 1, 0) + z ** t.power * dp)
             return f, df
 
         def relative_error(got, want):
@@ -1190,8 +1214,8 @@ class TestCompose:
                           for _ in range(16)])
             values, derivs = zip(*(term_sums(t, z) for t in term_lists))
             f, df = comp.value_and_derivative(z)
-            assert relative_error(f, form.evaluate_array(values)) < 1e-10
-            chain = sum(form.derivative(i).evaluate_array(values) * d
+            assert relative_error(f, form.array_evaluator()(values)) < 1e-10
+            chain = sum(form.derivative(i).array_evaluator()(values) * d
                         for i, d in enumerate(derivs))
             assert relative_error(df, chain) < 1e-10
             checked += 1

@@ -418,7 +418,7 @@ def test_monomials_of_degree_match_recursive_reference(nvars):
 
 
 def reference_evaluate_array(form: Polynomial, values):
-    """`evaluate_array` as it was before `array_evaluator`: every call
+    """Numeric evaluation as it was before `array_evaluator`: every call
     converts each coefficient and zips each monomial with every variable."""
     values = [np.asarray(v, dtype=np.complex128) for v in values]
     total = np.zeros(np.broadcast_shapes(*(v.shape for v in values)), dtype=np.complex128)
@@ -462,7 +462,7 @@ class TestEvaluateArray:
                            Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
                        for _ in range(nvars)] for _ in range(6)]
             columns = [np.array([complex(pt[i]) for pt in points]) for i in range(nvars)]
-            got = form.evaluate_array(columns)
+            got = form.array_evaluator()(columns)
             assert got.shape == (6,) and got.dtype == np.complex128
             for value, pt in zip(got, points):
                 want = complex(form.evaluate_exact(pt, QQi(1)))
@@ -474,18 +474,18 @@ class TestEvaluateArray:
     def test_zero_and_constant_forms_take_the_broadcast_shape(self):
         values = [np.ones((2, 1)), np.arange(3.0), np.array(1j)]
         for form, want in ((Polynomial(3), 0j), (Polynomial(3, {(0, 0, 0): Fraction(5, 2)}), 2.5)):
-            out = form.evaluate_array(values)
+            out = form.array_evaluator()(values)
             assert out.dtype == np.complex128 and out.shape == (2, 3)
             assert (out == want).all()
-        out = Polynomial(3, {(0, 1, 2): Fraction(1)}).evaluate_array(values)
+        out = Polynomial(3, {(0, 1, 2): Fraction(1)}).array_evaluator()(values)
         assert out.shape == (2, 3) and out.tolist() == [[0j, -1, -2]] * 2
 
     def test_coefficient_past_the_float_range(self):
         form = Polynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(10 ** 400)})
         with pytest.raises(ValueError, match=f"coefficient {10 ** 400} is past the float range"):
-            form.evaluate_array([np.ones(3), np.ones(3)])
+            form.array_evaluator()([np.ones(3), np.ones(3)])
 
     def test_coefficient_below_the_float_range(self):
         form = Polynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(1, 10 ** 400)})
         with pytest.raises(ValueError, match=f"coefficient 1/{10 ** 400} is below the float range"):
-            form.evaluate_array([np.ones(3), np.ones(3)])
+            form.array_evaluator()([np.ones(3), np.ones(3)])

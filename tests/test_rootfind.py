@@ -41,6 +41,23 @@ def boxes_around(starts: np.ndarray, half: float) -> np.ndarray:
                      starts.imag - half, starts.imag + half], axis=-1)
 
 
+class TestBoundaryPerturbation:
+    """A zero on the boundary circle: no winding count there certifies, so
+    the radius grows by relative steps of 1e-6 and the outcome says so."""
+
+    def test_real_zero_on_the_circle(self):
+        assert disk_zeros(fused("z - 2"), 2.0) == DiskZeros([(2, 1)], 2.000002, True, 1)
+
+    def test_exp_zeros_on_the_circle(self):
+        result = disk_zeros(fused("exp(z) - 1"), 2 * math.pi)
+        assert result.perturbed and result.boundary_count == 3
+        assert result.radius_used == 2 * math.pi * (1 + 1e-6)
+        assert [k for _, k in result.zeros] == [1, 1, 1]
+        assert sorted(round(z.imag, 9) for z, _ in result.zeros) == \
+            [round(-2 * math.pi, 9), 0.0, round(2 * math.pi, 9)]
+        assert all(abs(z.real) < 1e-12 for z, _ in result.zeros)
+
+
 class TestBatchInvariance:
     def test_newton_entries_match_one_entry_calls(self):
         # simple zeros at odd multiples of i*pi, double zeros at 2*pi*i*k, and
