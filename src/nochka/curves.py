@@ -407,7 +407,7 @@ def parse_curve(text: str) -> ProjectiveCurve:
     coords = []
     for offset, raw in enumerate(lines[header_idx + 1:], header_idx + 2):
         if raw.strip():
-            coords.append(parse_coordinate(raw.strip(), line=offset))
+            coords.append(parse_coordinate(raw, line=offset))
     if len(coords) != M + 1:
         raise ParseError(f"expected {M + 1} coordinates, got {len(coords)}")
     return ProjectiveCurve(coords)

@@ -9,11 +9,12 @@ hypersurfaces.  The hyperplanes of R never go to Groebner: if their
 coefficient vectors have rank k and an integer basis B of their common
 kernel, then t -> B t is a linear isomorphism from projective (M - k)-space
 onto the linear space L they cut out.  It maps the zero set of the other
-polynomials restricted to p(B t) onto V cut by R, so both have the same
-projective dimension, and only the restricted ideal, in M + 1 - k
-variables, can need a Groebner basis.  None is needed when L is empty or
-inside every other zero set, or when L is a point (the variety generators
-and the forms that are not hyperplanes are evaluated there in integers).
+polynomials restricted to p(B t), by substituting B t for the variables
+in each of their terms, onto V cut by R, so both have the same projective
+dimension, and only the restricted ideal, in M + 1 - k variables, can
+need a Groebner basis.  None is needed when L is empty or inside every
+other zero set, or when L is a point (the variety generators and R's
+other forms are evaluated there in integers).
 Otherwise exact ranks certify the dimension of the restricted zero set
 where they can: the projective dimension theorem bounds it from below, and
 a linear section of the right dimension that misses it bounds it from
@@ -24,12 +25,14 @@ any space, unless the probe section meets the zero set.  The polynomials
 stay content-free integer terms throughout; only a Groebner run sees them
 as `Polynomial`s.  The subsets are decided level by level, and only those
 whose immediate subsets were all decided and are not spanning: the rest
-span, by monotone pruning.
+span, by monotone pruning.  An oracle keeps two caches: the linear space
+of each hyperplane subset, and each polynomial restricted to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from itertools import combinations_with_replacement, compress, repeat
 from math import comb, gcd, lcm, prod
@@ -39,7 +42,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ParseError, ResourceBudgetError, VerificationError
-from .linalg import Echelon, _units, primitive
+from .linalg import Echelon, primitive
 from .poly import (DEFAULT_GB_STEPS, Ideal, Monomial, Polynomial, ideal_dimension,
                    monomials_of_degree, mono_mul, next_level, parse_polynomial)
 from .rank_core import (MAX_GROUND_SET, AxiomCheck, RankOracle,
@@ -184,34 +187,45 @@ def _linear_space(parent: tuple[Echelon, list[tuple[int, ...]]], line: Sequence,
     return ech, basis
 
 
-def _restrict(terms: dict[Monomial, int], basis: Sequence[tuple[int, ...]],
-              powers: dict[int, tuple]) -> dict[Monomial, int]:
+def _restrict(terms: dict[Monomial, int], basis: Sequence[tuple[int, ...]]) -> dict[Monomial, int]:
     """The content-free integer terms of p(B t) in the variables
-    t = (t_0, ..., t_{len(B)-1}), where p is the nonzero form with the
-    integer terms `terms` and column c of B is basis[c]; empty when p
-    vanishes on the span of B.
+    t = (t_0, ..., t_{len(B)-1}), lexicographically descending, where p is
+    the nonzero form of degree d with the integer terms `terms` and column c
+    of B is basis[c]; empty when p vanishes on the span of B.
 
-    p(B t) is linear in p: it is the coefficients of p times the rows of
-    the degree-deg(p) products of the coordinate forms
-    x_i = sum_c basis[c][i] t_c (`_level_products`), summed in int64 only
-    when the triangle inequality bounds every sum below 2^63.  `powers`
-    keeps by degree those products, the row of each monomial and their
-    largest absolute entry, for the next form restricted to the span of B."""
-    d = sum(next(iter(terms)))
-    if d not in powers:
-        nvars = len(basis[0])
-        coords = [[b[i] for b in basis] for i in range(nvars)]
-        cols, blocks = _level_products(coords, _units(len(basis)), d)
-        rows = np.concatenate(list(blocks))
-        powers[d] = ({u: i for i, u in enumerate(monomials_of_degree(nvars, d))}, cols,
-                     rows, int(np.abs(rows).max(initial=0)))
-    at, cols, rows, top = powers[d]
-    coeffs = list(terms.values())
-    bound = sum(map(abs, coeffs)) * top
-    total = (_exact(np.array(coeffs, dtype=object), bound)
-             @ _exact(rows[[at[u] for u in terms]], bound)).tolist()
-    g = gcd(*total)
-    return {u: c // g for u, c in zip(cols, total) if c}
+    Each term of p is expanded in Python ints by substituting the
+    coordinate forms x_i = sum_c basis[c][i] t_c, each of whose powers is
+    built once per call.  Meanwhile t^a is keyed by the integer whose
+    base-(d + 1) digits are a, t_0's the most significant: no exponent
+    reaches d + 1, so keys add as monomials multiply and order as they do."""
+    k, base = len(basis), sum(next(iter(terms))) + 1
+    places = [base ** (k - 1 - c) for c in range(k)]
+    coords = [{u: b[i] for u, b in zip(places, basis) if b[i]} for i in range(len(basis[0]))]
+    powers = [[None, x] for x in coords]  # x_i^e at powers[i][e], built as terms need it
+    total: dict[int, int] = {}
+    for mono, coeff in terms.items():
+        part = {0: coeff}
+        for i, e in enumerate(mono):
+            if e:
+                table = powers[i]
+                while len(table) <= e:
+                    table.append(_times(table[-1], coords[i]))
+                part = _times(part, table[e])
+        for u, c in part.items():
+            total[u] = total.get(u, 0) + c
+    g = gcd(*total.values())
+    return {tuple(u // place % base for place in places): total[u] // g
+            for u in sorted(total, reverse=True) if total[u]}
+
+
+def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two polynomials given by their integer terms under
+    additive monomial keys."""
+    out: dict[int, int] = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            out[u + v] = out.get(u + v, 0) + x * y
+    return out
 
 
 def _value_at(terms: dict[Monomial, int | Fraction], point: Sequence[int]) -> int | Fraction:
@@ -219,8 +233,7 @@ def _value_at(terms: dict[Monomial, int | Fraction], point: Sequence[int]) -> in
     return sum(c * prod(map(pow, point, mono)) for mono, c in terms.items())
 
 
-def _no_common_zero(gens: Sequence[dict[Monomial, int]], nvars: int,
-                    layouts: dict[tuple[int, int, int], dict]) -> bool:
+def _no_common_zero(gens: Sequence[dict[Monomial, int]], nvars: int) -> bool:
     """Whether nonzero integer forms (their terms) of positive degree at
     most d in nvars variables have no common zero in projective
     (nvars - 1)-space.
@@ -232,9 +245,7 @@ def _no_common_zero(gens: Sequence[dict[Monomial, int]], nvars: int,
     sequence of forms of degree d, whose ideal holds every form of degree
     past nvars (d - 1).  A common zero p is a zero of every multiple, but
     not of the power x_i^D of a coordinate with p_i != 0.  Binary forms
-    (nvars = 2) take degree 2d - 1.  `layouts` keeps by (nvars, D, degree)
-    the column of each multiple a u of a monomial u of the degree: for each
-    u, one column per multiplier a, in `monomials_of_degree` order."""
+    (nvars = 2) take degree 2d - 1."""
     degrees = [sum(next(iter(g))) for g in gens]
     D = nvars * (max(degrees) - 1) + 1
     width = comb(D + nvars - 1, nvars - 1)
@@ -245,13 +256,7 @@ def _no_common_zero(gens: Sequence[dict[Monomial, int]], nvars: int,
     # elimination keeps its integers small
     multiples = []
     for g, d in zip(gens, degrees):
-        layout = layouts.get((nvars, D, d))
-        if layout is None:
-            at = {u: i for i, u in enumerate(monomials_of_degree(nvars, D))}
-            multipliers = list(monomials_of_degree(nvars, D - d))
-            layout = layouts[nvars, D, d] = {
-                u: [at[mono_mul(a, u)] for a in multipliers]
-                for u in monomials_of_degree(nvars, d)}
+        layout = _layout(nvars, D, d)
         # per multiplier a, the column of a u for each monomial u of g
         columns = zip(*(layout[u] for u in g))
         multiples.extend(zip(layout[max(g)], columns, repeat(list(g.values()))))
@@ -266,6 +271,17 @@ def _no_common_zero(gens: Sequence[dict[Monomial, int]], nvars: int,
     return False
 
 
+@cache
+def _layout(nvars: int, D: int, d: int) -> dict[Monomial, list[int]]:
+    """For each monomial u of degree d in nvars variables, the column of
+    each multiple a u among the monomials of degree D, one per multiplier a
+    of degree D - d, in `monomials_of_degree` order.  Cached for the
+    process and shared by every caller, which only reads it."""
+    at = {u: i for i, u in enumerate(monomials_of_degree(nvars, D))}
+    multipliers = list(monomials_of_degree(nvars, D - d))
+    return {u: [at[mono_mul(a, u)] for a in multipliers] for u in monomials_of_degree(nvars, d)}
+
+
 def _probe(nvars: int, c: int) -> list[tuple[int, ...]]:
     """c + 1 points (1, t, t^2, ..., t^(nvars - 1)) of the moment curve, for
     t = 3, 5, ..., 2c + 3: independent (their Vandermonde minor is nonzero),
@@ -274,8 +290,7 @@ def _probe(nvars: int, c: int) -> list[tuple[int, ...]]:
     return [tuple(t ** i for i in range(nvars)) for t in range(3, 2 * c + 4, 2)]
 
 
-def _forms_dimension(gens: Sequence[dict[Monomial, int]], nvars: int, gb_steps: int,
-                     probes: dict[tuple[int, int], dict], layouts: dict) -> int:
+def _forms_dimension(gens: Sequence[dict[Monomial, int]], nvars: int, gb_steps: int) -> int:
     """Projective dimension of the common zero set Z of s nonzero integer
     forms (their terms) of positive degree in nvars >= 2 variables, in P^k
     with k = nvars - 1.
@@ -283,23 +298,21 @@ def _forms_dimension(gens: Sequence[dict[Monomial, int]], nvars: int, gb_steps: 
     Z is a proper subset of P^k, so dim Z <= k - 1.  By the projective
     dimension theorem each form cuts a dimension by at most 1, so
     dim Z >= k - s when s <= k; when s > k and nvars <= 3, one Macaulay rank
-    (`_no_common_zero`, with its layouts kept in `layouts`) says whether Z
-    is empty (-1) or not (>= 0).  Where this lower bound differs from
-    k - 1, a linear space of dimension c = k - 1 - lower <= 2, spanned by
-    the points `_probe(nvars, c)`, that misses Z forces
-    dim Z <= k - 1 - c, since it would meet any subset of P^k of dimension
-    k - c or more; the forms restricted to it (`_restrict`, with the
-    products kept in `probes` by (nvars, c)) missing each other is one more
-    Macaulay rank in c + 1 variables.  That proves dim Z = lower.  A probe
-    space that meets Z, and an emptiness question in more than 3 variables,
-    take a Groebner basis under `gb_steps`, the one place the forms become
-    `Polynomial`s."""
+    (`_no_common_zero`) says whether Z is empty (-1) or not (>= 0).  Where
+    this lower bound differs from k - 1, a linear space of dimension
+    c = k - 1 - lower <= 2, spanned by the points `_probe(nvars, c)`, that
+    misses Z forces dim Z <= k - 1 - c, since it would meet any subset of
+    P^k of dimension k - c or more; the forms restricted to it
+    (`_restrict`) missing each other is one more Macaulay rank in c + 1
+    variables.  That proves dim Z = lower.  A probe space that meets Z, and
+    an emptiness question in more than 3 variables, take a Groebner basis
+    under `gb_steps`, the one place the forms become `Polynomial`s."""
     k, s = nvars - 1, len(gens)
     if s <= k:
         lower = k - s
     elif nvars > 3:
         lower = None
-    elif _no_common_zero(gens, nvars, layouts):
+    elif _no_common_zero(gens, nvars):
         return -1
     else:
         lower = 0
@@ -309,9 +322,8 @@ def _forms_dimension(gens: Sequence[dict[Monomial, int]], nvars: int, gb_steps: 
             return lower
         if c <= 2:
             basis = _probe(nvars, c)
-            powers = probes.setdefault((nvars, c), {})
-            section = [r for r in (_restrict(g, basis, powers) for g in gens) if r]
-            if section and _no_common_zero(section, c + 1, layouts):
+            section = [r for r in (_restrict(g, basis) for g in gens) if r]
+            if section and _no_common_zero(section, c + 1):
                 return lower
     return ideal_dimension(Ideal([Polynomial(nvars, g) for g in gens], nvars=nvars,
                                  max_steps=gb_steps))
@@ -328,9 +340,8 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
     their coefficient vectors (`Echelon.kernel`, one per hyperplane subset)
     makes t -> B t an isomorphism from projective (M - k)-space onto L.  So
     V cut by R has the projective dimension of the zero set of the variety
-    generators and the other members of R, each restricted to p(B t) as its
-    coefficients times the degree-d products of B's coordinate forms, built
-    once per hyperplane subset and degree d by the Hilbert level step.
+    generators and the other members of R, each restricted to p(B t) by
+    substituting B's coordinate forms for the variables (`_restrict`).
     Every polynomial is taken as its content-free integer terms, and so is
     every restriction:
 
@@ -350,16 +361,17 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
       the restricted ideal under the arrangement's step budget.
 
     No Groebner run sees a hyperplane, and none sees a plane unless a probe
-    line meets the zero set.  The products of the probe spaces' coordinate
-    forms and the Macaulay layouts are kept for the call, like the products
-    of the hyperplane subsets.  Subsets are decided level by level, by size
-    and then in mask order (`_level_walk`), with monotone pruning: a
-    superset of a spanning subset spans, so a mask is decided only when
-    every immediate subset of it was decided and is not spanning, and every
-    other entry is n + 1.  A hyperplane subset's space is built from that of
-    the subset less its lowest hyperplane, decided a level before; a
-    hyperplane that adds nothing to it keeps its space.  A
-    `VerificationError` names the first subset out of range in that order.
+    line meets the zero set.  The call keeps two caches: the linear space of
+    each hyperplane subset, and each polynomial restricted to it (the
+    Macaulay layouts are cached by `_layout` for the process).  Subsets
+    are decided level by level, by size and then in mask order
+    (`_level_walk`), with monotone pruning: a superset of a spanning subset
+    spans, so a mask is decided only when every immediate subset of it was
+    decided and is not spanning, and every other entry is n + 1.  A
+    hyperplane subset's space is built from that of the subset less its
+    lowest hyperplane, decided a level before; a hyperplane that adds
+    nothing to it keeps its space.  A `VerificationError` names the first
+    subset out of range in that order.
     """
     q, n, M = arr.q, arr.n, arr.M
     forms = arr.forms
@@ -371,18 +383,8 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
     # the polynomials to restrict, by index: the variety generators, then the forms
     polys = [_integer_terms(p) for p in arr.variety_generators + forms]
     g = len(arr.variety_generators)
-    # the polynomials evaluated at a point: all but the lines
-    curved = [i for i in range(len(polys)) if i - g not in lines]
     spaces = {0: (Echelon(), Echelon().kernel(M + 1))}
-    # by hyperplane subset, then by degree, the products of its coordinate forms
-    products: dict[int, dict[int, tuple]] = {}
     restricted: dict[tuple[int, int], dict[Monomial, int]] = {}
-    # by (variables, dimension), the products of a probe space's coordinate forms
-    probes: dict[tuple[int, int], dict[int, tuple]] = {}
-    layouts: dict[tuple[int, int, int], dict] = {}
-    # by hyperplane subset that cuts out a point, the bitmask of the
-    # polynomials vanishing there
-    point_zeros: dict[int, int] = {}
 
     def decide(mask: int) -> int:
         hmask = mask & line_mask
@@ -394,31 +396,23 @@ def codim_oracle(arr: Arrangement) -> RankOracle:
                 spaces[hmask ^ low], lines[low.bit_length() - 1],
                 (lines[j] for j in lines if hmask >> j & 1), M + 1)
         ech, basis = space
+        rest = mask ^ hmask
+        members = [*range(g), *(g + j for j in range(q) if rest >> j & 1)]
         if ech.rank == M + 1:
             dim = -1
         elif len(basis) == 1:
             # L is the point basis[0]: V cut by R is that point when
             # every generator left vanishes there, and empty otherwise
-            zeros = point_zeros.get(hmask)
-            if zeros is None:
-                zeros = point_zeros[hmask] = sum(
-                    1 << i for i in curved if not _value_at(polys[i], basis[0]))
-            needed = ((1 << g) - 1) | ((mask ^ hmask) << g)
-            dim = 0 if needed & ~zeros == 0 else -1
+            dim = -1 if any(_value_at(polys[i], basis[0]) for i in members) else 0
         else:
-            rest = mask ^ hmask
             gens = []
-            for i in [*range(g), *(g + j for j in range(q) if rest >> j & 1)]:
+            for i in members:
                 r = restricted.get((hmask, i))
                 if r is None:
-                    r = restricted[hmask, i] = _restrict(polys[i], basis,
-                                                         products.setdefault(hmask, {}))
+                    r = restricted[hmask, i] = _restrict(polys[i], basis)
                 if r:
                     gens.append(r)
-            if not gens:
-                dim = M - ech.rank
-            else:
-                dim = _forms_dimension(gens, len(basis), arr.gb_steps, probes, layouts)
+            dim = _forms_dimension(gens, len(basis), arr.gb_steps) if gens else M - ech.rank
         c = n - dim
         if not 0 <= c <= n + 1:
             raise VerificationError(
@@ -818,12 +812,15 @@ def parse_arrangement(text: str, *, gb_steps: int = DEFAULT_GB_STEPS) -> Arrange
         elif section in ("variety", "hypersurfaces"):
             if not var_names:
                 raise ParseError("[vars] must precede polynomials", line=ln)
-            body = line
+            # the line as written, a hypersurface's name and colon blanked
+            # (whitespace is insignificant), so error columns count from its start
+            body = raw
             if section == "hypersurfaces":
                 if ":" not in line:
                     raise ParseError("expected `name : polynomial`", line=ln)
-                name, _, body = line.partition(":")
-            poly = parse_polynomial(body.strip(), var_names, line=ln)
+                name, _, rest = raw.partition(":")
+                body = " " * (len(name) + 1) + rest
+            poly = parse_polynomial(body, var_names, line=ln)
             if poly.is_zero:
                 raise ParseError("polynomial must be nonzero", line=ln)
             if not poly.is_homogeneous:

@@ -7,9 +7,8 @@ degree-reverse-lexicographic throughout: leading terms, division, Groebner
 bases and printed term order all use `key_degrevlex`.
 
 `next_level` steps the products of a family of factors from one degree to
-the next in `monomials_of_degree` order; the Hilbert rows, the forms
-restricted to a linear space and the curve lifts are all built with it, one
-level at a time.
+the next in `monomials_of_degree` order; the Hilbert rows and the curve
+lifts are built with it, one level at a time.
 """
 
 from __future__ import annotations

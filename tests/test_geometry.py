@@ -7,7 +7,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nochka import geometry
@@ -289,19 +289,28 @@ def _arrangement(M: int, n: int, deg_v: int, variety: tuple[str, ...],
 
 CONIC = ("x0*x2 - x1^2",)
 TWISTED_CUBIC = ("x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2")
+QUADRIC_SURFACE = ("x0*x3 - x1*x2",)
 
 
 @st.composite
 def mixed_arrangements(draw) -> Arrangement:
-    """Hyperplanes with quadrics on the whole plane or 3-space, or
-    hyperplanes on the conic or on the twisted cubic."""
-    kind = draw(st.sampled_from(["plane", "space", "conic", "twisted-cubic"]))
+    """Hyperplanes with quadrics on the whole plane or 3-space, hyperplanes
+    on the conic or on the twisted cubic, or planes with one quadric on the
+    quadric surface."""
+    kind = draw(st.sampled_from(["plane", "space", "conic", "twisted-cubic",
+                                 "quadric-surface"]))
     M = 2 if kind in ("plane", "conic") else 3
     lines = [_form(draw, M + 1, 1) for _ in range(draw(st.integers(1, 3)))]
     if kind == "conic":
         return _arrangement(2, 1, 2, CONIC, lines)
     if kind == "twisted-cubic":
         return _arrangement(3, 1, 3, TWISTED_CUBIC, lines)
+    if kind == "quadric-surface":
+        quadric = _form(draw, 4, 2)
+        # a quadric containing the surface is a multiple of its generator
+        assume(not Ideal([parse_polynomial(QUADRIC_SURFACE[0], V4)], nvars=4)
+               .normal_form(quadric).is_zero)
+        return _arrangement(3, 2, 2, QUADRIC_SURFACE, [quadric] + lines)
     quadrics = [_form(draw, M + 1, 2) for _ in range(draw(st.integers(1, 2)))]
     if kind == "plane":
         if draw(st.booleans()):  # three independent lines: k = M + 1
@@ -334,6 +343,9 @@ class TestRestrictedOracle:
     # (2 : 2 : 2 : 1), off it
     @example(_arrangement(3, 1, 3, TWISTED_CUBIC, [parse_polynomial(t, V4) for t in (
         "x0 - x1", "x1 - x2", "x2 - x3", "x0 - 2*x3")]))
+    # planes 2-4 meet at (0 : 0 : 1 : 0), on the surface and off the quadric
+    @example(_arrangement(3, 2, 2, QUADRIC_SURFACE, [parse_polynomial(t, V4) for t in (
+        "x0^2 + x1*x3 + x2^2", "x0 + x1", "x0 - x3", "x3 + 3*x1")]))
     @settings(max_examples=40, deadline=None)
     def test_matches_one_groebner_basis_per_subset(self, arr):
         assert codim_oracle(arr).table.tolist() == list(groebner_codims(arr))
@@ -360,37 +372,54 @@ def restrictions(draw) -> tuple[Polynomial, list[tuple[int, ...]]]:
     return p, basis
 
 
-# (form, basis, dtype of the products, restriction is zero): p vanishes on
-# the span; the products reach 2^66; the products fit int64 but the sum
-# 2^62 * 2^3 does not
+def level_restriction(terms: dict, basis: list[tuple[int, ...]]) -> dict:
+    """Reference restriction through the Hilbert level products: p's
+    coefficients times the rows of the degree-d products of the coordinate
+    forms x_i = sum_c basis[c][i] t_c, in Python ints, made content-free
+    over the products' descending columns."""
+    d = sum(next(iter(terms)))
+    nvars = len(basis[0])
+    coords = [[b[i] for b in basis] for i in range(nvars)]
+    units = [tuple(int(c == k) for k in range(len(basis))) for c in range(len(basis))]
+    cols, blocks = geometry._level_products(coords, units, d)
+    rows = dict(zip(monomials_of_degree(nvars, d), np.concatenate(list(blocks)).tolist()))
+    total = [sum(c * int(rows[u][j]) for u, c in terms.items()) for j in range(len(cols))]
+    g = math.gcd(*total)
+    return {u: c // g for u, c in zip(cols, total) if c}
+
+
+# (form, basis, restriction is zero): p vanishes on the span; the products
+# reach 2^66; the products fit int64 but the sum 2^62 * 2^3 does not
 RESTRICTION_CASES = [
-    (parse_polynomial("x0 - x1", V3), [(1, 1, 0), (2, 2, 5)], np.int64, True),
+    (parse_polynomial("x0 - x1", V3), [(1, 1, 0), (2, 2, 5)], True),
     (parse_polynomial("x0^3 - x0*x1*x2 + x2^3", V3),
-     [(2 ** 22, 3, -1), (1, -2 ** 22, 2 ** 21)], object, False),
-    (Polynomial(3, {(3, 0, 0): 2 ** 62, (0, 3, 0): 1}), [(2, 1, 0), (1, 0, 1)], np.int64, False),
+     [(2 ** 22, 3, -1), (1, -2 ** 22, 2 ** 21)], False),
+    (Polynomial(3, {(3, 0, 0): 2 ** 62, (0, 3, 0): 1}), [(2, 1, 0), (1, 0, 1)], False),
 ]
 
 
 class TestRestrict:
-    """`_restrict` through the level products against substitution."""
+    """`_restrict` by substitution against `Polynomial` substitution and the
+    level products, term for term and in the same order."""
 
     @given(restrictions())
     @settings(max_examples=80, deadline=None)
     def test_matches_substitution(self, case):
         p, basis = case
-        restricted = geometry._restrict(geometry._integer_terms(p), basis, {})
-        assert Polynomial(len(basis), restricted) == substituted(p, basis)
-
-    @pytest.mark.parametrize("p, basis, dtype, zero", RESTRICTION_CASES,
-                             ids=["zero", "products-past-int64", "sums-past-int64"])
-    def test_edge_cases(self, p, basis, dtype, zero):
-        powers = {}
         terms = geometry._integer_terms(p)
-        restricted = geometry._restrict(terms, basis, powers)
+        restricted = geometry._restrict(terms, basis)
+        assert Polynomial(len(basis), restricted) == substituted(p, basis)
+        assert list(restricted.items()) == list(level_restriction(terms, basis).items())
+
+    @pytest.mark.parametrize("p, basis, zero", RESTRICTION_CASES,
+                             ids=["zero", "products-past-int64", "sums-past-int64"])
+    def test_edge_cases(self, p, basis, zero):
+        terms = geometry._integer_terms(p)
+        restricted = geometry._restrict(terms, basis)
         assert Polynomial(len(basis), restricted) == substituted(p, basis)
         assert (not restricted) == zero
-        assert powers[p.degree][2].dtype == dtype
-        assert geometry._restrict(terms, basis, powers) == restricted
+        assert list(restricted.items()) == list(level_restriction(terms, basis).items())
+        assert geometry._restrict(terms, basis) == restricted
 
 
 def _random_form(rng: random.Random, nvars: int, degree: int) -> Polynomial:
@@ -498,9 +527,9 @@ class TestFormsDimension:
         for seed in range(40):
             for forms in _binary_families(seed):
                 terms = _terms(forms)
-                dim = geometry._forms_dimension(terms, 2, DEFAULT_GB_STEPS, {}, {})
+                dim = geometry._forms_dimension(terms, 2, DEFAULT_GB_STEPS)
                 assert dim == _gcd_dimension(forms) == ideal_dimension(Ideal(forms, nvars=2)), forms
-                assert geometry._no_common_zero(terms, 2, {}) == (dim == -1)
+                assert geometry._no_common_zero(terms, 2) == (dim == -1)
                 seen.add(dim)
         assert seen == {-1, 0}
 
@@ -509,7 +538,7 @@ class TestFormsDimension:
         for nvars in (2, 3, 4):
             for _ in range(6):
                 form = _random_form(rng, nvars, rng.randint(1, 3))
-                assert (geometry._forms_dimension(_terms([form]), nvars, DEFAULT_GB_STEPS, {}, {})
+                assert (geometry._forms_dimension(_terms([form]), nvars, DEFAULT_GB_STEPS)
                         == ideal_dimension(Ideal([form], nvars=nvars)) == nvars - 2)
 
     def test_macaulay_rank_matches_groebner(self):
@@ -518,7 +547,7 @@ class TestFormsDimension:
             for forms in _plane_families(seed):
                 nvars = forms[0].nvars
                 dim = ideal_dimension(Ideal(forms, nvars=nvars))
-                assert geometry._no_common_zero(_terms(forms), nvars, {}) == (dim == -1), forms
+                assert geometry._no_common_zero(_terms(forms), nvars) == (dim == -1), forms
                 seen.add((nvars, dim))
         assert seen == {(2, -1), (2, 0), (3, -1), (3, 0), (3, 1)}
 
@@ -526,14 +555,12 @@ class TestFormsDimension:
         families = [(forms, ideal_dimension(Ideal(forms, nvars=forms[0].nvars)))
                     for seed in range(12) for forms in _plane_families(seed)]
         calls = _counted(monkeypatch)
-        probes = {}
         for forms, dim in families:
             before = len(calls)
-            assert geometry._forms_dimension(_terms(forms), forms[0].nvars, DEFAULT_GB_STEPS,
-                                             probes, {}) == dim, forms
+            assert geometry._forms_dimension(_terms(forms), forms[0].nvars,
+                                             DEFAULT_GB_STEPS) == dim, forms
             # a probe line meets every plane curve, so only a curve needs a basis
             assert len(calls) - before == (dim == 1)
-        assert set(probes) == {(3, 1)}
 
     def test_space_sections_match_groebner(self, monkeypatch):
         rng = random.Random(11)
@@ -543,12 +570,10 @@ class TestFormsDimension:
                 forms = [_random_form(rng, 4, rng.randint(1, 2)) for _ in range(s)]
                 families.append((forms, ideal_dimension(Ideal(forms, nvars=4))))
         calls = _counted(monkeypatch)
-        probes = {}
         for forms, dim in families:
-            assert (geometry._forms_dimension(_terms(forms), 4, DEFAULT_GB_STEPS, probes, {})
+            assert (geometry._forms_dimension(_terms(forms), 4, DEFAULT_GB_STEPS)
                     == dim == 3 - len(forms))
-        # a line and a plane of 3-space, each built once
-        assert calls == [] and set(probes) == {(4, 1), (4, 2)}
+        assert calls == []
 
     def test_other_ideals_take_a_basis(self, monkeypatch):
         rng = random.Random(3)
@@ -571,7 +596,7 @@ class TestFormsDimension:
             nvars = forms[0].nvars
             assert ideal_dimension(Ideal(forms, nvars=nvars)) == dim
             calls = _counted(monkeypatch)
-            assert geometry._forms_dimension(_terms(forms), nvars, DEFAULT_GB_STEPS, {}, {}) == dim
+            assert geometry._forms_dimension(_terms(forms), nvars, DEFAULT_GB_STEPS) == dim
             assert len(calls) == 1 and calls[0].nvars == nvars
 
     def test_probe_points_span(self):
@@ -1038,8 +1063,21 @@ class TestArrangementFormat:
                 "[hypersurfaces]\nA1 : x0 + y1\n")
         with pytest.raises(ParseError) as err:
             parse_arrangement(text)
-        assert (err.value.line, err.value.column) == (5, 6)
-        assert str(err.value) == "unknown variable 'y1' (line 5, column 6)"
+        assert (err.value.line, err.value.column) == (5, 11)
+        assert str(err.value) == "unknown variable 'y1' (line 5, column 11)"
         with pytest.raises(ParseError) as err:
             parse_arrangement(text.replace("x0 + y1", "x0 - x0"))
         assert str(err.value) == "polynomial must be nonzero (line 5)"
+
+    @pytest.mark.parametrize("variety, hypersurface, line, column", [
+        ("", "H2 :   x1 + $x2", 7, 13),
+        ("  x0*x2 - x1^2 + $", "H1 : x0", 4, 18),
+    ], ids=["hypersurface", "variety"])
+    def test_error_column_counts_from_the_line_as_written(self, variety, hypersurface,
+                                                         line, column):
+        text = (f"[space] M=2 n=2 degV=1 N=3\n[vars] x0 x1 x2\n[variety]\n{variety}\n"
+                f"[hypersurfaces]\nH0 : x0\n{hypersurface}\n")
+        with pytest.raises(ParseError) as err:
+            parse_arrangement(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert text.splitlines()[line - 1][column - 1] == "$"

@@ -1144,6 +1144,12 @@ class TestCurveParsing:
             parse_coordinate(text, line=4)
         assert str(err.value) == f"{message} (line 4, column {column})"
 
+    def test_error_column_counts_from_the_line_as_written(self):
+        from nochka.errors import ParseError
+        with pytest.raises(ParseError) as err:
+            parse_curve("[curve] M=1\n1\n   z + $\n")
+        assert (err.value.line, err.value.column) == (3, 8)
+
     def test_bare_i_is_a_word(self):
         assert parse_coordinate("i*z").poly == UnivariatePoly([0, QQi(0, 1)])
         assert parse_coordinate("(-i) + 2i").poly == UnivariatePoly([QQi(0, 1)])
